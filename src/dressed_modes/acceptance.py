@@ -32,7 +32,13 @@ from .multiqubit import (
 )
 from .params import GHZ, DeviceParams, TransmonSpec, omega_to_lambda, lambda_to_omega
 from .resonator import ShortedLine, line_log_deriv, line_log_deriv_dlam, quarterwave_zeros
-from .spectrum import pole_margin, qubit_frequency_sweep, solve_spectrum, vacuum_rabi_gap
+from .spectrum import (
+    DIRICHLET_COLLISION_REL,
+    pole_margin,
+    qubit_frequency_sweep,
+    solve_spectrum,
+    vacuum_rabi_gap,
+)
 from .wedge import WedgeGeometry, azimuthal_wavenumber, derivative_wall_values, sine_mode_overlap
 
 # reference device: 3 mm line, v = 1.2e8 m/s, 50 ohm => 10 GHz fundamental
@@ -117,12 +123,12 @@ def _random_ground_config(rng):
     length = float(rng.uniform(2e-3, 8e-3))
     v = float(rng.uniform(0.8e8, 1.6e8))
     dev = DeviceParams(length=length, phase_velocity=v, impedance=50.0)
-    omega_1 = dev.fundamental_frequency
+    dirichlet = ShortedLine(length).poles(3)
     while True:
-        omega_q = float(rng.uniform(0.1, 5.8)) * omega_1
-        # Dirichlet poles sit at even multiples of the fundamental
-        nearest_even = 2.0 * omega_1 * round(omega_q / (2.0 * omega_1))
-        if nearest_even > 0 and abs(omega_q - nearest_even) < 1e-5 * nearest_even:
+        omega_q = float(rng.uniform(0.1, 5.8)) * dev.fundamental_frequency
+        # redraw exactly what solve_spectrum rejects with PoleCollisionError
+        lam_q = omega_to_lambda(omega_q, v)
+        if any(abs(lam_q - d) < DIRICHLET_COLLISION_REL * d for d in dirichlet):
             continue
         break
     g = float(rng.uniform(0.01, 0.2)) * GHZ

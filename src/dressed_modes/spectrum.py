@@ -1,32 +1,47 @@
 """Dressed-mode spectra of the terminated line.
 
 Eigenvalues are the roots of H(lam) = log_deriv(lam) - F(lam) on (0, lam_max].
-The domain is partitioned at every pole of either side; each subinterval is
-scanned on an adaptive grid for sign changes, every bracket is refined by
-bisection and polished with a few safeguarded Newton steps using analytic
-derivatives. When all boundary residues are positive the partition pins
-exactly one root to every pole-bounded interval, and the solver enforces
-that; with mixed signs (occupied excited state) intervals may hold zero or
-several roots and all of them are reported.
+The domain is partitioned at every pole of either side.
+
+Certified path: a RationalBoundary with every residue positive and
+beta < L/3. There log_deriv' <= -L/3 everywhere, so
+H' = log_deriv' + beta - sum_k delta_k / (lam_k - lam)^2 <= -L/3 + beta < 0:
+H falls from +inf just right of each pole to -inf just left of the next. The
+count of every interval follows from the signs at its ends, with no scan:
+one root in each pole-bounded interval, and one in an edge interval iff
+H(0) = 1/L - F(0) > 0, resp. H(lam_max) <= 0. Each root is refined by
+Brent's method on the interval's cleared function c*H, where c > 0 vanishes
+at the bounding poles (sin(xi)/xi for a Dirichlet pole, |lam_k - lam|/lam_k
+for a boundary pole), so a root next to a pole is an ordinary root. The
+residual test takes |c*H| against the raw scale max(|G|, |F|, 1/L): next to
+a pole the raw |H| at the float nearest the root can exceed RESIDUAL_REL of
+that scale, while c*H there is exact to rounding.
+
+Scan path: mixed-sign residues (occupied excited state), beta >= L/3, and
+FullSusceptanceBoundary. Each subinterval, clamped CLAMP_REL away from its
+poles, is scanned on an adaptive grid for sign changes; every bracket is
+refined by bisection and polished with a few safeguarded Newton steps using
+analytic derivatives. Intervals may hold zero or several roots and all of
+them are reported.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, replace
 
-from .boundary import transmon_boundary
+from .boundary import RationalBoundary, transmon_boundary
 from .errors import InterlacingError, PoleCollisionError, SolverError
 from .params import DeviceParams, TransmonSpec, lambda_to_omega
-from .resonator import ShortedLine
+from .resonator import XI_POLE_GUARD, ShortedLine
 
 BRACKET_REL = 1e-13          # bisection stops at this relative bracket width
-RESIDUAL_REL = 1e-8          # acceptance threshold on |H| at the root
-CLAMP_REL = 1e-8             # evaluation offset from pole endpoints
+RESIDUAL_REL = 1e-8          # threshold on |H| (certified: |c*H|) over max(|G|, |F|, 1/L)
+CLAMP_REL = 1e-8             # scan path: evaluation offset from pole endpoints
 GRID_INITIAL = 64
 GRID_MAX = 4096
 NEWTON_STEPS = 5
+BRENT_MAX_STEPS = 200        # safety cap; 3000 random ground-state devices need <= 23
 DIRICHLET_COLLISION_REL = 1e-6
 
 
@@ -125,41 +140,144 @@ def _refine(h, dh, a: float, b: float, ha: float, hb: float):
     return x, iters
 
 
-def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> DressedSpectrum:
-    """All dressed eigenvalues on (0, lam_max].
+def _brent(f, a: float, b: float, fa: float, fb: float):
+    """Root of f in [a, b], given f(a) and f(b) of opposite signs.
 
-    `b` is any boundary object exposing poles / value / derivative /
-    all_positive_residues (RationalBoundary or FullSusceptanceBoundary).
-    Raises PoleCollisionError when a boundary pole sits within 1e-6 relative
-    of a Dirichlet pole, InterlacingError when the positive-residue count
-    guarantee fails, SolverError when a refined root's residual is too large.
+    Brent's zeroin: inverse quadratic or secant steps, falling back to
+    bisection whenever they would not shrink the bracket fast enough, down
+    to a bracket of a few ulps. Returns the root and the evaluations spent.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    for evals in range(BRENT_MAX_STEPS):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * sys.float_info.epsilon * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b, evals
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    raise SolverError(f"Brent refinement did not converge in [{a}, {b}]")
+
+
+def _cleared_secular(line: ShortedLine, b: RationalBoundary, lo, hi, lobe: int):
+    """c*H on one interval, with c > 0 inside it and zero at its poles.
+
+    lo and hi are the bounding PolePoints, None at 0 and lam_max, and
+    xi = sqrt(lam) L stays in the lobe (lobe pi, (lobe+1) pi). c carries
+    sin(xi)/xi, signed positive on that lobe, when a Dirichlet pole bounds
+    the interval, and |lam_k - lam|/lam_k for each bounding boundary pole,
+    so c*H is finite and continuous on the closed interval. Returns
+    lam -> (c*G, c*F, c).
     """
     length = line.length
-    if lam_max is None:
-        lam_max = line.default_lam_max()
-    if lam_max <= 0.0:
-        raise ValueError("lam_max must be positive")
+    sign = -1.0 if lobe % 2 else 1.0
+    clear_xi = any(m is not None and m.kind == "dirichlet" for m in (lo, hi))
+    a = lo.location if lo is not None and lo.kind == "boundary" else None
+    z = hi.location if hi is not None and hi.kind == "boundary" else None
+    rest = [(p.location, p.strength) for p in b.poles if p.location not in (a, z)]
+    # cleared bounding pole terms: c * delta_k/(lam_k - lam) = -/+ (c/e_k) delta_k/lam_k
+    r_lo = next((p.strength / a for p in b.poles if p.location == a), 0.0)
+    r_hi = next((p.strength / z for p in b.poles if p.location == z), 0.0)
+    beta, gamma = b.beta, b.gamma
 
-    markers: list[PolePoint] = []
-    k = 1
-    while True:
-        p = (k * math.pi / length) ** 2
-        if p >= lam_max:
-            break
-        markers.append(PolePoint(p, "dirichlet", f"k={k}"))
-        k += 1
-    dirichlet = [m.location for m in markers]
-    for p in b.poles:
-        if p.location >= lam_max:
+    def cleared(lam):
+        e_lo = (lam - a) / a if a is not None else 1.0
+        e_hi = (z - lam) / z if z is not None else 1.0
+        e = e_lo * e_hi
+        d = 1.0
+        if clear_xi:
+            xi = math.sqrt(lam) * length
+            d = sign * math.sin(xi) / xi if xi else 1.0
+            k = round(xi / math.pi)
+            if k >= 1 and abs(xi - k * math.pi) < XI_POLE_GUARD:
+                # inside the line's own pole guard: sin(xi)/xi * G = cos(xi)/L
+                g_side = sign * math.cos(xi) / length * e
+            else:
+                g_side = d * line.log_deriv(lam) * e
+        else:
+            g_side = line.log_deriv(lam) * e
+        f = -beta * lam - gamma
+        for loc, s in rest:
+            f += s / (loc - lam)
+        return g_side, d * (e * f - e_hi * r_lo + e_lo * r_hi), d * e
+
+    return cleared
+
+
+def _certified_intervals(line: ShortedLine, b: RationalBoundary, markers, lam_max: float):
+    """Roots per interval, counted by monotonicity of H (module docstring)."""
+    length = line.length
+    bounds = [None, *markers, None]
+    records, counts, flags = [], [], []
+    lobe = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo is not None and lo.kind == "dirichlet":
+            lobe += 1
+        lo_edge = lo.location if lo is not None else 0.0
+        hi_edge = hi.location if hi is not None else lam_max
+        cleared = _cleared_secular(line, b, lo, hi, lobe)
+
+        def ch(lam):
+            g_side, f_side, _ = cleared(lam)
+            return g_side - f_side
+
+        ca, cb = ch(lo_edge), ch(hi_edge)
+        # H is +inf just right of a pole and -inf just left of one
+        if (lo is not None and not ca > 0.0) or (hi is not None and not cb < 0.0):
+            raise InterlacingError(
+                "cleared secular function has the wrong sign at a pole",
+                interval=(lo_edge, hi_edge),
+                count=None,
+            )
+        pole_bounded = lo is not None and hi is not None
+        flags.append(True if pole_bounded else None)
+        if not (ca > 0.0 and cb <= 0.0):
+            counts.append(0)
             continue
-        for d in dirichlet:
-            if abs(p.location - d) < DIRICHLET_COLLISION_REL * d:
-                raise PoleCollisionError(
-                    f"boundary pole {p.label or p.location} within "
-                    f"{DIRICHLET_COLLISION_REL} relative of Dirichlet pole at {d}"
-                )
-        markers.append(PolePoint(p.location, "boundary", p.label))
-    markers.sort(key=lambda m: m.location)
+        root, iters = _brent(ch, lo_edge, hi_edge, ca, cb)
+        # |c*H| against the scale of the raw sides, max(|G|, |F|, 1/L): next
+        # to a pole the raw |H| at the float nearest the root can exceed it
+        g_side, f_side, c = cleared(root)
+        residual = abs(g_side - f_side)
+        scale = max(abs(g_side), abs(f_side), c / length) / c
+        if residual > RESIDUAL_REL * scale:
+            raise SolverError(
+                f"root at lam={root} cleared residual {residual:.3e} exceeds "
+                f"{RESIDUAL_REL} of scale {scale:.3e}"
+            )
+        records.append(EigenvalueRecord(root, (lo_edge, hi_edge), residual, iters))
+        counts.append(1)
+    return records, counts, flags
+
+
+def _scanned_intervals(line: ShortedLine, b, markers, lam_max: float):
+    """Roots per interval from a sign-change scan clamped off the poles."""
+    length = line.length
 
     def h(lam):
         return line.log_deriv(lam) - b.value(lam)
@@ -170,7 +288,6 @@ def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> Dresse
     demand = b.all_positive_residues
     edges = [0.0] + [m.location for m in markers] + [lam_max]
     records: list[EigenvalueRecord] = []
-    intervals: list[tuple[float, float]] = []
     counts: list[int] = []
     flags: list[bool | None] = []
 
@@ -181,7 +298,6 @@ def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> Dresse
         lo = lo_edge + CLAMP_REL * lo_edge if lo_is_pole else lo_edge
         hi = hi_edge - CLAMP_REL * hi_edge if hi_is_pole else hi_edge
         pole_bounded = lo_is_pole and hi_is_pole
-        intervals.append((lo_edge, hi_edge))
         if hi <= lo:
             if demand and pole_bounded:
                 raise InterlacingError(
@@ -229,15 +345,66 @@ def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> Dresse
             found += 1
         counts.append(found)
         flags.append(found == 1 if pole_bounded else None)
+    return records, counts, flags
+
+
+def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> DressedSpectrum:
+    """All dressed eigenvalues on (0, lam_max].
+
+    `b` is any boundary object exposing poles / value / derivative /
+    all_positive_residues (RationalBoundary or FullSusceptanceBoundary).
+    A RationalBoundary with all residues positive and beta < L/3 takes the
+    certified path, everything else the scan (module docstring). Raises
+    PoleCollisionError when a boundary pole sits within 1e-6 relative of a
+    Dirichlet pole, InterlacingError when the positive-residue count
+    guarantee fails, SolverError when a refined root's residual is too
+    large; on the certified path the residual is that of the cleared
+    function.
+    """
+    length = line.length
+    if lam_max is None:
+        lam_max = line.default_lam_max()
+    if lam_max <= 0.0:
+        raise ValueError("lam_max must be positive")
+
+    markers: list[PolePoint] = []
+    k = 1
+    while True:
+        p = (k * math.pi / length) ** 2
+        if p >= lam_max:
+            break
+        markers.append(PolePoint(p, "dirichlet", f"k={k}"))
+        k += 1
+    dirichlet = [m.location for m in markers]
+    for p in b.poles:
+        if p.location >= lam_max:
+            continue
+        for d in dirichlet:
+            if abs(p.location - d) < DIRICHLET_COLLISION_REL * d:
+                raise PoleCollisionError(
+                    f"boundary pole {p.label or p.location} within "
+                    f"{DIRICHLET_COLLISION_REL} relative of Dirichlet pole at {d}"
+                )
+        markers.append(PolePoint(p.location, "boundary", p.label))
+    markers.sort(key=lambda m: m.location)
+
+    certified = (
+        isinstance(b, RationalBoundary)
+        and b.all_positive_residues
+        and b.beta < length / 3.0
+    )
+    solve = _certified_intervals if certified else _scanned_intervals
+    records, counts, flags = solve(line, b, markers, lam_max)
 
     for r1, r2 in zip(records, records[1:]):
         if not r1.lam < r2.lam:
             raise SolverError("eigenvalues not strictly increasing")
 
+    edges = [0.0] + [m.location for m in markers] + [lam_max]
     return DressedSpectrum(
         records=tuple(records),
         partition=tuple(markers),
-        intervals=tuple(intervals),
+        intervals=tuple(zip(edges, edges[1:])),
         counts=tuple(counts),
         interlacing=tuple(flags),
         lam_max=lam_max,
@@ -274,31 +441,12 @@ class CrossingSweep:
         return tuple(u - l for l, u in zip(self.lower, self.upper))
 
 
-def _worker_count(threads: int | None, njobs: int) -> int:
-    if threads is None:
-        raw = os.environ.get("DRESSED_MODES_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 1
-    return max(1, min(threads, njobs))
-
-
-def _map_ordered(fn, values, threads):
-    workers = _worker_count(threads, len(values))
-    if workers == 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))
-
-
 def qubit_frequency_sweep(
     dev: DeviceParams,
     spec: TransmonSpec,
     omega_q_values,
     levels: int = 2,
     lam_max: float | None = None,
-    threads: int | None = None,
 ) -> CrossingSweep:
     """Dressed branches bracketing the fundamental as omega_q is tuned.
 
@@ -323,7 +471,7 @@ def qubit_frequency_sweep(
             )
         return lower, upper
 
-    pairs = _map_ordered(solve_one, list(omega_q_values), threads)
+    pairs = [solve_one(w) for w in omega_q_values]
     return CrossingSweep(
         qubit_frequency=tuple(omega_q_values),
         lower=tuple(p[0] for p in pairs),

@@ -26,22 +26,26 @@ from dressed_modes.acceptance import (
     run_all,
 )
 
-CHECKS = dict(ALL_CHECKS)
 NAMES = [name for name, _ in ALL_CHECKS]
 
 
+@pytest.fixture(scope="session")
+def gate_results():
+    """One run of the whole gate at seed 0, shared by the tests below."""
+    return run_all()
+
+
 @pytest.mark.parametrize("name", NAMES)
-def test_criterion(name):
-    result = CHECKS[name](0)
+def test_criterion(name, gate_results):
+    result = gate_results[NAMES.index(name)]
     tag = "PASS" if result.passed else "FAIL"
     print(f"[{tag}] {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
 
 
-def test_run_all_covers_every_criterion():
-    results = run_all()
-    assert len(results) == len(NAMES) == 11
-    assert all(r.passed for r in results)
+def test_run_all_covers_every_criterion(gate_results):
+    assert len(gate_results) == len(NAMES) == 11
+    assert all(r.passed for r in gate_results)
     with pytest.raises(ValueError):
         run_all(only="not-a-criterion")
 

@@ -1,5 +1,4 @@
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dressed_modes import (
     GHZ,
+    BoundaryPole,
     CrossingSweep,
     DeviceParams,
     PoleCollisionError,
@@ -22,6 +22,9 @@ from dressed_modes import (
     transmon_boundary,
     vacuum_rabi_gap,
 )
+from dressed_modes import spectrum
+from dressed_modes.resonator import line_log_deriv_dlam
+from dressed_modes.spectrum import DIRICHLET_COLLISION_REL
 
 DEV = DeviceParams(length=3e-3, phase_velocity=1.2e8, impedance=50.0)
 QUBIT = TransmonSpec(state="g", frequency=9 * GHZ, anharmonicity=-0.25 * GHZ, coupling=0.1 * GHZ)
@@ -187,16 +190,6 @@ def test_sweep_brackets_reference_and_stays_open():
     assert min(sweep.gap) == sweep.gap[2]
 
 
-def test_sweep_threading_matches_serial(monkeypatch):
-    omega_r = DEV.fundamental_frequency
-    grid = [omega_r * x for x in (0.99, 1.0, 1.01)]
-    serial = qubit_frequency_sweep(DEV, QUBIT, grid, threads=1)
-    monkeypatch.setenv("DRESSED_MODES_THREADS", "3")
-    threaded = qubit_frequency_sweep(DEV, QUBIT, grid)
-    assert serial.lower == threaded.lower
-    assert serial.upper == threaded.upper
-
-
 def test_vacuum_rabi_gap_reference_values():
     omega_r = DEV.fundamental_frequency
     spec = replace(QUBIT, frequency=omega_r)
@@ -227,10 +220,10 @@ def test_vacuum_rabi_gap_requires_resonance():
 )
 def test_random_ground_configs_interlace(length, v, ratio, g_ghz):
     dev = DeviceParams(length=length, phase_velocity=v, impedance=50.0)
-    omega_1 = dev.fundamental_frequency
-    omega_q = ratio * omega_1
-    nearest_even = 2.0 * omega_1 * round(omega_q / (2.0 * omega_1))
-    if nearest_even > 0 and abs(omega_q - nearest_even) < 1e-5 * nearest_even:
+    omega_q = ratio * dev.fundamental_frequency
+    lam_q = omega_to_lambda(omega_q, v)
+    # skip exactly the draws solve_spectrum rejects with PoleCollisionError
+    if any(abs(lam_q - d) < DIRICHLET_COLLISION_REL * d for d in ShortedLine(length).poles(3)):
         return
     spec = TransmonSpec(
         state="g", frequency=omega_q, anharmonicity=-0.25 * GHZ, coupling=g_ghz * GHZ
@@ -238,3 +231,115 @@ def test_random_ground_configs_interlace(length, v, ratio, g_ghz):
     sp = solve_spectrum(ShortedLine(length), transmon_boundary(spec, dev))
     assert all(flag is None or flag for flag in sp.interlacing)
     assert pole_margin(sp) > 0.0
+
+
+def _assert_matches_oracle(sp, bnd, length):
+    oracle = _oracle_roots(
+        length, bnd.beta, bnd.gamma,
+        [(p.location, p.strength) for p in bnd.poles],
+        sp.lam_max,
+    )
+    assert len(sp.eigenvalues) == len(oracle)
+    for lam, ref in zip(sp.eigenvalues, oracle):
+        assert lam == pytest.approx(ref, rel=1e-10)
+
+
+# Certified path: all residues positive and beta < L/3.
+
+
+@pytest.mark.parametrize("g_ghz", [1e-4, 1e-5])
+def test_weak_coupling_keeps_the_root_next_to_the_qubit_pole(g_ghz):
+    """The qubit-like root sits within 1e-8 relative of its pole; it is
+    counted in the edge interval (0, lam_q), not lost."""
+    bnd = transmon_boundary(replace(QUBIT, coupling=g_ghz * GHZ), DEV)
+    sp = solve_spectrum(LINE, bnd)
+    assert len(sp.eigenvalues) == 7
+    assert sp.counts == (1,) * 7
+    lam_q = bnd.poles[0].location
+    assert 0.0 < (lam_q - sp.eigenvalues[0]) / lam_q < 1e-8
+
+
+@pytest.mark.parametrize("r", [1.1e-6, 2e-6, 3e-6, 5e-6, -1.1e-6, -2e-6, -3e-6, -5e-6])
+def test_qubit_pole_just_outside_the_collision_guard_solves(r):
+    """omega_q = 2 omega_1 (1 + r) puts the qubit pole 2|r| relative from
+    the first Dirichlet pole: outside the 1e-6 guard, so it must solve."""
+    spec = replace(QUBIT, frequency=2.0 * DEV.fundamental_frequency * (1.0 + r))
+    bnd = transmon_boundary(spec, DEV)
+    sp = solve_spectrum(LINE, bnd)
+    assert all(sp.interlacing[1:-1])
+    assert sp.counts == (1,) * 7
+    _assert_matches_oracle(sp, bnd, DEV.length)
+
+
+def test_random_draw_with_root_2e_9_from_the_qubit_pole():
+    """Draw 62 of the interlacing criterion at seed 5 (and of repulsion at
+    seed 4): omega_q / omega_1 = 4.0001201, so the root between the second
+    Dirichlet pole and the qubit pole sits 2e-9 relative from the latter,
+    where the raw |H| at the nearest float exceeds RESIDUAL_REL of its scale."""
+    dev = DeviceParams(length=0.0024069442671339715, phase_velocity=154394278.84217966, impedance=50.0)
+    spec = TransmonSpec(
+        state="g", frequency=403049212963.4439, anharmonicity=-0.25 * GHZ,
+        coupling=374460292.0206963,
+    )
+    bnd = transmon_boundary(spec, dev)
+    sp = solve_spectrum(ShortedLine(dev.length), bnd)
+    assert all(sp.interlacing[1:-1])
+    assert sp.counts == (1,) * 7
+    assert 0.0 < pole_margin(sp) < 1e-8
+    _assert_matches_oracle(sp, bnd, dev.length)
+
+
+def test_line_slope_bound_behind_the_certificate():
+    """G'(lam) <= -L/3 on a dense grid over six lobes, poles excluded.
+
+    G'/L depends on xi = sqrt(lam) L alone, so one length covers them all.
+    """
+    length = DEV.length
+    xi = np.linspace(1e-6, 6.0 * math.pi, 100_001)
+    xi = xi[np.abs(xi / math.pi - np.round(xi / math.pi)) > 1e-6]
+    worst = max(line_log_deriv_dlam(float(x / length) ** 2, length) for x in xi)
+    assert worst <= -length / 3.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    locations=st.lists(st.floats(0.05, 5.5), min_size=1, max_size=3, unique=True),
+    strengths=st.lists(st.floats(1e-3, 2.0), min_size=3, max_size=3),
+    beta_frac=st.one_of(st.floats(0.0, 0.999), st.just(1.0 - 1e-9)),
+    gamma=st.floats(0.0, 500.0),
+)
+def test_certified_roots_match_oracle(locations, strengths, beta_frac, gamma):
+    """Random positive-residue boundaries, beta up to just below L/3.
+
+    Locations are in units of the fundamental eigenvalue, strengths in
+    units of lam_1 / L.
+    """
+    length = DEV.length
+    lam_1 = (math.pi / (2.0 * length)) ** 2
+    locs = [x * lam_1 for x in locations]
+    if any(abs(p - d) < DIRICHLET_COLLISION_REL * d for p in locs for d in LINE.poles(6)):
+        return
+    poles = tuple(
+        BoundaryPole(loc, s * lam_1 / length) for loc, s in zip(locs, strengths)
+    )
+    bnd = RationalBoundary(beta=beta_frac * length / 3.0, gamma=gamma, poles=poles)
+    sp = solve_spectrum(LINE, bnd)
+    assert all(sp.interlacing[1:-1])
+    assert all(r.bracket in sp.intervals for r in sp.records)
+    _assert_matches_oracle(sp, bnd, length)
+
+
+@pytest.mark.parametrize("beta_frac", [1.0, 1.5])
+def test_beta_at_or_above_l_over_3_takes_the_scan(monkeypatch, beta_frac):
+    scans = []
+    scanned = spectrum._scanned_intervals
+
+    def spy(*args):
+        scans.append(args)
+        return scanned(*args)
+
+    monkeypatch.setattr(spectrum, "_scanned_intervals", spy)
+    bnd = replace(transmon_boundary(QUBIT, DEV), beta=beta_frac * DEV.length / 3.0)
+    sp = solve_spectrum(LINE, bnd)
+    assert len(scans) == 1
+    _assert_matches_oracle(sp, bnd, DEV.length)
