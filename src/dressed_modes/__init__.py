@@ -65,6 +65,7 @@ from .dispersive import (
     dispersive_shift,
     dispersive_shift_exact,
     perturbative_mode_shift,
+    pulled_frequencies,
     resolved_coupling,
 )
 from .jc import (

@@ -145,9 +145,11 @@ class FullSusceptanceBoundary:
 
     F(lam) = -ell v^2 lam C_J - sum_k ell v^2 A_k lam / (omega_k^2 - v^2 lam).
 
-    Near a pole this reduces to the rational form with effective residue
-    -ell A_k lam_k; amplitudes are usually calibrated against a
-    RationalBoundary at a reference eigenvalue (see from_rational).
+    Since lam / (lam_k - lam) = lam_k / (lam_k - lam) - 1, this is exactly
+    the rational form with beta = ell v^2 C_J, gamma = -ell sum_k A_k and
+    residues -ell A_k lam_k, the properties the solver reads. Amplitudes are
+    usually calibrated against a RationalBoundary at a reference eigenvalue
+    (see from_rational).
     """
 
     junction_capacitance: float
@@ -191,6 +193,16 @@ class FullSusceptanceBoundary:
             phase_velocity=v,
             labels=tuple(p.label for p in b.poles),
         )
+
+    @property
+    def beta(self) -> float:
+        """Slope ell v^2 C_J of the equivalent rational form."""
+        return self.inductance_per_length * self.phase_velocity ** 2 * self.junction_capacitance
+
+    @property
+    def gamma(self) -> float:
+        """Constant -ell sum_k A_k of the equivalent rational form, either sign."""
+        return -self.inductance_per_length * sum(amp for amp, _ in self.terms)
 
     @property
     def poles(self) -> tuple[BoundaryPole, ...]:

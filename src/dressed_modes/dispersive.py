@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
-from .boundary import coupling_from_charge, transmon_boundary
+from .boundary import coupling_from_charge, sum_boundaries, transmon_boundary
 from .params import DeviceParams, TransmonSpec, omega_to_lambda, lambda_to_omega
 from .resonator import ShortedLine
 from .spectrum import solve_spectrum
@@ -66,6 +67,33 @@ def _guard_detuning(delta: float, alpha: float, omega_ref: float):
         raise ValueError("e-f transition degenerate with the mode; dispersive quantities undefined")
 
 
+def pulled_frequencies(
+    dev: DeviceParams,
+    specs,
+    joints,
+    levels: int = 3,
+    lam_max: float | None = None,
+) -> dict[str, float]:
+    """Dressed frequency nearest the bare fundamental, per joint state.
+
+    A joint state names one state per qubit in `specs`, e.g. "e" for one
+    qubit or "ge" for two. The qubits' boundary terms are summed and the
+    full boundary-value problem is solved once per joint state.
+    """
+    line = ShortedLine(dev.length)
+    v = dev.phase_velocity
+    lam_ref = omega_to_lambda(dev.fundamental_frequency, v)
+    pulled = {}
+    for joint in joints:
+        bnd = reduce(sum_boundaries, (
+            transmon_boundary(replace(spec, state=state), dev, levels=levels)
+            for spec, state in zip(specs, joint)
+        ))
+        sp = solve_spectrum(line, bnd, lam_max)
+        pulled[joint] = lambda_to_omega(sp.nearest_eigenvalue(lam_ref), v)
+    return pulled
+
+
 def dispersive_shift_exact(
     dev: DeviceParams,
     spec: TransmonSpec,
@@ -78,15 +106,8 @@ def dispersive_shift_exact(
     reads off the dressed frequency nearest the bare fundamental each time.
     chi is half the difference, the pulls are quoted against the bare mode.
     """
-    line = ShortedLine(dev.length)
-    v = dev.phase_velocity
     omega_ref = dev.fundamental_frequency
-    lam_ref = omega_to_lambda(omega_ref, v)
-    pulled = {}
-    for state in ("g", "e"):
-        bnd = transmon_boundary(replace(spec, state=state), dev, levels=levels)
-        sp = solve_spectrum(line, bnd, lam_max)
-        pulled[state] = lambda_to_omega(sp.nearest_eigenvalue(lam_ref), v)
+    pulled = pulled_frequencies(dev, (spec,), ("g", "e"), levels, lam_max)
     chi = 0.5 * (pulled["e"] - pulled["g"])
     return chi, pulled["g"] - omega_ref, pulled["e"] - omega_ref
 

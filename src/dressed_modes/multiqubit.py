@@ -10,14 +10,12 @@ boundary terms summed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import sum_boundaries, transmon_boundary
-from .params import DeviceParams, TransmonSpec, omega_to_lambda, lambda_to_omega
-from .resonator import ShortedLine
-from .spectrum import solve_spectrum
+from .dispersive import pulled_frequencies
+from .params import DeviceParams, TransmonSpec
 
 STATES = ("gg", "ge", "eg", "ee")
 # readout map sign convention: a qubit in g enters with s = +1
@@ -170,18 +168,6 @@ def single_qubit_commutators(chi: float, n_max: int) -> dict[str, float]:
     }
 
 
-def _single_qubit_pulls(dev, spec, levels, lam_max):
-    line = ShortedLine(dev.length)
-    v = dev.phase_velocity
-    lam_ref = omega_to_lambda(dev.fundamental_frequency, v)
-    pulled = {}
-    for state in ("g", "e"):
-        bnd = transmon_boundary(replace(spec, state=state), dev, levels=levels)
-        sp = solve_spectrum(line, bnd, lam_max)
-        pulled[state] = lambda_to_omega(sp.nearest_eigenvalue(lam_ref), v)
-    return pulled
-
-
 def two_qubit_model(
     dev: DeviceParams,
     spec_1: TransmonSpec,
@@ -198,7 +184,7 @@ def two_qubit_model(
     center = omega_bare
     chis = []
     for spec in (spec_1, spec_2):
-        pulled = _single_qubit_pulls(dev, spec, levels, lam_max)
+        pulled = pulled_frequencies(dev, (spec,), ("g", "e"), levels, lam_max)
         chis.append(0.5 * (pulled["e"] - pulled["g"]))
         center += 0.5 * (pulled["e"] + pulled["g"]) - omega_bare
     return TwoQubitDispersiveModel(center=center, chi_1=chis[0], chi_2=chis[1])
@@ -219,15 +205,7 @@ def joint_state_frequency(
     """
     if joint not in STATES:
         raise ValueError(f"joint state must be one of {STATES}")
-    b1 = transmon_boundary(replace(spec_1, state=joint[0]), dev, levels=levels)
-    b2 = transmon_boundary(replace(spec_2, state=joint[1]), dev, levels=levels)
-    bnd = sum_boundaries(b1, b2)
-    line = ShortedLine(dev.length)
-    v = dev.phase_velocity
-    sp = solve_spectrum(line, bnd, lam_max)
-    return lambda_to_omega(
-        sp.nearest_eigenvalue(omega_to_lambda(dev.fundamental_frequency, v)), v
-    )
+    return pulled_frequencies(dev, (spec_1, spec_2), (joint,), levels, lam_max)[joint]
 
 
 @dataclass(frozen=True)
@@ -256,7 +234,8 @@ def additivity_report(
     """
     omega_bare = dev.fundamental_frequency
     pulls = [
-        _single_qubit_pulls(dev, spec, levels, lam_max) for spec in (spec_1, spec_2)
+        pulled_frequencies(dev, (spec,), ("g", "e"), levels, lam_max)
+        for spec in (spec_1, spec_2)
     ]
     exact = {}
     additive = {}

@@ -1,28 +1,32 @@
 """Dressed-mode spectra of the terminated line.
 
-Eigenvalues are the roots of H(lam) = log_deriv(lam) - F(lam) on (0, lam_max].
-The domain is partitioned at every pole of either side.
+Eigenvalues are the roots of H(lam) = G(lam) - F(lam) on (0, lam_max], with
+G the line's log-derivative and F the rational boundary function. The
+domain is partitioned at every pole of either side, and every interval is
+solved the same way, through its cleared function c*H: c > 0 inside the
+interval and vanishes at its bounding poles (sin(xi)/xi for a Dirichlet
+pole, |lam_k - lam|/lam_k for a boundary pole), so c*H is finite on the
+closed interval, poles included, and a root next to a pole is an ordinary
+root. Nothing is clamped off the poles.
 
-Certified path: a RationalBoundary with every residue positive and
-beta < L/3. There log_deriv' <= -L/3 everywhere, so
-H' = log_deriv' + beta - sum_k delta_k / (lam_k - lam)^2 <= -L/3 + beta < 0:
-H falls from +inf just right of each pole to -inf just left of the next. The
-count of every interval follows from the signs at its ends, with no scan:
-one root in each pole-bounded interval, and one in an edge interval iff
-H(0) = 1/L - F(0) > 0, resp. H(lam_max) <= 0. Each root is refined by
-Brent's method on the interval's cleared function c*H, where c > 0 vanishes
-at the bounding poles (sin(xi)/xi for a Dirichlet pole, |lam_k - lam|/lam_k
-for a boundary pole), so a root next to a pole is an ordinary root. The
-residual test takes |c*H| against the raw scale max(|G|, |F|, 1/L): next to
-a pole the raw |H| at the float nearest the root can exceed RESIDUAL_REL of
-that scale, while c*H there is exact to rounding.
+Root count. With every residue positive and beta < L/3, G' <= -L/3 gives
+H' = G' + beta - sum_k delta_k / (lam_k - lam)^2 <= -L/3 + beta < 0: H falls
+from +inf just right of each pole to -inf just left of the next, so the
+signs of c*H at the two ends give the count with no scan: one root in each
+pole-bounded interval, and one in an edge interval iff H(0) = 1/L - F(0) > 0,
+resp. H(lam_max) <= 0. Otherwise (mixed-sign residues of an occupied
+excited state, or beta >= L/3) c*H is scanned for sign changes on a uniform
+grid over the closed interval, doubled from GRID_INITIAL up to GRID_MAX,
+plus a geometric ladder of points toward each emission pole (delta_k < 0),
+where H can turn back and two roots can share one grid cell. Such an
+interval may hold zero or several roots and all of them are reported,
+except that a pole-bounded interval with positive residues must hold
+exactly one. A scanned count is not a certificate.
 
-Scan path: mixed-sign residues (occupied excited state), beta >= L/3, and
-FullSusceptanceBoundary. Each subinterval, clamped CLAMP_REL away from its
-poles, is scanned on an adaptive grid for sign changes; every bracket is
-refined by bisection and polished with a few safeguarded Newton steps using
-analytic derivatives. Intervals may hold zero or several roots and all of
-them are reported.
+Each bracket is refined by Brent's method on c*H. The residual test takes
+|c*H| against the raw scale max(|G|, |F|, 1/L): next to a pole the raw |H|
+at the float nearest the root can exceed RESIDUAL_REL of that scale, while
+c*H there is exact to rounding.
 """
 from __future__ import annotations
 
@@ -30,17 +34,14 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .boundary import RationalBoundary, transmon_boundary
+from .boundary import transmon_boundary
 from .errors import InterlacingError, PoleCollisionError, SolverError
 from .params import DeviceParams, TransmonSpec, lambda_to_omega
-from .resonator import XI_POLE_GUARD, ShortedLine
+from .resonator import XI_POLE_GUARD, ShortedLine, line_log_deriv
 
-BRACKET_REL = 1e-13          # bisection stops at this relative bracket width
-RESIDUAL_REL = 1e-8          # threshold on |H| (certified: |c*H|) over max(|G|, |F|, 1/L)
-CLAMP_REL = 1e-8             # scan path: evaluation offset from pole endpoints
+RESIDUAL_REL = 1e-8          # threshold on |c*H| over max(|G|, |F|, 1/L)
 GRID_INITIAL = 64
 GRID_MAX = 4096
-NEWTON_STEPS = 5
 BRENT_MAX_STEPS = 200        # safety cap; 3000 random ground-state devices need <= 23
 DIRICHLET_COLLISION_REL = 1e-6
 
@@ -82,14 +83,26 @@ class DressedSpectrum:
         return min(self.records, key=lambda r: abs(r.lam - lam)).lam
 
 
-def _scan_brackets(h, lo: float, hi: float, n: int):
-    """Sign changes of h on an n-point uniform grid over [lo, hi]."""
+def _grid(lo: float, hi: float, n: int, ladder_lo: bool, ladder_hi: bool) -> list[float]:
+    """n uniform points over [lo, hi], plus, toward each flagged end, the
+    points step/2, step/4, ... away from it, down to the last distinct float."""
     step = (hi - lo) / (n - 1)
+    xs = [lo + i * step for i in range(n - 1)] + [hi]
+    ladder = set()
+    for end, toward, flagged in ((lo, 1.0, ladder_lo), (hi, -1.0, ladder_hi)):
+        d = 0.5 * step
+        while flagged and end + toward * d != end:
+            ladder.add(end + toward * d)
+            d *= 0.5
+    return sorted(ladder.union(xs)) if ladder else xs
+
+
+def _scan_brackets(h, xs):
+    """Sign changes of h over the increasing points xs."""
     brackets = []
-    x_prev = lo
-    v_prev = h(lo)
-    for i in range(1, n):
-        x = hi if i == n - 1 else lo + i * step
+    x_prev = xs[0]
+    v_prev = h(x_prev)
+    for x in xs[1:]:
         v = h(x)
         if v_prev == 0.0:
             brackets.append((x_prev, x_prev, 0.0, 0.0))
@@ -103,45 +116,9 @@ def _scan_brackets(h, lo: float, hi: float, n: int):
     return brackets
 
 
-def _refine(h, dh, a: float, b: float, ha: float, hb: float):
-    """Bisection to BRACKET_REL width, then safeguarded Newton polish."""
-    iters = 0
-    if a == b:
-        return a, iters
-    while (b - a) > BRACKET_REL * max(abs(a), abs(b)):
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            break
-        hm = h(mid)
-        iters += 1
-        if hm == 0.0:
-            return mid, iters
-        if (hm < 0.0) == (ha < 0.0):
-            a, ha = mid, hm
-        else:
-            b, hb = mid, hm
-    x = 0.5 * (a + b)
-    hx = h(x)
-    for _ in range(NEWTON_STEPS):
-        if hx == 0.0:
-            break
-        d = dh(x)
-        if d == 0.0:
-            break
-        x_next = x - hx / d
-        if not (a <= x_next <= b):
-            break
-        h_next = h(x_next)
-        iters += 1
-        if abs(h_next) < abs(hx):
-            x, hx = x_next, h_next
-        else:
-            break
-    return x, iters
-
-
 def _brent(f, a: float, b: float, fa: float, fb: float):
-    """Root of f in [a, b], given f(a) and f(b) of opposite signs.
+    """Root of f in [a, b], given f(a) and f(b) of opposite signs (or a == b
+    with f(a) == 0, a grid point that is itself a root).
 
     Brent's zeroin: inverse quadratic or secant steps, falling back to
     bisection whenever they would not shrink the bracket fast enough, down
@@ -184,7 +161,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float):
     raise SolverError(f"Brent refinement did not converge in [{a}, {b}]")
 
 
-def _cleared_secular(line: ShortedLine, b: RationalBoundary, lo, hi, lobe: int):
+def _cleared_secular(line: ShortedLine, b, lo, hi, lobe: int):
     """c*H on one interval, with c > 0 inside it and zero at its poles.
 
     lo and hi are the bounding PolePoints, None at 0 and lam_max, and
@@ -192,46 +169,56 @@ def _cleared_secular(line: ShortedLine, b: RationalBoundary, lo, hi, lobe: int):
     sin(xi)/xi, signed positive on that lobe, when a Dirichlet pole bounds
     the interval, and |lam_k - lam|/lam_k for each bounding boundary pole,
     so c*H is finite and continuous on the closed interval. Returns
-    lam -> (c*G, c*F, c).
+    cleared(lam), which is c*H, or (c*G, c*F, c) with parts=True.
     """
     length = line.length
     sign = -1.0 if lobe % 2 else 1.0
     clear_xi = any(m is not None and m.kind == "dirichlet" for m in (lo, hi))
+    # the line's own pole guard (resonator._xi_checked) around xi = k pi, k >= 1
+    xi_lo = lobe * math.pi if lobe else -math.inf
+    xi_hi = (lobe + 1) * math.pi
     a = lo.location if lo is not None and lo.kind == "boundary" else None
     z = hi.location if hi is not None and hi.kind == "boundary" else None
-    rest = [(p.location, p.strength) for p in b.poles if p.location not in (a, z)]
+    poles = b.poles
+    rest = [(p.location, p.strength) for p in poles if p.location not in (a, z)]
     # cleared bounding pole terms: c * delta_k/(lam_k - lam) = -/+ (c/e_k) delta_k/lam_k
-    r_lo = next((p.strength / a for p in b.poles if p.location == a), 0.0)
-    r_hi = next((p.strength / z for p in b.poles if p.location == z), 0.0)
+    r_lo = next((p.strength / a for p in poles if p.location == a), 0.0)
+    r_hi = next((p.strength / z for p in poles if p.location == z), 0.0)
     beta, gamma = b.beta, b.gamma
+    log_deriv, sqrt, sin, cos = line_log_deriv, math.sqrt, math.sin, math.cos
 
-    def cleared(lam):
-        e_lo = (lam - a) / a if a is not None else 1.0
-        e_hi = (z - lam) / z if z is not None else 1.0
+    def cleared(lam, parts=False):
+        e_lo = (lam - a) / a if a else 1.0
+        e_hi = (z - lam) / z if z else 1.0
         e = e_lo * e_hi
         d = 1.0
         if clear_xi:
-            xi = math.sqrt(lam) * length
-            d = sign * math.sin(xi) / xi if xi else 1.0
-            k = round(xi / math.pi)
-            if k >= 1 and abs(xi - k * math.pi) < XI_POLE_GUARD:
+            xi = sqrt(lam) * length
+            d = sign * sin(xi) / xi if xi else 1.0
+            if abs(xi - xi_hi) < XI_POLE_GUARD or abs(xi - xi_lo) < XI_POLE_GUARD:
                 # inside the line's own pole guard: sin(xi)/xi * G = cos(xi)/L
-                g_side = sign * math.cos(xi) / length * e
+                g_side = sign * cos(xi) / length * e
             else:
-                g_side = d * line.log_deriv(lam) * e
+                g_side = d * log_deriv(lam, length) * e
         else:
-            g_side = line.log_deriv(lam) * e
+            g_side = log_deriv(lam, length) * e
         f = -beta * lam - gamma
         for loc, s in rest:
             f += s / (loc - lam)
-        return g_side, d * (e * f - e_hi * r_lo + e_lo * r_hi), d * e
+        f_side = d * (e * f - e_hi * r_lo + e_lo * r_hi)
+        if parts:
+            return g_side, f_side, d * e
+        return g_side - f_side
 
     return cleared
 
 
-def _certified_intervals(line: ShortedLine, b: RationalBoundary, markers, lam_max: float):
-    """Roots per interval, counted by monotonicity of H (module docstring)."""
+def _solve_intervals(line: ShortedLine, b, markers, lam_max: float):
+    """Roots per interval of the cleared secular function (module docstring)."""
     length = line.length
+    positive = b.all_positive_residues
+    monotone = positive and b.beta < length / 3.0
+    emission = {p.location for p in b.poles if p.strength < 0.0}
     bounds = [None, *markers, None]
     records, counts, flags = [], [], []
     lobe = 0
@@ -240,126 +227,79 @@ def _certified_intervals(line: ShortedLine, b: RationalBoundary, markers, lam_ma
             lobe += 1
         lo_edge = lo.location if lo is not None else 0.0
         hi_edge = hi.location if hi is not None else lam_max
-        cleared = _cleared_secular(line, b, lo, hi, lobe)
-
-        def ch(lam):
-            g_side, f_side, _ = cleared(lam)
-            return g_side - f_side
-
-        ca, cb = ch(lo_edge), ch(hi_edge)
-        # H is +inf just right of a pole and -inf just left of one
-        if (lo is not None and not ca > 0.0) or (hi is not None and not cb < 0.0):
-            raise InterlacingError(
-                "cleared secular function has the wrong sign at a pole",
-                interval=(lo_edge, hi_edge),
-                count=None,
-            )
         pole_bounded = lo is not None and hi is not None
-        flags.append(True if pole_bounded else None)
-        if not (ca > 0.0 and cb <= 0.0):
-            counts.append(0)
-            continue
-        root, iters = _brent(ch, lo_edge, hi_edge, ca, cb)
-        # |c*H| against the scale of the raw sides, max(|G|, |F|, 1/L): next
-        # to a pole the raw |H| at the float nearest the root can exceed it
-        g_side, f_side, c = cleared(root)
-        residual = abs(g_side - f_side)
-        scale = max(abs(g_side), abs(f_side), c / length) / c
-        if residual > RESIDUAL_REL * scale:
-            raise SolverError(
-                f"root at lam={root} cleared residual {residual:.3e} exceeds "
-                f"{RESIDUAL_REL} of scale {scale:.3e}"
-            )
-        records.append(EigenvalueRecord(root, (lo_edge, hi_edge), residual, iters))
-        counts.append(1)
-    return records, counts, flags
-
-
-def _scanned_intervals(line: ShortedLine, b, markers, lam_max: float):
-    """Roots per interval from a sign-change scan clamped off the poles."""
-    length = line.length
-
-    def h(lam):
-        return line.log_deriv(lam) - b.value(lam)
-
-    def dh(lam):
-        return line.dlog_deriv(lam) - b.derivative(lam)
-
-    demand = b.all_positive_residues
-    edges = [0.0] + [m.location for m in markers] + [lam_max]
-    records: list[EigenvalueRecord] = []
-    counts: list[int] = []
-    flags: list[bool | None] = []
-
-    for i in range(len(edges) - 1):
-        lo_edge, hi_edge = edges[i], edges[i + 1]
-        lo_is_pole = 0 < i
-        hi_is_pole = i + 1 < len(edges) - 1
-        lo = lo_edge + CLAMP_REL * lo_edge if lo_is_pole else lo_edge
-        hi = hi_edge - CLAMP_REL * hi_edge if hi_is_pole else hi_edge
-        pole_bounded = lo_is_pole and hi_is_pole
-        if hi <= lo:
-            if demand and pole_bounded:
+        ch = _cleared_secular(line, b, lo, hi, lobe)
+        if monotone:
+            ca, cb = ch(lo_edge), ch(hi_edge)
+            # H is +inf just right of a pole and -inf just left of one
+            if (lo is not None and not ca > 0.0) or (hi is not None and not cb < 0.0):
                 raise InterlacingError(
-                    "interval too narrow to resolve",
+                    "cleared secular function has the wrong sign at a pole",
                     interval=(lo_edge, hi_edge),
-                    count=0,
+                    count=None,
                 )
-            counts.append(0)
-            flags.append(None if not pole_bounded else False)
-            continue
-
-        n = GRID_INITIAL
-        brackets = _scan_brackets(h, lo, hi, n)
-        if demand and pole_bounded:
-            while len(brackets) == 0 and n < GRID_MAX:
-                n *= 2
-                brackets = _scan_brackets(h, lo, hi, n)
-            if len(brackets) != 1:
-                raise InterlacingError(
-                    f"expected one eigenvalue, found {len(brackets)}",
-                    interval=(lo_edge, hi_edge),
-                    count=len(brackets),
-                )
+            brackets = [(lo_edge, hi_edge, ca, cb)] if ca > 0.0 and cb <= 0.0 else []
         else:
-            while n < GRID_MAX:
-                n2 = n * 2
-                finer = _scan_brackets(h, lo, hi, n2)
-                if len(finer) == len(brackets):
-                    break
-                n, brackets = n2, finer
+            # H' = G' + beta - sum_k delta_k / (lam_k - lam)^2 turns positive,
+            # with beta < L/3, only near an emission pole (delta_k < 0), where
+            # a pair of roots fits inside one grid cell: the grid adds a
+            # geometric ladder of points toward each such pole
+            ladder = (lo_edge in emission, hi_edge in emission)
 
-        found = 0
-        for (ba, bb, ha, hb) in brackets:
-            root, iters = _refine(h, dh, ba, bb, ha, hb)
-            gval = line.log_deriv(root)
-            fval = b.value(root)
-            residual = abs(gval - fval)
-            scale = max(abs(gval), abs(fval), 1.0 / length)
+            def scan(n):
+                return _scan_brackets(ch, _grid(lo_edge, hi_edge, n, *ladder))
+
+            n = GRID_INITIAL
+            brackets = scan(n)
+            if positive and pole_bounded:
+                while not brackets and n < GRID_MAX:
+                    n *= 2
+                    brackets = scan(n)
+                if len(brackets) != 1:
+                    raise InterlacingError(
+                        f"expected one eigenvalue, found {len(brackets)}",
+                        interval=(lo_edge, hi_edge),
+                        count=len(brackets),
+                    )
+            else:
+                while n < GRID_MAX:
+                    finer = scan(2 * n)
+                    if len(finer) == len(brackets):
+                        break
+                    n, brackets = 2 * n, finer
+
+        for a, z, fa, fz in brackets:
+            root, iters = _brent(ch, a, z, fa, fz)
+            # |c*H| against the scale of the raw sides, max(|G|, |F|, 1/L): next
+            # to a pole the raw |H| at the float nearest the root can exceed it.
+            # A root closer to its pole than one ulp rounds onto it (c = 0);
+            # Brent's bracket already pins it to rounding.
+            g_side, f_side, c = ch(root, parts=True)
+            residual = abs(g_side - f_side)
+            scale = max(abs(g_side), abs(f_side), c / length) / c if c else math.inf
             if residual > RESIDUAL_REL * scale:
                 raise SolverError(
-                    f"root at lam={root} residual {residual:.3e} exceeds "
+                    f"root at lam={root} cleared residual {residual:.3e} exceeds "
                     f"{RESIDUAL_REL} of scale {scale:.3e}"
                 )
-            records.append(EigenvalueRecord(root, (ba, bb), residual, iters))
-            found += 1
-        counts.append(found)
-        flags.append(found == 1 if pole_bounded else None)
+            records.append(EigenvalueRecord(root, (a, z), residual, iters))
+        counts.append(len(brackets))
+        flags.append(len(brackets) == 1 if pole_bounded else None)
     return records, counts, flags
 
 
 def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> DressedSpectrum:
     """All dressed eigenvalues on (0, lam_max].
 
-    `b` is any boundary object exposing poles / value / derivative /
+    `b` is read through its rational form only: poles, beta, gamma and
     all_positive_residues (RationalBoundary or FullSusceptanceBoundary).
-    A RationalBoundary with all residues positive and beta < L/3 takes the
-    certified path, everything else the scan (module docstring). Raises
+    Every interval is solved on its cleared function c*H; the root count
+    comes from monotonicity when every residue is positive and
+    beta < L/3, and from a grid scan otherwise (module docstring). Raises
     PoleCollisionError when a boundary pole sits within 1e-6 relative of a
     Dirichlet pole, InterlacingError when the positive-residue count
-    guarantee fails, SolverError when a refined root's residual is too
-    large; on the certified path the residual is that of the cleared
-    function.
+    guarantee fails, SolverError when a root's cleared residual is too
+    large.
     """
     length = line.length
     if lam_max is None:
@@ -388,13 +328,7 @@ def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> Dresse
         markers.append(PolePoint(p.location, "boundary", p.label))
     markers.sort(key=lambda m: m.location)
 
-    certified = (
-        isinstance(b, RationalBoundary)
-        and b.all_positive_residues
-        and b.beta < length / 3.0
-    )
-    solve = _certified_intervals if certified else _scanned_intervals
-    records, counts, flags = solve(line, b, markers, lam_max)
+    records, counts, flags = _solve_intervals(line, b, markers, lam_max)
 
     for r1, r2 in zip(records, records[1:]):
         if not r1.lam < r2.lam:
@@ -419,6 +353,18 @@ def pole_margin(spectrum: DressedSpectrum) -> float:
     return min(
         abs(r.lam - p) / p for r in spectrum.records for p in bpoles
     )
+
+
+def _fundamental_pair(sp: DressedSpectrum, dev: DeviceParams) -> tuple[float, float]:
+    """The dressed frequencies nearest the bare fundamental, one at or below
+    it and one at or above; SolverError when either is missing."""
+    omega_ref = dev.fundamental_frequency
+    freqs = sp.frequencies(dev.phase_velocity)
+    lower = max((f for f in freqs if f <= omega_ref), default=None)
+    upper = min((f for f in freqs if f >= omega_ref), default=None)
+    if lower is None or upper is None:
+        raise SolverError("no dressed pair brackets the fundamental")
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -455,21 +401,14 @@ def qubit_frequency_sweep(
     at or below, one at or above) are recorded.
     """
     line = ShortedLine(dev.length)
-    omega_ref = dev.fundamental_frequency
-    v = dev.phase_velocity
 
     def solve_one(omega_q):
-        s = replace(spec, frequency=omega_q)
-        bnd = transmon_boundary(s, dev, levels)
+        bnd = transmon_boundary(replace(spec, frequency=omega_q), dev, levels)
         sp = solve_spectrum(line, bnd, lam_max)
-        freqs = sp.frequencies(v)
-        lower = max((f for f in freqs if f <= omega_ref), default=None)
-        upper = min((f for f in freqs if f >= omega_ref), default=None)
-        if lower is None or upper is None:
-            raise SolverError(
-                f"no dressed pair brackets the fundamental at omega_q={omega_q}"
-            )
-        return lower, upper
+        try:
+            return _fundamental_pair(sp, dev)
+        except SolverError as exc:
+            raise SolverError(f"{exc} at omega_q={omega_q}") from None
 
     pairs = [solve_one(w) for w in omega_q_values]
     return CrossingSweep(
@@ -506,13 +445,8 @@ def vacuum_rabi_gap(
     delta = bnd.poles[0].strength
     v = dev.phase_velocity
     predicted = (v * v / spec.frequency) * math.sqrt(2.0 * delta / dev.length)
-    line = ShortedLine(dev.length)
-    sp = solve_spectrum(line, bnd, lam_max)
-    freqs = sp.frequencies(v)
-    lower = max((f for f in freqs if f <= omega_ref), default=None)
-    upper = min((f for f in freqs if f >= omega_ref), default=None)
-    if lower is None or upper is None:
-        raise SolverError("no dressed pair brackets the fundamental")
+    sp = solve_spectrum(ShortedLine(dev.length), bnd, lam_max)
+    lower, upper = _fundamental_pair(sp, dev)
     return RabiSplitting(
         measured=upper - lower,
         predicted=predicted,

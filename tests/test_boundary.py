@@ -187,6 +187,23 @@ def test_full_form_derivative_consistent():
     assert full.derivative(lam) == pytest.approx(fd, rel=1e-5)
 
 
+@pytest.mark.parametrize("state, levels, c_j", [("g", 2, None), ("e", 2, 5e-15), ("e", 3, None)])
+def test_full_form_is_exactly_its_rational_form(state, levels, c_j):
+    """beta, gamma and poles of the full form, the solver's only view of it,
+    reproduce value() everywhere, also with an emission pole (gamma < 0)."""
+    lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
+    spec = replace(QUBIT, state=state, junction_capacitance=c_j)
+    full = FullSusceptanceBoundary.from_rational(
+        transmon_boundary(spec, DEV, levels), DEV.inductance_per_length,
+        DEV.phase_velocity, lam_ref,
+    )
+    rational = RationalBoundary(beta=full.beta, gamma=0.0, poles=full.poles)
+    assert (full.gamma < 0.0) == (state == "e" and levels == 2)
+    for x in (0.1, 0.5, 0.95, 1.0, 1.3, 2.7, 4.4):
+        lam = x * lam_ref
+        assert full.value(lam) == pytest.approx(rational.value(lam) - full.gamma, rel=1e-12)
+
+
 def test_full_form_rejects_gamma():
     b = RationalBoundary(beta=0.0, gamma=1.0, poles=())
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,63 @@ def test_sweep_csv_shape(cfg, tmp_path):
     # on resonance the gap bottoms out near 2g = 0.2 GHz
     assert min(gaps) == pytest.approx(0.2, rel=0.05)
     assert gaps.index(min(gaps)) == 2
+
+
+SAMPLE_CFG = str(Path(__file__).resolve().parent.parent / "sample_device.cfg")
+
+# Reference bytes for the sample device: changes to the root solver or to
+# the pull and fundamental-pair helpers must reproduce them exactly.
+PINNED_OUTPUTS = {
+    "sweep-g": (
+        ["sweep", "--omega-q-ghz", "9.5:10.5:5"],
+        (
+            "omega_q_ghz,branch_lo_ghz,branch_hi_ghz,gap_ghz\n"
+            "9.5,9.48072644173,10.0178273215,0.537100879797\n"
+            "9.75,9.71477298515,10.0337537073,0.318980722141\n"
+            "10,9.8992424466,10.0992573501,0.200014903485\n"
+            "10.25,9.96357468742,10.2848983699,0.321323682447\n"
+            "10.5,9.97928003872,10.5191664171,0.539886378381\n"
+        ),
+    ),
+    "sweep-e": (
+        ["sweep", "--state", "e", "--levels", "3", "--omega-q-ghz", "9.5:10.5:5"],
+        (
+            "omega_q_ghz,branch_lo_ghz,branch_hi_ghz,gap_ghz\n"
+            "9.5,9.5179853752,10.0052160135,0.487230638285\n"
+            "9.75,9.99838888886,30.0000698722,20.0016809833\n"
+            "10,9.69116210879,30.0000741317,20.3089120229\n"
+            "10.25,9.87045828728,30.0000785563,20.1296202691\n"
+            "10.5,9.95000608116,10.3243158334,0.374309752277\n"
+        ),
+    ),
+    "rabi": (
+        ["rabi", "--omega-q-ghz", "9.5:10.5:5"],
+        (
+            "omega_q_ghz,jc_lo,jc_hi,sl_lo,sl_hi,diff\n"
+            "9.5,9.48074175964,10.0192582404,9.48072644173,10.0178273215,-0.00141560091653\n"
+            "9.75,9.71492189406,10.0350781059,9.71477298515,10.0337537073,-0.00117548973109\n"
+            "10,9.9,10.1,9.8992424466,10.0992573501,1.49034851374e-05\n"
+            "10.25,9.96492189406,10.2850781059,9.96357468742,10.2848983699,0.001167470575\n"
+            "10.5,9.98074175964,10.5192582404,9.97928003872,10.5191664171,0.00136989766743\n"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_OUTPUTS))
+def test_sample_device_csv_bytes_are_pinned(key, tmp_path):
+    args, expected = PINNED_OUTPUTS[key]
+    out = str(tmp_path / "out.csv")
+    assert main([*args, "--config", SAMPLE_CFG, "--out", out]) == 0
+    assert open(out, "rb").read() == expected.encode()
+
+
+def test_sample_device_chi_csv_bytes_are_pinned(capsys):
+    assert main(["chi", "--config", SAMPLE_CFG, "--csv"]) == 0
+    assert capsys.readouterr().out == (
+        "chi_mhz,delta_omega_g_mhz,delta_omega_e_mhz,n_crit,dispersive,straddling\n"
+        "-1.95779123517,8.44403115103,4.52844868069,25,true,false\n"
+    )
 
 
 def test_sweep_json_format(cfg, tmp_path):

@@ -102,6 +102,17 @@ def test_exact_solve_agrees_with_closed_form():
     assert 0.5 * (pull_e - pull_g) == chi_sl
 
 
+def test_exact_solve_with_the_qubit_just_below_the_mode():
+    """Qubit in e 50 MHz below the mode, g = 1 MHz: the qubit-like root
+    4e-6 and the pulled mode 1e-2 relative above the emission pole share
+    the grid cell next to it. Missing both made chi come out ~1e4 times
+    the closed form."""
+    spec = replace(QUBIT, frequency=DEV.fundamental_frequency - 0.05 * GHZ, coupling=1e-3 * GHZ)
+    chi_cf = dispersive_shift(spec.coupling, spec.frequency - DEV.fundamental_frequency, spec.anharmonicity)
+    chi_sl, _, _ = dispersive_shift_exact(DEV, spec, levels=3)
+    assert chi_sl == pytest.approx(chi_cf, rel=1e-3)
+
+
 def test_report_fields_consistent():
     rep = dispersive_report(DEV, QUBIT)
     assert rep.detuning == pytest.approx(-1.0 * GHZ, rel=1e-12)

@@ -10,6 +10,7 @@ from dressed_modes import (
     BoundaryPole,
     CrossingSweep,
     DeviceParams,
+    FullSusceptanceBoundary,
     PoleCollisionError,
     RationalBoundary,
     ShortedLine,
@@ -31,12 +32,8 @@ QUBIT = TransmonSpec(state="g", frequency=9 * GHZ, anharmonicity=-0.25 * GHZ, co
 LINE = ShortedLine(DEV.length)
 
 
-def _oracle_roots(length, beta, gamma, poles, lam_max, points_per_interval=100_000):
-    """Independent root finder: dense uniform scan plus plain bisection.
-
-    Shares only the defining equation with the solver; no clamps, no
-    adaptivity, no Newton. poles is a list of (location, strength).
-    """
+def _oracle_h(length, beta, gamma, poles):
+    """The raw secular function G - F, written out independently of the solver."""
 
     def h(lam):
         xi = math.sqrt(lam) * length
@@ -45,6 +42,17 @@ def _oracle_roots(length, beta, gamma, poles, lam_max, points_per_interval=100_0
         for loc, s in poles:
             val -= s / (loc - lam)
         return val
+
+    return h
+
+
+def _oracle_roots(length, beta, gamma, poles, lam_max, points_per_interval=100_000):
+    """Independent root finder: dense uniform scan plus plain bisection.
+
+    Shares only the defining equation with the solver; no clamps, no
+    adaptivity, no Newton. poles is a list of (location, strength).
+    """
+    h = _oracle_h(length, beta, gamma, poles)
 
     def h_vec(lam):
         xi = np.sqrt(lam) * length
@@ -259,6 +267,81 @@ def test_weak_coupling_keeps_the_root_next_to_the_qubit_pole(g_ghz):
     assert 0.0 < (lam_q - sp.eigenvalues[0]) / lam_q < 1e-8
 
 
+def _assert_raw_sign_changes(sp, bnd):
+    """Each root is a sign change of the raw secular function across
+    lam (1 +- 1e-12): the check for roots too close to a pole for
+    _oracle_roots, which stops (b - a) 1e-9 short of each pole."""
+    h = _oracle_h(DEV.length, bnd.beta, bnd.gamma, [(p.location, p.strength) for p in bnd.poles])
+    for lam in sp.eigenvalues:
+        assert (h(lam * (1.0 - 1e-12)) > 0.0) != (h(lam * (1.0 + 1e-12)) > 0.0)
+
+
+@pytest.mark.parametrize("g_ghz", [1e-4, 1e-5])
+@pytest.mark.parametrize(
+    "levels, counts",
+    [(2, (0, 2, 1, 1, 1, 1, 1)), (3, (1, 0, 2, 1, 1, 1, 1, 1))],
+)
+def test_weak_coupling_excited_state_keeps_the_roots_next_to_its_poles(g_ghz, levels, counts):
+    """Mixed-sign residues: the excited-state roots 2.2e-9 (g = 1e-4 GHz)
+    and 2.2e-11 (1e-5 GHz) relative from a transmon pole are ordinary roots
+    of the cleared function, so none is lost."""
+    bnd = transmon_boundary(replace(QUBIT, state="e", coupling=g_ghz * GHZ), DEV, levels=levels)
+    sp = solve_spectrum(LINE, bnd)
+    assert len(sp.eigenvalues) == len(counts)
+    assert sp.counts == counts
+    _assert_raw_sign_changes(sp, bnd)
+
+
+@pytest.mark.parametrize("state, counts", [("g", (1,) * 7), ("e", (0, 2, 1, 1, 1, 1, 1))])
+def test_root_within_an_ulp_of_its_pole(state, counts):
+    """At g = 1e-8 GHz the qubit-like root lies closer to its pole than one
+    ulp, so it rounds onto the pole, where the clearing factor is zero."""
+    bnd = transmon_boundary(replace(QUBIT, state=state, coupling=1e-8 * GHZ), DEV)
+    sp = solve_spectrum(LINE, bnd)
+    assert sp.counts == counts
+    lam_q = bnd.poles[0].location
+    assert min(abs(lam - lam_q) for lam in sp.eigenvalues) <= math.ulp(lam_q)
+
+
+def test_excited_state_root_pair_next_to_the_emission_pole():
+    """Qubit in e 0.1% above the third mode: between the second Dirichlet
+    pole and the emission pole sit the pulled mode, 2e-3 relative below
+    the pole, and the qubit-like root, 8e-9 below it. Both fall inside the
+    grid cell next to the pole, where only the ladder of points toward the
+    pole tells them apart."""
+    spec = replace(QUBIT, state="e", frequency=50.05 * GHZ, coupling=1e-4 * GHZ)
+    bnd = transmon_boundary(spec, DEV)
+    sp = solve_spectrum(LINE, bnd)
+    assert sp.counts == (1, 1, 2, 0, 1, 1, 1)
+    _assert_raw_sign_changes(sp, bnd)
+
+
+def test_solver_reads_only_the_rational_form(monkeypatch):
+    """poles, beta, gamma and all_positive_residues, on every path and for
+    both boundary classes; no value or derivative of either side."""
+
+    def forbidden(*args):
+        raise AssertionError("solver evaluated a boundary or line method")
+
+    for cls, name in (
+        (RationalBoundary, "value"), (RationalBoundary, "derivative"),
+        (FullSusceptanceBoundary, "value"), (FullSusceptanceBoundary, "derivative"),
+        (ShortedLine, "dlog_deriv"),
+    ):
+        monkeypatch.setattr(cls, name, forbidden)
+    lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
+    for bnd in (
+        transmon_boundary(QUBIT, DEV),
+        transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3),
+        replace(transmon_boundary(QUBIT, DEV), beta=DEV.length / 2.0),
+    ):
+        full = FullSusceptanceBoundary.from_rational(
+            replace(bnd, beta=0.0), DEV.inductance_per_length, DEV.phase_velocity, lam_ref
+        )
+        assert solve_spectrum(LINE, bnd).records
+        assert solve_spectrum(LINE, full).records
+
+
 @pytest.mark.parametrize("r", [1.1e-6, 2e-6, 3e-6, 5e-6, -1.1e-6, -2e-6, -3e-6, -5e-6])
 def test_qubit_pole_just_outside_the_collision_guard_solves(r):
     """omega_q = 2 omega_1 (1 + r) puts the qubit pole 2|r| relative from
@@ -329,17 +412,17 @@ def test_certified_roots_match_oracle(locations, strengths, beta_frac, gamma):
     _assert_matches_oracle(sp, bnd, length)
 
 
-@pytest.mark.parametrize("beta_frac", [1.0, 1.5])
+@pytest.mark.parametrize("beta_frac", [0.5, 1.0, 1.5])
 def test_beta_at_or_above_l_over_3_takes_the_scan(monkeypatch, beta_frac):
     scans = []
-    scanned = spectrum._scanned_intervals
+    scan = spectrum._scan_brackets
 
     def spy(*args):
         scans.append(args)
-        return scanned(*args)
+        return scan(*args)
 
-    monkeypatch.setattr(spectrum, "_scanned_intervals", spy)
+    monkeypatch.setattr(spectrum, "_scan_brackets", spy)
     bnd = replace(transmon_boundary(QUBIT, DEV), beta=beta_frac * DEV.length / 3.0)
     sp = solve_spectrum(LINE, bnd)
-    assert len(scans) == 1
+    assert (len(scans) > 0) == (beta_frac >= 1.0)
     _assert_matches_oracle(sp, bnd, DEV.length)
