@@ -55,6 +55,8 @@ def _grid(text: str) -> list[float]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(f"grid endpoints must be finite: {text!r}")
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
     if count == 1:
@@ -105,7 +107,7 @@ def _write_json(path: str, payload):
 
 def _write_rows(args, header: list[str], rows):
     """Row data as CSV (default) or, with --json, a list of row objects."""
-    if getattr(args, "format", "csv") == "json":
+    if args.format == "json":
         _write_json(args.out, [dict(zip(header, row)) for row in rows])
     else:
         _write_csv(args.out, header, rows)
@@ -422,12 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_default=None, out_required=False):
+    def add_common(p, out_default=None):
         p.add_argument("--config", required=True, help="device config file")
-        if out_default is not None or out_required:
-            p.add_argument("--out", default=out_default, required=out_required)
-        else:
-            p.add_argument("--out", default=None)
+        p.add_argument("--out", default=out_default)
         p.add_argument("--seed", type=int, default=0)
 
     def add_format(p, default):

@@ -32,6 +32,11 @@ def lambda_to_omega(lam: float, v: float) -> float:
     return v * math.sqrt(lam)
 
 
+def _finite(value) -> bool:
+    """A finite number: no nan or inf, and no bool, which Python counts as 0/1."""
+    return not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     """Transmission-line resonator: length [m], phase velocity [m/s], impedance [ohm]."""
@@ -42,8 +47,9 @@ class DeviceParams:
 
     def __post_init__(self):
         for name in ("length", "phase_velocity", "impedance"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def inductance_per_length(self) -> float:
@@ -82,6 +88,11 @@ class TransmonSpec:
     def __post_init__(self):
         if self.state not in ("g", "e"):
             raise ValueError("state must be 'g' or 'e'")
+        for name in ("frequency", "anharmonicity", "coupling", "charge_element",
+                     "junction_capacitance", "junction_inductance"):
+            value = getattr(self, name)
+            if value is not None and not _finite(value):
+                raise ValueError(f"{name} must be a finite number")
         if self.frequency <= 0.0:
             raise ValueError("qubit frequency must be positive")
         if self.anharmonicity >= 0.0:
@@ -133,6 +144,8 @@ def _parse_flat_text(text: str) -> dict:
 
 
 def _coerce(value):
+    if isinstance(value, bool):
+        return value    # not a number, though Python counts it as 0/1
     if isinstance(value, (int, float)):
         return float(value)
     try:
@@ -182,8 +195,12 @@ def load_config(path) -> tuple[DeviceParams, TransmonSpec, dict]:
     cj = _coerce(take("qubit.cj_f", required=False))
     lj = _coerce(take("qubit.lj_h", required=False))
 
-    for name, val in (("qubit.frequency_ghz", freq), ("qubit.anharmonicity_ghz", alpha)):
-        if not isinstance(val, float):
+    for name, val in (
+        ("qubit.frequency_ghz", freq), ("qubit.anharmonicity_ghz", alpha),
+        ("qubit.coupling_ghz", coupling), ("qubit.charge_element_C", charge),
+        ("qubit.cj_f", cj), ("qubit.lj_h", lj),
+    ):
+        if val is not None and not isinstance(val, float):
             raise ConfigError(f"{name} must be a number")
     if not isinstance(state, str):
         raise ConfigError("qubit.state must be 'g' or 'e'")

@@ -9,24 +9,19 @@ pole, |lam_k - lam|/lam_k for a boundary pole), so c*H is finite on the
 closed interval, poles included, and a root next to a pole is an ordinary
 root. Nothing is clamped off the poles.
 
-Root count. With every residue positive and beta < L/3, G' <= -L/3 gives
-H' = G' + beta - sum_k delta_k / (lam_k - lam)^2 <= -L/3 + beta < 0: H falls
-from +inf just right of each pole to -inf just left of the next, so the
-signs of c*H at the two ends give the count with no scan: one root in each
-pole-bounded interval, and one in an edge interval iff H(0) = 1/L - F(0) > 0,
-resp. H(lam_max) <= 0. Otherwise (mixed-sign residues of an occupied
-excited state, or beta >= L/3) c*H is scanned for sign changes on a uniform
-grid over the closed interval, doubled from GRID_INITIAL up to GRID_MAX,
-plus a geometric ladder of points toward each emission pole (delta_k < 0),
-where H can turn back and two roots can share one grid cell. Such an
-interval may hold zero or several roots and all of them are reported,
-except that a pole-bounded interval with positive residues must hold
-exactly one. A scanned count is not a certificate.
-
-Each bracket is refined by Brent's method on c*H. The residual test takes
-|c*H| against the raw scale max(|G|, |F|, 1/L): next to a pole the raw |H|
-at the float nearest the root can exceed RESIDUAL_REL of that scale, while
-c*H there is exact to rounding.
+Root count. Every interval goes through one routine, _isolate, which halves
+cells until a bound on H' = G' + beta - sum_k delta_k/(lam_k - lam)^2
+settles each: H monotone on a cell gives one root iff c*H changes sign
+across it, |H| kept off zero gives none, and a cell that reaches float
+resolution unsettled raises SolverError, so no root is lost silently. The
+cheap bound comes first: G' <= -L/3 and absorption terms (delta_k > 0) only
+lower H', so beta - L/3 + sum over emission poles (delta_k < 0) of
+|delta_k|/d_min^2 < 0 proves a cell decreasing. With every residue positive
+and beta < L/3 (a ground-state transmon) that settles each interval whole:
+one root between two poles, and one in an edge interval iff
+H(0) = 1/L - F(0) > 0, resp. H(lam_max) <= 0. The sharper bound of
+_slope_bounds serves the rest. Each root is refined by Brent's method on c*H
+and checked by the residual test of solve_spectrum.
 """
 from __future__ import annotations
 
@@ -35,13 +30,11 @@ import sys
 from dataclasses import dataclass, replace
 
 from .boundary import transmon_boundary
-from .errors import InterlacingError, PoleCollisionError, SolverError
+from .errors import PoleCollisionError, SolverError
 from .params import DeviceParams, TransmonSpec, lambda_to_omega
 from .resonator import XI_POLE_GUARD, ShortedLine, line_log_deriv
 
 RESIDUAL_REL = 1e-8          # threshold on |c*H| over max(|G|, |F|, 1/L)
-GRID_INITIAL = 64
-GRID_MAX = 4096
 BRENT_MAX_STEPS = 200        # safety cap; 3000 random ground-state devices need <= 23
 DIRICHLET_COLLISION_REL = 1e-6
 
@@ -83,42 +76,8 @@ class DressedSpectrum:
         return min(self.records, key=lambda r: abs(r.lam - lam)).lam
 
 
-def _grid(lo: float, hi: float, n: int, ladder_lo: bool, ladder_hi: bool) -> list[float]:
-    """n uniform points over [lo, hi], plus, toward each flagged end, the
-    points step/2, step/4, ... away from it, down to the last distinct float."""
-    step = (hi - lo) / (n - 1)
-    xs = [lo + i * step for i in range(n - 1)] + [hi]
-    ladder = set()
-    for end, toward, flagged in ((lo, 1.0, ladder_lo), (hi, -1.0, ladder_hi)):
-        d = 0.5 * step
-        while flagged and end + toward * d != end:
-            ladder.add(end + toward * d)
-            d *= 0.5
-    return sorted(ladder.union(xs)) if ladder else xs
-
-
-def _scan_brackets(h, xs):
-    """Sign changes of h over the increasing points xs."""
-    brackets = []
-    x_prev = xs[0]
-    v_prev = h(x_prev)
-    for x in xs[1:]:
-        v = h(x)
-        if v_prev == 0.0:
-            brackets.append((x_prev, x_prev, 0.0, 0.0))
-        elif v == 0.0:
-            pass  # picked up as the next leading edge
-        elif (v_prev < 0.0) != (v < 0.0):
-            brackets.append((x_prev, x, v_prev, v))
-        x_prev, v_prev = x, v
-    if v_prev == 0.0:
-        brackets.append((x_prev, x_prev, 0.0, 0.0))
-    return brackets
-
-
 def _brent(f, a: float, b: float, fa: float, fb: float):
-    """Root of f in [a, b], given f(a) and f(b) of opposite signs (or a == b
-    with f(a) == 0, a grid point that is itself a root).
+    """Root of f in [a, b], given f(a) and f(b) of opposite signs or f(b) == 0.
 
     Brent's zeroin: inverse quadratic or secant steps, falling back to
     bisection whenever they would not shrink the bracket fast enough, down
@@ -213,61 +172,143 @@ def _cleared_secular(line: ShortedLine, b, lo, hi, lobe: int):
     return cleared
 
 
-def _solve_intervals(line: ShortedLine, b, markers, lam_max: float):
-    """Roots per interval of the cleared secular function (module docstring)."""
+def _slope_bounds(line: ShortedLine, b):
+    """bounds(x0, x1, lobe) -> (lower, upper) of H' over the cell [x0, x1],
+    which holds no pole inside and stays in the lobe [lobe pi, (lobe+1) pi]
+    of xi = sqrt(lam) L. What does not depend on the cell is set up once."""
+    length, beta, poles = line.length, b.beta, b.poles
+    emission = [(p.location, -p.strength) for p in poles if p.strength < 0.0]
+    # G' <= -L/3, and absorption terms (delta_k > 0) only lower H'
+    slack = beta - length / 3.0
+    sqrt, sin, inf, pi = math.sqrt, math.sin, math.inf, math.pi
+
+    def bounds(x0, x1, lobe):
+        upper = slack
+        for loc, w in emission:
+            d = max(loc - x1, x0 - loc)
+            upper = upper + w / (d * d) if d else inf
+        if upper < 0.0:
+            return -inf, upper
+        # G'/L = N(xi) / (2 xi sin^2 xi) with N = sin(2 xi)/2 - xi, which is
+        # negative and falling for xi > 0; sin^2 is unimodal on the lobe
+        xi0, xi1 = sqrt(x0) * length, sqrt(x1) * length
+        s0, s1 = sin(xi0) ** 2, sin(xi1) ** 2
+        s_max = 1.0 if xi0 <= (lobe + 0.5) * pi <= xi1 else max(s0, s1)
+        g_hi = min(-1.0 / 3.0, (0.5 * sin(2.0 * xi0) - xi0) / (2.0 * xi1 * s_max))
+        g_lo = (0.5 * sin(2.0 * xi1) - xi1) / (2.0 * xi0 * min(s0, s1)) if xi0 else -inf
+        if lobe == 0:
+            # sin x >= x - x^3/6 gives G'/L >= -xi^2 / (3 sin^2 xi), falling
+            # on (0, pi) and finite at xi = 0, where the bound above is not
+            g_lo = max(g_lo, -xi1 * xi1 / (3.0 * s1))
+        lower, upper = beta + length * g_lo, beta + length * g_hi
+        for p in poles:
+            # -delta_k / d^2 at the pole's nearest and farthest distance
+            loc, s = p.location, p.strength
+            near, far = max(loc - x1, x0 - loc), max(loc - x0, x1 - loc)
+            t_near = -s / (near * near) if near else -math.copysign(inf, s)
+            t_far = -s / (far * far)
+            lower += min(t_near, t_far)
+            upper += max(t_near, t_far)
+        return lower, upper
+
+    return bounds
+
+
+def _raw(ch, x, length):
+    """H at an interior x and the residual test's tolerance there."""
+    g_side, f_side, c = ch(x, parts=True)
+    return (g_side - f_side) / c, RESIDUAL_REL * max(abs(g_side), abs(f_side), c / length) / c
+
+
+def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
+    """Brackets (x0, x1, c*H(x0), c*H(x1)) of every root in (a, z], the
+    interval between the PolePoints lo and hi (None at 0 and at lam_max).
+
+    Cells are settled left to right. One proven monotone owns a root at its
+    right end, where c*H may vanish exactly, not at its left: that belongs
+    to the cell before, and lam = 0 lies outside the domain. Where a falling
+    cell meets a rising one the sign of H alone decides between two roots
+    and none, so there, and all over a cell settled as holding none, |H|
+    must exceed the residual test's tolerance. H is taken at interior ends
+    only: sin(k pi) is not 0 in floats, so (c*H)/c has no sign at a pole.
+    """
+    a = lo.location if lo is not None else 0.0
+    z = hi.location if hi is not None else lam_max
+    brackets, last = [], 0.0    # last: +1/-1 if the cell settled before rose/fell
+    cells = [(a, z, ch(a), ch(z))]
+    while cells:
+        x0, x1, c0, c1 = cells.pop()
+        lower, upper = bounds(x0, x1, lobe)
+        if upper < 0.0 or lower > 0.0:
+            rising = 1.0 if lower > 0.0 else -1.0
+            # taken in the rising direction, the end signs must not fall;
+            # where they do, rounding has swamped c*H on the cell
+            u0, u1 = rising * c0, rising * c1
+            if u0 >= 0.0 >= u1:
+                raise SolverError(f"end signs contradict the slope bound on [{x0}, {x1}]")
+            if last == -rising:
+                h0, tol = _raw(ch, x0, length)
+                if abs(h0) <= tol:
+                    raise SolverError(f"H turns within {tol:.3e} of zero at lam={x0}")
+            if u0 < 0.0 <= u1:
+                brackets.append((x0, x1, c0, c1))
+            last = rising
+            continue
+        if (lo is None or x0 != a) and (hi is None or x1 != z):
+            (h0, t0), (h1, t1) = _raw(ch, x0, length), _raw(ch, x1, length)
+            # |H'| <= s keeps |H| >= (|h0 + h1| - s (x1 - x0)) / 2 if h0, h1 share a sign
+            if h0 * h1 > 0.0 and abs(h0 + h1) - max(upper, -lower) * (x1 - x0) > 2.0 * max(t0, t1):
+                last = 0.0
+                continue
+        mid = 0.5 * (x0 + x1)
+        if not x0 < mid < x1:
+            raise SolverError(f"no certified root count on [{x0}, {x1}]")
+        cm = ch(mid)
+        cells += [(mid, x1, cm, c1), (x0, mid, c0, cm)]
+    return brackets
+
+
+def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> DressedSpectrum:
+    """All dressed eigenvalues on (0, lam_max].
+
+    `b` is read through its rational form only: poles, beta and gamma
+    (RationalBoundary or FullSusceptanceBoundary). Every interval is solved
+    on its cleared function c*H, its root count certified by a slope bound
+    (module docstring). Raises PoleCollisionError when a boundary pole sits
+    within 1e-6 relative of a Dirichlet pole, and SolverError when no count
+    can be certified (two roots too close to tell apart, or H turning within
+    the residual tolerance of zero) or a root's cleared residual is too large.
+    """
     length = line.length
-    positive = b.all_positive_residues
-    monotone = positive and b.beta < length / 3.0
-    emission = {p.location for p in b.poles if p.strength < 0.0}
-    bounds = [None, *markers, None]
+    if lam_max is None:
+        lam_max = line.default_lam_max()
+    if lam_max <= 0.0:
+        raise ValueError("lam_max must be positive")
+
+    count = int(math.sqrt(lam_max) * length / math.pi) + 1
+    dirichlet = [p for p in line.poles(count) if p < lam_max]
+    markers = [PolePoint(p, "dirichlet", f"k={k}") for k, p in enumerate(dirichlet, 1)]
+    for p in b.poles:
+        if p.location >= lam_max:
+            continue
+        for d in dirichlet:
+            if abs(p.location - d) < DIRICHLET_COLLISION_REL * d:
+                raise PoleCollisionError(
+                    f"boundary pole {p.label or p.location} within "
+                    f"{DIRICHLET_COLLISION_REL} relative of Dirichlet pole at {d}"
+                )
+        markers.append(PolePoint(p.location, "boundary", p.label))
+    markers.sort(key=lambda m: m.location)
+
+    bounds = _slope_bounds(line, b)
+    ends = [None, *markers, None]
     records, counts, flags = [], [], []
     lobe = 0
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo, hi in zip(ends, ends[1:]):
         if lo is not None and lo.kind == "dirichlet":
             lobe += 1
-        lo_edge = lo.location if lo is not None else 0.0
-        hi_edge = hi.location if hi is not None else lam_max
-        pole_bounded = lo is not None and hi is not None
         ch = _cleared_secular(line, b, lo, hi, lobe)
-        if monotone:
-            ca, cb = ch(lo_edge), ch(hi_edge)
-            # H is +inf just right of a pole and -inf just left of one
-            if (lo is not None and not ca > 0.0) or (hi is not None and not cb < 0.0):
-                raise InterlacingError(
-                    "cleared secular function has the wrong sign at a pole",
-                    interval=(lo_edge, hi_edge),
-                    count=None,
-                )
-            brackets = [(lo_edge, hi_edge, ca, cb)] if ca > 0.0 and cb <= 0.0 else []
-        else:
-            # H' = G' + beta - sum_k delta_k / (lam_k - lam)^2 turns positive,
-            # with beta < L/3, only near an emission pole (delta_k < 0), where
-            # a pair of roots fits inside one grid cell: the grid adds a
-            # geometric ladder of points toward each such pole
-            ladder = (lo_edge in emission, hi_edge in emission)
-
-            def scan(n):
-                return _scan_brackets(ch, _grid(lo_edge, hi_edge, n, *ladder))
-
-            n = GRID_INITIAL
-            brackets = scan(n)
-            if positive and pole_bounded:
-                while not brackets and n < GRID_MAX:
-                    n *= 2
-                    brackets = scan(n)
-                if len(brackets) != 1:
-                    raise InterlacingError(
-                        f"expected one eigenvalue, found {len(brackets)}",
-                        interval=(lo_edge, hi_edge),
-                        count=len(brackets),
-                    )
-            else:
-                while n < GRID_MAX:
-                    finer = scan(2 * n)
-                    if len(finer) == len(brackets):
-                        break
-                    n, brackets = 2 * n, finer
-
+        brackets = _isolate(ch, lo, hi, lam_max, bounds, lobe, length)
         for a, z, fa, fz in brackets:
             root, iters = _brent(ch, a, z, fa, fz)
             # |c*H| against the scale of the raw sides, max(|G|, |F|, 1/L): next
@@ -284,51 +325,7 @@ def _solve_intervals(line: ShortedLine, b, markers, lam_max: float):
                 )
             records.append(EigenvalueRecord(root, (a, z), residual, iters))
         counts.append(len(brackets))
-        flags.append(len(brackets) == 1 if pole_bounded else None)
-    return records, counts, flags
-
-
-def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> DressedSpectrum:
-    """All dressed eigenvalues on (0, lam_max].
-
-    `b` is read through its rational form only: poles, beta, gamma and
-    all_positive_residues (RationalBoundary or FullSusceptanceBoundary).
-    Every interval is solved on its cleared function c*H; the root count
-    comes from monotonicity when every residue is positive and
-    beta < L/3, and from a grid scan otherwise (module docstring). Raises
-    PoleCollisionError when a boundary pole sits within 1e-6 relative of a
-    Dirichlet pole, InterlacingError when the positive-residue count
-    guarantee fails, SolverError when a root's cleared residual is too
-    large.
-    """
-    length = line.length
-    if lam_max is None:
-        lam_max = line.default_lam_max()
-    if lam_max <= 0.0:
-        raise ValueError("lam_max must be positive")
-
-    markers: list[PolePoint] = []
-    k = 1
-    while True:
-        p = (k * math.pi / length) ** 2
-        if p >= lam_max:
-            break
-        markers.append(PolePoint(p, "dirichlet", f"k={k}"))
-        k += 1
-    dirichlet = [m.location for m in markers]
-    for p in b.poles:
-        if p.location >= lam_max:
-            continue
-        for d in dirichlet:
-            if abs(p.location - d) < DIRICHLET_COLLISION_REL * d:
-                raise PoleCollisionError(
-                    f"boundary pole {p.label or p.location} within "
-                    f"{DIRICHLET_COLLISION_REL} relative of Dirichlet pole at {d}"
-                )
-        markers.append(PolePoint(p.location, "boundary", p.label))
-    markers.sort(key=lambda m: m.location)
-
-    records, counts, flags = _solve_intervals(line, b, markers, lam_max)
+        flags.append(len(brackets) == 1 if lo is not None and hi is not None else None)
 
     for r1, r2 in zip(records, records[1:]):
         if not r1.lam < r2.lam:

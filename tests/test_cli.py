@@ -278,13 +278,40 @@ def test_incomplete_config_exits_3(tmp_path):
     assert main(["chi", "--config", str(path)]) == 3
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("qubit.frequency_ghz", "nan"),
+        ("qubit.coupling_ghz", "inf"),
+        ("resonator.length_m", "nan"),
+    ],
+)
+def test_non_finite_config_value_exits_3(tmp_path, key, value):
+    path = tmp_path / "device.cfg"
+    path.write_text(CFG.replace(f"{key} = ", f"{key} = {value} # "))
+    assert main(["chi", "--config", str(path)]) == 3
+
+
+@pytest.mark.parametrize("key", ["resonator.length_m", "qubit.coupling_ghz"])
+def test_boolean_json_config_value_exits_3(tmp_path, key):
+    data = {}
+    for line in CFG.splitlines():
+        k, _, v = line.partition(" = ")
+        data[k] = v if k == "qubit.state" else float(v)
+    data[key] = True
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps(data))
+    assert main(["chi", "--config", str(path)]) == 3
+
+
 def test_usage_errors_exit_2(cfg):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--config", cfg, "--omega-q-ghz", "9.8:10.2"])
-    assert exc.value.code == 2
+    for grid in ("9.8:10.2", "nan:1:3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--omega-q-ghz", grid])
+        assert exc.value.code == 2
 
 
 def test_version_flag(capsys):
@@ -305,3 +332,6 @@ def test_grid_parsing():
         _grid("1:2:0")
     with pytest.raises(argparse.ArgumentTypeError):
         _grid("a:b:c")
+    for text in ("nan:1:3", "1:inf:3", "-inf:1:3"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _grid(text)

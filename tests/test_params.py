@@ -38,10 +38,11 @@ def test_lambda_roundtrip():
 
 @pytest.mark.parametrize("field", ["length", "phase_velocity", "impedance"])
 def test_device_rejects_nonpositive(field):
-    kwargs = dict(length=3e-3, phase_velocity=1.2e8, impedance=50.0)
-    kwargs[field] = 0.0
-    with pytest.raises(ValueError):
-        DeviceParams(**kwargs)
+    for bad in (0.0, math.nan, math.inf, True):
+        kwargs = dict(length=3e-3, phase_velocity=1.2e8, impedance=50.0)
+        kwargs[field] = bad
+        with pytest.raises(ValueError):
+            DeviceParams(**kwargs)
 
 
 def test_spec_validation():
@@ -61,6 +62,12 @@ def test_spec_validation():
             coupling=0.1 * GHZ,
             charge_element=1e-19,
         )
+    for field in ("frequency", "anharmonicity", "coupling", "junction_capacitance"):
+        for bad in (math.nan, math.inf, -math.inf, True):
+            kwargs = dict(state="g", frequency=9 * GHZ, anharmonicity=-0.25 * GHZ, coupling=0.1 * GHZ)
+            kwargs[field] = bad
+            with pytest.raises(ValueError):
+                TransmonSpec(**kwargs)
 
 
 CFG_TEXT = """\
