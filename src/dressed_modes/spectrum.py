@@ -234,7 +234,7 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
     """
     a = lo.location if lo is not None else 0.0
     z = hi.location if hi is not None else lam_max
-    brackets, last = [], 0.0    # last: +1/-1 if the cell settled before rose/fell
+    brackets, last = [], 0.0    # last: +1/-1 if the cell settled before rose/fell, else 0
     cells = [(a, z, ch(a), ch(z))]
     while cells:
         x0, x1, c0, c1 = cells.pop()

@@ -64,7 +64,9 @@ def test_spec_validation():
         )
     for field in ("frequency", "anharmonicity", "coupling", "junction_capacitance"):
         for bad in (math.nan, math.inf, -math.inf, True):
-            kwargs = dict(state="g", frequency=9 * GHZ, anharmonicity=-0.25 * GHZ, coupling=0.1 * GHZ)
+            kwargs = dict(
+                state="g", frequency=9 * GHZ, anharmonicity=-0.25 * GHZ, coupling=0.1 * GHZ
+            )
             kwargs[field] = bad
             with pytest.raises(ValueError):
                 TransmonSpec(**kwargs)
