@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConfigError,
-    InterlacingError,
     LabelingError,
     PoleCollisionError,
     PoleProximityError,
@@ -23,6 +22,7 @@ from .params import (
     HBAR,
     DeviceParams,
     TransmonSpec,
+    config_snapshot,
     lambda_to_omega,
     load_config,
     omega_to_lambda,
@@ -40,7 +40,6 @@ from .boundary import (
     RationalBoundary,
     charge_from_coupling,
     coupling_from_charge,
-    linear_junction_boundary,
     pole_amplitudes,
     pole_strength_from_charge,
     pole_strength_from_coupling,
@@ -108,5 +107,6 @@ from .wedge import (
     azimuthal_wavenumber,
     derivative_wall_values,
     laplacian_eigenvalue,
+    orthogonality_error,
     sine_mode_overlap,
 )

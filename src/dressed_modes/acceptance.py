@@ -23,9 +23,8 @@ from .dispersive import dispersive_shift, dispersive_shift_exact
 from .jc import JCModel, dispersive_shift_numeric
 from .multimode import MultimodeModel, divergence_report
 from .multiqubit import (
-    dispersive_hamiltonian,
-    parity_operator,
     parity_report,
+    qnd_residual,
     single_qubit_commutators,
     two_qubit_model,
     additivity_report,
@@ -39,7 +38,12 @@ from .spectrum import (
     solve_spectrum,
     vacuum_rabi_gap,
 )
-from .wedge import WedgeGeometry, azimuthal_wavenumber, derivative_wall_values, sine_mode_overlap
+from .wedge import (
+    WedgeGeometry,
+    azimuthal_wavenumber,
+    derivative_wall_values,
+    orthogonality_error,
+)
 
 # reference device: 3 mm line, v = 1.2e8 m/s, 50 ohm => 10 GHz fundamental
 STANDARD_DEVICE = DeviceParams(length=3e-3, phase_velocity=1.2e8, impedance=50.0)
@@ -276,12 +280,7 @@ def check_two_qubit_structure() -> CriterionResult:
     # both equalities are bitwise, not approximate
     exact_gaps = rep.odd_gap == 0.0 and rep.even_gap == abs(4.0 * chi)
 
-    h = dispersive_hamiltonian(
-        replace(matched, chi_1=matched.chi_1, chi_2=0.7 * matched.chi_2), 10
-    )
-    p = parity_operator(10)
-    comm_norm = float(np.max(np.abs(h @ p - p @ h)))
-    h_norm = float(np.max(np.abs(h)))
+    comm_norm, h_norm = qnd_residual(replace(matched, chi_2=0.7 * matched.chi_2), 10)
     qnd = comm_norm <= 1e-14 * h_norm
 
     add = additivity_report(dev, q1, q2, levels=3)
@@ -355,12 +354,7 @@ def check_wedge() -> CriterionResult:
     exact_mu = all(
         azimuthal_wavenumber(n, geom) == n * math.pi / geom.angle for n in range(1, 8)
     )
-    worst_overlap = 0.0
-    for n in range(1, 5):
-        for m in range(1, 5):
-            ov = sine_mode_overlap(n, m, geom)
-            ref = geom.angle / 2.0 if n == m else 0.0
-            worst_overlap = max(worst_overlap, abs(ov - ref))
+    worst_overlap = orthogonality_error(geom, 4)
     wall0, _ = derivative_wall_values(3, geom)
     passed = exact_mu and worst_overlap <= 1e-9 and wall0 == 1.0
     return _result(

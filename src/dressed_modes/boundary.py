@@ -5,8 +5,9 @@ the boundary condition into phi'(L)/phi(L) = F(lam) with a rational
 
     F(lam) = -beta*lam - gamma + sum_k delta_k / (lam_k - lam)
 
-beta = C_J/c is the capacitive loading, gamma = ell/L_J appears only in the
-pure linearized-junction model, and each pole sits at a transition
+beta = C_J/c is the capacitive loading, gamma is a constant offset (zero
+for the transmon boundary; the full-susceptance form, read as a rational
+form, has gamma = -ell sum_k A_k), and each pole sits at a transition
 lam_k = (omega_nm / v)^2 with strength delta_k > 0 for absorption
 (omega_nm > 0) and delta_k < 0 for emission. With every strength positive
 each pole term rises monotonically to +inf as lam -> lam_k from below, which
@@ -284,17 +285,6 @@ def transmon_boundary(spec: TransmonSpec, dev: DeviceParams, levels: int = 2) ->
     if spec.junction_capacitance is not None:
         beta = spec.junction_capacitance / dev.capacitance_per_length
     return RationalBoundary(beta=beta, gamma=0.0, poles=poles)
-
-
-def linear_junction_boundary(dev: DeviceParams, c_j: float, l_j: float) -> RationalBoundary:
-    """Pure affine model of the classical linearized junction (no poles)."""
-    if c_j < 0.0 or l_j <= 0.0:
-        raise ValueError("need c_j >= 0 and l_j > 0")
-    return RationalBoundary(
-        beta=c_j / dev.capacitance_per_length,
-        gamma=dev.inductance_per_length / l_j,
-        poles=(),
-    )
 
 
 def sum_boundaries(b1: RationalBoundary, b2: RationalBoundary) -> RationalBoundary:

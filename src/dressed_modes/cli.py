@@ -31,7 +31,7 @@ from .multiqubit import (
     single_qubit_commutators,
     two_qubit_model,
 )
-from .params import GHZ, load_config
+from .params import GHZ, config_snapshot, load_config
 from .resonator import ShortedLine
 from .spectrum import qubit_frequency_sweep, solve_spectrum
 from .boundary import transmon_boundary
@@ -40,7 +40,7 @@ from .wedge import (
     azimuthal_wavenumber,
     derivative_wall_values,
     laplacian_eigenvalue,
-    sine_mode_overlap,
+    orthogonality_error,
 )
 
 MHZ = GHZ / 1000.0
@@ -94,60 +94,40 @@ def _csv_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: str, header: list[str], rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_text(header, rows))
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _write_json(path: str, payload):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
-        fh.write("\n")
-
-
-def _write_rows(args, header: list[str], rows):
+def _rows_text(args, header: list[str], rows) -> str:
     """Row data as CSV (default) or, with --json, a list of row objects."""
     if args.format == "json":
-        _write_json(args.out, [dict(zip(header, row)) for row in rows])
-    else:
-        _write_csv(args.out, header, rows)
+        return _json_text([dict(zip(header, row)) for row in rows])
+    return _csv_text(header, rows)
 
 
-def _snapshot(dev, spec, extra=None) -> dict:
-    snap = {
-        "resonator.length_m": dev.length,
-        "resonator.phase_velocity_m_s": dev.phase_velocity,
-        "resonator.impedance_ohm": dev.impedance,
-        "qubit.frequency_ghz": spec.frequency / GHZ,
-        "qubit.anharmonicity_ghz": spec.anharmonicity / GHZ,
-        "qubit.state": spec.state,
-    }
-    if spec.coupling is not None:
-        snap["qubit.coupling_ghz"] = spec.coupling / GHZ
-    if spec.charge_element is not None:
-        snap["qubit.charge_element_C"] = spec.charge_element
-    if spec.junction_capacitance is not None:
-        snap["qubit.cj_f"] = spec.junction_capacitance
-    if spec.junction_inductance is not None:
-        snap["qubit.lj_h"] = spec.junction_inductance
-    if extra:
-        snap.update(extra)
-    return snap
+def _save(args, text: str, snapshot: dict, sidecars=()):
+    """Write text to --out, each (suffix, text) sidecar beside it, and the manifest.
 
-
-def _write_manifest(args, outputs: list[str], snapshot: dict):
-    payload = {
+    <out>.manifest.json records the subcommand, the input snapshot, the
+    output paths, the seed and the package version.
+    """
+    files = [(args.out, text)]
+    files.extend((args.out + suffix, body) for suffix, body in sidecars)
+    manifest = {
         "subcommand": args.command,
         "config": snapshot,
-        "outputs": outputs,
-        "seed": getattr(args, "seed", 0),
+        "outputs": [path for path, _ in files],
+        "seed": args.seed,
         "version": __version__,
     }
-    _write_json(outputs[0] + ".manifest.json", payload)
+    files.append((args.out + ".manifest.json", _json_text(manifest)))
+    for path, body in files:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(body)
 
 
 def _load(args):
-    dev, spec, _ = load_config(args.config)
+    dev, spec = load_config(args.config)
     if getattr(args, "state", None):
         spec = replace(spec, state=args.state)
     return dev, spec
@@ -178,8 +158,7 @@ def cmd_spectrum(args) -> int:
             ],
         },
     }
-    _write_json(args.out, payload)
-    _write_manifest(args, [args.out], _snapshot(dev, spec, {"levels": args.levels}))
+    _save(args, _json_text(payload), {**config_snapshot(dev, spec), "levels": args.levels})
     return 0
 
 
@@ -191,21 +170,14 @@ def cmd_sweep(args) -> int:
         (wq / GHZ, lo / GHZ, hi / GHZ, (hi - lo) / GHZ)
         for wq, lo, hi in zip(sweep.qubit_frequency, sweep.lower, sweep.upper)
     ]
-    _write_rows(args, ["omega_q_ghz", "branch_lo_ghz", "branch_hi_ghz", "gap_ghz"], rows)
+    text = _rows_text(args, ["omega_q_ghz", "branch_lo_ghz", "branch_hi_ghz", "gap_ghz"], rows)
     grid = args.omega_q_ghz
-    _write_manifest(
-        args,
-        [args.out],
-        _snapshot(
-            dev,
-            spec,
-            {
-                "levels": args.levels,
-                "format": args.format,
-                "sweep.omega_q_ghz": [grid[0], grid[-1], len(grid)],
-            },
-        ),
-    )
+    _save(args, text, {
+        **config_snapshot(dev, spec),
+        "levels": args.levels,
+        "format": args.format,
+        "sweep.omega_q_ghz": [grid[0], grid[-1], len(grid)],
+    })
     return 0
 
 
@@ -234,19 +206,14 @@ def cmd_chi(args) -> int:
             payload["delta_omega_e_mhz"], payload["n_crit"],
             payload["flags"]["dispersive"], payload["flags"]["straddling"],
         )
-        print(_csv_text(header, [row]), end="")
-        if args.out:
-            _write_csv(args.out, header, [row])
+        text = _csv_text(header, [row])
     else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        if args.out:
-            _write_json(args.out, payload)
+        text = _json_text(payload)
+    print(text, end="")
     if args.out:
-        _write_manifest(
-            args,
-            [args.out],
-            _snapshot(dev, spec, {"levels": args.levels, "format": args.format}),
-        )
+        _save(args, text, {
+            **config_snapshot(dev, spec), "levels": args.levels, "format": args.format,
+        })
     return 0
 
 
@@ -269,21 +236,14 @@ def cmd_rabi(args) -> int:
         if jc and sl:
             diff = (sl.gap[i] - jc.gap[i]) / GHZ
         rows.append((wq / GHZ, jc_lo, jc_hi, sl_lo, sl_hi, diff))
-    _write_rows(args, ["omega_q_ghz", "jc_lo", "jc_hi", "sl_lo", "sl_hi", "diff"], rows)
+    text = _rows_text(args, ["omega_q_ghz", "jc_lo", "jc_hi", "sl_lo", "sl_hi", "diff"], rows)
     grid = args.omega_q_ghz
-    _write_manifest(
-        args,
-        [args.out],
-        _snapshot(
-            dev,
-            spec,
-            {
-                "method": args.method,
-                "format": args.format,
-                "sweep.omega_q_ghz": [grid[0], grid[-1], len(grid)],
-            },
-        ),
-    )
+    _save(args, text, {
+        **config_snapshot(dev, spec),
+        "method": args.method,
+        "format": args.format,
+        "sweep.omega_q_ghz": [grid[0], grid[-1], len(grid)],
+    })
     return 0
 
 
@@ -300,7 +260,7 @@ def cmd_multimode(args) -> int:
         (n, lamb / GHZ, chi / GHZ)
         for n, lamb, chi in zip(rep.n_values, rep.lamb_sums, rep.chi_sums)
     ]
-    _write_rows(args, ["n_max", "lamb_ghz", "chi_ghz"], rows)
+    text = _rows_text(args, ["n_max", "lamb_ghz", "chi_ghz"], rows)
     fits = {
         "lamb_slope_ghz_per_mode": rep.lamb_slope / GHZ,
         "lamb_intercept_ghz": rep.lamb_intercept / GHZ,
@@ -310,17 +270,12 @@ def cmd_multimode(args) -> int:
         "chi_increment_asymptote_ghz": rep.chi_increment_asymptote / GHZ,
         "degenerate": rep.degenerate,
     }
-    fits_path = args.out + ".fits.json"
-    _write_json(fits_path, fits)
-    _write_manifest(
-        args,
-        [args.out, fits_path],
-        _snapshot(
-            dev,
-            spec,
-            {"nmax_schedule": list(args.nmax_schedule), "format": args.format},
-        ),
-    )
+    snapshot = {
+        **config_snapshot(dev, spec),
+        "nmax_schedule": list(args.nmax_schedule),
+        "format": args.format,
+    }
+    _save(args, text, snapshot, sidecars=((".fits.json", _json_text(fits)),))
     return 0
 
 
@@ -362,28 +317,22 @@ def cmd_parity(args) -> int:
             "even_ghz": (model.center + model.chi_p) / GHZ,
             "odd_ghz": (model.center - model.chi_p) / GHZ,
         }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
+    text = _json_text(payload)
+    print(text, end="")
     if args.out:
-        _write_json(args.out, payload)
-        extra = {
+        _save(args, text, {
+            **config_snapshot(dev, spec1),
             "levels": args.levels,
             "q2.frequency_ghz": spec2.frequency / GHZ,
             "q2.anharmonicity_ghz": spec2.anharmonicity / GHZ,
             "q2.coupling_ghz": (spec2.coupling or 0.0) / GHZ,
-        }
-        _write_manifest(args, [args.out], _snapshot(dev, spec1, extra))
+        })
     return 0
 
 
 def cmd_wedge(args) -> int:
     geom = WedgeGeometry(angle=args.angle_rad)
     n_modes = args.modes
-    worst = 0.0
-    for n in range(1, n_modes + 1):
-        for m in range(1, n_modes + 1):
-            ref = geom.angle / 2.0 if n == m else 0.0
-            worst = max(worst, abs(sine_mode_overlap(n, m, geom) - ref))
     wall = {str(n): list(derivative_wall_values(n, geom)) for n in range(1, n_modes + 1)}
     payload = {
         "angle_rad": geom.angle,
@@ -391,14 +340,13 @@ def cmd_wedge(args) -> int:
         "laplacian_eigenvalues": [
             laplacian_eigenvalue(n, geom) for n in range(1, n_modes + 1)
         ],
-        "orthogonality_max_error": worst,
+        "orthogonality_max_error": orthogonality_error(geom, n_modes),
         "wall_derivative_values": wall,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
+    text = _json_text(payload)
+    print(text, end="")
     if args.out:
-        _write_json(args.out, payload)
-        _write_manifest(args, [args.out], {"angle_rad": geom.angle, "modes": n_modes})
+        _save(args, text, {"angle_rad": geom.angle, "modes": n_modes})
     return 0
 
 

@@ -22,14 +22,5 @@ class PoleCollisionError(SolverError):
     """A boundary pole sits too close to a Dirichlet pole of the line."""
 
 
-class InterlacingError(SolverError):
-    """An inter-pole interval did not contain exactly one eigenvalue."""
-
-    def __init__(self, message, interval=None, count=None):
-        super().__init__(message)
-        self.interval = interval
-        self.count = count
-
-
 class LabelingError(RuntimeError):
     """Adiabatic labeling of dressed states is ambiguous (overlap below 1/2)."""

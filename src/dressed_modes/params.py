@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 from .errors import ConfigError
 
@@ -83,13 +83,12 @@ class TransmonSpec:
     coupling: float | None = None
     charge_element: float | None = None
     junction_capacitance: float | None = None
-    junction_inductance: float | None = None
 
     def __post_init__(self):
         if self.state not in ("g", "e"):
             raise ValueError("state must be 'g' or 'e'")
         for name in ("frequency", "anharmonicity", "coupling", "charge_element",
-                     "junction_capacitance", "junction_inductance"):
+                     "junction_capacitance"):
             value = getattr(self, name)
             if value is not None and not _finite(value):
                 raise ValueError(f"{name} must be a finite number")
@@ -106,10 +105,8 @@ class TransmonSpec:
             raise ValueError("coupling must be nonnegative")
         if self.charge_element is not None and self.charge_element < 0.0:
             raise ValueError("charge_element must be nonnegative")
-        for name in ("junction_capacitance", "junction_inductance"):
-            val = getattr(self, name)
-            if val is not None and val <= 0.0:
-                raise ValueError(f"{name} must be positive when given")
+        if self.junction_capacitance is not None and self.junction_capacitance <= 0.0:
+            raise ValueError("junction_capacitance must be positive when given")
 
     @property
     def ef_frequency(self) -> float:
@@ -117,17 +114,22 @@ class TransmonSpec:
         return self.frequency + self.anharmonicity
 
 
-_RESONATOR_KEYS = {
-    "resonator.length_m": "length",
-    "resonator.phase_velocity_m_s": "phase_velocity",
-    "resonator.impedance_ohm": "impedance",
+# The device-file format: key -> (record, field, unit). A number in the file
+# times its unit is the field value; unit None marks the one text key. A key
+# is required when its field has no default in DeviceParams / TransmonSpec.
+CONFIG_KEYS = {
+    "resonator.length_m": ("dev", "length", 1.0),
+    "resonator.phase_velocity_m_s": ("dev", "phase_velocity", 1.0),
+    "resonator.impedance_ohm": ("dev", "impedance", 1.0),
+    "qubit.frequency_ghz": ("spec", "frequency", GHZ),
+    "qubit.anharmonicity_ghz": ("spec", "anharmonicity", GHZ),
+    "qubit.state": ("spec", "state", None),
+    "qubit.coupling_ghz": ("spec", "coupling", GHZ),
+    "qubit.charge_element_C": ("spec", "charge_element", 1.0),
+    "qubit.cj_f": ("spec", "junction_capacitance", 1.0),
 }
 
-_QUBIT_FREQ_KEYS = {
-    "qubit.frequency_ghz": "frequency",
-    "qubit.anharmonicity_ghz": "anharmonicity",
-    "qubit.coupling_ghz": "coupling",
-}
+_RECORDS = {"dev": DeviceParams, "spec": TransmonSpec}
 
 
 def _parse_flat_text(text: str) -> dict:
@@ -143,22 +145,20 @@ def _parse_flat_text(text: str) -> dict:
     return data
 
 
-def _coerce(value):
-    if isinstance(value, bool):
-        return value    # not a number, though Python counts it as 0/1
-    if isinstance(value, (int, float)):
-        return float(value)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return value
+def _number(key: str, value) -> float:
+    if not isinstance(value, bool):     # Python counts a bool as 0/1
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{key} must be a number")
 
 
-def load_config(path) -> tuple[DeviceParams, TransmonSpec, dict]:
+def load_config(path) -> tuple[DeviceParams, TransmonSpec]:
     """Parse a device config (flat key=value text, or a flat JSON object).
 
-    Returns (DeviceParams, TransmonSpec, options) where options holds any
-    keys the loader did not consume, values coerced to float when possible.
+    Every key must be one of CONFIG_KEYS; any other key is a ConfigError.
+    Returns (DeviceParams, TransmonSpec).
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -174,50 +174,36 @@ def load_config(path) -> tuple[DeviceParams, TransmonSpec, dict]:
     else:
         data = _parse_flat_text(text)
 
-    def take(key, required=True):
+    unknown = [key for key in data if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown key: {', '.join(unknown)}")
+    kwargs = {record: {} for record in _RECORDS}
+    for key, (record, name, unit) in CONFIG_KEYS.items():
         if key not in data:
-            if required:
+            if _RECORDS[record].__dataclass_fields__[name].default is MISSING:
                 raise ConfigError(f"missing key: {key}")
-            return None
-        return data.pop(key)
-
-    res_kwargs = {}
-    for key, field in _RESONATOR_KEYS.items():
-        res_kwargs[field] = _coerce(take(key))
-        if not isinstance(res_kwargs[field], float):
-            raise ConfigError(f"{key} must be a number")
-
-    freq = _coerce(take("qubit.frequency_ghz"))
-    alpha = _coerce(take("qubit.anharmonicity_ghz"))
-    state = take("qubit.state")
-    coupling = _coerce(take("qubit.coupling_ghz", required=False))
-    charge = _coerce(take("qubit.charge_element_C", required=False))
-    cj = _coerce(take("qubit.cj_f", required=False))
-    lj = _coerce(take("qubit.lj_h", required=False))
-
-    for name, val in (
-        ("qubit.frequency_ghz", freq), ("qubit.anharmonicity_ghz", alpha),
-        ("qubit.coupling_ghz", coupling), ("qubit.charge_element_C", charge),
-        ("qubit.cj_f", cj), ("qubit.lj_h", lj),
-    ):
-        if val is not None and not isinstance(val, float):
-            raise ConfigError(f"{name} must be a number")
-    if not isinstance(state, str):
-        raise ConfigError("qubit.state must be 'g' or 'e'")
-
+        elif unit is None:
+            if not isinstance(data[key], str):
+                raise ConfigError(f"{key} must be text")
+            kwargs[record][name] = data[key].strip()
+        else:
+            kwargs[record][name] = _number(key, data[key]) * unit
     try:
-        dev = DeviceParams(**res_kwargs)
-        spec = TransmonSpec(
-            state=state.strip(),
-            frequency=freq * GHZ,
-            anharmonicity=alpha * GHZ,
-            coupling=None if coupling is None else coupling * GHZ,
-            charge_element=charge,
-            junction_capacitance=cj,
-            junction_inductance=lj,
-        )
+        return DeviceParams(**kwargs["dev"]), TransmonSpec(**kwargs["spec"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    options = {k: _coerce(v) for k, v in data.items()}
-    return dev, spec, options
+
+def config_snapshot(dev: DeviceParams, spec: TransmonSpec) -> dict:
+    """The device-file keys of dev and spec, values in file units.
+
+    Optional fields left unset are omitted, so the snapshot is itself a
+    valid config.
+    """
+    records = {"dev": dev, "spec": spec}
+    snap = {}
+    for key, (record, name, unit) in CONFIG_KEYS.items():
+        value = getattr(records[record], name)
+        if value is not None:
+            snap[key] = value if unit is None else value / unit
+    return snap

@@ -275,9 +275,10 @@ def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> Dresse
     (RationalBoundary or FullSusceptanceBoundary). Every interval is solved
     on its cleared function c*H, its root count certified by a slope bound
     (module docstring). Raises PoleCollisionError when a boundary pole sits
-    within 1e-6 relative of a Dirichlet pole, and SolverError when no count
-    can be certified (two roots too close to tell apart, or H turning within
-    the residual tolerance of zero) or a root's cleared residual is too large.
+    within 1e-6 relative of a Dirichlet pole, and SolverError when a boundary
+    pole sits exactly at lam_max, when no count can be certified (two roots
+    too close to tell apart, or H turning within the residual tolerance of
+    zero) or a root's cleared residual is too large.
     """
     length = line.length
     if lam_max is None:
@@ -289,7 +290,12 @@ def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> Dresse
     dirichlet = [p for p in line.poles(count) if p < lam_max]
     markers = [PolePoint(p, "dirichlet", f"k={k}") for k, p in enumerate(dirichlet, 1)]
     for p in b.poles:
-        if p.location >= lam_max:
+        if p.location == lam_max:
+            # not a marker, so c*H would divide by lam_k - lam = 0 at the end
+            raise SolverError(
+                f"boundary pole {p.label or p.location} sits exactly at lam_max={lam_max}"
+            )
+        if p.location > lam_max:
             continue
         for d in dirichlet:
             if abs(p.location - d) < DIRICHLET_COLLISION_REL * d:

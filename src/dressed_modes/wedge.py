@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,9 @@ def sine_mode_overlap(n: int, m: int, geom: WedgeGeometry, panels: int = 10_000)
     """Quadrature of sin(mu_n phi) sin(mu_m phi) over (0, Phi).
 
     Composite Simpson on `panels` panels; equals (Phi/2) delta_nm exactly.
+    Each panel is weighted by its own two grid steps h0, h1 (equal up to the
+    rounding of the grid), (h0 + h1)/6 * (y0 (2 - h1/h0) + y1 (h0 + h1)^2/(h0 h1)
+    + y2 (2 - h0/h1)), which is 1, 4, 1 times h/3 when they are equal.
     """
     _check_index(n)
     _check_index(m)
@@ -63,4 +65,23 @@ def sine_mode_overlap(n: int, m: int, geom: WedgeGeometry, panels: int = 10_000)
     y = np.sin(azimuthal_wavenumber(n, geom) * phi) * np.sin(
         azimuthal_wavenumber(m, geom) * phi
     )
-    return float(simpson(y, x=phi))
+    h = np.diff(phi)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    weighted = hsum / 6.0 * (
+        y[:-2:2] * (2.0 - 1.0 / ratio)
+        + y[1::2] * (hsum * (hsum / (h0 * h1)))
+        + y[2::2] * (2.0 - ratio)
+    )
+    return float(np.sum(weighted))
+
+
+def orthogonality_error(geom: WedgeGeometry, modes: int) -> float:
+    """Largest |overlap(n, m) - (Phi/2) delta_nm| over 1 <= n, m <= modes."""
+    worst = 0.0
+    for n in range(1, modes + 1):
+        for m in range(1, modes + 1):
+            ref = geom.angle / 2.0 if n == m else 0.0
+            worst = max(worst, abs(sine_mode_overlap(n, m, geom) - ref))
+    return worst

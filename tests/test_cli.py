@@ -136,6 +136,198 @@ def test_sample_device_chi_csv_bytes_are_pinned(capsys):
     )
 
 
+# Reference manifests of every file-writing subcommand on the sample device,
+# with the --out path written as OUT: the config echo and the output list
+# must not change when the device-file schema or the writers are reworked.
+PINNED_MANIFESTS = {
+    "spectrum": (
+        ["spectrum", "--config", SAMPLE_CFG, "--state", "e", "--levels", "3"],
+        """\
+{
+  "config": {
+    "levels": 3,
+    "qubit.anharmonicity_ghz": -0.25,
+    "qubit.coupling_ghz": 0.1,
+    "qubit.frequency_ghz": 9.0,
+    "qubit.state": "e",
+    "resonator.impedance_ohm": 50.0,
+    "resonator.length_m": 0.003,
+    "resonator.phase_velocity_m_s": 120000000.0
+  },
+  "outputs": [
+    "OUT"
+  ],
+  "seed": 0,
+  "subcommand": "spectrum",
+  "version": "0.1.0"
+}
+""",
+    ),
+    "sweep": (
+        ["sweep", "--config", SAMPLE_CFG, "--omega-q-ghz", "9.5:10.5:5", "--json"],
+        """\
+{
+  "config": {
+    "format": "json",
+    "levels": 2,
+    "qubit.anharmonicity_ghz": -0.25,
+    "qubit.coupling_ghz": 0.1,
+    "qubit.frequency_ghz": 9.0,
+    "qubit.state": "g",
+    "resonator.impedance_ohm": 50.0,
+    "resonator.length_m": 0.003,
+    "resonator.phase_velocity_m_s": 120000000.0,
+    "sweep.omega_q_ghz": [
+      9.5,
+      10.5,
+      5
+    ]
+  },
+  "outputs": [
+    "OUT"
+  ],
+  "seed": 0,
+  "subcommand": "sweep",
+  "version": "0.1.0"
+}
+""",
+    ),
+    "chi": (
+        ["chi", "--config", SAMPLE_CFG, "--csv"],
+        """\
+{
+  "config": {
+    "format": "csv",
+    "levels": 3,
+    "qubit.anharmonicity_ghz": -0.25,
+    "qubit.coupling_ghz": 0.1,
+    "qubit.frequency_ghz": 9.0,
+    "qubit.state": "g",
+    "resonator.impedance_ohm": 50.0,
+    "resonator.length_m": 0.003,
+    "resonator.phase_velocity_m_s": 120000000.0
+  },
+  "outputs": [
+    "OUT"
+  ],
+  "seed": 0,
+  "subcommand": "chi",
+  "version": "0.1.0"
+}
+""",
+    ),
+    "rabi": (
+        ["rabi", "--config", SAMPLE_CFG, "--omega-q-ghz", "9.5:10.5:5", "--method", "jc"],
+        """\
+{
+  "config": {
+    "format": "csv",
+    "method": "jc",
+    "qubit.anharmonicity_ghz": -0.25,
+    "qubit.coupling_ghz": 0.1,
+    "qubit.frequency_ghz": 9.0,
+    "qubit.state": "g",
+    "resonator.impedance_ohm": 50.0,
+    "resonator.length_m": 0.003,
+    "resonator.phase_velocity_m_s": 120000000.0,
+    "sweep.omega_q_ghz": [
+      9.5,
+      10.5,
+      5
+    ]
+  },
+  "outputs": [
+    "OUT"
+  ],
+  "seed": 0,
+  "subcommand": "rabi",
+  "version": "0.1.0"
+}
+""",
+    ),
+    "multimode": (
+        ["multimode", "--config", SAMPLE_CFG, "--nmax-schedule", "10,20"],
+        """\
+{
+  "config": {
+    "format": "csv",
+    "nmax_schedule": [
+      10,
+      20
+    ],
+    "qubit.anharmonicity_ghz": -0.25,
+    "qubit.coupling_ghz": 0.1,
+    "qubit.frequency_ghz": 9.0,
+    "qubit.state": "g",
+    "resonator.impedance_ohm": 50.0,
+    "resonator.length_m": 0.003,
+    "resonator.phase_velocity_m_s": 120000000.0
+  },
+  "outputs": [
+    "OUT",
+    "OUT.fits.json"
+  ],
+  "seed": 0,
+  "subcommand": "multimode",
+  "version": "0.1.0"
+}
+""",
+    ),
+    "parity": (
+        ["parity", "--config", SAMPLE_CFG, "--q2-frequency-ghz", "8.6"],
+        """\
+{
+  "config": {
+    "levels": 3,
+    "q2.anharmonicity_ghz": -0.25,
+    "q2.coupling_ghz": 0.1,
+    "q2.frequency_ghz": 8.6,
+    "qubit.anharmonicity_ghz": -0.25,
+    "qubit.coupling_ghz": 0.1,
+    "qubit.frequency_ghz": 9.0,
+    "qubit.state": "g",
+    "resonator.impedance_ohm": 50.0,
+    "resonator.length_m": 0.003,
+    "resonator.phase_velocity_m_s": 120000000.0
+  },
+  "outputs": [
+    "OUT"
+  ],
+  "seed": 0,
+  "subcommand": "parity",
+  "version": "0.1.0"
+}
+""",
+    ),
+    "wedge": (
+        ["wedge", "--angle-rad", "1.3", "--modes", "5"],
+        """\
+{
+  "config": {
+    "angle_rad": 1.3,
+    "modes": 5
+  },
+  "outputs": [
+    "OUT"
+  ],
+  "seed": 0,
+  "subcommand": "wedge",
+  "version": "0.1.0"
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_MANIFESTS))
+def test_sample_device_manifest_bytes_are_pinned(key, tmp_path):
+    args, expected = PINNED_MANIFESTS[key]
+    out = str(tmp_path / "out")
+    assert main([*args, "--out", out]) == 0
+    text = open(out + ".manifest.json", encoding="utf-8").read()
+    assert text.replace(out, "OUT") == expected
+
+
 def test_sweep_json_format(cfg, tmp_path):
     out = str(tmp_path / "sweep.json")
     args = ["sweep", "--config", cfg, "--out", out, "--omega-q-ghz", "9.9:10.1:3",
@@ -302,6 +494,26 @@ def test_boolean_json_config_value_exits_3(tmp_path, key):
     path = tmp_path / "device.json"
     path.write_text(json.dumps(data))
     assert main(["chi", "--config", str(path)]) == 3
+
+
+@pytest.mark.parametrize("suffix", [".cfg", ".json"])
+@pytest.mark.parametrize("key", ["qubit.cj_F", "qubit.lj_h"])
+def test_unknown_config_key_exits_3_and_names_it(tmp_path, capsys, suffix, key):
+    path = tmp_path / f"device{suffix}"
+    if suffix == ".json":
+        data = dict(line.split(" = ") for line in CFG.splitlines())
+        path.write_text(json.dumps({**data, key: 5e-15}))
+    else:
+        path.write_text(CFG + f"{key} = 5e-15\n")
+    assert main(["chi", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == f"config error: unknown key: {key}\n"
+
+
+def test_junction_capacitance_key_still_runs(tmp_path, capsys):
+    path = tmp_path / "device.cfg"
+    path.write_text(CFG + "qubit.cj_f = 5e-15\n")
+    assert main(["chi", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["delta_omega_g_mhz"] > 100.0
 
 
 def test_usage_errors_exit_2(cfg):

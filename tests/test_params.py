@@ -8,10 +8,12 @@ from dressed_modes import (
     ConfigError,
     DeviceParams,
     TransmonSpec,
+    config_snapshot,
     lambda_to_omega,
     load_config,
     omega_to_lambda,
 )
+from dressed_modes.params import _parse_flat_text
 
 DEV = DeviceParams(length=3e-3, phase_velocity=1.2e8, impedance=50.0)
 
@@ -81,21 +83,18 @@ qubit.frequency_ghz = 9.0   # trailing comment
 qubit.anharmonicity_ghz = -0.25
 qubit.state = g
 qubit.coupling_ghz = 0.1
-solver.extra_knob = 7
 """
 
 
 def test_load_config_text(tmp_path):
     path = tmp_path / "dev.cfg"
     path.write_text(CFG_TEXT, encoding="utf-8")
-    dev, spec, options = load_config(path)
+    dev, spec = load_config(path)
     assert dev.length == 3e-3
     assert spec.frequency == pytest.approx(9.0 * GHZ, rel=1e-15)
     assert spec.anharmonicity == pytest.approx(-0.25 * GHZ, rel=1e-15)
     assert spec.coupling == pytest.approx(0.1 * GHZ, rel=1e-15)
     assert spec.state == "g"
-    # unconsumed keys are kept, coerced to float
-    assert options == {"solver.extra_knob": 7.0}
 
 
 def test_load_config_json(tmp_path):
@@ -110,11 +109,10 @@ def test_load_config_json(tmp_path):
     }
     path = tmp_path / "dev.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    dev, spec, options = load_config(path)
+    dev, spec = load_config(path)
     assert spec.state == "e"
     assert spec.coupling is None
     assert spec.charge_element == 2.5e-19
-    assert options == {}
 
 
 def test_load_config_missing_key(tmp_path):
@@ -143,3 +141,43 @@ def test_load_config_invalid_values_wrapped(tmp_path):
     path.write_text(CFG_TEXT.replace("-0.25", "0.25"), encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("suffix", [".cfg", ".json"])
+@pytest.mark.parametrize("extra", ["qubit.cj_F = 5e-15", "qubit.lj_h = 1e-8", "solver.knob = 7"])
+def test_load_config_rejects_unknown_keys(tmp_path, suffix, extra):
+    text = CFG_TEXT + extra + "\n"
+    path = tmp_path / f"dev{suffix}"
+    if suffix == ".json":   # the same keys, every value a JSON string
+        text = json.dumps(_parse_flat_text(text))
+    path.write_text(text, encoding="utf-8")
+    key = extra.partition(" =")[0]
+    with pytest.raises(ConfigError, match=f"unknown key: {key}$"):
+        load_config(path)
+
+
+CJ_CFG_TEXT = """\
+resonator.length_m = 4.1e-3
+resonator.phase_velocity_m_s = 1.17e8
+resonator.impedance_ohm = 47.3
+qubit.frequency_ghz = 6.3
+qubit.anharmonicity_ghz = -0.21
+qubit.state = e
+qubit.charge_element_C = 2.5e-19
+qubit.cj_f = 5e-15
+"""
+
+
+@pytest.mark.parametrize("text", [CFG_TEXT, CJ_CFG_TEXT], ids=["coupling", "charge-cj"])
+@pytest.mark.parametrize("suffix", [".cfg", ".json"])
+def test_config_snapshot_round_trips(tmp_path, text, suffix):
+    path = tmp_path / "dev.cfg"
+    path.write_text(text, encoding="utf-8")
+    dev, spec = load_config(path)
+    snap = config_snapshot(dev, spec)
+    again = tmp_path / f"again{suffix}"
+    if suffix == ".json":
+        again.write_text(json.dumps(snap), encoding="utf-8")
+    else:
+        again.write_text("".join(f"{k} = {v}\n" for k, v in snap.items()), encoding="utf-8")
+    assert load_config(again) == (dev, spec)

@@ -173,6 +173,17 @@ def test_collision_precondition():
         solve_spectrum(LINE, bnd)
 
 
+def test_boundary_pole_exactly_at_lam_max_is_a_solver_error():
+    lam_max = LINE.default_lam_max()
+    bnd = RationalBoundary(poles=(BoundaryPole(lam_max, 1e3),))
+    with pytest.raises(SolverError, match="lam_max"):
+        solve_spectrum(LINE, bnd)
+    # a hair to either side, the pole is an ordinary marker or out of range
+    for rel in (1.0 - 1e-12, 1.0 + 1e-12):
+        bnd = RationalBoundary(poles=(BoundaryPole(lam_max * rel, 1e3),))
+        assert solve_spectrum(LINE, bnd).records
+
+
 def test_margin_scales_with_coupling_squared():
     margins = {}
     for g in (0.05 * GHZ, 0.1 * GHZ):
