@@ -67,6 +67,26 @@ def _grid(text: str) -> list[float]:
     return vals
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
@@ -434,15 +454,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parity", help="two-qubit readout map and QND checks")
     add_common(p)
     p.add_argument("--levels", type=int, choices=(2, 3), default=3)
-    p.add_argument("--q2-frequency-ghz", type=float, default=None)
-    p.add_argument("--q2-anharmonicity-ghz", type=float, default=None)
-    p.add_argument("--q2-coupling-ghz", type=float, default=None)
-    p.add_argument("--chi-p-mhz", type=float, default=None)
+    p.add_argument("--q2-frequency-ghz", type=_finite_float, default=None)
+    p.add_argument("--q2-anharmonicity-ghz", type=_finite_float, default=None)
+    p.add_argument("--q2-coupling-ghz", type=_finite_float, default=None)
+    p.add_argument("--chi-p-mhz", type=_finite_float, default=None)
     p.set_defaults(func=cmd_parity)
 
     p = sub.add_parser("wedge", help="azimuthal modes of a wedge domain")
-    p.add_argument("--angle-rad", type=float, default=math.pi / 2.0)
-    p.add_argument("--modes", type=int, default=4)
+    p.add_argument("--angle-rad", type=_finite_float, default=math.pi / 2.0)
+    p.add_argument("--modes", type=_positive_int, default=4)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_wedge)

@@ -78,7 +78,8 @@ def pulled_frequencies(
 
     A joint state names one state per qubit in `specs`, e.g. "e" for one
     qubit or "ge" for two. The qubits' boundary terms are summed and the
-    full boundary-value problem is solved once per joint state.
+    full boundary-value problem is solved once per joint state, refining
+    only the roots next to the fundamental.
     """
     line = ShortedLine(dev.length)
     v = dev.phase_velocity
@@ -89,7 +90,7 @@ def pulled_frequencies(
             transmon_boundary(replace(spec, state=state), dev, levels=levels)
             for spec, state in zip(specs, joint)
         ))
-        sp = solve_spectrum(line, bnd, lam_max)
+        sp = solve_spectrum(line, bnd, lam_max, near=lam_ref)
         pulled[joint] = lambda_to_omega(sp.nearest_eigenvalue(lam_ref), v)
     return pulled
 

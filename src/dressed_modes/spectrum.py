@@ -20,8 +20,14 @@ lower H', so beta - L/3 + sum over emission poles (delta_k < 0) of
 and beta < L/3 (a ground-state transmon) that settles each interval whole:
 one root between two poles, and one in an edge interval iff
 H(0) = 1/L - F(0) > 0, resp. H(lam_max) <= 0. The sharper bound of
-_slope_bounds serves the rest. Each root is refined by Brent's method on c*H
-and checked by the residual test of solve_spectrum.
+_slope_bounds serves the rest.
+
+Refinement. Isolation runs on every interval, so the counts, the
+interlacing flags and every SolverError of isolation describe the whole
+spectrum. Brent's method on c*H then refines the brackets a caller reads,
+each root checked by the residual test: all of them by default, or, given
+`near`, the largest root <= near and the smallest >= near, at most two
+Brent runs. A root's record does not depend on which others are refined.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ from dataclasses import dataclass, replace
 
 from .boundary import transmon_boundary
 from .errors import PoleCollisionError, SolverError
-from .params import DeviceParams, TransmonSpec, lambda_to_omega
+from .params import DeviceParams, TransmonSpec, lambda_to_omega, omega_to_lambda
 from .resonator import XI_POLE_GUARD, ShortedLine, line_log_deriv
 
 RESIDUAL_REL = 1e-8          # threshold on |c*H| over max(|G|, |F|, 1/L)
@@ -56,12 +62,18 @@ class EigenvalueRecord:
 
 @dataclass(frozen=True)
 class DressedSpectrum:
+    """Roots of one solve. partition, intervals, counts and interlacing
+    always cover the whole domain. records holds every root when near is
+    None, else only the roots next to near (solve_spectrum), and then only
+    questions about near itself can be answered from it."""
+
     records: tuple[EigenvalueRecord, ...]
     partition: tuple[PolePoint, ...]
     intervals: tuple[tuple[float, float], ...]
     counts: tuple[int, ...]
     interlacing: tuple[bool | None, ...]   # None on the two edge intervals
     lam_max: float
+    near: float | None = None
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -70,7 +82,14 @@ class DressedSpectrum:
     def frequencies(self, v: float) -> tuple[float, ...]:
         return tuple(lambda_to_omega(r.lam, v) for r in self.records)
 
+    def _check_reads(self, lam: float):
+        """ValueError unless the records answer questions about lam: a
+        partial spectrum holds only the roots next to near."""
+        if self.near is not None and lam != self.near:
+            raise ValueError(f"spectrum refined near lam={self.near} read at lam={lam}")
+
     def nearest_eigenvalue(self, lam: float) -> float:
+        self._check_reads(lam)
         if not self.records:
             raise SolverError("spectrum is empty")
         return min(self.records, key=lambda r: abs(r.lam - lam)).lam
@@ -268,17 +287,60 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
     return brackets
 
 
-def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> DressedSpectrum:
-    """All dressed eigenvalues on (0, lam_max].
+def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> EigenvalueRecord:
+    """Brent's root of c*H on the bracket [a, z], checked by the residual test."""
+    root, iters = _brent(ch, a, z, fa, fz)
+    # |c*H| against the scale of the raw sides, max(|G|, |F|, 1/L): next
+    # to a pole the raw |H| at the float nearest the root can exceed it.
+    # A root closer to its pole than one ulp rounds onto it (c = 0);
+    # Brent's bracket already pins it to rounding.
+    g_side, f_side, c = ch(root, parts=True)
+    residual = abs(g_side - f_side)
+    scale = max(abs(g_side), abs(f_side), c / length) / c if c else math.inf
+    if residual > RESIDUAL_REL * scale:
+        raise SolverError(
+            f"root at lam={root} cleared residual {residual:.3e} exceeds "
+            f"{RESIDUAL_REL} of scale {scale:.3e}"
+        )
+    return EigenvalueRecord(root, (a, z), residual, iters)
+
+
+def _refine_near(brackets, near: float, length: float) -> list[EigenvalueRecord]:
+    """Records of the largest root <= near and the smallest >= near.
+
+    brackets run left to right, (c*H, x0, x1, c*H(x0), c*H(x1)) each, and a
+    bracket's root lies in [x0, x1]. Bracket k, the first whose right end
+    reaches near (else the last), holds one of the two: every root before
+    it lies below near and every root after it above. The other is root
+    k-1 or k+1, on the side of near that root k leaves open, if any.
+    """
+    if not brackets:
+        return []
+    k = next((i for i, br in enumerate(brackets) if br[2] >= near), len(brackets) - 1)
+    root = _refine(*brackets[k], length)
+    j = k + 1 if root.lam < near else k - 1 if root.lam > near else k
+    if j == k or not 0 <= j < len(brackets):
+        return [root]
+    other = _refine(*brackets[j], length)
+    return [other, root] if j < k else [root, other]
+
+
+def solve_spectrum(
+    line: ShortedLine, b, lam_max: float | None = None, near: float | None = None
+) -> DressedSpectrum:
+    """Dressed eigenvalues on (0, lam_max]: all of them, or with `near` the
+    largest one <= near and the smallest >= near.
 
     `b` is read through its rational form only: poles, beta and gamma
     (RationalBoundary or FullSusceptanceBoundary). Every interval is solved
     on its cleared function c*H, its root count certified by a slope bound
-    (module docstring). Raises PoleCollisionError when a boundary pole sits
-    within 1e-6 relative of a Dirichlet pole, and SolverError when a boundary
-    pole sits exactly at lam_max, when no count can be certified (two roots
-    too close to tell apart, or H turning within the residual tolerance of
-    zero) or a root's cleared residual is too large.
+    (module docstring), whatever `near` is; `near` only selects the roots
+    Brent's method refines, and each refined root is bit-identical to the
+    full solve's. Raises PoleCollisionError when a boundary pole sits within
+    1e-6 relative of a Dirichlet pole, and SolverError when a boundary pole
+    sits exactly at lam_max, when no count can be certified (two roots too
+    close to tell apart, or H turning within the residual tolerance of
+    zero) or a refined root's cleared residual is too large.
     """
     length = line.length
     if lam_max is None:
@@ -308,31 +370,21 @@ def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> Dresse
 
     bounds = _slope_bounds(line, b)
     ends = [None, *markers, None]
-    records, counts, flags = [], [], []
+    brackets, counts, flags = [], [], []
     lobe = 0
     for lo, hi in zip(ends, ends[1:]):
         if lo is not None and lo.kind == "dirichlet":
             lobe += 1
         ch = _cleared_secular(line, b, lo, hi, lobe)
-        brackets = _isolate(ch, lo, hi, lam_max, bounds, lobe, length)
-        for a, z, fa, fz in brackets:
-            root, iters = _brent(ch, a, z, fa, fz)
-            # |c*H| against the scale of the raw sides, max(|G|, |F|, 1/L): next
-            # to a pole the raw |H| at the float nearest the root can exceed it.
-            # A root closer to its pole than one ulp rounds onto it (c = 0);
-            # Brent's bracket already pins it to rounding.
-            g_side, f_side, c = ch(root, parts=True)
-            residual = abs(g_side - f_side)
-            scale = max(abs(g_side), abs(f_side), c / length) / c if c else math.inf
-            if residual > RESIDUAL_REL * scale:
-                raise SolverError(
-                    f"root at lam={root} cleared residual {residual:.3e} exceeds "
-                    f"{RESIDUAL_REL} of scale {scale:.3e}"
-                )
-            records.append(EigenvalueRecord(root, (a, z), residual, iters))
-        counts.append(len(brackets))
-        flags.append(len(brackets) == 1 if lo is not None and hi is not None else None)
+        found = _isolate(ch, lo, hi, lam_max, bounds, lobe, length)
+        brackets += [(ch, *br) for br in found]
+        counts.append(len(found))
+        flags.append(len(found) == 1 if lo is not None and hi is not None else None)
 
+    if near is None:
+        records = [_refine(*br, length) for br in brackets]
+    else:
+        records = _refine_near(brackets, near, length)
     for r1, r2 in zip(records, records[1:]):
         if not r1.lam < r2.lam:
             raise SolverError("eigenvalues not strictly increasing")
@@ -345,11 +397,15 @@ def solve_spectrum(line: ShortedLine, b, lam_max: float | None = None) -> Dresse
         counts=tuple(counts),
         interlacing=tuple(flags),
         lam_max=lam_max,
+        near=near,
     )
 
 
 def pole_margin(spectrum: DressedSpectrum) -> float:
-    """Minimum relative distance from any eigenvalue to any boundary pole."""
+    """Minimum relative distance from any eigenvalue to any boundary pole.
+    Reads every root, so a spectrum solved with `near` is a ValueError."""
+    if spectrum.near is not None:
+        raise ValueError("pole_margin reads every root; solve without near")
     bpoles = [m.location for m in spectrum.partition if m.kind == "boundary"]
     if not bpoles or not spectrum.records:
         return math.inf
@@ -358,16 +414,16 @@ def pole_margin(spectrum: DressedSpectrum) -> float:
     )
 
 
-def _fundamental_pair(sp: DressedSpectrum, dev: DeviceParams) -> tuple[float, float]:
-    """The dressed frequencies nearest the bare fundamental, one at or below
-    it and one at or above; SolverError when either is missing."""
-    omega_ref = dev.fundamental_frequency
-    freqs = sp.frequencies(dev.phase_velocity)
-    lower = max((f for f in freqs if f <= omega_ref), default=None)
-    upper = min((f for f in freqs if f >= omega_ref), default=None)
+def _fundamental_pair(sp: DressedSpectrum, lam_ref: float, v: float) -> tuple[float, float]:
+    """The dressed frequencies of the roots nearest lam_ref, the bare
+    fundamental, one at or below it and one at or above; SolverError when
+    either is missing."""
+    sp._check_reads(lam_ref)
+    lower = max((x for x in sp.eigenvalues if x <= lam_ref), default=None)
+    upper = min((x for x in sp.eigenvalues if x >= lam_ref), default=None)
     if lower is None or upper is None:
         raise SolverError("no dressed pair brackets the fundamental")
-    return lower, upper
+    return lambda_to_omega(lower, v), lambda_to_omega(upper, v)
 
 
 @dataclass(frozen=True)
@@ -401,15 +457,18 @@ def qubit_frequency_sweep(
 
     Poles and residues move with omega_q; the coupling is held fixed. At each
     grid point the two dressed frequencies nearest the bare fundamental (one
-    at or below, one at or above) are recorded.
+    at or below, one at or above) are recorded; only those two roots are
+    refined.
     """
     line = ShortedLine(dev.length)
+    v = dev.phase_velocity
+    lam_ref = omega_to_lambda(dev.fundamental_frequency, v)
 
     def solve_one(omega_q):
         bnd = transmon_boundary(replace(spec, frequency=omega_q), dev, levels)
-        sp = solve_spectrum(line, bnd, lam_max)
+        sp = solve_spectrum(line, bnd, lam_max, near=lam_ref)
         try:
-            return _fundamental_pair(sp, dev)
+            return _fundamental_pair(sp, lam_ref, v)
         except SolverError as exc:
             raise SolverError(f"{exc} at omega_q={omega_q}") from None
 
@@ -449,7 +508,7 @@ def vacuum_rabi_gap(
     v = dev.phase_velocity
     predicted = (v * v / spec.frequency) * math.sqrt(2.0 * delta / dev.length)
     sp = solve_spectrum(ShortedLine(dev.length), bnd, lam_max)
-    lower, upper = _fundamental_pair(sp, dev)
+    lower, upper = _fundamental_pair(sp, omega_to_lambda(omega_ref, v), v)
     return RabiSplitting(
         measured=upper - lower,
         predicted=predicted,

@@ -524,6 +524,18 @@ def test_usage_errors_exit_2(cfg):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", cfg, "--omega-q-ghz", grid])
         assert exc.value.code == 2
+    # non-finite numbers and empty mode counts used to exit 0 (writing NaN or
+    # Infinity, which is not JSON, or nothing at all) or 1
+    bad = [["parity", "--config", cfg, opt, value]
+           for opt in ("--chi-p-mhz", "--q2-frequency-ghz", "--q2-anharmonicity-ghz",
+                       "--q2-coupling-ghz")
+           for value in ("nan", "inf", "-inf")]
+    bad += [["wedge", "--angle-rad", value] for value in ("nan", "inf")]
+    bad += [["wedge", "--modes", value] for value in ("0", "-3", "2.5")]
+    for argv in bad:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,8 @@
+import json
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from dressed_modes import (
     transmon_boundary,
     vacuum_rabi_gap,
 )
-from dressed_modes import spectrum
+from dressed_modes import acceptance, cli, dispersive, spectrum
 from dressed_modes.boundary import POLE_GUARD_REL
 from dressed_modes.resonator import line_log_deriv_dlam
 from dressed_modes.spectrum import DIRICHLET_COLLISION_REL
@@ -421,8 +423,9 @@ def test_line_slope_bound_behind_the_certificate():
     assert worst <= -length / 3.0
 
 
-@settings(max_examples=20, deadline=None)
-@given(
+# Random boundaries, residues of either sign, beta up to 2L/3. Locations
+# are in units of the fundamental eigenvalue, strengths in units of lam_1 / L.
+RANDOM_BOUNDARY = dict(
     locations=st.lists(st.floats(0.05, 5.5), min_size=1, max_size=3, unique=True),
     strengths=st.lists(
         st.one_of(st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3)), min_size=3, max_size=3
@@ -430,6 +433,27 @@ def test_line_slope_bound_behind_the_certificate():
     beta_frac=st.one_of(st.floats(0.0, 2.0), st.just(1.0 - 1e-9)),
     gamma=st.floats(0.0, 500.0),
 )
+
+
+def _random_boundary(locations, strengths, beta_frac, gamma):
+    """The RANDOM_BOUNDARY draw as a RationalBoundary, or None for exactly
+    the draws RationalBoundary or solve_spectrum rejects."""
+    length = DEV.length
+    lam_1 = (math.pi / (2.0 * length)) ** 2
+    locs = [x * lam_1 for x in locations]
+    if any(abs(p - d) < DIRICHLET_COLLISION_REL * d for p in locs for d in LINE.poles(6)):
+        return None
+    ordered = sorted(locs)
+    if any(q - p < POLE_GUARD_REL * q for p, q in zip(ordered, ordered[1:])):
+        return None
+    poles = tuple(
+        BoundaryPole(loc, s * lam_1 / length) for loc, s in zip(locs, strengths)
+    )
+    return RationalBoundary(beta=beta_frac * length / 3.0, gamma=gamma, poles=poles)
+
+
+@settings(max_examples=20, deadline=None)
+@given(**RANDOM_BOUNDARY)
 # the root at lam ~ 4.9e-5 lies below the first point of an oracle that
 # stopped short of lam = 0 as if it were a pole
 @example(locations=[1.0], strengths=[1.0] * 3, beta_frac=1 - 1e-9, gamma=5.960464477539063e-08)
@@ -441,30 +465,93 @@ def test_line_slope_bound_behind_the_certificate():
 # two distinct floats closer than RationalBoundary allows: skipped, not an error
 @example(locations=[0.05, 0.05000000000000001], strengths=[1.0] * 3, beta_frac=0.5, gamma=0.0)
 def test_certified_roots_match_oracle(locations, strengths, beta_frac, gamma):
-    """Random boundaries, residues of either sign, beta up to 2L/3.
-
-    Locations are in units of the fundamental eigenvalue, strengths in
-    units of lam_1 / L. With every residue positive and beta < L/3 each
-    interval is settled whole, and every pole-bounded one holds one root.
+    """RANDOM_BOUNDARY draws. With every residue positive and beta < L/3
+    each interval is settled whole, and every pole-bounded one holds one root.
     """
-    length = DEV.length
-    lam_1 = (math.pi / (2.0 * length)) ** 2
-    locs = [x * lam_1 for x in locations]
-    # skip exactly the draws RationalBoundary or solve_spectrum rejects
-    if any(abs(p - d) < DIRICHLET_COLLISION_REL * d for p in locs for d in LINE.poles(6)):
+    bnd = _random_boundary(locations, strengths, beta_frac, gamma)
+    if bnd is None:
         return
-    ordered = sorted(locs)
-    if any(q - p < POLE_GUARD_REL * q for p, q in zip(ordered, ordered[1:])):
-        return
-    poles = tuple(
-        BoundaryPole(loc, s * lam_1 / length) for loc, s in zip(locs, strengths)
-    )
-    bnd = RationalBoundary(beta=beta_frac * length / 3.0, gamma=gamma, poles=poles)
     sp = solve_spectrum(LINE, bnd)
     if bnd.all_positive_residues and beta_frac < 1.0:
         assert all(sp.interlacing[1:-1])
         assert all(r.bracket in sp.intervals for r in sp.records)
-    _assert_matches_oracle(sp, bnd, length)
+    _assert_matches_oracle(sp, bnd, DEV.length)
+
+
+def _bits(record):
+    """An EigenvalueRecord as exact bit patterns."""
+    return (*(x.hex() for x in (record.lam, *record.bracket, record.residual)), record.iterations)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (SolverError, ValueError) as exc:
+        return type(exc)
+
+
+ONE_POLE = dict(locations=[1.0], gamma=0.0, frac=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    **RANDOM_BOUNDARY,
+    frac=st.floats(0.0, 1.0, exclude_min=True),
+    pick=st.one_of(
+        st.none(), st.tuples(st.sampled_from(("left", "right", "root")), st.integers(0, 50))
+    ),
+)
+# near at lam_max, and at a bracket end or a root of a ground-state-like
+# boundary and of one with only emission poles
+@example(**ONE_POLE, strengths=[1.0] * 3, beta_frac=0.5, pick=None)
+@example(**ONE_POLE, strengths=[1.0] * 3, beta_frac=0.5, pick=("left", 0))
+@example(**ONE_POLE, strengths=[-1.0] * 3, beta_frac=1.5, pick=("root", 2))
+@example(**ONE_POLE, strengths=[-1.0] * 3, beta_frac=1.5, pick=("right", 2))
+def test_near_solve_is_a_subset_of_the_full_solve(
+    locations, strengths, beta_frac, gamma, frac, pick
+):
+    """near anywhere in (0, lam_max], or exactly at a bracket end or a root
+    of the full solve: the same certified counts, and bit for bit the full
+    solve's records of the largest root <= near and the smallest >= near."""
+    bnd = _random_boundary(locations, strengths, beta_frac, gamma)
+    if bnd is None:
+        return
+    full = solve_spectrum(LINE, bnd)
+    near = frac * full.lam_max
+    if pick is not None and full.records:
+        where, i = pick
+        rec = full.records[i % len(full.records)]
+        near = {"left": rec.bracket[0], "right": rec.bracket[1], "root": rec.lam}[where]
+        near = max(near, math.ulp(0.0))
+    part = solve_spectrum(LINE, bnd, near=near)
+    for field in ("counts", "interlacing", "partition", "intervals", "lam_max"):
+        assert getattr(part, field) == getattr(full, field)
+    assert part.near == near and full.near is None
+    below = [r for r in full.records if r.lam <= near][-1:]
+    above = [r for r in full.records if r.lam >= near][:1]
+    expected = list(dict.fromkeys(_bits(r) for r in below + above))
+    assert [_bits(r) for r in part.records] == expected
+    assert len(part.records) <= 2
+    v = DEV.phase_velocity
+    assert _outcome(spectrum._fundamental_pair, part, near, v) == _outcome(
+        spectrum._fundamental_pair, full, near, v
+    )
+    assert _outcome(part.nearest_eigenvalue, near) == _outcome(full.nearest_eigenvalue, near)
+
+
+def test_partial_spectrum_answers_only_at_near():
+    bnd = transmon_boundary(QUBIT, DEV)
+    lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
+    full = solve_spectrum(LINE, bnd)
+    part = solve_spectrum(LINE, bnd, near=lam_ref)
+    assert part.nearest_eigenvalue(lam_ref) == full.nearest_eigenvalue(lam_ref)
+    with pytest.raises(ValueError, match="refined near"):
+        part.nearest_eigenvalue(lam_ref * (1.0 + 1e-12))
+    with pytest.raises(ValueError, match="refined near"):
+        spectrum._fundamental_pair(part, 0.5 * lam_ref, DEV.phase_velocity)
+    with pytest.raises(ValueError, match="every root"):
+        pole_margin(part)
 
 
 @pytest.mark.parametrize("beta_frac", [0.5, 1.0, 1.5])
@@ -555,21 +642,25 @@ def _dense_counts(bnd, lam_max, around):
     return tuple(counts)
 
 
-def test_merge_probe_never_returns_a_wrong_count():
-    """Bisect g to g*, where the root pair below the emission pole merges
-    and vanishes (H's minimum there touches zero). At g*(1 +- 10^-k),
-    k = 1..16, every solve either raises SolverError or returns the
-    counts of a dense sign-change scan: none is wrong silently."""
+def _merge_coupling():
+    """g*, where the root pair below the emission pole of _excited merges
+    and vanishes (H's minimum there touches zero), bisected to a float."""
     lo, hi = 0.2456, 0.5        # two roots at lo, none at hi
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            break
+            return lo
         if _pair_minimum(_excited(mid))[1] < 0.0:
             lo = mid
         else:
             hi = mid
-    g_star = lo
+
+
+def test_merge_probe_never_returns_a_wrong_count():
+    """At g*(1 +- 10^-k), k = 1..16, every solve either raises SolverError
+    or returns the counts of a dense sign-change scan: none is wrong
+    silently."""
+    g_star = _merge_coupling()
     assert g_star == pytest.approx(0.2456, rel=1e-3)
     lam_max = LINE.default_lam_max()
     for side, pair in ((1.0, 0), (-1.0, 2)):
@@ -583,3 +674,76 @@ def test_merge_probe_never_returns_a_wrong_count():
             assert counts == _dense_counts(bnd, lam_max, _pair_minimum(bnd)[0]), (side, k)
             if k <= 3:
                 assert counts[0] == pair
+
+
+def test_merge_probe_fails_whatever_near_is():
+    """At g*(1 +- 1e-9) the pair below the emission pole, at lam ~ 2.9e5,
+    cannot be certified: a solve near lam_max or mid-domain, far from that
+    pair, raises SolverError as the full solve does."""
+    g_star = _merge_coupling()
+    lam_max = LINE.default_lam_max()
+    for side in (1.0, -1.0):
+        bnd = _excited(g_star * (1.0 + side * 1e-9))
+        for near in (None, 0.5 * lam_max, lam_max):
+            with pytest.raises(SolverError, match="no certified root count"):
+                solve_spectrum(LINE, bnd, near=near)
+
+
+@pytest.fixture
+def brent_spy(monkeypatch):
+    """Every solve_spectrum call made through the package, as (spectrum,
+    Brent runs it made)."""
+    runs, solves = [0], []
+    brent, solve = spectrum._brent, spectrum.solve_spectrum
+
+    def counted_brent(*args):
+        runs[0] += 1
+        return brent(*args)
+
+    def spied_solve(*args, **kwargs):
+        before = runs[0]
+        sp = solve(*args, **kwargs)
+        solves.append((sp, runs[0] - before))
+        return sp
+
+    monkeypatch.setattr(spectrum, "_brent", counted_brent)
+    for module in (spectrum, dispersive, cli, acceptance):
+        monkeypatch.setattr(module, "solve_spectrum", spied_solve)
+    return solves
+
+
+@pytest.mark.parametrize("state, levels", [("g", 2), ("e", 3)])
+def test_sweep_and_pulls_run_brent_at_most_twice_per_solve(brent_spy, state, levels):
+    spec = replace(QUBIT, state=state)
+    grid = [DEV.fundamental_frequency * x for x in (0.6, 0.8, 1.2, 1.4)]
+    qubit_frequency_sweep(DEV, spec, grid, levels=levels)
+    dispersive.pulled_frequencies(DEV, (QUBIT,), ("g", "e"), levels=levels)
+    assert len(brent_spy) == len(grid) + 2
+    lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
+    for sp, runs in brent_spy:
+        assert sp.near == lam_ref
+        assert runs == len(sp.records) <= 2
+
+
+def _assert_every_bracket_refined(solves):
+    assert solves
+    for sp, runs in solves:
+        assert sp.near is None
+        assert runs == len(sp.records) == sum(sp.counts)
+
+
+def test_spectrum_cli_refines_every_bracket(brent_spy, tmp_path):
+    cfg = str(Path(__file__).resolve().parent.parent / "sample_device.cfg")
+    out = str(tmp_path / "spectrum.json")
+    argv = ["spectrum", "--config", cfg, "--state", "e", "--levels", "3", "--out", out]
+    assert cli.main(argv) == 0
+    _assert_every_bracket_refined(brent_spy)
+    with open(out) as fh:
+        payload = json.load(fh)
+    assert len(payload["brackets"]) == sum(brent_spy[0][0].counts)
+
+
+def test_interlacing_criterion_refines_every_bracket(brent_spy, capsys):
+    assert cli.main(["validate", "--only", "interlacing"]) == 0
+    assert len(brent_spy) == 1000
+    _assert_every_bracket_refined(brent_spy)
