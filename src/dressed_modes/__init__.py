@@ -43,6 +43,7 @@ from .boundary import (
     pole_amplitudes,
     pole_strength_from_charge,
     pole_strength_from_coupling,
+    resolved_coupling,
     sum_boundaries,
     transmon_boundary,
 )
@@ -65,14 +66,10 @@ from .dispersive import (
     dispersive_shift_exact,
     perturbative_mode_shift,
     pulled_frequencies,
-    resolved_coupling,
 )
 from .jc import (
     JCModel,
-    SweepComparison,
-    bare_index,
     build_hamiltonian,
-    compare_sweeps,
     diagonalize,
     dispersive_shift_numeric,
     dressed_energies,

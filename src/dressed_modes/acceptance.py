@@ -58,6 +58,8 @@ STANDARD_QUBIT = TransmonSpec(
 # scale; the softer chi^2-over-detuning bound below has ~6x headroom on
 # the measured deviation at reference parameters (1.35e-4 GHz)
 ADDITIVITY_CONST = 50.0
+INTERLACING_CONFIGS = 1000    # random ground-state devices of the interlacing criterion
+TRIANGLE_DRAWS = 50           # random dispersive devices of the chi triangle
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,12 @@ def _random_ground_config(rng):
     return dev, spec
 
 
-def check_interlacing(seed: int = 0, n_configs: int = 1000) -> CriterionResult:
+def check_interlacing(seed: int = 0) -> CriterionResult:
     """Random ground-state draws: one eigenvalue per pole-bounded interval."""
     rng = np.random.default_rng(seed)
     failures = 0
     solved = 0
-    for _ in range(n_configs):
+    for _ in range(INTERLACING_CONFIGS):
         dev, spec = _random_ground_config(rng)
         line = ShortedLine(dev.length)
         bnd = transmon_boundary(spec, dev)
@@ -162,7 +164,7 @@ def check_interlacing(seed: int = 0, n_configs: int = 1000) -> CriterionResult:
     return _result(
         "interlacing",
         failures == 0,
-        f"{solved}/{n_configs} configurations solved, {failures} interlacing failures",
+        f"{solved}/{INTERLACING_CONFIGS} configurations solved, {failures} interlacing failures",
     )
 
 
@@ -207,14 +209,14 @@ def check_vacuum_rabi() -> CriterionResult:
     return _result("vacuum Rabi matching", passed, "; ".join(details))
 
 
-def check_dispersive_triangle(seed: int = 2, n_draws: int = 50) -> CriterionResult:
+def check_dispersive_triangle(seed: int = 2) -> CriterionResult:
     """Closed form, exact solve, and ladder-diagonalization chi agree."""
     rng = np.random.default_rng(seed)
     dev = STANDARD_DEVICE
     omega_r = dev.fundamental_frequency
     worst = 0.0
     failures = 0
-    for _ in range(n_draws):
+    for _ in range(TRIANGLE_DRAWS):
         delta = float(rng.uniform(-2.0, -0.4)) * GHZ
         alpha = float(rng.uniform(-0.3, -0.1)) * GHZ
         g = float(rng.uniform(0.02, 0.1)) * abs(delta)
@@ -244,7 +246,7 @@ def check_dispersive_triangle(seed: int = 2, n_draws: int = 50) -> CriterionResu
     return _result(
         "dispersive-shift triangle",
         failures == 0,
-        f"{n_draws} draws, worst pairwise error at {worst:.3f} of tolerance",
+        f"{TRIANGLE_DRAWS} draws, worst pairwise error at {worst:.3f} of tolerance",
     )
 
 

@@ -48,6 +48,13 @@ def coupling_from_charge(charge: float, omega_r: float, dev: DeviceParams) -> fl
     return charge * math.sqrt(omega_r / (2.0 * HBAR * dev.total_capacitance))
 
 
+def resolved_coupling(spec: TransmonSpec, dev: DeviceParams) -> float:
+    """The g a charge entry implies at the fundamental, or the stated g."""
+    if spec.coupling is not None:
+        return spec.coupling
+    return coupling_from_charge(spec.charge_element, dev.fundamental_frequency, dev)
+
+
 def charge_from_coupling(g: float, omega_r: float, dev: DeviceParams) -> float:
     """Inverse of coupling_from_charge."""
     if g < 0.0:
@@ -111,9 +118,6 @@ class RationalBoundary:
     @property
     def all_positive_residues(self) -> bool:
         return all(p.strength > 0.0 for p in self.poles)
-
-    def pole_locations(self) -> tuple[float, ...]:
-        return tuple(p.location for p in self.poles)
 
     def _guard(self, lam: float):
         for p in self.poles:
@@ -220,9 +224,6 @@ class FullSusceptanceBoundary:
     def all_positive_residues(self) -> bool:
         return all(p.strength > 0.0 for p in self.poles)
 
-    def pole_locations(self) -> tuple[float, ...]:
-        return tuple(p.location for p in self.poles)
-
     def _guard(self, lam: float):
         v2 = self.phase_velocity ** 2
         for _, omega in self.terms:
@@ -265,9 +266,7 @@ def transmon_boundary(spec: TransmonSpec, dev: DeviceParams, levels: int = 2) ->
     if levels not in (2, 3):
         raise ValueError("levels must be 2 or 3")
     L, v = dev.length, dev.phase_velocity
-    g = spec.coupling
-    if g is None:
-        g = coupling_from_charge(spec.charge_element, dev.fundamental_frequency, dev)
+    g = resolved_coupling(spec, dev)
     lam_q = omega_to_lambda(spec.frequency, v)
     delta_ge = pole_strength_from_coupling(g, spec.frequency, L, v)
     if spec.state == "g":

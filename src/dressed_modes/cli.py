@@ -16,12 +16,8 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .dispersive import (
-    DISPERSIVE_RATIO,
-    critical_photon_number,
-    dispersive_shift_exact,
-    resolved_coupling,
-)
+from .boundary import resolved_coupling, transmon_boundary
+from .dispersive import DISPERSIVE_RATIO, critical_photon_number, dispersive_shift_exact
 from .errors import ConfigError
 from .jc import jc_branch_sweep
 from .multimode import MultimodeModel, divergence_report
@@ -34,7 +30,6 @@ from .multiqubit import (
 from .params import GHZ, config_snapshot, load_config
 from .resonator import ShortedLine
 from .spectrum import qubit_frequency_sweep, solve_spectrum
-from .boundary import transmon_boundary
 from .wedge import (
     WedgeGeometry,
     azimuthal_wavenumber,
@@ -87,11 +82,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+def _schedule(text: str) -> list[int]:
+    """Comma-separated mode cutoffs, each >= 1, at least two of them distinct."""
+    cutoffs = [_positive_int(tok) for tok in text.split(",") if tok.strip()]
+    if len(set(cutoffs)) < 2:
+        raise argparse.ArgumentTypeError(f"schedule needs at least two distinct cutoffs: {text!r}")
+    return cutoffs
 
 
 def _fmt(x: float) -> str:
@@ -446,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, out_default="multimode.csv")
     add_format(p, "csv")
     p.add_argument(
-        "--nmax-schedule", dest="nmax_schedule", type=_int_list,
+        "--nmax-schedule", dest="nmax_schedule", type=_schedule,
         default=[100, 200, 400, 800],
     )
     p.set_defaults(func=cmd_multimode)

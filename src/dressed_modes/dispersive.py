@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import reduce
 
-from .boundary import coupling_from_charge, sum_boundaries, transmon_boundary
+from .boundary import resolved_coupling, sum_boundaries, transmon_boundary
 from .params import DeviceParams, TransmonSpec, omega_to_lambda, lambda_to_omega
 from .resonator import ShortedLine
 from .spectrum import solve_spectrum
@@ -40,24 +40,17 @@ def critical_photon_number(g: float, delta: float) -> float:
     return delta * delta / (4.0 * g * g)
 
 
-def perturbative_mode_shift(b, dev: DeviceParams, omega_ref: float | None = None) -> float:
-    """First-order pull of the mode at omega_ref from the boundary function.
+def perturbative_mode_shift(b, dev: DeviceParams) -> float:
+    """First-order pull of the fundamental from the boundary function.
 
-    delta_omega = -(v^2 / (omega_ref L)) F(lam_ref). Valid while the pull is
-    small against the mode spacing and omega_ref is not near a pole of F.
+    delta_omega = -(v^2 / (omega_ref L)) F(lam_ref), with omega_ref the bare
+    fundamental. Valid while the pull is small against the mode spacing and
+    omega_ref is not near a pole of F.
     """
-    if omega_ref is None:
-        omega_ref = dev.fundamental_frequency
+    omega_ref = dev.fundamental_frequency
     v = dev.phase_velocity
     lam_ref = omega_to_lambda(omega_ref, v)
     return -(v * v / (omega_ref * dev.length)) * b.value(lam_ref)
-
-
-def resolved_coupling(spec: TransmonSpec, dev: DeviceParams) -> float:
-    """The g a charge entry implies at the fundamental, or the stated g."""
-    if spec.coupling is not None:
-        return spec.coupling
-    return coupling_from_charge(spec.charge_element, dev.fundamental_frequency, dev)
 
 
 def _guard_detuning(delta: float, alpha: float, omega_ref: float):
@@ -67,13 +60,7 @@ def _guard_detuning(delta: float, alpha: float, omega_ref: float):
         raise ValueError("e-f transition degenerate with the mode; dispersive quantities undefined")
 
 
-def pulled_frequencies(
-    dev: DeviceParams,
-    specs,
-    joints,
-    levels: int = 3,
-    lam_max: float | None = None,
-) -> dict[str, float]:
+def pulled_frequencies(dev: DeviceParams, specs, joints, levels: int = 3) -> dict[str, float]:
     """Dressed frequency nearest the bare fundamental, per joint state.
 
     A joint state names one state per qubit in `specs`, e.g. "e" for one
@@ -90,16 +77,13 @@ def pulled_frequencies(
             transmon_boundary(replace(spec, state=state), dev, levels=levels)
             for spec, state in zip(specs, joint)
         ))
-        sp = solve_spectrum(line, bnd, lam_max, near=lam_ref)
+        sp = solve_spectrum(line, bnd, near=lam_ref)
         pulled[joint] = lambda_to_omega(sp.nearest_eigenvalue(lam_ref), v)
     return pulled
 
 
 def dispersive_shift_exact(
-    dev: DeviceParams,
-    spec: TransmonSpec,
-    levels: int = 3,
-    lam_max: float | None = None,
+    dev: DeviceParams, spec: TransmonSpec, levels: int = 3
 ) -> tuple[float, float, float]:
     """(chi, ground pull, excited pull) from paired exact solves.
 
@@ -108,7 +92,7 @@ def dispersive_shift_exact(
     chi is half the difference, the pulls are quoted against the bare mode.
     """
     omega_ref = dev.fundamental_frequency
-    pulled = pulled_frequencies(dev, (spec,), ("g", "e"), levels, lam_max)
+    pulled = pulled_frequencies(dev, (spec,), ("g", "e"), levels)
     chi = 0.5 * (pulled["e"] - pulled["g"])
     return chi, pulled["g"] - omega_ref, pulled["e"] - omega_ref
 
@@ -126,19 +110,14 @@ class DispersiveResult:
     straddling: bool         # mode between the g-e and e-f transitions
 
 
-def dispersive_report(
-    dev: DeviceParams,
-    spec: TransmonSpec,
-    levels: int = 3,
-    lam_max: float | None = None,
-) -> DispersiveResult:
+def dispersive_report(dev: DeviceParams, spec: TransmonSpec, levels: int = 3) -> DispersiveResult:
     omega_ref = dev.fundamental_frequency
     g = resolved_coupling(spec, dev)
     delta = spec.frequency - omega_ref
     alpha = spec.anharmonicity
     _guard_detuning(delta, alpha, omega_ref)
     chi = dispersive_shift(g, delta, alpha)
-    chi_exact, _, _ = dispersive_shift_exact(dev, spec, levels=levels, lam_max=lam_max)
+    chi_exact, _, _ = dispersive_shift_exact(dev, spec, levels=levels)
     chi_pert = 0.5 * (
         perturbative_mode_shift(transmon_boundary(replace(spec, state="e"), dev, levels), dev)
         - perturbative_mode_shift(transmon_boundary(replace(spec, state="g"), dev, levels), dev)

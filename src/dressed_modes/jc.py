@@ -42,12 +42,6 @@ class JCModel:
         return self.levels * (self.n_max + 1)
 
 
-def bare_index(model: JCModel, j: int, n: int) -> int:
-    if not (0 <= j < model.levels and 0 <= n <= model.n_max):
-        raise IndexError("bare state outside the truncated ladder")
-    return j * (model.n_max + 1) + n
-
-
 def dressed_pair(omega_r: float, omega_q: float, g: float) -> tuple[float, float]:
     """Single-excitation doublet, omega_r + Delta/2 -+ sqrt(Delta^2/4 + g^2)."""
     delta = omega_q - omega_r
@@ -129,26 +123,4 @@ def jc_branch_sweep(omega_r: float, omega_q_values, g: float) -> CrossingSweep:
         qubit_frequency=tuple(omega_q_values),
         lower=tuple(lower),
         upper=tuple(upper),
-    )
-
-
-@dataclass(frozen=True)
-class SweepComparison:
-    max_rel_lower: float
-    max_rel_upper: float
-    max_rel_gap: float
-
-
-def compare_sweeps(a: CrossingSweep, b: CrossingSweep) -> SweepComparison:
-    """Worst-case relative branch and gap differences over a shared grid."""
-    if a.qubit_frequency != b.qubit_frequency:
-        raise ValueError("sweeps use different qubit grids")
-
-    def worst(x, y):
-        return max(abs(p - q) / abs(q) for p, q in zip(x, y))
-
-    return SweepComparison(
-        max_rel_lower=worst(a.lower, b.lower),
-        max_rel_upper=worst(a.upper, b.upper),
-        max_rel_gap=worst(a.gap, b.gap),
     )

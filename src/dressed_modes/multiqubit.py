@@ -173,7 +173,6 @@ def two_qubit_model(
     spec_1: TransmonSpec,
     spec_2: TransmonSpec,
     levels: int = 3,
-    lam_max: float | None = None,
 ) -> TwoQubitDispersiveModel:
     """Additive model from two independent single-qubit exact solves.
 
@@ -184,7 +183,7 @@ def two_qubit_model(
     center = omega_bare
     chis = []
     for spec in (spec_1, spec_2):
-        pulled = pulled_frequencies(dev, (spec,), ("g", "e"), levels, lam_max)
+        pulled = pulled_frequencies(dev, (spec,), ("g", "e"), levels)
         chis.append(0.5 * (pulled["e"] - pulled["g"]))
         center += 0.5 * (pulled["e"] + pulled["g"]) - omega_bare
     return TwoQubitDispersiveModel(center=center, chi_1=chis[0], chi_2=chis[1])
@@ -196,7 +195,6 @@ def joint_state_frequency(
     spec_2: TransmonSpec,
     joint: str,
     levels: int = 3,
-    lam_max: float | None = None,
 ) -> float:
     """Dressed mode frequency with the qubits held in the given joint state.
 
@@ -205,7 +203,7 @@ def joint_state_frequency(
     """
     if joint not in STATES:
         raise ValueError(f"joint state must be one of {STATES}")
-    return pulled_frequencies(dev, (spec_1, spec_2), (joint,), levels, lam_max)[joint]
+    return pulled_frequencies(dev, (spec_1, spec_2), (joint,), levels)[joint]
 
 
 @dataclass(frozen=True)
@@ -223,7 +221,6 @@ def additivity_report(
     spec_1: TransmonSpec,
     spec_2: TransmonSpec,
     levels: int = 3,
-    lam_max: float | None = None,
 ) -> AdditivityReport:
     """Exact joint solves against the sum of individual pulls.
 
@@ -234,13 +231,13 @@ def additivity_report(
     """
     omega_bare = dev.fundamental_frequency
     pulls = [
-        pulled_frequencies(dev, (spec,), ("g", "e"), levels, lam_max)
+        pulled_frequencies(dev, (spec,), ("g", "e"), levels)
         for spec in (spec_1, spec_2)
     ]
     exact = {}
     additive = {}
     for joint in STATES:
-        exact[joint] = joint_state_frequency(dev, spec_1, spec_2, joint, levels, lam_max)
+        exact[joint] = joint_state_frequency(dev, spec_1, spec_2, joint, levels)
         additive[joint] = pulls[0][joint[0]] + pulls[1][joint[1]] - omega_bare
     deviation = max(abs(exact[s] - additive[s]) for s in STATES)
     cross = 0.25 * (exact["gg"] - exact["ge"] - exact["eg"] + exact["ee"])

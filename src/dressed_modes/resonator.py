@@ -95,9 +95,6 @@ class ShortedLine:
     def poles(self, count: int) -> list[float]:
         return dirichlet_poles(self.length, count)
 
-    def zeros(self, count: int) -> list[float]:
-        return quarterwave_zeros(self.length, count)
-
     def default_lam_max(self) -> float:
         """Truncation just below the sixth Dirichlet pole."""
         return (6.0 * math.pi / self.length) ** 2 * (1.0 - 1e-6)

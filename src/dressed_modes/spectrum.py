@@ -1,8 +1,9 @@
 """Dressed-mode spectra of the terminated line.
 
 Eigenvalues are the roots of H(lam) = G(lam) - F(lam) on (0, lam_max], with
-G the line's log-derivative and F the rational boundary function. The
-domain is partitioned at every pole of either side, and every interval is
+G the line's log-derivative and F the rational boundary function; lam_max is
+fixed at ShortedLine.default_lam_max(), just below the sixth Dirichlet pole.
+The domain is partitioned at every pole of either side, and every interval is
 solved the same way, through its cleared function c*H: c > 0 inside the
 interval and vanishes at its bounding poles (sin(xi)/xi for a Dirichlet
 pole, |lam_k - lam|/lam_k for a boundary pole), so c*H is finite on the
@@ -325,11 +326,13 @@ def _refine_near(brackets, near: float, length: float) -> list[EigenvalueRecord]
     return [other, root] if j < k else [root, other]
 
 
-def solve_spectrum(
-    line: ShortedLine, b, lam_max: float | None = None, near: float | None = None
-) -> DressedSpectrum:
+def solve_spectrum(line: ShortedLine, b, near: float | None = None) -> DressedSpectrum:
     """Dressed eigenvalues on (0, lam_max]: all of them, or with `near` the
     largest one <= near and the smallest >= near.
+
+    The domain is fixed: lam_max is line.default_lam_max(), just below the
+    sixth Dirichlet pole, so every solve cuts it at the same five line
+    poles and holds the first six quarter-wave modes, dressed.
 
     `b` is read through its rational form only: poles, beta and gamma
     (RationalBoundary or FullSusceptanceBoundary). Every interval is solved
@@ -343,11 +346,7 @@ def solve_spectrum(
     zero) or a refined root's cleared residual is too large.
     """
     length = line.length
-    if lam_max is None:
-        lam_max = line.default_lam_max()
-    if lam_max <= 0.0:
-        raise ValueError("lam_max must be positive")
-
+    lam_max = line.default_lam_max()
     count = int(math.sqrt(lam_max) * length / math.pi) + 1
     dirichlet = [p for p in line.poles(count) if p < lam_max]
     markers = [PolePoint(p, "dirichlet", f"k={k}") for k, p in enumerate(dirichlet, 1)]
@@ -451,7 +450,6 @@ def qubit_frequency_sweep(
     spec: TransmonSpec,
     omega_q_values,
     levels: int = 2,
-    lam_max: float | None = None,
 ) -> CrossingSweep:
     """Dressed branches bracketing the fundamental as omega_q is tuned.
 
@@ -466,7 +464,7 @@ def qubit_frequency_sweep(
 
     def solve_one(omega_q):
         bnd = transmon_boundary(replace(spec, frequency=omega_q), dev, levels)
-        sp = solve_spectrum(line, bnd, lam_max, near=lam_ref)
+        sp = solve_spectrum(line, bnd, near=lam_ref)
         try:
             return _fundamental_pair(sp, lam_ref, v)
         except SolverError as exc:
@@ -487,11 +485,7 @@ class RabiSplitting:
     margin: float      # relative eigenvalue-pole margin at resonance
 
 
-def vacuum_rabi_gap(
-    dev: DeviceParams,
-    spec: TransmonSpec,
-    lam_max: float | None = None,
-) -> RabiSplitting:
+def vacuum_rabi_gap(dev: DeviceParams, spec: TransmonSpec) -> RabiSplitting:
     """Vacuum Rabi splitting with the qubit tuned to the fundamental.
 
     The ground-state boundary is used regardless of spec.state. With zero
@@ -507,7 +501,7 @@ def vacuum_rabi_gap(
     delta = bnd.poles[0].strength
     v = dev.phase_velocity
     predicted = (v * v / spec.frequency) * math.sqrt(2.0 * delta / dev.length)
-    sp = solve_spectrum(ShortedLine(dev.length), bnd, lam_max)
+    sp = solve_spectrum(ShortedLine(dev.length), bnd)
     lower, upper = _fundamental_pair(sp, omega_to_lambda(omega_ref, v), v)
     return RabiSplitting(
         measured=upper - lower,

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+OVERLAP_PANELS = 10_000   # Simpson panels of sine_mode_overlap
+
 
 @dataclass(frozen=True)
 class WedgeGeometry:
@@ -49,19 +51,17 @@ def derivative_wall_values(n: int, geom: WedgeGeometry) -> tuple[float, float]:
     return math.cos(0.0), math.cos(n * math.pi)
 
 
-def sine_mode_overlap(n: int, m: int, geom: WedgeGeometry, panels: int = 10_000) -> float:
+def sine_mode_overlap(n: int, m: int, geom: WedgeGeometry) -> float:
     """Quadrature of sin(mu_n phi) sin(mu_m phi) over (0, Phi).
 
-    Composite Simpson on `panels` panels; equals (Phi/2) delta_nm exactly.
+    Composite Simpson on OVERLAP_PANELS panels; equals (Phi/2) delta_nm exactly.
     Each panel is weighted by its own two grid steps h0, h1 (equal up to the
     rounding of the grid), (h0 + h1)/6 * (y0 (2 - h1/h0) + y1 (h0 + h1)^2/(h0 h1)
     + y2 (2 - h0/h1)), which is 1, 4, 1 times h/3 when they are equal.
     """
     _check_index(n)
     _check_index(m)
-    if panels < 2:
-        raise ValueError("panels must be >= 2")
-    phi = np.linspace(0.0, geom.angle, 2 * panels + 1)
+    phi = np.linspace(0.0, geom.angle, 2 * OVERLAP_PANELS + 1)
     y = np.sin(azimuthal_wavenumber(n, geom) * phi) * np.sin(
         azimuthal_wavenumber(m, geom) * phi
     )

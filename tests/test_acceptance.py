@@ -29,12 +29,6 @@ from dressed_modes.acceptance import (
 NAMES = [name for name, _ in ALL_CHECKS]
 
 
-@pytest.fixture(scope="session")
-def gate_results():
-    """One run of the whole gate at seed 0, shared by the tests below."""
-    return run_all()
-
-
 @pytest.mark.parametrize("name", NAMES)
 def test_criterion(name, gate_results):
     result = gate_results[NAMES.index(name)]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dressed_modes import __version__
+from dressed_modes import __version__, acceptance
 from dressed_modes.cli import _grid, main
 
 CFG = """\
@@ -33,7 +33,7 @@ def read_manifest(out_path):
 def test_spectrum_writes_payload_and_manifest(cfg, tmp_path):
     out = str(tmp_path / "spectrum.json")
     assert main(["spectrum", "--config", cfg, "--out", out]) == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert set(payload) == {"eigenvalues_hz", "brackets", "margins", "boundary"}
     bnd = payload["boundary"]
     assert bnd["beta"] == 0.0 and bnd["gamma"] == 0.0
@@ -59,17 +59,17 @@ def test_reruns_are_byte_identical(cfg, tmp_path):
     out = str(tmp_path / "sweep.csv")
     args = ["sweep", "--config", cfg, "--out", out, "--omega-q-ghz", "9.5:10.5:7"]
     assert main(args) == 0
-    first = open(out, "rb").read()
-    first_manifest = open(out + ".manifest.json", "rb").read()
+    first = Path(out).read_bytes()
+    first_manifest = Path(out + ".manifest.json").read_bytes()
     assert main(args) == 0
-    assert open(out, "rb").read() == first
-    assert open(out + ".manifest.json", "rb").read() == first_manifest
+    assert Path(out).read_bytes() == first
+    assert Path(out + ".manifest.json").read_bytes() == first_manifest
 
 
 def test_sweep_csv_shape(cfg, tmp_path):
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--config", cfg, "--out", out, "--omega-q-ghz", "9.8:10.2:5"]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "omega_q_ghz,branch_lo_ghz,branch_hi_ghz,gap_ghz"
     assert len(lines) == 6
     gaps = [float(row.split(",")[3]) for row in lines[1:]]
@@ -125,7 +125,7 @@ def test_sample_device_csv_bytes_are_pinned(key, tmp_path):
     args, expected = PINNED_OUTPUTS[key]
     out = str(tmp_path / "out.csv")
     assert main([*args, "--config", SAMPLE_CFG, "--out", out]) == 0
-    assert open(out, "rb").read() == expected.encode()
+    assert Path(out).read_bytes() == expected.encode()
 
 
 def test_sample_device_chi_csv_bytes_are_pinned(capsys):
@@ -324,7 +324,7 @@ def test_sample_device_manifest_bytes_are_pinned(key, tmp_path):
     args, expected = PINNED_MANIFESTS[key]
     out = str(tmp_path / "out")
     assert main([*args, "--out", out]) == 0
-    text = open(out + ".manifest.json", encoding="utf-8").read()
+    text = Path(out + ".manifest.json").read_text(encoding="utf-8")
     assert text.replace(out, "OUT") == expected
 
 
@@ -333,7 +333,7 @@ def test_sweep_json_format(cfg, tmp_path):
     args = ["sweep", "--config", cfg, "--out", out, "--omega-q-ghz", "9.9:10.1:3",
             "--json"]
     assert main(args) == 0
-    rows = json.loads(open(out).read())
+    rows = json.loads(Path(out).read_text())
     assert len(rows) == 3
     assert set(rows[0]) == {"omega_q_ghz", "branch_lo_ghz", "branch_hi_ghz", "gap_ghz"}
     manifest = read_manifest(out)
@@ -373,7 +373,7 @@ def test_rabi_jc_only_leaves_blank_columns(cfg, tmp_path):
     args = ["rabi", "--config", cfg, "--out", out, "--omega-q-ghz", "10:10:1",
             "--method", "jc"]
     assert main(args) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "omega_q_ghz,jc_lo,jc_hi,sl_lo,sl_hi,diff"
     cells = lines[1].split(",")
     assert cells[3] == cells[4] == cells[5] == ""
@@ -384,7 +384,7 @@ def test_rabi_both_reports_model_difference(cfg, tmp_path):
     out = str(tmp_path / "rabi.csv")
     args = ["rabi", "--config", cfg, "--out", out, "--omega-q-ghz", "10:10:1"]
     assert main(args) == 0
-    cells = open(out).read().splitlines()[1].split(",")
+    cells = Path(out).read_text().splitlines()[1].split(",")
     diff = float(cells[5])
     # the two models agree on the splitting to a part in 1e4 here
     assert abs(diff) < 1e-4
@@ -393,10 +393,10 @@ def test_rabi_both_reports_model_difference(cfg, tmp_path):
 def test_multimode_writes_fit_sidecar(cfg, tmp_path):
     out = str(tmp_path / "multimode.csv")
     assert main(["multimode", "--config", cfg, "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "n_max,lamb_ghz,chi_ghz"
     assert len(lines) == 5
-    fits = json.loads(open(out + ".fits.json").read())
+    fits = json.loads(Path(out + ".fits.json").read_text())
     assert set(fits) == {
         "lamb_slope_ghz_per_mode", "lamb_intercept_ghz", "lamb_r_squared",
         "chi_increments_ghz", "chi_increment_spread",
@@ -447,6 +447,38 @@ def test_wedge_defaults(capsys):
     assert payload["wavenumbers"] == pytest.approx([2.0, 4.0, 6.0, 8.0])
     assert payload["orthogonality_max_error"] <= 1e-9
     assert payload["wall_derivative_values"]["1"] == [1.0, -1.0]
+
+
+# stdout of `validate --seed 0`: the criteria's measured values and margins
+VALIDATE_SEED_0 = (
+    "[PASS] open-circuit reduction: worst relative error 1.887e-16 over first 5 modes (tol 1e-10)\n"
+    "[PASS] derivative identity: zeros: worst 0.000e+00 (tol 1e-12); finite differences: worst 7.836e-08 over 1000 points (tol 1e-6)\n"
+    "[PASS] interlacing: 1000/1000 configurations solved, 0 interlacing failures\n"
+    "[PASS] level repulsion: min eigenvalue-pole relative margin 6.223e-07; min crossing gap 0.200015 GHz over 41 points\n"
+    "[PASS] vacuum Rabi matching: g/omega_r=0.01: |gap-2g|/2g = 7.451743e-05 (tol 0.005); g/omega_r=0.15: |gap-2g|/2g = 1.761752e-02 (tol 0.05)\n"
+    "[PASS] dispersive-shift triangle: 50 draws, worst pairwise error at 0.919 of tolerance\n"
+    "[PASS] multimode divergences: Lamb linear fit R^2 = 1.000000 (need > 0.999); chi doubling-increment spread 0.003 (need <= 0.10)\n"
+    "[PASS] two-qubit structure: matched: odd gap 0.0, even gap = 4|chi|: True; QND commutator 0.0e+00 vs 1e-14*|H| = 6.3e-03; additivity deviation 1.345e-04 GHz (tol 7.666e-04)\n"
+    "[PASS] commutator algebra: [H_int, sz] = 0.0, sx identity residual = 0.0, [H_int, sx] = 1.885e+08\n"
+    "[PASS] approximation audit: 1 dressed mode(s) within 5% of the fundamental; worst relative disagreement 1.414e-06 (tol 1e-2)\n"
+    "[PASS] wedge: mu_n exact: True; worst overlap error 2.776e-16 (tol 1e-9); angular-derivative value at the wall = 1.0\n"
+    "11/11 criteria passed\n"
+)
+
+
+def test_validate_seed_0_stdout_is_pinned(gate_results, monkeypatch, capsys):
+    """The report is printed from the session's seed-0 gate run, so the gate
+    itself runs once per test session."""
+    calls = []
+
+    def run_all(only=None, seed=0):
+        calls.append((only, seed))
+        return gate_results
+
+    monkeypatch.setattr(acceptance, "run_all", run_all)
+    assert main(["validate", "--seed", "0"]) == 0
+    assert calls == [(None, 0)]
+    assert capsys.readouterr().out == VALIDATE_SEED_0
 
 
 def test_validate_single_criterion(capsys):
@@ -532,6 +564,9 @@ def test_usage_errors_exit_2(cfg):
            for value in ("nan", "inf", "-inf")]
     bad += [["wedge", "--angle-rad", value] for value in ("nan", "inf")]
     bad += [["wedge", "--modes", value] for value in ("0", "-3", "2.5")]
+    # a schedule needs at least two distinct cutoffs, each >= 1; these used to exit 1
+    bad += [["multimode", "--config", cfg, f"--nmax-schedule={value}"]
+            for value in ("0,100", "-5,100", "", "100", "100,100")]
     for argv in bad:
         with pytest.raises(SystemExit) as exc:
             main(argv)

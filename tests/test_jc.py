@@ -17,9 +17,7 @@ from dressed_modes import (
     GHZ,
     JCModel,
     LabelingError,
-    bare_index,
     build_hamiltonian,
-    compare_sweeps,
     diagonalize,
     dispersive_shift_numeric,
     dressed_energies,
@@ -59,12 +57,13 @@ def test_single_excitation_energies():
 def test_hamiltonian_conserves_excitation_number():
     model = JCModel(omega_r=W_R, omega_q=W_Q, g=G, levels=3, alpha=-0.25 * GHZ, n_max=4)
     h = build_hamiltonian(model)
+    nph = model.n_max + 1
     for j in range(model.levels):
-        for n in range(model.n_max + 1):
+        for n in range(nph):
             for jp in range(model.levels):
-                for np_ in range(model.n_max + 1):
+                for np_ in range(nph):
                     if j + n != jp + np_:
-                        assert h[bare_index(model, j, n), bare_index(model, jp, np_)] == 0.0
+                        assert h[j * nph + n, jp * nph + np_] == 0.0
 
 
 def test_two_level_shift_matches_hand_diagonalization():
@@ -106,33 +105,11 @@ def test_labeling_fails_under_strong_mixing():
         dressed_energies(model)
 
 
-def test_bare_index_bounds():
-    model = JCModel(omega_r=W_R, omega_q=W_Q, g=G, n_max=3)
-    assert bare_index(model, 0, 0) == 0
-    assert bare_index(model, 1, 3) == model.dim - 1
-    with pytest.raises(IndexError):
-        bare_index(model, 2, 0)
-    with pytest.raises(IndexError):
-        bare_index(model, 0, 4)
-
-
 def test_branch_sweep_brackets_and_self_comparison():
     grid = np.linspace(8.0 * GHZ, 12.0 * GHZ, 21)
     sweep = jc_branch_sweep(W_R, grid, G)
     assert np.all(sweep.upper > sweep.lower)
     assert np.min(sweep.gap) == pytest.approx(2.0 * G, rel=1e-9)
-    diff = compare_sweeps(sweep, sweep)
-    assert diff.max_rel_lower == 0.0
-    assert diff.max_rel_upper == 0.0
-    assert diff.max_rel_gap == 0.0
-
-
-def test_compare_sweeps_requires_matching_grid():
-    grid = np.linspace(8.0 * GHZ, 12.0 * GHZ, 5)
-    a = jc_branch_sweep(W_R, grid, G)
-    b = jc_branch_sweep(W_R, grid * 1.001, G)
-    with pytest.raises(ValueError):
-        compare_sweeps(a, b)
 
 
 def test_model_validation():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import sys
@@ -27,6 +28,7 @@ from dressed_modes import (
     transmon_boundary,
     vacuum_rabi_gap,
 )
+import dressed_modes
 from dressed_modes import acceptance, cli, dispersive, spectrum
 from dressed_modes.boundary import POLE_GUARD_REL
 from dressed_modes.resonator import line_log_deriv_dlam
@@ -184,6 +186,17 @@ def test_boundary_pole_exactly_at_lam_max_is_a_solver_error():
     for rel in (1.0 - 1e-12, 1.0 + 1e-12):
         bnd = RationalBoundary(poles=(BoundaryPole(lam_max * rel, 1e3),))
         assert solve_spectrum(LINE, bnd).records
+
+
+def test_every_solve_covers_the_one_fixed_domain():
+    sp = solve_spectrum(LINE, transmon_boundary(QUBIT, DEV))
+    assert sp.lam_max == sp.intervals[-1][1] == LINE.default_lam_max()
+    # the domain and the other single-value settings are constants, not options
+    fixed = {"lam_max", "omega_ref", "panels", "n_configs", "n_draws"}
+    for mod in (dressed_modes, acceptance):
+        for name, fn in vars(mod).items():
+            if inspect.isfunction(fn) and not name.startswith("_"):
+                assert not fixed & set(inspect.signature(fn).parameters), name
 
 
 def test_margin_scales_with_coupling_squared():

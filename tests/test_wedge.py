@@ -71,8 +71,6 @@ def test_index_validation():
         azimuthal_wavenumber(0, geom)
     with pytest.raises(ValueError):
         derivative_wall_values(-1, geom)
-    with pytest.raises(ValueError):
-        sine_mode_overlap(1, 1, geom, panels=1)
 
 
 @settings(max_examples=20, deadline=None)
