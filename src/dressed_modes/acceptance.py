@@ -29,7 +29,7 @@ from .multiqubit import (
     two_qubit_model,
     additivity_report,
 )
-from .params import GHZ, DeviceParams, TransmonSpec, omega_to_lambda, lambda_to_omega
+from .params import GHZ, DeviceParams, TransmonSpec, omega_to_lambda
 from .resonator import ShortedLine, line_log_deriv, line_log_deriv_dlam, quarterwave_zeros
 from .spectrum import (
     DIRICHLET_COLLISION_REL,

@@ -39,7 +39,13 @@ def line_log_deriv(lam: float, length: float) -> float:
     """phi'(L)/phi(L) = sqrt(lam) cot(sqrt(lam) L), extended to 1/L at lam = 0."""
     if length <= 0.0:
         raise ValueError("length must be positive")
-    xi = _xi_checked(lam, length)
+    # _xi_checked's guard, inline on this hot path; the call only raises
+    if lam < 0.0:
+        _xi_checked(lam, length)
+    xi = math.sqrt(lam) * length
+    k = round(xi / math.pi)
+    if k >= 1 and abs(xi - k * math.pi) < XI_POLE_GUARD:
+        _xi_checked(lam, length)
     if xi == 0.0:
         return 1.0 / length
     return (xi * math.cos(xi) / math.sin(xi)) / length

@@ -29,12 +29,23 @@ spectrum. Brent's method on c*H then refines the brackets a caller reads,
 each root checked by the residual test: all of them by default, or, given
 `near`, the largest root <= near and the smallest >= near, at most two
 Brent runs. A root's record does not depend on which others are refined.
+
+Cost. Every workload runs through this module, so its hot path is kept
+lean, within three rules. Every float, count and error a solve produces
+stays bit-identical: a cheaper form must keep each expression and its order
+(tests/test_solver_pin.py pins a seeded set of solves). c*H calls
+line_log_deriv, looked up in this module, once per evaluation outside the
+line's pole guard, so the evaluation count stays the measure of work. No
+memo outlives one line: only the line's part of the partition (lam_max and
+the Dirichlet markers) is kept, for one length at a time.
 """
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from operator import attrgetter
 
 from .boundary import transmon_boundary
 from .errors import PoleCollisionError, SolverError
@@ -44,6 +55,8 @@ from .resonator import XI_POLE_GUARD, ShortedLine, line_log_deriv
 RESIDUAL_REL = 1e-8          # threshold on |c*H| over max(|G|, |F|, 1/L)
 BRENT_MAX_STEPS = 200        # safety cap; 3000 random ground-state devices need <= 23
 DIRICHLET_COLLISION_REL = 1e-6
+_TWO_EPS = 2.0 * sys.float_info.epsilon    # Brent's bracket floor, per |b|
+_location = attrgetter("location")
 
 
 @dataclass(frozen=True)
@@ -103,20 +116,21 @@ def _brent(f, a: float, b: float, fa: float, fb: float):
     bisection whenever they would not shrink the bracket fast enough, down
     to a bracket of a few ulps. Returns the root and the evaluations spent.
     """
+    fabs, fmin, copysign = abs, min, math.copysign    # locals: ~15 steps a root
     c, fc = a, fa
     d = e = b - a
     for evals in range(BRENT_MAX_STEPS):
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
-        if abs(fc) < abs(fb):
+        if fabs(fc) < fabs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * sys.float_info.epsilon * abs(b)
+        tol = _TWO_EPS * fabs(b)
         m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
+        if fabs(m) <= tol or fb == 0.0:
             return b, evals
-        if abs(e) < tol or abs(fa) <= abs(fb):
+        if fabs(e) < tol or fabs(fa) <= fabs(fb):
             d = e = m
         else:
             s = fb / fa
@@ -130,12 +144,12 @@ def _brent(f, a: float, b: float, fa: float, fb: float):
                 q = -q
             else:
                 p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+            if 2.0 * p < fmin(3.0 * m * q - fabs(tol * q), fabs(e * q)):
                 e, d = d, p / q
             else:
                 d = e = m
         a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
+        b += d if fabs(d) > tol else copysign(tol, m)
         fb = f(b)
     raise SolverError(f"Brent refinement did not converge in [{a}, {b}]")
 
@@ -152,19 +166,25 @@ def _cleared_secular(line: ShortedLine, b, lo, hi, lobe: int):
     """
     length = line.length
     sign = -1.0 if lobe % 2 else 1.0
-    clear_xi = any(m is not None and m.kind == "dirichlet" for m in (lo, hi))
-    # the line's own pole guard (resonator._xi_checked) around xi = k pi, k >= 1
-    xi_lo = lobe * math.pi if lobe else -math.inf
-    xi_hi = (lobe + 1) * math.pi
     a = lo.location if lo is not None and lo.kind == "boundary" else None
     z = hi.location if hi is not None and hi.kind == "boundary" else None
-    poles = b.poles
-    rest = [(p.location, p.strength) for p in poles if p.location not in (a, z)]
+    # a bound that is no boundary pole is a Dirichlet pole
+    clear_xi = (lo is not None and a is None) or (hi is not None and z is None)
+    # the line's own pole guard (resonator._xi_checked) around xi = k pi, k >= 1
+    guard = XI_POLE_GUARD
+    xi_lo = lobe * math.pi if lobe else -math.inf
+    xi_hi = (lobe + 1) * math.pi
     # cleared bounding pole terms: c * delta_k/(lam_k - lam) = -/+ (c/e_k) delta_k/lam_k
-    r_lo = next((p.strength / a for p in poles if p.location == a), 0.0)
-    r_hi = next((p.strength / z for p in poles if p.location == z), 0.0)
+    rest, r_lo, r_hi = [], 0.0, 0.0
+    for p in b.poles:
+        if p.location == a:
+            r_lo = p.strength / a
+        elif p.location == z:
+            r_hi = p.strength / z
+        else:
+            rest.append((p.location, p.strength))
     beta, gamma = b.beta, b.gamma
-    log_deriv, sqrt, sin, cos = line_log_deriv, math.sqrt, math.sin, math.cos
+    log_deriv, sqrt, sin, cos, fabs = line_log_deriv, math.sqrt, math.sin, math.cos, abs
 
     def cleared(lam, parts=False):
         e_lo = (lam - a) / a if a else 1.0
@@ -174,7 +194,7 @@ def _cleared_secular(line: ShortedLine, b, lo, hi, lobe: int):
         if clear_xi:
             xi = sqrt(lam) * length
             d = sign * sin(xi) / xi if xi else 1.0
-            if abs(xi - xi_hi) < XI_POLE_GUARD or abs(xi - xi_lo) < XI_POLE_GUARD:
+            if fabs(xi - xi_hi) < guard or fabs(xi - xi_lo) < guard:
                 # inside the line's own pole guard: sin(xi)/xi * G = cos(xi)/L
                 g_side = sign * cos(xi) / length * e
             else:
@@ -326,6 +346,19 @@ def _refine_near(brackets, near: float, length: float) -> list[EigenvalueRecord]
     return [other, root] if j < k else [root, other]
 
 
+@lru_cache(maxsize=1)
+def _line_partition(length: float):
+    """(lam_max, Dirichlet poles below it, their PolePoints): the part of a
+    solve's partition that depends on the line alone. One entry, so a run of
+    solves on one line builds it once and the next line replaces it."""
+    line = ShortedLine(length)
+    lam_max = line.default_lam_max()
+    count = int(math.sqrt(lam_max) * length / math.pi) + 1
+    dirichlet = tuple(p for p in line.poles(count) if p < lam_max)
+    markers = tuple(PolePoint(p, "dirichlet", f"k={k}") for k, p in enumerate(dirichlet, 1))
+    return lam_max, dirichlet, markers
+
+
 def solve_spectrum(line: ShortedLine, b, near: float | None = None) -> DressedSpectrum:
     """Dressed eigenvalues on (0, lam_max]: all of them, or with `near` the
     largest one <= near and the smallest >= near.
@@ -346,10 +379,8 @@ def solve_spectrum(line: ShortedLine, b, near: float | None = None) -> DressedSp
     zero) or a refined root's cleared residual is too large.
     """
     length = line.length
-    lam_max = line.default_lam_max()
-    count = int(math.sqrt(lam_max) * length / math.pi) + 1
-    dirichlet = [p for p in line.poles(count) if p < lam_max]
-    markers = [PolePoint(p, "dirichlet", f"k={k}") for k, p in enumerate(dirichlet, 1)]
+    lam_max, dirichlet, line_markers = _line_partition(length)
+    markers = list(line_markers)
     for p in b.poles:
         if p.location == lam_max:
             # not a marker, so c*H would divide by lam_k - lam = 0 at the end
@@ -365,7 +396,7 @@ def solve_spectrum(line: ShortedLine, b, near: float | None = None) -> DressedSp
                     f"{DIRICHLET_COLLISION_REL} relative of Dirichlet pole at {d}"
                 )
         markers.append(PolePoint(p.location, "boundary", p.label))
-    markers.sort(key=lambda m: m.location)
+    markers.sort(key=_location)
 
     bounds = _slope_bounds(line, b)
     ends = [None, *markers, None]
@@ -376,7 +407,8 @@ def solve_spectrum(line: ShortedLine, b, near: float | None = None) -> DressedSp
             lobe += 1
         ch = _cleared_secular(line, b, lo, hi, lobe)
         found = _isolate(ch, lo, hi, lam_max, bounds, lobe, length)
-        brackets += [(ch, *br) for br in found]
+        for br in found:
+            brackets.append((ch, *br))
         counts.append(len(found))
         flags.append(len(found) == 1 if lo is not None and hi is not None else None)
 
@@ -388,7 +420,7 @@ def solve_spectrum(line: ShortedLine, b, near: float | None = None) -> DressedSp
         if not r1.lam < r2.lam:
             raise SolverError("eigenvalues not strictly increasing")
 
-    edges = [0.0] + [m.location for m in markers] + [lam_max]
+    edges = [0.0, *map(_location, markers), lam_max]
     return DressedSpectrum(
         records=tuple(records),
         partition=tuple(markers),

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from dressed_modes import (
     GHZ,
-    AdditivityReport,
     DeviceParams,
-    ParityReport,
     TransmonSpec,
     TwoQubitDispersiveModel,
     additivity_report,
