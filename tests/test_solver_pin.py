@@ -41,7 +41,7 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
-def _outcome(fn):
+def _bits_or_error(fn):
     """fn()'s exact bits, or its exception's type and message."""
     try:
         return fn()
@@ -124,7 +124,7 @@ def observe():
         out = {}
         for name, thunk in _cases():
             calls[0] = 0
-            out[name] = [_digest(_outcome(thunk)), calls[0]]
+            out[name] = [_digest(_bits_or_error(thunk)), calls[0]]
         return out
     finally:
         spectrum.line_log_deriv = log_deriv
@@ -139,5 +139,5 @@ def test_solver_bits_and_evaluation_counts_are_pinned():
 
 
 if __name__ == "__main__":
-    json.dump(observe(), sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    lines = (f"{json.dumps(name)}: {json.dumps(entry)}" for name, entry in observe().items())
+    sys.stdout.write("{\n" + ",\n".join(lines) + "\n}\n")
