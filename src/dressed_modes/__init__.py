@@ -54,6 +54,7 @@ from .spectrum import (
     PolePoint,
     RabiSplitting,
     pole_margin,
+    pole_margins,
     qubit_frequency_sweep,
     solve_spectrum,
     vacuum_rabi_gap,

@@ -5,18 +5,19 @@ the boundary condition into phi'(L)/phi(L) = F(lam) with a rational
 
     F(lam) = -beta*lam - gamma + sum_k delta_k / (lam_k - lam)
 
-beta = C_J/c is the capacitive loading, gamma is a constant offset (zero
-for the transmon boundary; the full-susceptance form, read as a rational
-form, has gamma = -ell sum_k A_k), and each pole sits at a transition
-lam_k = (omega_nm / v)^2 with strength delta_k > 0 for absorption
-(omega_nm > 0) and delta_k < 0 for emission. With every strength positive
-each pole term rises monotonically to +inf as lam -> lam_k from below, which
-is what pins exactly one dressed eigenvalue to every inter-pole interval.
+beta = C_J/c is the capacitive loading, gamma is a constant offset of
+either sign (zero for the transmon boundary; the full-susceptance form,
+read as a rational form, has gamma = -ell sum_k A_k), and each pole sits
+at a transition lam_k = (omega_nm / v)^2 with strength delta_k > 0 for
+absorption (omega_nm > 0) and delta_k < 0 for emission. With every strength
+positive each pole term rises monotonically to +inf as lam -> lam_k from
+below, which is what pins exactly one dressed eigenvalue to every
+inter-pole interval.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import PoleProximityError
 from .params import HBAR, DeviceParams, TransmonSpec, omega_to_lambda
@@ -85,19 +86,6 @@ class BoundaryPole:
     label: str = ""
 
 
-def _validate_poles(poles: tuple[BoundaryPole, ...]):
-    for p in poles:
-        if p.location <= 0.0:
-            raise ValueError("pole locations must be positive")
-    ordered = sorted(poles, key=lambda p: p.location)
-    for a, b in zip(ordered, ordered[1:]):
-        if b.location - a.location < POLE_GUARD_REL * b.location:
-            raise ValueError(
-                f"pole locations {a.location} and {b.location} closer than "
-                f"{POLE_GUARD_REL} relative"
-            )
-
-
 @dataclass(frozen=True)
 class RationalBoundary:
     """F(lam) = -beta*lam - gamma + sum_k delta_k / (lam_k - lam)."""
@@ -109,11 +97,18 @@ class RationalBoundary:
     def __post_init__(self):
         if self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
-        kept = tuple(p for p in self.poles if p.strength != 0.0)
-        _validate_poles(kept)
-        object.__setattr__(self, "poles", tuple(sorted(kept, key=lambda p: p.location)))
+        kept = tuple(sorted(
+            (p for p in self.poles if p.strength != 0.0), key=lambda p: p.location
+        ))
+        if any(p.location <= 0.0 for p in kept):
+            raise ValueError("pole locations must be positive")
+        for a, b in zip(kept, kept[1:]):
+            if b.location - a.location < POLE_GUARD_REL * b.location:
+                raise ValueError(
+                    f"pole locations {a.location} and {b.location} closer than "
+                    f"{POLE_GUARD_REL} relative"
+                )
+        object.__setattr__(self, "poles", kept)
 
     @property
     def all_positive_residues(self) -> bool:
@@ -151,10 +146,12 @@ class FullSusceptanceBoundary:
     F(lam) = -ell v^2 lam C_J - sum_k ell v^2 A_k lam / (omega_k^2 - v^2 lam).
 
     Since lam / (lam_k - lam) = lam_k / (lam_k - lam) - 1, this is exactly
-    the rational form with beta = ell v^2 C_J, gamma = -ell sum_k A_k and
-    residues -ell A_k lam_k, the properties the solver reads. Amplitudes are
-    usually calibrated against a RationalBoundary at a reference eigenvalue
-    (see from_rational).
+    the rational form with beta = ell v^2 C_J, gamma = -ell sum_k A_k (of
+    either sign) and residues -ell A_k lam_k. That form is built once, as
+    `rational`; beta, gamma, poles and the pole guard are read from it, so a
+    zero-amplitude term is no pole. value and derivative keep the
+    susceptance shape. Amplitudes are usually calibrated against a
+    RationalBoundary at a reference eigenvalue (see from_rational).
     """
 
     junction_capacitance: float
@@ -162,6 +159,7 @@ class FullSusceptanceBoundary:
     inductance_per_length: float
     phase_velocity: float
     labels: tuple[str, ...] = ()
+    rational: RationalBoundary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.junction_capacitance < 0.0:
@@ -173,7 +171,16 @@ class FullSusceptanceBoundary:
                 raise ValueError("transition frequencies must be positive")
         if self.labels and len(self.labels) != len(self.terms):
             raise ValueError("labels must match terms")
-        _validate_poles(self.poles)
+        ell, v = self.inductance_per_length, self.phase_velocity
+        poles = []
+        for (amp, omega), label in zip(self.terms, self.labels or ("",) * len(self.terms)):
+            loc = (omega / v) ** 2
+            poles.append(BoundaryPole(loc, -ell * amp * loc, label))
+        object.__setattr__(self, "rational", RationalBoundary(
+            beta=ell * v ** 2 * self.junction_capacitance,
+            gamma=-ell * sum(amp for amp, _ in self.terms),
+            poles=tuple(poles),
+        ))
 
     @classmethod
     def from_rational(cls, b: RationalBoundary, ell: float, v: float, lam_ref: float):
@@ -201,56 +208,39 @@ class FullSusceptanceBoundary:
 
     @property
     def beta(self) -> float:
-        """Slope ell v^2 C_J of the equivalent rational form."""
-        return self.inductance_per_length * self.phase_velocity ** 2 * self.junction_capacitance
+        return self.rational.beta
 
     @property
     def gamma(self) -> float:
-        """Constant -ell sum_k A_k of the equivalent rational form, either sign."""
-        return -self.inductance_per_length * sum(amp for amp, _ in self.terms)
+        return self.rational.gamma
 
     @property
     def poles(self) -> tuple[BoundaryPole, ...]:
-        out = []
-        for i, (amp, omega) in enumerate(self.terms):
-            loc = (omega / self.phase_velocity) ** 2
-            label = self.labels[i] if self.labels else ""
-            out.append(
-                BoundaryPole(loc, -self.inductance_per_length * amp * loc, label)
-            )
-        return tuple(sorted(out, key=lambda p: p.location))
+        return self.rational.poles
 
     @property
     def all_positive_residues(self) -> bool:
-        return all(p.strength > 0.0 for p in self.poles)
-
-    def _guard(self, lam: float):
-        v2 = self.phase_velocity ** 2
-        for _, omega in self.terms:
-            if abs(v2 * lam - omega * omega) < POLE_GUARD_REL * omega * omega:
-                raise PoleProximityError(
-                    f"evaluation within {POLE_GUARD_REL} relative of pole at "
-                    f"omega={omega}",
-                    location=(omega / self.phase_velocity) ** 2,
-                )
+        return self.rational.all_positive_residues
 
     def value(self, lam: float) -> float:
-        self._guard(lam)
+        self.rational._guard(lam)
         v2 = self.phase_velocity ** 2
         lv2 = self.inductance_per_length * v2
         acc = -lv2 * lam * self.junction_capacitance
         for amp, omega in self.terms:
-            acc -= lv2 * amp * lam / (omega * omega - v2 * lam)
+            if amp:    # a zero-amplitude term is no pole: nothing, even at omega
+                acc -= lv2 * amp * lam / (omega * omega - v2 * lam)
         return acc
 
     def derivative(self, lam: float) -> float:
-        self._guard(lam)
+        self.rational._guard(lam)
         v2 = self.phase_velocity ** 2
         lv2 = self.inductance_per_length * v2
         acc = -lv2 * self.junction_capacitance
         for amp, omega in self.terms:
-            w2 = omega * omega
-            acc -= lv2 * amp * w2 / (w2 - v2 * lam) ** 2
+            if amp:
+                w2 = omega * omega
+                acc -= lv2 * amp * w2 / (w2 - v2 * lam) ** 2
         return acc
 
 

@@ -29,7 +29,7 @@ from .multiqubit import (
 )
 from .params import GHZ, config_snapshot, load_config
 from .resonator import ShortedLine
-from .spectrum import qubit_frequency_sweep, solve_spectrum
+from .spectrum import pole_margins, qubit_frequency_sweep, solve_spectrum
 from .wedge import (
     WedgeGeometry,
     azimuthal_wavenumber,
@@ -155,16 +155,10 @@ def cmd_spectrum(args) -> int:
     bnd = transmon_boundary(spec, dev, levels=args.levels)
     sp = solve_spectrum(line, bnd)
     v = dev.phase_velocity
-    bpoles = [m.location for m in sp.partition if m.kind == "boundary"]
-    margins = []
-    if bpoles:
-        margins = [
-            min(abs(r.lam - p) / p for p in bpoles) for r in sp.records
-        ]
     payload = {
         "eigenvalues_hz": [f / (2.0 * math.pi) for f in sp.frequencies(v)],
         "brackets": [list(r.bracket) for r in sp.records],
-        "margins": margins,
+        "margins": list(pole_margins(sp)),
         "boundary": {
             "beta": bnd.beta,
             "gamma": bnd.gamma,
@@ -213,16 +207,9 @@ def cmd_chi(args) -> int:
         },
     }
     if args.format == "csv":
-        header = [
-            "chi_mhz", "delta_omega_g_mhz", "delta_omega_e_mhz", "n_crit",
-            "dispersive", "straddling",
-        ]
-        row = (
-            payload["chi_mhz"], payload["delta_omega_g_mhz"],
-            payload["delta_omega_e_mhz"], payload["n_crit"],
-            payload["flags"]["dispersive"], payload["flags"]["straddling"],
-        )
-        text = _csv_text(header, [row])
+        row = dict(payload)
+        row.update(row.pop("flags"))    # the flags as the last columns, in order
+        text = _csv_text(list(row), [row.values()])
     else:
         text = _json_text(payload)
     print(text, end="")
@@ -242,16 +229,16 @@ def cmd_rabi(args) -> int:
         jc = jc_branch_sweep(dev.fundamental_frequency, omegas, g)
     if args.method in ("sl", "both"):
         sl = qubit_frequency_sweep(dev, replace(spec, state="g"), omegas, levels=2)
+    diffs = [None] * len(omegas)
+    if jc and sl:
+        diffs = [(s - j) / GHZ for s, j in zip(sl.gap, jc.gap)]
     rows = []
     for i, wq in enumerate(omegas):
         jc_lo = jc.lower[i] / GHZ if jc else None
         jc_hi = jc.upper[i] / GHZ if jc else None
         sl_lo = sl.lower[i] / GHZ if sl else None
         sl_hi = sl.upper[i] / GHZ if sl else None
-        diff = None
-        if jc and sl:
-            diff = (sl.gap[i] - jc.gap[i]) / GHZ
-        rows.append((wq / GHZ, jc_lo, jc_hi, sl_lo, sl_hi, diff))
+        rows.append((wq / GHZ, jc_lo, jc_hi, sl_lo, sl_hi, diffs[i]))
     text = _rows_text(args, ["omega_q_ghz", "jc_lo", "jc_hi", "sl_lo", "sl_hi", "diff"], rows)
     grid = args.omega_q_ghz
     _save(args, text, {

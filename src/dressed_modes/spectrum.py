@@ -63,7 +63,6 @@ _location = attrgetter("location")
 class PolePoint:
     location: float
     kind: str      # "dirichlet" or "boundary"
-    label: str
 
 
 @dataclass(frozen=True)
@@ -76,18 +75,28 @@ class EigenvalueRecord:
 
 @dataclass(frozen=True)
 class DressedSpectrum:
-    """Roots of one solve. partition, intervals, counts and interlacing
-    always cover the whole domain. records holds every root when near is
-    None, else only the roots next to near (solve_spectrum), and then only
-    questions about near itself can be answered from it."""
+    """Roots of one solve. partition (the poles, sorted) and counts (one
+    per interval between them) always cover the whole domain, and so do
+    intervals and interlacing, read off them. records holds every root when
+    near is None, else only the roots next to near (solve_spectrum), and
+    then only questions about near itself can be answered from it."""
 
     records: tuple[EigenvalueRecord, ...]
     partition: tuple[PolePoint, ...]
-    intervals: tuple[tuple[float, float], ...]
     counts: tuple[int, ...]
-    interlacing: tuple[bool | None, ...]   # None on the two edge intervals
     lam_max: float
     near: float | None = None
+
+    @property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        edges = [0.0, *map(_location, self.partition), self.lam_max]
+        return tuple(zip(edges, edges[1:]))
+
+    @property
+    def interlacing(self) -> tuple[bool | None, ...]:
+        """One root on each pole-bounded interval; None on the two edge intervals."""
+        last = len(self.counts) - 1
+        return tuple(n == 1 if 0 < i < last else None for i, n in enumerate(self.counts))
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
@@ -355,7 +364,7 @@ def _line_partition(length: float):
     lam_max = line.default_lam_max()
     count = int(math.sqrt(lam_max) * length / math.pi) + 1
     dirichlet = tuple(p for p in line.poles(count) if p < lam_max)
-    markers = tuple(PolePoint(p, "dirichlet", f"k={k}") for k, p in enumerate(dirichlet, 1))
+    markers = tuple(PolePoint(p, "dirichlet") for p in dirichlet)
     return lam_max, dirichlet, markers
 
 
@@ -395,12 +404,12 @@ def solve_spectrum(line: ShortedLine, b, near: float | None = None) -> DressedSp
                     f"boundary pole {p.label or p.location} within "
                     f"{DIRICHLET_COLLISION_REL} relative of Dirichlet pole at {d}"
                 )
-        markers.append(PolePoint(p.location, "boundary", p.label))
+        markers.append(PolePoint(p.location, "boundary"))
     markers.sort(key=_location)
 
     bounds = _slope_bounds(line, b)
     ends = [None, *markers, None]
-    brackets, counts, flags = [], [], []
+    brackets, counts = [], []
     lobe = 0
     for lo, hi in zip(ends, ends[1:]):
         if lo is not None and lo.kind == "dirichlet":
@@ -410,7 +419,6 @@ def solve_spectrum(line: ShortedLine, b, near: float | None = None) -> DressedSp
         for br in found:
             brackets.append((ch, *br))
         counts.append(len(found))
-        flags.append(len(found) == 1 if lo is not None and hi is not None else None)
 
     if near is None:
         records = [_refine(*br, length) for br in brackets]
@@ -420,29 +428,31 @@ def solve_spectrum(line: ShortedLine, b, near: float | None = None) -> DressedSp
         if not r1.lam < r2.lam:
             raise SolverError("eigenvalues not strictly increasing")
 
-    edges = [0.0, *map(_location, markers), lam_max]
     return DressedSpectrum(
         records=tuple(records),
         partition=tuple(markers),
-        intervals=tuple(zip(edges, edges[1:])),
         counts=tuple(counts),
-        interlacing=tuple(flags),
         lam_max=lam_max,
         near=near,
     )
 
 
-def pole_margin(spectrum: DressedSpectrum) -> float:
-    """Minimum relative distance from any eigenvalue to any boundary pole.
-    Reads every root, so a spectrum solved with `near` is a ValueError."""
+def pole_margins(spectrum: DressedSpectrum) -> tuple[float, ...]:
+    """Each root's smallest relative distance to a boundary pole, () when
+    no boundary pole lies in the domain. Reads every root, so a spectrum
+    solved with `near` is a ValueError."""
     if spectrum.near is not None:
         raise ValueError("pole_margin reads every root; solve without near")
     bpoles = [m.location for m in spectrum.partition if m.kind == "boundary"]
-    if not bpoles or not spectrum.records:
-        return math.inf
-    return min(
-        abs(r.lam - p) / p for r in spectrum.records for p in bpoles
-    )
+    if not bpoles:
+        return ()
+    return tuple(min(abs(r.lam - p) / p for p in bpoles) for r in spectrum.records)
+
+
+def pole_margin(spectrum: DressedSpectrum) -> float:
+    """Minimum relative distance from any eigenvalue to any boundary pole,
+    inf without either (pole_margins)."""
+    return min(pole_margins(spectrum), default=math.inf)
 
 
 def _fundamental_pair(sp: DressedSpectrum, lam_ref: float, v: float) -> tuple[float, float]:
@@ -496,11 +506,11 @@ def qubit_frequency_sweep(
 
     def solve_one(omega_q):
         bnd = transmon_boundary(replace(spec, frequency=omega_q), dev, levels)
-        sp = solve_spectrum(line, bnd, near=lam_ref)
         try:
+            sp = solve_spectrum(line, bnd, near=lam_ref)
             return _fundamental_pair(sp, lam_ref, v)
         except SolverError as exc:
-            raise SolverError(f"{exc} at omega_q={omega_q}") from None
+            raise type(exc)(f"{exc} at omega_q={omega_q}") from None
 
     pairs = [solve_one(w) for w in omega_q_values]
     return CrossingSweep(

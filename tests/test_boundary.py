@@ -97,11 +97,15 @@ def test_coincident_poles_rejected():
 
 
 def test_guard_near_pole():
-    b = RationalBoundary(beta=0.0, gamma=0.0, poles=(BoundaryPole(1e6, 1.0, "ge"),))
-    with pytest.raises(PoleProximityError):
-        b.value(1e6 * (1.0 + 1e-11))
-    # outside the guard it evaluates
-    assert math.isfinite(b.value(1e6 * (1.0 + 1e-8)))
+    for b in (
+        RationalBoundary(beta=0.0, gamma=0.0, poles=(BoundaryPole(1e6, 1.0, "ge"),)),
+        # the same pole in the susceptance shape: lam_k = (1e3 / 1)^2, residue -A lam_k = 1
+        FullSusceptanceBoundary(0.0, ((-1e-6, 1e3),), 1.0, 1.0, ("ge",)),
+    ):
+        with pytest.raises(PoleProximityError):
+            b.value(1e6 * (1.0 + 1e-11))
+        # outside the guard it evaluates
+        assert math.isfinite(b.value(1e6 * (1.0 + 1e-8)))
 
 
 def test_transmon_boundary_ground_state():
@@ -205,6 +209,36 @@ def test_full_form_is_exactly_its_rational_form(state, levels, c_j):
     for x in (0.1, 0.5, 0.95, 1.0, 1.3, 2.7, 4.4):
         lam = x * lam_ref
         assert full.value(lam) == pytest.approx(rational.value(lam) - full.gamma, rel=1e-12)
+
+
+def test_rational_form_takes_gamma_of_either_sign():
+    for gamma in (-1.0, 0.0, 1.0):
+        b = RationalBoundary(gamma=gamma)
+        assert b.value(2.0) == -gamma and b.derivative(2.0) == 0.0
+
+
+def test_full_form_builds_its_rational_form_once():
+    """The full form's beta, gamma and poles are those of one RationalBoundary,
+    built at construction from the susceptance terms, with gamma < 0 here."""
+    ell, v = DEV.inductance_per_length, DEV.phase_velocity
+    terms = ((2e-9, 9 * GHZ), (0.0, 11 * GHZ), (-1e-9, 8 * GHZ))
+    full = FullSusceptanceBoundary(1e-15, terms, ell, v, ("ge", "off", "ef"))
+    assert isinstance(full.rational, RationalBoundary)
+    assert full.poles is full.poles is full.rational.poles
+    assert full.beta == ell * v ** 2 * 1e-15
+    assert full.gamma == -ell * (2e-9 + 0.0 - 1e-9) < 0.0
+    # a zero-amplitude term is no pole, and the rest are sorted with their labels
+    assert [(p.label, p.location, p.strength) for p in full.poles] == [
+        (label, (w / v) ** 2, -ell * amp * (w / v) ** 2)
+        for amp, w, label in ((-1e-9, 8 * GHZ, "ef"), (2e-9, 9 * GHZ, "ge"))
+    ]
+    assert not full.all_positive_residues
+    assert math.isfinite(full.value((11 * GHZ / v) ** 2))
+    # the guard is the rational form's, and names the pole
+    with pytest.raises(PoleProximityError, match="pole ef") as exc:
+        full.derivative((8 * GHZ / v) ** 2 * (1.0 + 1e-11))
+    assert exc.value.nearest == "ef"
+    assert "_guard" not in vars(FullSusceptanceBoundary)
 
 
 def test_full_form_rejects_gamma():

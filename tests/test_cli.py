@@ -117,6 +117,16 @@ PINNED_OUTPUTS = {
             "10.5,9.98074175964,10.5192582404,9.97928003872,10.5191664171,0.00136989766743\n"
         ),
     ),
+    "multimode": (
+        ["multimode"],
+        (
+            "n_max,lamb_ghz,chi_ghz\n"
+            "100,-0.111294329152,-0.00207198521632\n"
+            "200,-0.211607259891,-0.00208070526316\n"
+            "400,-0.411919682875,-0.00208939739682\n"
+            "800,-0.812231852357,-0.00209807561864\n"
+        ),
+    ),
 }
 
 
@@ -134,6 +144,336 @@ def test_sample_device_chi_csv_bytes_are_pinned(capsys):
         "chi_mhz,delta_omega_g_mhz,delta_omega_e_mhz,n_crit,dispersive,straddling\n"
         "-1.95779123517,8.44403115103,4.52844868069,25,true,false\n"
     )
+
+
+# Reference JSON files and printed reports of the sample device. Left out:
+# multimode's .fits.json (np.polyfit) and wedge (numpy sums), whose low bits
+# depend on the LAPACK and numpy build.
+PINNED_JSON_OUTPUTS = {
+    "spectrum-g": (
+        ["spectrum"],
+        """\
+{
+  "boundary": {
+    "beta": 0.0,
+    "gamma": 0.0,
+    "poles": [
+      {
+        "delta": 36528.40913775092,
+        "label": "ge",
+        "lambda": 222066.0990245106
+      }
+    ]
+  },
+  "brackets": [
+    [
+      0.0,
+      222066.0990245106
+    ],
+    [
+      222066.0990245106,
+      1096622.711232151
+    ],
+    [
+      1096622.711232151,
+      4386490.844928604
+    ],
+    [
+      4386490.844928604,
+      9869604.401089357
+    ],
+    [
+      9869604.401089357,
+      17545963.379714414
+    ],
+    [
+      17545963.379714414,
+      27415567.78080377
+    ],
+    [
+      27415567.78080377,
+      39478378.12593982
+    ]
+  ],
+  "eigenvalues_hz": [
+    8990164475.540096,
+    10008444031.151031,
+    30000065933.602543,
+    50000013393.95344,
+    70000004802.418,
+    90000002244.66876,
+    110000001225.33257
+  ],
+  "margins": [
+    0.002184477811566727,
+    0.23665372746521843,
+    10.111159950870366,
+    29.864214066611403,
+    59.49383546096965,
+    99.00000498815282,
+    148.38271937744645
+  ]
+}
+""",
+    ),
+    "spectrum-e": (
+        ["spectrum", "--state", "e", "--levels", "3"],
+        """\
+{
+  "boundary": {
+    "beta": 0.0,
+    "gamma": 0.0,
+    "poles": [
+      {
+        "delta": 69054.47715084084,
+        "label": "ef",
+        "lambda": 209900.4408217789
+      },
+      {
+        "delta": -36528.40913775092,
+        "label": "eg",
+        "lambda": 222066.0990245106
+      }
+    ]
+  },
+  "brackets": [
+    [
+      0.0,
+      209900.4408217789
+    ],
+    [
+      222066.0990245106,
+      225482.33579094667
+    ],
+    [
+      249395.99315599934,
+      276725.8872874881
+    ],
+    [
+      1096622.711232151,
+      4386490.844928604
+    ],
+    [
+      4386490.844928604,
+      9869604.401089357
+    ],
+    [
+      9869604.401089357,
+      17545963.379714414
+    ],
+    [
+      17545963.379714414,
+      27415567.78080377
+    ],
+    [
+      27415567.78080377,
+      39478378.12593982
+    ]
+  ],
+  "eigenvalues_hz": [
+    8734826623.446438,
+    9009308858.52884,
+    10004528448.680687,
+    30000058037.747368,
+    50000011880.043686,
+    70000004267.875,
+    90000001996.37825,
+    110000001090.22054
+  ],
+  "margins": [
+    0.003465193251674353,
+    0.0020697050415580567,
+    0.23568628988223672,
+    10.111154102076673,
+    29.864212197586532,
+    59.49383453706811,
+    99.00000443639611,
+    148.38271901047548
+  ]
+}
+""",
+    ),
+    "sweep": (
+        ["sweep", "--omega-q-ghz", "9.5:10.5:5", "--json"],
+        """\
+[
+  {
+    "branch_hi_ghz": 10.017827321527093,
+    "branch_lo_ghz": 9.480726441730177,
+    "gap_ghz": 0.5371008797969166,
+    "omega_q_ghz": 9.5
+  },
+  {
+    "branch_hi_ghz": 10.033753707291673,
+    "branch_lo_ghz": 9.714772985151125,
+    "gap_ghz": 0.3189807221405474,
+    "omega_q_ghz": 9.75
+  },
+  {
+    "branch_hi_ghz": 10.099257350086438,
+    "branch_lo_ghz": 9.899242446601301,
+    "gap_ghz": 0.2000149034851367,
+    "omega_q_ghz": 10.0
+  },
+  {
+    "branch_hi_ghz": 10.284898369866877,
+    "branch_lo_ghz": 9.963574687420234,
+    "gap_ghz": 0.32132368244664367,
+    "omega_q_ghz": 10.25
+  },
+  {
+    "branch_hi_ghz": 10.519166417105088,
+    "branch_lo_ghz": 9.979280038724202,
+    "gap_ghz": 0.5398863783808855,
+    "omega_q_ghz": 10.5
+  }
+]
+""",
+    ),
+    "rabi-jc": (
+        ["rabi", "--omega-q-ghz", "9.5:10.5:5", "--json", "--method", "jc"],
+        """\
+[
+  {
+    "diff": null,
+    "jc_hi": 10.019258240356724,
+    "jc_lo": 9.480741759643275,
+    "omega_q_ghz": 9.5,
+    "sl_hi": null,
+    "sl_lo": null
+  },
+  {
+    "diff": null,
+    "jc_hi": 10.03507810593582,
+    "jc_lo": 9.71492189406418,
+    "omega_q_ghz": 9.75,
+    "sl_hi": null,
+    "sl_lo": null
+  },
+  {
+    "diff": null,
+    "jc_hi": 10.1,
+    "jc_lo": 9.9,
+    "omega_q_ghz": 10.0,
+    "sl_hi": null,
+    "sl_lo": null
+  },
+  {
+    "diff": null,
+    "jc_hi": 10.28507810593582,
+    "jc_lo": 9.96492189406418,
+    "omega_q_ghz": 10.25,
+    "sl_hi": null,
+    "sl_lo": null
+  },
+  {
+    "diff": null,
+    "jc_hi": 10.519258240356725,
+    "jc_lo": 9.980741759643275,
+    "omega_q_ghz": 10.5,
+    "sl_hi": null,
+    "sl_lo": null
+  }
+]
+""",
+    ),
+}
+
+PINNED_STDOUT = {
+    "chi": (
+        ["chi"],
+        """\
+{
+  "chi_mhz": -1.9577912351717106,
+  "delta_omega_e_mhz": 4.528448680687619,
+  "delta_omega_g_mhz": 8.44403115103104,
+  "flags": {
+    "dispersive": true,
+    "straddling": false
+  },
+  "n_crit": 24.999999999999954
+}
+""",
+    ),
+    "parity": (
+        ["parity"],
+        """\
+{
+  "commutator_norms": {
+    "hdisp_parity": 0.0,
+    "hint_sx": 123011651.23355865,
+    "hint_sz": 0.0,
+    "sx_identity_residual": 0.0
+  },
+  "even_gap_mhz": 7.831164940686842,
+  "frequencies_ghz": {
+    "ee": 10.016888062302062,
+    "eg": 10.012972479831719,
+    "ge": 10.012972479831719,
+    "gg": 10.009056897361376
+  },
+  "odd_gap_mhz": 0.0,
+  "protected": [
+    "ge-eg"
+  ]
+}
+""",
+    ),
+    "parity-engineered": (
+        ["parity", "--q2-frequency-ghz", "8.6", "--chi-p-mhz", "1.5"],
+        """\
+{
+  "commutator_norms": {
+    "hdisp_parity": 0.0,
+    "hint_sx": 123011651.23355865,
+    "hint_sz": 0.0,
+    "sx_identity_residual": 0.0
+  },
+  "engineered": {
+    "chi_p_mhz": 1.5,
+    "even_ghz": 10.012574275289627,
+    "odd_ghz": 10.009574275289626
+  },
+  "even_gap_mhz": 6.044976003584331,
+  "frequencies_ghz": {
+    "ee": 10.014096763291418,
+    "eg": 10.011967369758178,
+    "ge": 10.010181180821075,
+    "gg": 10.008051787287833
+  },
+  "odd_gap_mhz": 1.786188937102511,
+  "protected": []
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_JSON_OUTPUTS))
+def test_sample_device_json_bytes_are_pinned(key, tmp_path):
+    args, expected = PINNED_JSON_OUTPUTS[key]
+    out = str(tmp_path / "out.json")
+    assert main([*args, "--config", SAMPLE_CFG, "--out", out]) == 0
+    assert Path(out).read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_STDOUT))
+def test_sample_device_stdout_is_pinned(key, capsys):
+    args, expected = PINNED_STDOUT[key]
+    assert main([*args, "--config", SAMPLE_CFG]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_sweep_error_names_its_grid_point(tmp_path, capsys):
+    """omega_q = 20 GHz puts the qubit pole on the line's first Dirichlet
+    pole: exit 1, no output, and the message says at which grid point."""
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", SAMPLE_CFG, "--omega-q-ghz", "19:21:5", "--out", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: boundary pole ge within 1e-06 relative of Dirichlet pole")
+    assert err.endswith(" at omega_q=125663706143.59174\n")
 
 
 # Reference manifests of every file-writing subcommand on the sample device,

@@ -2,7 +2,7 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +14,17 @@ from dressed_modes import (
     BoundaryPole,
     CrossingSweep,
     DeviceParams,
+    DressedSpectrum,
     FullSusceptanceBoundary,
     PoleCollisionError,
+    PolePoint,
     RationalBoundary,
     SolverError,
     ShortedLine,
     TransmonSpec,
     omega_to_lambda,
     pole_margin,
+    pole_margins,
     quarterwave_zeros,
     qubit_frequency_sweep,
     solve_spectrum,
@@ -211,6 +214,48 @@ def test_margin_scales_with_coupling_squared():
 def test_pole_margin_infinite_without_boundary_poles():
     sp = solve_spectrum(LINE, RationalBoundary(beta=0.0, gamma=0.0, poles=()))
     assert pole_margin(sp) == math.inf
+
+
+def test_pole_margins_per_root():
+    sp = solve_spectrum(LINE, transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3))
+    margins = pole_margins(sp)
+    bpoles = [p.location for p in sp.partition if p.kind == "boundary"]
+    assert len(bpoles) == 2
+    assert margins == tuple(min(abs(lam - p) / p for p in bpoles) for lam in sp.eigenvalues)
+    assert pole_margin(sp) == min(margins)
+    assert pole_margins(solve_spectrum(LINE, RationalBoundary())) == ()
+    lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
+    with pytest.raises(ValueError, match="every root"):
+        pole_margins(solve_spectrum(LINE, transmon_boundary(QUBIT, DEV), near=lam_ref))
+
+
+def test_result_stores_only_what_the_solve_decides():
+    """The roots, the partition, the counts, the domain end and near; the
+    intervals and the interlacing flags are read off the partition and the
+    counts."""
+    assert [f.name for f in fields(DressedSpectrum)] == [
+        "records", "partition", "counts", "lam_max", "near",
+    ]
+    assert [f.name for f in fields(PolePoint)] == ["location", "kind"]
+    sp = solve_spectrum(LINE, transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3))
+    edges = [0.0, *(p.location for p in sp.partition), sp.lam_max]
+    assert sp.intervals == tuple(zip(edges, edges[1:]))
+    assert sp.counts == (1, 0, 2, 1, 1, 1, 1, 1)
+    assert sp.interlacing == (None, False, False, True, True, True, True, None)
+
+
+def test_sweep_error_names_its_grid_point_and_keeps_its_type():
+    """A solve that fails inside a sweep, on a pole collision or on an
+    uncertifiable count, raises its own error type with omega_q appended."""
+    omega_q = 2.0 * DEV.fundamental_frequency
+    with pytest.raises(PoleCollisionError, match=f"at omega_q={omega_q}$"):
+        qubit_frequency_sweep(DEV, QUBIT, [omega_q])
+    spec = replace(QUBIT, state="e", coupling=_merge_coupling() * (1.0 + 1e-9) * GHZ)
+    omega_q = 10.5 * GHZ
+    match = f"no certified root count .* at omega_q={omega_q}$"
+    with pytest.raises(SolverError, match=match) as exc:
+        qubit_frequency_sweep(DEV, spec, [omega_q], levels=2)
+    assert type(exc.value) is SolverError
 
 
 def test_crossing_sweep_rejects_closed_gap():
@@ -436,15 +481,46 @@ def test_line_slope_bound_behind_the_certificate():
     assert worst <= -length / 3.0
 
 
-# Random boundaries, residues of either sign, beta up to 2L/3. Locations
-# are in units of the fundamental eigenvalue, strengths in units of lam_1 / L.
+def _v_shaped(shift):
+    """A synthetic cleared function H(x) = |x - 1| + shift on [0, 2], with
+    c = 1 and L = 1, and a slope bound that proves [0, 1] falling and
+    [1, 2] rising but settles no cell across x = 1."""
+
+    def ch(x, parts=False):
+        h = abs(x - 1.0) + shift
+        return (h, 0.0, 1.0) if parts else h
+
+    def bounds(x0, x1, lobe):
+        return (-1.0, -1.0) if x1 <= 1.0 else (1.0, 1.0) if x0 >= 1.0 else (-1.0, 1.0)
+
+    return ch, bounds
+
+
+@pytest.mark.parametrize("shift", [1e-9, -1e-9, -1e-3])
+def test_isolate_turn_needs_h_off_zero(shift):
+    """Where a falling cell meets a rising one, H at the junction decides
+    between two roots and none, so |H| there must exceed the residual
+    tolerance (RESIDUAL_REL = 1e-8 here): inside it the sign is noise and
+    isolation raises, outside it each cell holds one root."""
+    ch, bounds = _v_shaped(shift)
+    if abs(shift) <= spectrum.RESIDUAL_REL:
+        with pytest.raises(SolverError, match="H turns within"):
+            spectrum._isolate(ch, None, None, 2.0, bounds, 0, 1.0)
+    else:
+        brackets = spectrum._isolate(ch, None, None, 2.0, bounds, 0, 1.0)
+        assert [br[:2] for br in brackets] == [(0.0, 1.0), (1.0, 2.0)]
+
+
+# Random boundaries, residues of either sign, beta up to 2L/3, gamma of
+# either sign. Locations are in units of the fundamental eigenvalue,
+# strengths in units of lam_1 / L.
 RANDOM_BOUNDARY = dict(
     locations=st.lists(st.floats(0.05, 5.5), min_size=1, max_size=3, unique=True),
     strengths=st.lists(
         st.one_of(st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3)), min_size=3, max_size=3
     ),
     beta_frac=st.one_of(st.floats(0.0, 2.0), st.just(1.0 - 1e-9)),
-    gamma=st.floats(0.0, 500.0),
+    gamma=st.floats(-500.0, 500.0),
 )
 
 
