@@ -67,6 +67,7 @@ from .dispersive import (
     dispersive_shift_exact,
     perturbative_mode_shift,
     pulled_frequencies,
+    regime_flags,
 )
 from .jc import (
     JCModel,
@@ -91,7 +92,6 @@ from .multiqubit import (
     additivity_report,
     dispersive_hamiltonian,
     joint_parity,
-    joint_state_frequency,
     parity_hamiltonian,
     parity_operator,
     parity_report,

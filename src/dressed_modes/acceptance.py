@@ -88,7 +88,7 @@ def check_open_circuit() -> CriterionResult:
     )
 
 
-def check_derivative_identity(seed: int = 0) -> CriterionResult:
+def check_derivative_identity(seed: int) -> CriterionResult:
     """dG/dlam equals -L/2 at the quarter-wave zeros, and matches finite
     differences at random off-pole points."""
     length = STANDARD_DEVICE.length
@@ -144,7 +144,7 @@ def _random_ground_config(rng):
     return dev, spec
 
 
-def check_interlacing(seed: int = 0) -> CriterionResult:
+def check_interlacing(seed: int) -> CriterionResult:
     """Random ground-state draws: one eigenvalue per pole-bounded interval."""
     rng = np.random.default_rng(seed)
     failures = 0
@@ -168,7 +168,7 @@ def check_interlacing(seed: int = 0) -> CriterionResult:
     )
 
 
-def check_level_repulsion(seed: int = 1) -> CriterionResult:
+def check_level_repulsion(seed: int) -> CriterionResult:
     """Eigenvalues never land on poles; the crossing gap never closes."""
     rng = np.random.default_rng(seed)
     min_margin = math.inf
@@ -209,7 +209,7 @@ def check_vacuum_rabi() -> CriterionResult:
     return _result("vacuum Rabi matching", passed, "; ".join(details))
 
 
-def check_dispersive_triangle(seed: int = 2) -> CriterionResult:
+def check_dispersive_triangle(seed: int) -> CriterionResult:
     """Closed form, exact solve, and ladder-diagonalization chi agree."""
     rng = np.random.default_rng(seed)
     dev = STANDARD_DEVICE

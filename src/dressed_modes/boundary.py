@@ -95,6 +95,16 @@ class RationalBoundary:
     poles: tuple[BoundaryPole, ...] = ()
 
     def __post_init__(self):
+        # a NaN passes every comparison below and an inf breaks the solve
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
+        for p in self.poles:
+            if not math.isfinite(p.location):
+                raise ValueError(f"pole location must be finite, got {p.location}")
+            if not math.isfinite(p.strength):
+                raise ValueError(f"pole strength must be finite, got {p.strength}")
         if self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
         kept = tuple(sorted(

@@ -17,10 +17,10 @@ from dataclasses import replace
 
 from . import __version__
 from .boundary import resolved_coupling, transmon_boundary
-from .dispersive import DISPERSIVE_RATIO, critical_photon_number, dispersive_shift_exact
+from .dispersive import critical_photon_number, dispersive_shift_exact, regime_flags
 from .errors import ConfigError
 from .jc import jc_branch_sweep
-from .multimode import MultimodeModel, divergence_report
+from .multimode import DEFAULT_SCHEDULE, MultimodeModel, divergence_report
 from .multiqubit import (
     parity_report,
     qnd_residual,
@@ -201,10 +201,7 @@ def cmd_chi(args) -> int:
         "delta_omega_g_mhz": pull_g / MHZ,
         "delta_omega_e_mhz": pull_e / MHZ,
         "n_crit": critical_photon_number(g, delta),
-        "flags": {
-            "dispersive": abs(g) < DISPERSIVE_RATIO * abs(delta),
-            "straddling": delta * (delta + spec.anharmonicity) <= 0.0,
-        },
+        "flags": regime_flags(g, delta, spec.anharmonicity),
     }
     if args.format == "csv":
         row = dict(payload)
@@ -430,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p, "csv")
     p.add_argument(
         "--nmax-schedule", dest="nmax_schedule", type=_schedule,
-        default=[100, 200, 400, 800],
+        default=list(DEFAULT_SCHEDULE),
     )
     p.set_defaults(func=cmd_multimode)
 

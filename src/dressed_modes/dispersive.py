@@ -33,6 +33,14 @@ def dispersive_shift(g: float, delta: float, alpha: float) -> float:
     return g * g * alpha / (delta * (delta + alpha))
 
 
+def regime_flags(g: float, delta: float, alpha: float) -> dict[str, bool]:
+    """|g / Delta| < DISPERSIVE_RATIO, and the mode between the g-e and e-f lines."""
+    return {
+        "dispersive": abs(g) < DISPERSIVE_RATIO * abs(delta),
+        "straddling": delta * (delta + alpha) <= 0.0,
+    }
+
+
 def critical_photon_number(g: float, delta: float) -> float:
     """Photon number Delta^2 / (4 g^2) where the dispersive expansion fails."""
     if g == 0.0:
@@ -63,16 +71,18 @@ def _guard_detuning(delta: float, alpha: float, omega_ref: float):
 def pulled_frequencies(dev: DeviceParams, specs, joints, levels: int = 3) -> dict[str, float]:
     """Dressed frequency nearest the bare fundamental, per joint state.
 
-    A joint state names one state per qubit in `specs`, e.g. "e" for one
-    qubit or "ge" for two. The qubits' boundary terms are summed and the
-    full boundary-value problem is solved once per joint state, refining
-    only the roots next to the fundamental.
+    A joint state names "g" or "e" once per qubit in `specs`, e.g. "e" for
+    one qubit or "ge" for two, else ValueError. The qubits' boundary terms
+    are summed and the full boundary-value problem is solved once per joint
+    state, refining only the roots next to the fundamental.
     """
     line = ShortedLine(dev.length)
     v = dev.phase_velocity
     lam_ref = omega_to_lambda(dev.fundamental_frequency, v)
     pulled = {}
     for joint in joints:
+        if len(joint) != len(specs) or not set(joint) <= {"g", "e"}:
+            raise ValueError(f"joint state {joint!r} must name g or e for each of {len(specs)} qubits")
         bnd = reduce(sum_boundaries, (
             transmon_boundary(replace(spec, state=state), dev, levels=levels)
             for spec, state in zip(specs, joint)
@@ -130,6 +140,5 @@ def dispersive_report(dev: DeviceParams, spec: TransmonSpec, levels: int = 3) ->
         anharmonicity=alpha,
         coupling=g,
         n_crit=critical_photon_number(g, delta),
-        dispersive=abs(g) < DISPERSIVE_RATIO * abs(delta),
-        straddling=delta * (delta + alpha) <= 0.0,
+        **regime_flags(g, delta, alpha),
     )

@@ -189,23 +189,6 @@ def two_qubit_model(
     return TwoQubitDispersiveModel(center=center, chi_1=chis[0], chi_2=chis[1])
 
 
-def joint_state_frequency(
-    dev: DeviceParams,
-    spec_1: TransmonSpec,
-    spec_2: TransmonSpec,
-    joint: str,
-    levels: int = 3,
-) -> float:
-    """Dressed mode frequency with the qubits held in the given joint state.
-
-    Both boundary terms are summed before solving, so nothing here assumes
-    additivity of the pulls.
-    """
-    if joint not in STATES:
-        raise ValueError(f"joint state must be one of {STATES}")
-    return pulled_frequencies(dev, (spec_1, spec_2), (joint,), levels)[joint]
-
-
 @dataclass(frozen=True)
 class AdditivityReport:
     exact: dict[str, float]
@@ -234,11 +217,10 @@ def additivity_report(
         pulled_frequencies(dev, (spec,), ("g", "e"), levels)
         for spec in (spec_1, spec_2)
     ]
-    exact = {}
-    additive = {}
-    for joint in STATES:
-        exact[joint] = joint_state_frequency(dev, spec_1, spec_2, joint, levels)
-        additive[joint] = pulls[0][joint[0]] + pulls[1][joint[1]] - omega_bare
+    exact = pulled_frequencies(dev, (spec_1, spec_2), STATES, levels)
+    additive = {
+        joint: pulls[0][joint[0]] + pulls[1][joint[1]] - omega_bare for joint in STATES
+    }
     deviation = max(abs(exact[s] - additive[s]) for s in STATES)
     cross = 0.25 * (exact["gg"] - exact["ge"] - exact["eg"] + exact["ee"])
     return AdditivityReport(

@@ -49,7 +49,7 @@ from operator import attrgetter
 
 from .boundary import transmon_boundary
 from .errors import PoleCollisionError, SolverError
-from .params import DeviceParams, TransmonSpec, lambda_to_omega, omega_to_lambda
+from .params import GHZ, DeviceParams, TransmonSpec, lambda_to_omega, omega_to_lambda
 from .resonator import XI_POLE_GUARD, ShortedLine, line_log_deriv
 
 RESIDUAL_REL = 1e-8          # threshold on |c*H| over max(|G|, |F|, 1/L)
@@ -510,7 +510,7 @@ def qubit_frequency_sweep(
             sp = solve_spectrum(line, bnd, near=lam_ref)
             return _fundamental_pair(sp, lam_ref, v)
         except SolverError as exc:
-            raise type(exc)(f"{exc} at omega_q={omega_q}") from None
+            raise type(exc)(f"{exc} at omega_q={omega_q / GHZ:.12g} GHz") from None
 
     pairs = [solve_one(w) for w in omega_q_values]
     return CrossingSweep(

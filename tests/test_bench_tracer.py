@@ -40,7 +40,7 @@ def test_tracer_counts_every_layer_and_uninstalls():
         "resonator.log_deriv.calls",
         "spectrum.solve_spectrum.calls",
         "dispersive.dispersive_shift_exact.calls",
-        "multiqubit.joint_state_frequency.calls",
+        "multiqubit.time_s",
         "cli.main.calls",
     ):
         assert figures[name] > 0, name

@@ -96,6 +96,36 @@ def test_coincident_poles_rejected():
         )
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"gamma": NAN}, "gamma"),
+    ({"gamma": -INF}, "gamma"),
+    ({"beta": NAN}, "beta"),
+    ({"beta": INF}, "beta"),
+    ({"poles": (BoundaryPole(1e6, NAN),)}, "pole strength"),
+    ({"poles": (BoundaryPole(1e6, INF),)}, "pole strength"),
+    ({"poles": (BoundaryPole(NAN, 1.0),)}, "pole location"),
+    ({"poles": (BoundaryPole(INF, 1.0),)}, "pole location"),
+    ({"poles": (BoundaryPole(NAN, 0.0),)}, "pole location"),  # before zero strengths drop
+])
+def test_rational_form_rejects_non_finite_inputs(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        RationalBoundary(**kwargs)
+
+
+def test_non_finite_inputs_rejected_through_full_form_and_sum():
+    ell, v = DEV.inductance_per_length, DEV.phase_velocity
+    with pytest.raises(ValueError, match="^beta must be finite"):
+        FullSusceptanceBoundary(NAN, ((1e-9, 9 * GHZ),), ell, v)
+    big = RationalBoundary(beta=1e308, poles=(BoundaryPole(1e6, 1e308),))
+    with pytest.raises(ValueError, match="^beta must be finite"):
+        sum_boundaries(big, big)      # the sums overflow to inf
+    with pytest.raises(ValueError, match="^pole strength must be finite"):
+        sum_boundaries(big, replace(big, beta=0.0))
+
+
 def test_guard_near_pole():
     for b in (
         RationalBoundary(beta=0.0, gamma=0.0, poles=(BoundaryPole(1e6, 1.0, "ge"),)),

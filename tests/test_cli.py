@@ -1,11 +1,13 @@
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from dressed_modes import __version__, acceptance
-from dressed_modes.cli import _grid, main
+from dressed_modes.cli import _grid, build_parser, main
 
 CFG = """\
 resonator.length_m = 3e-3
@@ -473,7 +475,7 @@ def test_sweep_error_names_its_grid_point(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: boundary pole ge within 1e-06 relative of Dirichlet pole")
-    assert err.endswith(" at omega_q=125663706143.59174\n")
+    assert err.endswith(" at omega_q=20 GHz\n")
 
 
 # Reference manifests of every file-writing subcommand on the sample device,
@@ -934,3 +936,21 @@ def test_grid_parsing():
     for text in ("nan:1:3", "1:inf:3", "-inf:1:3"):
         with pytest.raises(argparse.ArgumentTypeError):
             _grid(text)
+
+
+def test_readme_command_lines_parse():
+    """Every dressed-modes line in the README's sh blocks, continuations
+    joined, parses: a renamed or removed option cannot stay in the docs."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [
+        line.strip() for line in "".join(blocks).replace("\\\n", " ").splitlines()
+        if line.strip().startswith("dressed-modes ")
+    ]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -11,10 +11,10 @@ from dressed_modes import (
     additivity_report,
     dispersive_hamiltonian,
     joint_parity,
-    joint_state_frequency,
     parity_hamiltonian,
     parity_operator,
     parity_report,
+    pulled_frequencies,
     qnd_residual,
     single_qubit_commutators,
     state_frequencies,
@@ -176,9 +176,22 @@ def test_identical_qubits_give_bitwise_equal_chis():
     assert parity_report(m).odd_protected
 
 
-def test_joint_state_frequency_validates_label():
-    with pytest.raises(ValueError):
-        joint_state_frequency(DEV, Q1, Q2, "gx")
+@pytest.mark.parametrize("specs, joint", [
+    ((Q1, Q2), "gx"),
+    ((Q1, Q2), "g"),     # too short: would solve Q1 alone
+    ((Q1, Q2), "ggg"),   # too long: would be read as "gg"
+    ((Q1, Q2), ""),
+    ((Q1,), "ge"),
+], ids=["2q-gx", "2q-g", "2q-ggg", "2q-empty", "1q-ge"])
+def test_pulled_frequencies_validates_joint_label(specs, joint):
+    with pytest.raises(ValueError, match="must name g or e for each"):
+        pulled_frequencies(DEV, specs, (joint,))
+
+
+def test_additivity_report_exact_is_the_joint_solve():
+    rep = additivity_report(DEV, Q1, Q2)
+    for joint in STATES:
+        assert rep.exact[joint] == pulled_frequencies(DEV, (Q1, Q2), (joint,))[joint]
 
 
 def test_additivity_of_exact_joint_solves():

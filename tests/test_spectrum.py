@@ -246,15 +246,15 @@ def test_result_stores_only_what_the_solve_decides():
 
 def test_sweep_error_names_its_grid_point_and_keeps_its_type():
     """A solve that fails inside a sweep, on a pole collision or on an
-    uncertifiable count, raises its own error type with omega_q appended."""
+    uncertifiable count, raises its own error type with omega_q appended
+    in GHz."""
     omega_q = 2.0 * DEV.fundamental_frequency
-    with pytest.raises(PoleCollisionError, match=f"at omega_q={omega_q}$"):
+    with pytest.raises(PoleCollisionError, match="at omega_q=20 GHz$"):
         qubit_frequency_sweep(DEV, QUBIT, [omega_q])
     spec = replace(QUBIT, state="e", coupling=_merge_coupling() * (1.0 + 1e-9) * GHZ)
-    omega_q = 10.5 * GHZ
-    match = f"no certified root count .* at omega_q={omega_q}$"
+    match = "no certified root count .* at omega_q=10.5 GHz$"
     with pytest.raises(SolverError, match=match) as exc:
-        qubit_frequency_sweep(DEV, spec, [omega_q], levels=2)
+        qubit_frequency_sweep(DEV, spec, [10.5 * GHZ], levels=2)
     assert type(exc.value) is SolverError
 
 
