@@ -287,7 +287,7 @@ def cmd_parity(args) -> int:
     if args.q2_anharmonicity_ghz is not None:
         spec2 = replace(spec2, anharmonicity=args.q2_anharmonicity_ghz * GHZ)
     if args.q2_coupling_ghz is not None:
-        spec2 = replace(spec2, coupling=args.q2_coupling_ghz * GHZ)
+        spec2 = replace(spec2, coupling=args.q2_coupling_ghz * GHZ, charge_element=None)
     model = two_qubit_model(dev, spec1, spec2, levels=args.levels)
     if args.chi_p_mhz is not None:
         model = replace(model, chi_p=args.chi_p_mhz * MHZ)
@@ -325,7 +325,7 @@ def cmd_parity(args) -> int:
             "levels": args.levels,
             "q2.frequency_ghz": spec2.frequency / GHZ,
             "q2.anharmonicity_ghz": spec2.anharmonicity / GHZ,
-            "q2.coupling_ghz": (spec2.coupling or 0.0) / GHZ,
+            "q2.coupling_ghz": resolved_coupling(spec2, dev) / GHZ,
         })
     return 0
 

@@ -76,6 +76,8 @@ def pulled_frequencies(dev: DeviceParams, specs, joints, levels: int = 3) -> dic
     are summed and the full boundary-value problem is solved once per joint
     state, refining only the roots next to the fundamental.
     """
+    if not specs:
+        raise ValueError("pulled_frequencies needs at least one qubit")
     line = ShortedLine(dev.length)
     v = dev.phase_velocity
     lam_ref = omega_to_lambda(dev.fundamental_frequency, v)

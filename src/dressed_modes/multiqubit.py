@@ -1,12 +1,13 @@
 """Two transmons on one line: joint readout map and parity structure.
 
-Each qubit pulls the shared mode by its own dispersive shift. To leading
-order the pulls add, so the four joint states split into an even manifold
-{gg, ee} separated by 2|chi_1 + chi_2| and an odd manifold {ge, eg}
-separated by 2|chi_1 - chi_2|. Matched shifts leave the odd pair
-unresolved by the readout, which is what makes a parity measurement
-possible. The additive picture is checked against exact solves with both
-boundary terms summed.
+Each qubit pulls the shared mode by its own dispersive shift
+chi = (omega_e - omega_g) / 2: a qubit in e pulls the mode by +chi from its
+mean, one in g by -chi. To leading order the pulls add, so the four joint
+states split into an even manifold {gg, ee} separated by 2|chi_1 + chi_2|
+and an odd manifold {ge, eg} separated by 2|chi_1 - chi_2|. Matched shifts
+leave the odd pair unresolved by the readout, which is what makes a parity
+measurement possible. `state_frequencies` is the one additive map; it is
+checked against exact solves with both boundary terms summed.
 """
 from __future__ import annotations
 
@@ -35,18 +36,17 @@ class TwoQubitDispersiveModel:
 
 
 def state_frequencies(model: TwoQubitDispersiveModel) -> dict[str, float]:
-    """Readout frequencies omega(s1 s2) = center + chi_1 s1 + chi_2 s2.
+    """Readout frequencies omega(s1 s2) = center - (chi_1 s1 + chi_2 s2).
 
-    s is +1 for a qubit in g and -1 in e. This orientation is the mirror
-    image of the convention behind chi itself (where the excited state
-    pulls by +chi); gaps, manifolds and parity structure do not depend on
-    the choice.
+    s is +1 for a qubit in g and -1 in e, so a qubit in e pulls the mode by
+    +chi, the sign of chi itself. With both qubits below the mode (chi < 0
+    on each) gg is the highest line.
     """
     out = {}
     for joint in STATES:
         s1, s2 = SIGMA[joint[0]], SIGMA[joint[1]]
         # qubit contribution grouped first: matched shifts cancel exactly
-        out[joint] = model.center + (model.chi_1 * s1 + model.chi_2 * s2)
+        out[joint] = model.center - (model.chi_1 * s1 + model.chi_2 * s2)
     return out
 
 
@@ -80,20 +80,20 @@ def parity_report(model: TwoQubitDispersiveModel) -> ParityReport:
     )
 
 
+def _photon_ladder(freqs: dict[str, float], n_max: int) -> np.ndarray:
+    """Diagonal n * freqs[joint] on {gg, ge, eg, ee} x {0..n_max} photons."""
+    if n_max < 1:
+        raise ValueError("need at least one photon state")
+    return np.diag([n * freqs[joint] for joint in STATES for n in range(n_max + 1)])
+
+
 def dispersive_hamiltonian(model: TwoQubitDispersiveModel, n_max: int) -> np.ndarray:
     """Diagonal readout Hamiltonian on {gg, ge, eg, ee} x {0..n_max} photons.
 
     Entry for (joint state, n) is n * omega(s1 s2). Qubit self-energies are
     left out; only the state-dependent mode frequency matters here.
     """
-    if n_max < 1:
-        raise ValueError("need at least one photon state")
-    freqs = state_frequencies(model)
-    diag = []
-    for joint in STATES:
-        for n in range(n_max + 1):
-            diag.append(n * freqs[joint])
-    return np.diag(diag)
+    return _photon_ladder(state_frequencies(model), n_max)
 
 
 def parity_hamiltonian(model: TwoQubitDispersiveModel, n_max: int) -> np.ndarray:
@@ -104,14 +104,8 @@ def parity_hamiltonian(model: TwoQubitDispersiveModel, n_max: int) -> np.ndarray
     """
     if model.chi_p is None:
         raise ValueError("model carries no engineered parity shift")
-    if n_max < 1:
-        raise ValueError("need at least one photon state")
-    diag = []
-    for joint in STATES:
-        omega = model.center + model.chi_p * joint_parity(joint)
-        for n in range(n_max + 1):
-            diag.append(n * omega)
-    return np.diag(diag)
+    freqs = {joint: model.center + model.chi_p * joint_parity(joint) for joint in STATES}
+    return _photon_ladder(freqs, n_max)
 
 
 def parity_operator(n_max: int) -> np.ndarray:
@@ -205,22 +199,15 @@ def additivity_report(
     spec_2: TransmonSpec,
     levels: int = 3,
 ) -> AdditivityReport:
-    """Exact joint solves against the sum of individual pulls.
+    """Exact joint solves against the additive readout map.
 
-    The additive prediction is omega_bare + pull_1(s1) + pull_2(s2) with
-    each pull taken from a single-qubit solve. The cross term vanishes
-    identically in any additive model, so its exact-solve value measures
-    the qubit-qubit piece directly.
+    The additive prediction is `state_frequencies` of `two_qubit_model`,
+    built from single-qubit solves. The cross term vanishes identically in
+    any additive model, so its exact-solve value measures the qubit-qubit
+    piece directly.
     """
-    omega_bare = dev.fundamental_frequency
-    pulls = [
-        pulled_frequencies(dev, (spec,), ("g", "e"), levels)
-        for spec in (spec_1, spec_2)
-    ]
+    additive = state_frequencies(two_qubit_model(dev, spec_1, spec_2, levels))
     exact = pulled_frequencies(dev, (spec_1, spec_2), STATES, levels)
-    additive = {
-        joint: pulls[0][joint[0]] + pulls[1][joint[1]] - omega_bare for joint in STATES
-    }
     deviation = max(abs(exact[s] - additive[s]) for s in STATES)
     cross = 0.25 * (exact["gg"] - exact["ge"] - exact["eg"] + exact["ee"])
     return AdditivityReport(

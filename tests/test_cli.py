@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from dressed_modes import __version__, acceptance
+from dressed_modes.boundary import resolved_coupling
 from dressed_modes.cli import _grid, build_parser, main
+from dressed_modes.params import GHZ, load_config
 
 CFG = """\
 resonator.length_m = 3e-3
@@ -409,10 +411,10 @@ PINNED_STDOUT = {
   },
   "even_gap_mhz": 7.831164940686842,
   "frequencies_ghz": {
-    "ee": 10.016888062302062,
+    "ee": 10.009056897361376,
     "eg": 10.012972479831719,
     "ge": 10.012972479831719,
-    "gg": 10.009056897361376
+    "gg": 10.016888062302062
   },
   "odd_gap_mhz": 0.0,
   "protected": [
@@ -438,10 +440,10 @@ PINNED_STDOUT = {
   },
   "even_gap_mhz": 6.044976003584331,
   "frequencies_ghz": {
-    "ee": 10.014096763291418,
-    "eg": 10.011967369758178,
-    "ge": 10.010181180821075,
-    "gg": 10.008051787287833
+    "ee": 10.008051787287833,
+    "eg": 10.010181180821075,
+    "ge": 10.011967369758178,
+    "gg": 10.014096763291418
   },
   "odd_gap_mhz": 1.786188937102511,
   "protected": []
@@ -772,6 +774,30 @@ def test_parity_detuned_second_qubit(cfg, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["odd_gap_mhz"] > 0.0
     assert payload["protected"] == []
+
+
+@pytest.fixture
+def charge_cfg(tmp_path):
+    """CFG with the qubit given by its charge element instead of its g."""
+    path = tmp_path / "charge.cfg"
+    path.write_text(CFG.replace("qubit.coupling_ghz = 0.1", "qubit.charge_element_C = 1e-19"))
+    return str(path)
+
+
+def test_parity_q2_coupling_replaces_a_charge_element(charge_cfg, capsys):
+    assert main(["parity", "--config", charge_cfg, "--q2-coupling-ghz", "0.1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # q1 keeps its charge-derived g of ~0.39 GHz, so the shifts differ
+    assert payload["odd_gap_mhz"] > 0.0
+
+
+def test_parity_manifest_records_q2_resolved_coupling(charge_cfg, tmp_path):
+    out = str(tmp_path / "parity.json")
+    assert main(["parity", "--config", charge_cfg, "--out", out]) == 0
+    dev, spec = load_config(charge_cfg)
+    recorded = read_manifest(out)["config"]["q2.coupling_ghz"]
+    assert recorded == resolved_coupling(spec, dev) / GHZ
+    assert recorded == pytest.approx(0.3885, rel=1e-3)
 
 
 def test_parity_engineered_block(cfg, capsys):

@@ -44,16 +44,16 @@ def test_state_map_matched_shifts():
     f = state_frequencies(m)
     # the two odd states collapse onto the bare line exactly
     assert f["ge"] == f["eg"] == m.center
-    assert f["gg"] == m.center + 2.0 * chi
-    assert f["ee"] == m.center - 2.0 * chi
+    assert f["gg"] == m.center - 2.0 * chi
+    assert f["ee"] == m.center + 2.0 * chi
 
 
 def test_state_map_single_active_qubit():
     chi = 1.5 * MHZ
     m = TwoQubitDispersiveModel(center=10.0 * GHZ, chi_1=chi, chi_2=0.0)
     f = state_frequencies(m)
-    assert f["gg"] == f["ge"] == m.center + chi
-    assert f["eg"] == f["ee"] == m.center - chi
+    assert f["gg"] == f["ge"] == m.center - chi
+    assert f["eg"] == f["ee"] == m.center + chi
 
 
 @settings(max_examples=50, deadline=None)
@@ -176,16 +176,34 @@ def test_identical_qubits_give_bitwise_equal_chis():
     assert parity_report(m).odd_protected
 
 
-@pytest.mark.parametrize("specs, joint", [
-    ((Q1, Q2), "gx"),
-    ((Q1, Q2), "g"),     # too short: would solve Q1 alone
-    ((Q1, Q2), "ggg"),   # too long: would be read as "gg"
-    ((Q1, Q2), ""),
-    ((Q1,), "ge"),
-], ids=["2q-gx", "2q-g", "2q-ggg", "2q-empty", "1q-ge"])
-def test_pulled_frequencies_validates_joint_label(specs, joint):
-    with pytest.raises(ValueError, match="must name g or e for each"):
+LABEL_ERROR = "must name g or e for each"
+
+
+@pytest.mark.parametrize("specs, joint, match", [
+    ((Q1, Q2), "gx", LABEL_ERROR),
+    ((Q1, Q2), "g", LABEL_ERROR),     # too short: would solve Q1 alone
+    ((Q1, Q2), "ggg", LABEL_ERROR),   # too long: would be read as "gg"
+    ((Q1, Q2), "", LABEL_ERROR),
+    ((Q1,), "ge", LABEL_ERROR),
+    ((), "", "at least one qubit"),   # nothing to sum
+], ids=["2q-gx", "2q-g", "2q-ggg", "2q-empty", "1q-ge", "no-qubits"])
+def test_pulled_frequencies_validates_joint_label(specs, joint, match):
+    with pytest.raises(ValueError, match=match):
         pulled_frequencies(DEV, specs, (joint,))
+
+
+def test_state_map_labels_match_the_joint_solves():
+    # both qubits below the mode: chi < 0 on each, and gg is the highest line
+    predicted = state_frequencies(two_qubit_model(DEV, Q1, Q2))
+    exact = pulled_frequencies(DEV, (Q1, Q2), STATES)
+    for joint in STATES:
+        nearest = min(STATES, key=lambda other: abs(predicted[joint] - exact[other]))
+        assert nearest == joint
+
+
+def test_additivity_report_additive_is_the_state_map():
+    rep = additivity_report(DEV, Q1, Q2)
+    assert rep.additive == state_frequencies(two_qubit_model(DEV, Q1, Q2))
 
 
 def test_additivity_report_exact_is_the_joint_solve():
