@@ -329,7 +329,7 @@ def check_approximation_audit() -> CriterionResult:
     )
     line = ShortedLine(dev.length)
     freqs_rat = solve_spectrum(line, b_rat).frequencies(v)
-    freqs_full = solve_spectrum(line, b_full).frequencies(v)
+    freqs_full = solve_spectrum(line, b_full.rational).frequencies(v)
     window_rat = [f for f in freqs_rat if abs(f - omega_r) <= 0.05 * omega_r]
     window_full = [f for f in freqs_full if abs(f - omega_r) <= 0.05 * omega_r]
     if len(window_rat) != len(window_full) or not window_rat:

@@ -151,17 +151,16 @@ class RationalBoundary:
 
 @dataclass(frozen=True)
 class FullSusceptanceBoundary:
-    """Exact linear-response form, poles kept in the susceptance shape.
+    """Exact linear-response form, given in the susceptance shape
 
-    F(lam) = -ell v^2 lam C_J - sum_k ell v^2 A_k lam / (omega_k^2 - v^2 lam).
+    F(lam) = -ell v^2 lam C_J - sum_k ell v^2 A_k lam / (omega_k^2 - v^2 lam)
 
-    Since lam / (lam_k - lam) = lam_k / (lam_k - lam) - 1, this is exactly
-    the rational form with beta = ell v^2 C_J, gamma = -ell sum_k A_k (of
-    either sign) and residues -ell A_k lam_k. That form is built once, as
-    `rational`; beta, gamma, poles and the pole guard are read from it, so a
-    zero-amplitude term is no pole. value and derivative keep the
-    susceptance shape. Amplitudes are usually calibrated against a
-    RationalBoundary at a reference eigenvalue (see from_rational).
+    and read only through `rational`, built once at construction. Since
+    lam / (lam_k - lam) = lam_k / (lam_k - lam) - 1, F is exactly the
+    RationalBoundary with beta = ell v^2 C_J, gamma = -ell sum_k A_k (of
+    either sign) and residues -ell A_k lam_k; a zero-amplitude term is no
+    pole; solve_spectrum takes `rational`. Amplitudes are usually calibrated
+    against a RationalBoundary at a reference eigenvalue (see from_rational).
     """
 
     junction_capacitance: float
@@ -216,42 +215,12 @@ class FullSusceptanceBoundary:
             labels=tuple(p.label for p in b.poles),
         )
 
-    @property
-    def beta(self) -> float:
-        return self.rational.beta
-
-    @property
-    def gamma(self) -> float:
-        return self.rational.gamma
-
-    @property
-    def poles(self) -> tuple[BoundaryPole, ...]:
-        return self.rational.poles
-
-    @property
-    def all_positive_residues(self) -> bool:
-        return self.rational.all_positive_residues
-
+    # bench/tracing.py patches these two by name; nothing in the package calls them
     def value(self, lam: float) -> float:
-        self.rational._guard(lam)
-        v2 = self.phase_velocity ** 2
-        lv2 = self.inductance_per_length * v2
-        acc = -lv2 * lam * self.junction_capacitance
-        for amp, omega in self.terms:
-            if amp:    # a zero-amplitude term is no pole: nothing, even at omega
-                acc -= lv2 * amp * lam / (omega * omega - v2 * lam)
-        return acc
+        return self.rational.value(lam)
 
     def derivative(self, lam: float) -> float:
-        self.rational._guard(lam)
-        v2 = self.phase_velocity ** 2
-        lv2 = self.inductance_per_length * v2
-        acc = -lv2 * self.junction_capacitance
-        for amp, omega in self.terms:
-            if amp:
-                w2 = omega * omega
-                acc -= lv2 * amp * w2 / (w2 - v2 * lam) ** 2
-        return acc
+        return self.rational.derivative(lam)
 
 
 def transmon_boundary(spec: TransmonSpec, dev: DeviceParams, levels: int = 2) -> RationalBoundary:

@@ -111,7 +111,8 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # strict JSON: a NaN or an infinity raises instead of writing NaN or Infinity
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _rows_text(args, header: list[str], rows) -> str:
@@ -125,7 +126,7 @@ def _save(args, text: str, snapshot: dict, sidecars=()):
     """Write text to --out, each (suffix, text) sidecar beside it, and the manifest.
 
     <out>.manifest.json records the subcommand, the input snapshot, the
-    output paths, the seed and the package version.
+    output paths and the package version.
     """
     files = [(args.out, text)]
     files.extend((args.out + suffix, body) for suffix, body in sidecars)
@@ -133,7 +134,6 @@ def _save(args, text: str, snapshot: dict, sidecars=()):
         "subcommand": args.command,
         "config": snapshot,
         "outputs": [path for path, _ in files],
-        "seed": args.seed,
         "version": __version__,
     }
     files.append((args.out + ".manifest.json", _json_text(manifest)))
@@ -196,11 +196,12 @@ def cmd_chi(args) -> int:
     g = resolved_coupling(spec, dev)
     delta = spec.frequency - dev.fundamental_frequency
     chi, pull_g, pull_e = dispersive_shift_exact(dev, spec, levels=args.levels)
+    n_crit = critical_photon_number(g, delta)
     payload = {
         "chi_mhz": chi / MHZ,
         "delta_omega_g_mhz": pull_g / MHZ,
         "delta_omega_e_mhz": pull_e / MHZ,
-        "n_crit": critical_photon_number(g, delta),
+        "n_crit": n_crit if math.isfinite(n_crit) else None,   # infinite at g = 0
         "flags": regime_flags(g, delta, spec.anharmonicity),
     }
     if args.format == "csv":
@@ -375,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, out_default=None):
         p.add_argument("--config", required=True, help="device config file")
         p.add_argument("--out", default=out_default)
-        p.add_argument("--seed", type=int, default=0)
 
     def add_format(p, default):
         group = p.add_mutually_exclusive_group()
@@ -444,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angle-rad", type=_finite_float, default=math.pi / 2.0)
     p.add_argument("--modes", type=_positive_int, default=4)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_wedge)
 
     p = sub.add_parser("validate", help="run the acceptance criteria")

@@ -80,11 +80,17 @@ def parity_report(model: TwoQubitDispersiveModel) -> ParityReport:
     )
 
 
-def _photon_ladder(freqs: dict[str, float], n_max: int) -> np.ndarray:
-    """Diagonal n * freqs[joint] on {gg, ge, eg, ee} x {0..n_max} photons."""
+def _photons(n_max: int) -> range:
+    """Photon numbers 0..n_max of the readout register, n_max >= 1."""
     if n_max < 1:
         raise ValueError("need at least one photon state")
-    return np.diag([n * freqs[joint] for joint in STATES for n in range(n_max + 1)])
+    return range(n_max + 1)
+
+
+def _photon_ladder(freqs: dict[str, float], n_max: int) -> np.ndarray:
+    """Diagonal n * freqs[joint] on {gg, ge, eg, ee} x {0..n_max} photons."""
+    photons = _photons(n_max)
+    return np.diag([n * freqs[joint] for joint in STATES for n in photons])
 
 
 def dispersive_hamiltonian(model: TwoQubitDispersiveModel, n_max: int) -> np.ndarray:
@@ -110,10 +116,8 @@ def parity_hamiltonian(model: TwoQubitDispersiveModel, n_max: int) -> np.ndarray
 
 def parity_operator(n_max: int) -> np.ndarray:
     """sigma_z sigma_z stretched over the photon register, diagonal +-1."""
-    diag = []
-    for joint in STATES:
-        diag.extend([joint_parity(joint)] * (n_max + 1))
-    return np.diag(diag)
+    photons = _photons(n_max)
+    return np.diag(np.repeat([joint_parity(joint) for joint in STATES], len(photons)))
 
 
 def qnd_residual(model: TwoQubitDispersiveModel, n_max: int) -> tuple[float, float]:

@@ -376,16 +376,16 @@ def solve_spectrum(line: ShortedLine, b, near: float | None = None) -> DressedSp
     sixth Dirichlet pole, so every solve cuts it at the same five line
     poles and holds the first six quarter-wave modes, dressed.
 
-    `b` is read through its rational form only: poles, beta and gamma
-    (RationalBoundary or FullSusceptanceBoundary). Every interval is solved
-    on its cleared function c*H, its root count certified by a slope bound
-    (module docstring), whatever `near` is; `near` only selects the roots
-    Brent's method refines, and each refined root is bit-identical to the
-    full solve's. Raises PoleCollisionError when a boundary pole sits within
-    1e-6 relative of a Dirichlet pole, and SolverError when a boundary pole
-    sits exactly at lam_max, when no count can be certified (two roots too
-    close to tell apart, or H turning within the residual tolerance of
-    zero) or a refined root's cleared residual is too large.
+    `b` is a RationalBoundary, read through its poles, beta and gamma only.
+    Every interval is solved on its cleared function c*H, its root count
+    certified by a slope bound (module docstring), whatever `near` is; `near`
+    only selects the roots Brent's method refines, and each refined root is
+    bit-identical to the full solve's. Raises PoleCollisionError when a
+    boundary pole sits within 1e-6 relative of a Dirichlet pole, and
+    SolverError when a boundary pole sits exactly at lam_max, when no count
+    can be certified (two roots too close to tell apart, or H turning within
+    the residual tolerance of zero) or a refined root's cleared residual is
+    too large.
     """
     length = line.length
     lam_max, dirichlet, line_markers = _line_partition(length)
@@ -478,9 +478,9 @@ class CrossingSweep:
     def __post_init__(self):
         if not (len(self.qubit_frequency) == len(self.lower) == len(self.upper)):
             raise ValueError("branch arrays must share a grid")
-        for lo, hi in zip(self.lower, self.upper):
+        for wq, lo, hi in zip(self.qubit_frequency, self.lower, self.upper):
             if not hi - lo > 0.0:
-                raise ValueError("branch gap must stay positive")
+                raise ValueError(f"branch gap must stay positive at omega_q={wq / GHZ:.12g} GHz")
 
     @property
     def gap(self) -> tuple[float, ...]:

@@ -79,7 +79,7 @@ def test_regression_boundary_form_disagreement():
     )
     line = ShortedLine(dev.length)
     near_rat = [f for f in solve_spectrum(line, b_rat).frequencies(v) if abs(f - wr) <= 0.05 * wr]
-    near_full = [f for f in solve_spectrum(line, b_full).frequencies(v) if abs(f - wr) <= 0.05 * wr]
+    near_full = [f for f in solve_spectrum(line, b_full.rational).frequencies(v) if abs(f - wr) <= 0.05 * wr]
     assert len(near_rat) == len(near_full) == 1
     worst = max(abs(a - b) / abs(a) for a, b in zip(near_rat, near_full))
     assert 1.2e-6 < worst < 1.7e-6

@@ -31,7 +31,7 @@ def test_tracer_counts_every_layer_and_uninstalls():
         dispersive.dispersive_report(STANDARD_DEVICE, STANDARD_QUBIT)
         q2 = replace(STANDARD_QUBIT, frequency=STANDARD_QUBIT.frequency - 0.4 * GHZ)
         multiqubit.additivity_report(STANDARD_DEVICE, STANDARD_QUBIT, q2)
-        # the boundary-forms criterion solves a FullSusceptanceBoundary
+        # the boundary-forms criterion solves a FullSusceptanceBoundary's rational form
         assert cli.main(["validate", "--only", "boundary-forms"]) == 0
     finally:
         tracer.uninstall()

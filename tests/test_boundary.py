@@ -130,7 +130,7 @@ def test_guard_near_pole():
     for b in (
         RationalBoundary(beta=0.0, gamma=0.0, poles=(BoundaryPole(1e6, 1.0, "ge"),)),
         # the same pole in the susceptance shape: lam_k = (1e3 / 1)^2, residue -A lam_k = 1
-        FullSusceptanceBoundary(0.0, ((-1e-6, 1e3),), 1.0, 1.0, ("ge",)),
+        FullSusceptanceBoundary(0.0, ((-1e-6, 1e3),), 1.0, 1.0, ("ge",)).rational,
     ):
         with pytest.raises(PoleProximityError):
             b.value(1e6 * (1.0 + 1e-11))
@@ -195,12 +195,23 @@ def test_sum_boundaries_merges_coincident_poles():
     assert locations == sorted(locations)
 
 
+def susceptance_value(full: FullSusceptanceBoundary, lam: float) -> float:
+    """F in the full form's own susceptance shape, term by term:
+    -ell v^2 lam C_J - sum_k ell v^2 A_k lam / (omega_k^2 - v^2 lam)."""
+    v2 = full.phase_velocity ** 2
+    lv2 = full.inductance_per_length * v2
+    acc = -lv2 * lam * full.junction_capacitance
+    for amp, omega in full.terms:
+        acc -= lv2 * amp * lam / (omega * omega - v2 * lam)
+    return acc
+
+
 def test_full_form_matches_rational_at_reference():
     lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
     b = transmon_boundary(QUBIT, DEV)
     full = FullSusceptanceBoundary.from_rational(
         b, DEV.inductance_per_length, DEV.phase_velocity, lam_ref
-    )
+    ).rational
     assert full.value(lam_ref) == pytest.approx(b.value(lam_ref), rel=1e-10)
     # pole locations survive the form change
     assert [p.location for p in full.poles] == pytest.approx(
@@ -213,6 +224,7 @@ def test_full_form_matches_rational_at_reference():
 
 
 def test_full_form_derivative_consistent():
+    """The rational form's derivative is the slope of the susceptance shape."""
     lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
     b = transmon_boundary(QUBIT, DEV)
     full = FullSusceptanceBoundary.from_rational(
@@ -220,25 +232,25 @@ def test_full_form_derivative_consistent():
     )
     lam = lam_ref * 1.01
     h = lam * 1e-7
-    fd = (full.value(lam + h) - full.value(lam - h)) / (2 * h)
-    assert full.derivative(lam) == pytest.approx(fd, rel=1e-5)
+    fd = (susceptance_value(full, lam + h) - susceptance_value(full, lam - h)) / (2 * h)
+    assert full.rational.derivative(lam) == pytest.approx(fd, rel=1e-5)
 
 
 @pytest.mark.parametrize("state, levels, c_j", [("g", 2, None), ("e", 2, 5e-15), ("e", 3, None)])
 def test_full_form_is_exactly_its_rational_form(state, levels, c_j):
-    """beta, gamma and poles of the full form, the solver's only view of it,
-    reproduce value() everywhere, also with an emission pole (gamma < 0)."""
+    """lam / (lam_k - lam) = lam_k / (lam_k - lam) - 1: the rational form,
+    the solver's only view of the full form, reproduces the susceptance
+    shape everywhere, also with an emission pole (gamma < 0)."""
     lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
     spec = replace(QUBIT, state=state, junction_capacitance=c_j)
     full = FullSusceptanceBoundary.from_rational(
         transmon_boundary(spec, DEV, levels), DEV.inductance_per_length,
         DEV.phase_velocity, lam_ref,
     )
-    rational = RationalBoundary(beta=full.beta, gamma=0.0, poles=full.poles)
-    assert (full.gamma < 0.0) == (state == "e" and levels == 2)
+    assert (full.rational.gamma < 0.0) == (state == "e" and levels == 2)
     for x in (0.1, 0.5, 0.95, 1.0, 1.3, 2.7, 4.4):
         lam = x * lam_ref
-        assert full.value(lam) == pytest.approx(rational.value(lam) - full.gamma, rel=1e-12)
+        assert full.rational.value(lam) == pytest.approx(susceptance_value(full, lam), rel=1e-12)
 
 
 def test_rational_form_takes_gamma_of_either_sign():
@@ -248,27 +260,33 @@ def test_rational_form_takes_gamma_of_either_sign():
 
 
 def test_full_form_builds_its_rational_form_once():
-    """The full form's beta, gamma and poles are those of one RationalBoundary,
-    built at construction from the susceptance terms, with gamma < 0 here."""
+    """The full form is read through one RationalBoundary, built at
+    construction from the susceptance terms, with gamma < 0 here."""
     ell, v = DEV.inductance_per_length, DEV.phase_velocity
     terms = ((2e-9, 9 * GHZ), (0.0, 11 * GHZ), (-1e-9, 8 * GHZ))
     full = FullSusceptanceBoundary(1e-15, terms, ell, v, ("ge", "off", "ef"))
-    assert isinstance(full.rational, RationalBoundary)
-    assert full.poles is full.poles is full.rational.poles
-    assert full.beta == ell * v ** 2 * 1e-15
-    assert full.gamma == -ell * (2e-9 + 0.0 - 1e-9) < 0.0
+    rational = full.rational
+    assert isinstance(rational, RationalBoundary) and full.rational is rational
+    assert rational.beta == ell * v ** 2 * 1e-15
+    assert rational.gamma == -ell * (2e-9 + 0.0 - 1e-9) < 0.0
     # a zero-amplitude term is no pole, and the rest are sorted with their labels
-    assert [(p.label, p.location, p.strength) for p in full.poles] == [
+    assert [(p.label, p.location, p.strength) for p in rational.poles] == [
         (label, (w / v) ** 2, -ell * amp * (w / v) ** 2)
         for amp, w, label in ((-1e-9, 8 * GHZ, "ef"), (2e-9, 9 * GHZ, "ge"))
     ]
-    assert not full.all_positive_residues
-    assert math.isfinite(full.value((11 * GHZ / v) ** 2))
-    # the guard is the rational form's, and names the pole
+    assert not rational.all_positive_residues
+    assert math.isfinite(rational.value((11 * GHZ / v) ** 2))
+    # value and derivative only delegate, guard included, which names the pole
+    for x in (0.5, 1.5):
+        lam = x * (9 * GHZ / v) ** 2
+        assert full.value(lam) == rational.value(lam)
+        assert full.derivative(lam) == rational.derivative(lam)
     with pytest.raises(PoleProximityError, match="pole ef") as exc:
         full.derivative((8 * GHZ / v) ** 2 * (1.0 + 1e-11))
     assert exc.value.nearest == "ef"
-    assert "_guard" not in vars(FullSusceptanceBoundary)
+    # no second view of F: the solver takes the rational form itself
+    for name in ("beta", "gamma", "poles", "all_positive_residues", "_guard"):
+        assert not hasattr(full, name), name
 
 
 def test_full_form_rejects_gamma():

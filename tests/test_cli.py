@@ -8,7 +8,7 @@ import pytest
 
 from dressed_modes import __version__, acceptance
 from dressed_modes.boundary import resolved_coupling
-from dressed_modes.cli import _grid, build_parser, main
+from dressed_modes.cli import _grid, _json_text, build_parser, main
 from dressed_modes.params import GHZ, load_config
 
 CFG = """\
@@ -52,7 +52,7 @@ def test_spectrum_writes_payload_and_manifest(cfg, tmp_path):
     assert all(lo < hi for lo, hi in payload["brackets"])
     assert all(m > 0.0 for m in payload["margins"])
     manifest = read_manifest(out)
-    assert set(manifest) == {"subcommand", "config", "outputs", "seed", "version"}
+    assert set(manifest) == {"subcommand", "config", "outputs", "version"}
     assert manifest["subcommand"] == "spectrum"
     assert manifest["version"] == __version__
     assert manifest["outputs"] == [out]
@@ -480,6 +480,77 @@ def test_sweep_error_names_its_grid_point(tmp_path, capsys):
     assert err.endswith(" at omega_q=20 GHz\n")
 
 
+@pytest.fixture
+def zero_cfg(tmp_path):
+    """The sample device with qubit.coupling_ghz = 0."""
+    text = Path(SAMPLE_CFG).read_text()
+    assert "qubit.coupling_ghz = 0.1\n" in text
+    path = tmp_path / "zero.cfg"
+    path.write_text(text.replace("qubit.coupling_ghz = 0.1\n", "qubit.coupling_ghz = 0\n"))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, point", [
+    (["sweep"], "9.5"),
+    (["rabi", "--method", "sl"], "9.5"),
+    (["rabi", "--method", "jc"], "10"),
+    (["rabi", "--method", "both"], "10"),    # the JC branches are built first
+])
+def test_zero_coupling_gap_error_names_its_grid_point(zero_cfg, tmp_path, capsys, argv, point):
+    """At g = 0 the near solve's only root sits on lam_ref, so both solver
+    branches are that root at every point; the JC branches meet at
+    omega_q = omega_r = 10 GHz. Exit 1, no output, and the first bad point."""
+    out = tmp_path / "out.csv"
+    grid = ["--omega-q-ghz", "9.5:10.5:5"]
+    assert main([*argv, "--config", zero_cfg, *grid, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: branch gap must stay positive at omega_q={point} GHz\n"
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--config", "ZERO"],
+    ["chi", "--config", "ZERO"],
+    ["rabi", "--config", "ZERO", "--method", "jc", "--omega-q-ghz", "9.5:10.5:4", "--json"],
+    ["multimode", "--config", "ZERO", "--json"],
+    ["parity", "--config", "ZERO"],
+    ["wedge"],
+])
+def test_zero_coupling_outputs_are_strict_json(zero_cfg, tmp_path, capsys, argv):
+    """Every file and printout of the JSON-writing subcommands parses with no
+    NaN or Infinity. `sweep` and the solver side of `rabi` exit 1 at g = 0
+    (test above)."""
+    out = str(tmp_path / "out")
+    argv = [zero_cfg if arg == "ZERO" else arg for arg in argv]
+    assert main([*argv, "--out", out]) == 0
+    written = sorted(tmp_path.glob("out*"))
+    assert out + ".manifest.json" in map(str, written)
+    for path in written:
+        _strict_json(path.read_text())
+    printed = capsys.readouterr().out
+    if printed:
+        _strict_json(printed)
+
+
+def test_zero_coupling_chi_has_no_critical_photon_number(zero_cfg, capsys):
+    """n_crit = Delta^2 / 4g^2 is infinite at g = 0: null in JSON, an empty CSV cell."""
+    assert main(["chi", "--config", zero_cfg]) == 0
+    assert _strict_json(capsys.readouterr().out)["n_crit"] is None
+    assert main(["chi", "--config", zero_cfg, "--csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,0,0,,true,false"
+
+
+def test_json_writer_rejects_non_finite_numbers():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            _json_text({"x": [value]})
+
+
 # Reference manifests of every file-writing subcommand on the sample device,
 # with the --out path written as OUT: the config echo and the output list
 # must not change when the device-file schema or the writers are reworked.
@@ -501,7 +572,6 @@ PINNED_MANIFESTS = {
   "outputs": [
     "OUT"
   ],
-  "seed": 0,
   "subcommand": "spectrum",
   "version": "0.1.0"
 }
@@ -530,7 +600,6 @@ PINNED_MANIFESTS = {
   "outputs": [
     "OUT"
   ],
-  "seed": 0,
   "subcommand": "sweep",
   "version": "0.1.0"
 }
@@ -554,7 +623,6 @@ PINNED_MANIFESTS = {
   "outputs": [
     "OUT"
   ],
-  "seed": 0,
   "subcommand": "chi",
   "version": "0.1.0"
 }
@@ -583,7 +651,6 @@ PINNED_MANIFESTS = {
   "outputs": [
     "OUT"
   ],
-  "seed": 0,
   "subcommand": "rabi",
   "version": "0.1.0"
 }
@@ -611,7 +678,6 @@ PINNED_MANIFESTS = {
     "OUT",
     "OUT.fits.json"
   ],
-  "seed": 0,
   "subcommand": "multimode",
   "version": "0.1.0"
 }
@@ -637,7 +703,6 @@ PINNED_MANIFESTS = {
   "outputs": [
     "OUT"
   ],
-  "seed": 0,
   "subcommand": "parity",
   "version": "0.1.0"
 }
@@ -654,7 +719,6 @@ PINNED_MANIFESTS = {
   "outputs": [
     "OUT"
   ],
-  "seed": 0,
   "subcommand": "wedge",
   "version": "0.1.0"
 }
@@ -935,6 +999,13 @@ def test_usage_errors_exit_2(cfg):
     # a schedule needs at least two distinct cutoffs, each >= 1; these used to exit 1
     bad += [["multimode", "--config", cfg, f"--nmax-schedule={value}"]
             for value in ("0,100", "-5,100", "", "100", "100,100")]
+    # only validate reads a seed; the other subcommands used to echo one into the manifest
+    grid = ["--omega-q-ghz", "9:11:3"]
+    bad += [[*argv, "--seed", "0"]
+            for argv in (["spectrum", "--config", cfg], ["sweep", "--config", cfg, *grid],
+                         ["chi", "--config", cfg], ["rabi", "--config", cfg, *grid],
+                         ["multimode", "--config", cfg], ["parity", "--config", cfg],
+                         ["wedge"])]
     for argv in bad:
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -145,6 +145,22 @@ def test_parity_operator_shape():
     assert set(np.diag(p)) == {1.0, -1.0}
 
 
+@pytest.mark.parametrize("n_max", [0, -1, -3])
+def test_photon_register_needs_a_photon_state(n_max):
+    """parity_operator takes the same register rule as both Hamiltonians;
+    it used to return a 4x4 matrix at n_max = 0 and a 0x0 one below."""
+    m = TwoQubitDispersiveModel(
+        center=10.0 * GHZ, chi_1=1.0 * MHZ, chi_2=1.0 * MHZ, chi_p=0.5 * MHZ
+    )
+    for build in (
+        parity_operator,
+        lambda n: dispersive_hamiltonian(m, n),
+        lambda n: parity_hamiltonian(m, n),
+    ):
+        with pytest.raises(ValueError, match="^need at least one photon state$"):
+            build(n_max)
+
+
 def test_single_qubit_commutator_algebra():
     chi = 2.0 * MHZ
     n_max = 5

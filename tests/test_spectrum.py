@@ -414,15 +414,14 @@ def test_excited_state_root_pair_next_to_the_emission_pole():
 
 
 def test_solver_reads_only_the_rational_form(monkeypatch):
-    """poles, beta and gamma, for both boundary classes and residues of
-    either sign; no value or derivative of either side."""
+    """poles, beta and gamma, for residues of either sign and a gamma term
+    (the full form's rational form); no value or derivative of either side."""
 
     def forbidden(*args):
         raise AssertionError("solver evaluated a boundary or line method")
 
     for cls, name in (
         (RationalBoundary, "value"), (RationalBoundary, "derivative"),
-        (FullSusceptanceBoundary, "value"), (FullSusceptanceBoundary, "derivative"),
         (ShortedLine, "dlog_deriv"),
     ):
         monkeypatch.setattr(cls, name, forbidden)
@@ -434,7 +433,8 @@ def test_solver_reads_only_the_rational_form(monkeypatch):
     ):
         full = FullSusceptanceBoundary.from_rational(
             replace(bnd, beta=0.0), DEV.inductance_per_length, DEV.phase_velocity, lam_ref
-        )
+        ).rational
+        assert full.gamma != 0.0
         assert solve_spectrum(LINE, bnd).records
         assert solve_spectrum(LINE, full).records
 
