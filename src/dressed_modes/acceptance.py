@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -196,13 +197,7 @@ def check_vacuum_rabi() -> CriterionResult:
     details = []
     passed = True
     for ratio, tol in ((0.01, 0.005), (0.15, 0.05)):
-        spec = TransmonSpec(
-            state="g",
-            frequency=omega_r,
-            anharmonicity=-0.25 * GHZ,
-            coupling=ratio * omega_r,
-        )
-        out = vacuum_rabi_gap(STANDARD_DEVICE, spec)
+        out = vacuum_rabi_gap(STANDARD_DEVICE, replace(STANDARD_QUBIT, coupling=ratio * omega_r))
         rel = abs(out.measured - out.predicted) / out.predicted
         passed = passed and rel <= tol
         details.append(f"g/omega_r={ratio}: |gap-2g|/2g = {rel:.6e} (tol {tol})")
@@ -236,13 +231,11 @@ def check_dispersive_triangle(seed: int) -> CriterionResult:
             )
         )
         tol = max(0.02, 5.0 * (g / delta) ** 2)
-        trio = (chi_cf, chi_sl, chi_jc)
-        for a in trio:
-            for b in trio:
-                rel = abs(a - b) / max(abs(a), abs(b))
-                worst = max(worst, rel / tol)
-                if rel > tol:
-                    failures += 1
+        for a, b in combinations((chi_cf, chi_sl, chi_jc), 2):
+            rel = abs(a - b) / max(abs(a), abs(b))
+            worst = max(worst, rel / tol)
+            if rel > tol:
+                failures += 1
     return _result(
         "dispersive-shift triangle",
         failures == 0,

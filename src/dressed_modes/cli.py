@@ -290,8 +290,6 @@ def cmd_parity(args) -> int:
     if args.q2_coupling_ghz is not None:
         spec2 = replace(spec2, coupling=args.q2_coupling_ghz * GHZ, charge_element=None)
     model = two_qubit_model(dev, spec1, spec2, levels=args.levels)
-    if args.chi_p_mhz is not None:
-        model = replace(model, chi_p=args.chi_p_mhz * MHZ)
     rep = parity_report(model)
     comm = single_qubit_commutators(model.chi_1, n_max=5)
     qnd_comm, _ = qnd_residual(model, 10)
@@ -313,10 +311,11 @@ def cmd_parity(args) -> int:
         "protected": protected,
     }
     if args.chi_p_mhz is not None:
+        chi_p = args.chi_p_mhz * MHZ
         payload["engineered"] = {
             "chi_p_mhz": args.chi_p_mhz,
-            "even_ghz": (model.center + model.chi_p) / GHZ,
-            "odd_ghz": (model.center - model.chi_p) / GHZ,
+            "even_ghz": (model.center + chi_p) / GHZ,
+            "odd_ghz": (model.center - chi_p) / GHZ,
         }
     text = _json_text(payload)
     print(text, end="")

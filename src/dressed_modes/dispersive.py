@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import product
 
 from .boundary import resolved_coupling, sum_boundaries, transmon_boundary
+from .errors import SolverError
 from .params import DeviceParams, TransmonSpec, omega_to_lambda, lambda_to_omega
 from .resonator import ShortedLine
 from .spectrum import solve_spectrum
@@ -68,13 +70,14 @@ def _guard_detuning(delta: float, alpha: float, omega_ref: float):
         raise ValueError("e-f transition degenerate with the mode; dispersive quantities undefined")
 
 
-def pulled_frequencies(dev: DeviceParams, specs, joints, levels: int = 3) -> dict[str, float]:
+def pulled_frequencies(dev: DeviceParams, specs, levels: int = 3) -> dict[str, float]:
     """Dressed frequency nearest the bare fundamental, per joint state.
 
-    A joint state names "g" or "e" once per qubit in `specs`, e.g. "e" for
-    one qubit or "ge" for two, else ValueError. The qubits' boundary terms
-    are summed and the full boundary-value problem is solved once per joint
-    state, refining only the roots next to the fundamental.
+    Every joint state is solved, keyed by one "g" or "e" per qubit in
+    `specs`: ("g", "e") for one qubit, ("gg", "ge", "eg", "ee") for two.
+    The qubits' boundary terms are summed and the full boundary-value
+    problem is solved once per joint state, refining only the roots next to
+    the fundamental. A solve error keeps its type and names its joint state.
     """
     if not specs:
         raise ValueError("pulled_frequencies needs at least one qubit")
@@ -82,15 +85,16 @@ def pulled_frequencies(dev: DeviceParams, specs, joints, levels: int = 3) -> dic
     v = dev.phase_velocity
     lam_ref = omega_to_lambda(dev.fundamental_frequency, v)
     pulled = {}
-    for joint in joints:
-        if len(joint) != len(specs) or not set(joint) <= {"g", "e"}:
-            raise ValueError(f"joint state {joint!r} must name g or e for each of {len(specs)} qubits")
+    for joint in map("".join, product("ge", repeat=len(specs))):
         bnd = reduce(sum_boundaries, (
             transmon_boundary(replace(spec, state=state), dev, levels=levels)
             for spec, state in zip(specs, joint)
         ))
-        sp = solve_spectrum(line, bnd, near=lam_ref)
-        pulled[joint] = lambda_to_omega(sp.nearest_eigenvalue(lam_ref), v)
+        try:
+            sp = solve_spectrum(line, bnd, near=lam_ref)
+            pulled[joint] = lambda_to_omega(sp.nearest_eigenvalue(lam_ref), v)
+        except SolverError as exc:
+            raise type(exc)(f"{exc} in joint state {joint!r}") from None
     return pulled
 
 
@@ -104,7 +108,7 @@ def dispersive_shift_exact(
     chi is half the difference, the pulls are quoted against the bare mode.
     """
     omega_ref = dev.fundamental_frequency
-    pulled = pulled_frequencies(dev, (spec,), ("g", "e"), levels)
+    pulled = pulled_frequencies(dev, (spec,), levels)
     chi = 0.5 * (pulled["e"] - pulled["g"])
     return chi, pulled["g"] - omega_ref, pulled["e"] - omega_ref
 

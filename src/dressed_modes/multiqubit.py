@@ -29,10 +29,11 @@ def joint_parity(joint: str) -> float:
 
 @dataclass(frozen=True)
 class TwoQubitDispersiveModel:
+    """What the solves decide; an engineered chi_p is parity_hamiltonian's input."""
+
     center: float   # mode frequency with both qubits' mean pulls absorbed
     chi_1: float
     chi_2: float
-    chi_p: float | None = None   # engineered parity-only shift, if any
 
 
 def state_frequencies(model: TwoQubitDispersiveModel) -> dict[str, float]:
@@ -102,15 +103,14 @@ def dispersive_hamiltonian(model: TwoQubitDispersiveModel, n_max: int) -> np.nda
     return _photon_ladder(state_frequencies(model), n_max)
 
 
-def parity_hamiltonian(model: TwoQubitDispersiveModel, n_max: int) -> np.ndarray:
+def parity_hamiltonian(model: TwoQubitDispersiveModel, chi_p: float, n_max: int) -> np.ndarray:
     """Engineered parity-only variant: entries n * (center + chi_p * parity).
 
-    Linear single-qubit terms are absent by construction, so even states sit
-    together at n (center + chi_p) and odd states at n (center - chi_p).
+    chi_p is a design input, not a solve result: linear single-qubit terms
+    are suppressed by construction, so only model.center is read. Even
+    states sit together at n (center + chi_p), odd ones at n (center - chi_p).
     """
-    if model.chi_p is None:
-        raise ValueError("model carries no engineered parity shift")
-    freqs = {joint: model.center + model.chi_p * joint_parity(joint) for joint in STATES}
+    freqs = {joint: model.center + chi_p * joint_parity(joint) for joint in STATES}
     return _photon_ladder(freqs, n_max)
 
 
@@ -146,10 +146,9 @@ def single_qubit_commutators(chi: float, n_max: int) -> dict[str, float]:
       with_sx            [H_int, sx (x) 1], equals 2 |chi| n_max for chi != 0
       sx_identity_residual   [H_int, sx (x) 1] - 2i chi (sy (x) n) = 0
     """
-    if n_max < 1:
-        raise ValueError("need at least one photon state")
-    nhat = np.diag(np.arange(n_max + 1, dtype=float)).astype(complex)
-    iph = np.eye(n_max + 1, dtype=complex)
+    photons = _photons(n_max)
+    nhat = np.diag(np.array(photons, dtype=float)).astype(complex)
+    iph = np.eye(len(photons), dtype=complex)
     h_int = chi * np.kron(_SZ, nhat)
 
     def comm(a, b):
@@ -181,7 +180,7 @@ def two_qubit_model(
     center = omega_bare
     chis = []
     for spec in (spec_1, spec_2):
-        pulled = pulled_frequencies(dev, (spec,), ("g", "e"), levels)
+        pulled = pulled_frequencies(dev, (spec,), levels)
         chis.append(0.5 * (pulled["e"] - pulled["g"]))
         center += 0.5 * (pulled["e"] + pulled["g"]) - omega_bare
     return TwoQubitDispersiveModel(center=center, chi_1=chis[0], chi_2=chis[1])
@@ -211,7 +210,7 @@ def additivity_report(
     piece directly.
     """
     additive = state_frequencies(two_qubit_model(dev, spec_1, spec_2, levels))
-    exact = pulled_frequencies(dev, (spec_1, spec_2), STATES, levels)
+    exact = pulled_frequencies(dev, (spec_1, spec_2), levels)
     deviation = max(abs(exact[s] - additive[s]) for s in STATES)
     cross = 0.25 * (exact["gg"] - exact["ge"] - exact["eg"] + exact["ee"])
     return AdditivityReport(

@@ -530,19 +530,17 @@ class RabiSplitting:
 def vacuum_rabi_gap(dev: DeviceParams, spec: TransmonSpec) -> RabiSplitting:
     """Vacuum Rabi splitting with the qubit tuned to the fundamental.
 
-    The ground-state boundary is used regardless of spec.state. With zero
+    The qubit is tuned there and put in g whatever spec says. With zero
     coupling the pole term vanishes and the crossing is degenerate: both
     branches coincide with the fundamental and the gap and margin are zero.
     """
     omega_ref = dev.fundamental_frequency
-    if abs(spec.frequency - omega_ref) > 1e-9 * omega_ref:
-        raise ValueError("qubit must be tuned to the fundamental frequency")
-    bnd = transmon_boundary(replace(spec, state="g"), dev, levels=2)
+    bnd = transmon_boundary(replace(spec, frequency=omega_ref, state="g"), dev, levels=2)
     if not bnd.poles:
         return RabiSplitting(measured=0.0, predicted=0.0, margin=0.0)
     delta = bnd.poles[0].strength
     v = dev.phase_velocity
-    predicted = (v * v / spec.frequency) * math.sqrt(2.0 * delta / dev.length)
+    predicted = (v * v / omega_ref) * math.sqrt(2.0 * delta / dev.length)
     sp = solve_spectrum(ShortedLine(dev.length), bnd)
     lower, upper = _fundamental_pair(sp, omega_to_lambda(omega_ref, v), v)
     return RabiSplitting(

@@ -6,6 +6,8 @@ tests at the bottom freeze measured values from a known-good build so quiet
 numerical drift shows up as a hard failure instead of eroding the margins.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from dressed_modes import (
@@ -51,10 +53,7 @@ def test_run_all_covers_every_criterion(gate_results):
 
 def _rabi_rel_diff(ratio):
     wr = STANDARD_DEVICE.fundamental_frequency
-    spec = TransmonSpec(
-        state="g", frequency=wr, anharmonicity=-0.25 * GHZ, coupling=ratio * wr
-    )
-    r = vacuum_rabi_gap(STANDARD_DEVICE, spec)
+    r = vacuum_rabi_gap(STANDARD_DEVICE, replace(STANDARD_QUBIT, coupling=ratio * wr))
     return abs(r.measured - r.predicted) / r.predicted
 
 

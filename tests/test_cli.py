@@ -507,6 +507,24 @@ def test_zero_coupling_gap_error_names_its_grid_point(zero_cfg, tmp_path, capsys
     assert capsys.readouterr().err == f"error: branch gap must stay positive at omega_q={point} GHz\n"
 
 
+@pytest.mark.parametrize("command", ["chi", "parity"])
+def test_readout_solve_error_names_its_joint_state(tmp_path, capsys, command):
+    """The merge probe: at 10.5 GHz this coupling leaves the e-state solve
+    an interval whose root count cannot be certified. Exit 1, no output,
+    and the message says which joint state failed."""
+    text = Path(SAMPLE_CFG).read_text()
+    assert "qubit.frequency_ghz = 9.0\n" in text and "qubit.coupling_ghz = 0.1\n" in text
+    probe = tmp_path / "probe.cfg"
+    probe.write_text(text.replace("qubit.frequency_ghz = 9.0\n", "qubit.frequency_ghz = 10.5\n")
+                     .replace("qubit.coupling_ghz = 0.1\n", "qubit.coupling_ghz = 0.24563744061900487\n"))
+    out = tmp_path / "out.json"
+    assert main([command, "--config", str(probe), "--levels", "2", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: no certified root count on [")
+    assert err.endswith("] in joint state 'e'\n")
+
+
 def _strict_json(text: str):
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")

@@ -1,3 +1,6 @@
+import inspect
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from dressed_modes import (
     GHZ,
     DeviceParams,
+    SolverError,
     TransmonSpec,
     TwoQubitDispersiveModel,
     additivity_report,
@@ -125,18 +129,23 @@ def test_dispersive_hamiltonian_diagonal_and_parity_safe():
 
 def test_parity_hamiltonian_spectrum():
     center, chi_p = 10.0 * GHZ, -1.0 * MHZ
-    m = TwoQubitDispersiveModel(center=center, chi_1=0.0, chi_2=0.0, chi_p=chi_p)
-    h = parity_hamiltonian(m, n_max=1)
+    m = TwoQubitDispersiveModel(center=center, chi_1=0.0, chi_2=0.0)
+    h = parity_hamiltonian(m, chi_p, n_max=1)
     vals = np.sort(np.diag(h))
     want = np.sort([0.0, 0.0, 0.0, 0.0, center + chi_p, center + chi_p,
                     center - chi_p, center - chi_p])
     assert np.array_equal(vals, want)
 
 
-def test_parity_hamiltonian_requires_chi_p():
-    m = TwoQubitDispersiveModel(center=10.0 * GHZ, chi_1=1.0 * MHZ, chi_2=1.0 * MHZ)
-    with pytest.raises(ValueError):
-        parity_hamiltonian(m, n_max=2)
+def test_two_qubit_model_holds_only_what_the_solves_decide():
+    """chi_p is a design input of parity_hamiltonian, not a model field."""
+    assert [f.name for f in fields(TwoQubitDispersiveModel)] == ["center", "chi_1", "chi_2"]
+    m = TwoQubitDispersiveModel(center=10.0 * GHZ, chi_1=1.0 * MHZ, chi_2=-3.0 * MHZ)
+    # the single-qubit shifts do not enter the engineered Hamiltonian
+    assert np.array_equal(
+        parity_hamiltonian(m, 0.5 * MHZ, n_max=2),
+        parity_hamiltonian(replace(m, chi_1=0.0, chi_2=0.0), 0.5 * MHZ, n_max=2),
+    )
 
 
 def test_parity_operator_shape():
@@ -147,15 +156,15 @@ def test_parity_operator_shape():
 
 @pytest.mark.parametrize("n_max", [0, -1, -3])
 def test_photon_register_needs_a_photon_state(n_max):
-    """parity_operator takes the same register rule as both Hamiltonians;
-    it used to return a 4x4 matrix at n_max = 0 and a 0x0 one below."""
-    m = TwoQubitDispersiveModel(
-        center=10.0 * GHZ, chi_1=1.0 * MHZ, chi_2=1.0 * MHZ, chi_p=0.5 * MHZ
-    )
+    """parity_operator and single_qubit_commutators take the same register
+    rule as both Hamiltonians; parity_operator used to return a 4x4 matrix
+    at n_max = 0 and a 0x0 one below."""
+    m = TwoQubitDispersiveModel(center=10.0 * GHZ, chi_1=1.0 * MHZ, chi_2=1.0 * MHZ)
     for build in (
         parity_operator,
         lambda n: dispersive_hamiltonian(m, n),
-        lambda n: parity_hamiltonian(m, n),
+        lambda n: parity_hamiltonian(m, 0.5 * MHZ, n),
+        lambda n: single_qubit_commutators(1.0 * MHZ, n),
     ):
         with pytest.raises(ValueError, match="^need at least one photon state$"):
             build(n_max)
@@ -192,26 +201,37 @@ def test_identical_qubits_give_bitwise_equal_chis():
     assert parity_report(m).odd_protected
 
 
-LABEL_ERROR = "must name g or e for each"
+@pytest.mark.parametrize("specs", [()], ids=["no-qubits"])
+def test_pulled_frequencies_validates_joint_label(specs):
+    """With no qubit there is no joint state to solve; every other label is
+    built by pulled_frequencies itself."""
+    with pytest.raises(ValueError, match="at least one qubit"):
+        pulled_frequencies(DEV, specs)
 
 
-@pytest.mark.parametrize("specs, joint, match", [
-    ((Q1, Q2), "gx", LABEL_ERROR),
-    ((Q1, Q2), "g", LABEL_ERROR),     # too short: would solve Q1 alone
-    ((Q1, Q2), "ggg", LABEL_ERROR),   # too long: would be read as "gg"
-    ((Q1, Q2), "", LABEL_ERROR),
-    ((Q1,), "ge", LABEL_ERROR),
-    ((), "", "at least one qubit"),   # nothing to sum
-], ids=["2q-gx", "2q-g", "2q-ggg", "2q-empty", "1q-ge", "no-qubits"])
-def test_pulled_frequencies_validates_joint_label(specs, joint, match):
-    with pytest.raises(ValueError, match=match):
-        pulled_frequencies(DEV, specs, (joint,))
+def test_pulled_frequencies_solves_every_joint_state():
+    assert tuple(pulled_frequencies(DEV, (Q1,))) == ("g", "e")
+    assert tuple(pulled_frequencies(DEV, (Q1, Q2))) == STATES
+    assert "joints" not in inspect.signature(pulled_frequencies).parameters
+
+
+# The merge probe: at 10.5 GHz this coupling puts a root of the e-state
+# solve where no root count can be certified.
+PROBE_QUBIT = TransmonSpec(
+    state="g", frequency=10.5 * GHZ, anharmonicity=-0.25 * GHZ,
+    coupling=0.24563744061900487 * GHZ,
+)
+
+
+def test_pulled_frequencies_error_names_its_joint_state():
+    with pytest.raises(SolverError, match=r"^no certified root count on .* in joint state 'e'$"):
+        pulled_frequencies(DEV, (PROBE_QUBIT,), levels=2)
 
 
 def test_state_map_labels_match_the_joint_solves():
     # both qubits below the mode: chi < 0 on each, and gg is the highest line
     predicted = state_frequencies(two_qubit_model(DEV, Q1, Q2))
-    exact = pulled_frequencies(DEV, (Q1, Q2), STATES)
+    exact = pulled_frequencies(DEV, (Q1, Q2))
     for joint in STATES:
         nearest = min(STATES, key=lambda other: abs(predicted[joint] - exact[other]))
         assert nearest == joint
@@ -224,8 +244,7 @@ def test_additivity_report_additive_is_the_state_map():
 
 def test_additivity_report_exact_is_the_joint_solve():
     rep = additivity_report(DEV, Q1, Q2)
-    for joint in STATES:
-        assert rep.exact[joint] == pulled_frequencies(DEV, (Q1, Q2), (joint,))[joint]
+    assert rep.exact == pulled_frequencies(DEV, (Q1, Q2))
 
 
 def test_additivity_of_exact_joint_solves():

@@ -292,9 +292,13 @@ def test_vacuum_rabi_gap_zero_coupling_degenerates():
     assert out.measured == out.predicted == out.margin == 0.0
 
 
-def test_vacuum_rabi_gap_requires_resonance():
-    with pytest.raises(ValueError):
-        vacuum_rabi_gap(DEV, QUBIT)
+def test_vacuum_rabi_gap_tunes_the_qubit_itself():
+    """An off-resonance spec in e gives the resonant spec's bits: the gap
+    tunes the qubit to the fundamental and puts it in g."""
+    tuned = vacuum_rabi_gap(DEV, replace(QUBIT, frequency=DEV.fundamental_frequency))
+    assert QUBIT.frequency != DEV.fundamental_frequency
+    assert vacuum_rabi_gap(DEV, QUBIT) == tuned
+    assert vacuum_rabi_gap(DEV, replace(QUBIT, state="e", frequency=7.0 * GHZ)) == tuned
 
 
 @settings(max_examples=25, deadline=None)
@@ -509,6 +513,29 @@ def test_isolate_turn_needs_h_off_zero(shift):
     else:
         brackets = spectrum._isolate(ch, None, None, 2.0, bounds, 0, 1.0)
         assert [br[:2] for br in brackets] == [(0.0, 1.0), (1.0, 2.0)]
+
+
+def test_refine_refuses_a_sign_change_without_a_zero():
+    """A step H = -1 below x = 0.5 and +1 from it on changes sign on [0, 1]
+    but has no zero (c = 1, L = 1): Brent closes on the step and the
+    residual test refuses it instead of returning a record."""
+
+    def ch(x, parts=False):
+        h = -1.0 if x < 0.5 else 1.0
+        return (h, 0.0, 1.0) if parts else h
+
+    with pytest.raises(SolverError, match="cleared residual 1.000e[+]00 exceeds"):
+        spectrum._refine(ch, 0.0, 1.0, -1.0, 1.0, 1.0)
+
+
+def test_refine_near_without_brackets_is_empty():
+    assert spectrum._refine_near([], 1.0, 1.0) == []
+
+
+def test_empty_spectrum_has_no_nearest_eigenvalue():
+    sp = DressedSpectrum(records=(), partition=(), counts=(0,), lam_max=1.0)
+    with pytest.raises(SolverError, match="^spectrum is empty$"):
+        sp.nearest_eigenvalue(0.5)
 
 
 # Random boundaries, residues of either sign, beta up to 2L/3, gamma of
@@ -806,7 +833,7 @@ def test_sweep_and_pulls_run_brent_at_most_twice_per_solve(brent_spy, state, lev
     spec = replace(QUBIT, state=state)
     grid = [DEV.fundamental_frequency * x for x in (0.6, 0.8, 1.2, 1.4)]
     qubit_frequency_sweep(DEV, spec, grid, levels=levels)
-    dispersive.pulled_frequencies(DEV, (QUBIT,), ("g", "e"), levels=levels)
+    dispersive.pulled_frequencies(DEV, (QUBIT,), levels=levels)
     assert len(brent_spy) == len(grid) + 2
     lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
     for sp, runs in brent_spy:
