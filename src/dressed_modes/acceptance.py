@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-import numpy as np
-
 from .boundary import (
     FullSusceptanceBoundary,
     RationalBoundary,
@@ -92,6 +90,8 @@ def check_open_circuit() -> CriterionResult:
 def check_derivative_identity(seed: int) -> CriterionResult:
     """dG/dlam equals -L/2 at the quarter-wave zeros, and matches finite
     differences at random off-pole points."""
+    import numpy as np
+
     length = STANDARD_DEVICE.length
     worst_zero = max(
         abs(line_log_deriv_dlam(z, length) + length / 2.0) / (length / 2.0)
@@ -147,6 +147,8 @@ def _random_ground_config(rng):
 
 def check_interlacing(seed: int) -> CriterionResult:
     """Random ground-state draws: one eigenvalue per pole-bounded interval."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     failures = 0
     solved = 0
@@ -171,6 +173,8 @@ def check_interlacing(seed: int) -> CriterionResult:
 
 def check_level_repulsion(seed: int) -> CriterionResult:
     """Eigenvalues never land on poles; the crossing gap never closes."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     min_margin = math.inf
     for _ in range(200):
@@ -206,6 +210,8 @@ def check_vacuum_rabi() -> CriterionResult:
 
 def check_dispersive_triangle(seed: int) -> CriterionResult:
     """Closed form, exact solve, and ladder-diagonalization chi agree."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     dev = STANDARD_DEVICE
     omega_r = dev.fundamental_frequency

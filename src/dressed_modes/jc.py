@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import LabelingError
 from .spectrum import CrossingSweep
 
@@ -51,6 +49,8 @@ def dressed_pair(omega_r: float, omega_q: float, g: float) -> tuple[float, float
 
 
 def build_hamiltonian(model: JCModel) -> np.ndarray:
+    import numpy as np
+
     nph = model.n_max + 1
     h = np.zeros((model.dim, model.dim))
     bare = [0.0, model.omega_q, 2.0 * model.omega_q + model.alpha][: model.levels]
@@ -66,6 +66,8 @@ def build_hamiltonian(model: JCModel) -> np.ndarray:
 
 
 def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     scale = max(float(np.linalg.norm(h)), 1.0)
     if float(np.linalg.norm(h - h.T)) > SYMMETRY_TOL * scale:
         raise ValueError("hamiltonian lost symmetry")
@@ -80,6 +82,8 @@ def dressed_energies(model: JCModel) -> dict[tuple[int, int], float]:
     OVERLAP_FLOOR or two bare states claim the same eigenvector, both of
     which happen once the coupling stops being a dressing correction.
     """
+    import numpy as np
+
     vals, vecs = diagonalize(build_hamiltonian(model))
     weights = vecs ** 2
     taken: dict[int, tuple[int, int]] = {}

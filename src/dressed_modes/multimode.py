@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 RESONANCE_GUARD_REL = 1e-6
 DEFAULT_SCHEDULE = (100, 200, 400, 800)
 
@@ -108,6 +106,8 @@ def divergence_report(model: MultimodeModel, schedule=DEFAULT_SCHEDULE) -> Diver
     is (g_1^2 alpha / omega_1^2) (ln 2)/2. With g_1 = 0 every sum is zero
     and the report is flagged degenerate.
     """
+    import numpy as np
+
     n_values = tuple(sorted(set(int(n) for n in schedule)))
     if len(n_values) < 2:
         raise ValueError("schedule needs at least two cutoffs")

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dispersive import pulled_frequencies
 from .params import DeviceParams, TransmonSpec
 
@@ -90,6 +88,8 @@ def _photons(n_max: int) -> range:
 
 def _photon_ladder(freqs: dict[str, float], n_max: int) -> np.ndarray:
     """Diagonal n * freqs[joint] on {gg, ge, eg, ee} x {0..n_max} photons."""
+    import numpy as np
+
     photons = _photons(n_max)
     return np.diag([n * freqs[joint] for joint in STATES for n in photons])
 
@@ -116,6 +116,8 @@ def parity_hamiltonian(model: TwoQubitDispersiveModel, chi_p: float, n_max: int)
 
 def parity_operator(n_max: int) -> np.ndarray:
     """sigma_z sigma_z stretched over the photon register, diagonal +-1."""
+    import numpy as np
+
     photons = _photons(n_max)
     return np.diag(np.repeat([joint_parity(joint) for joint in STATES], len(photons)))
 
@@ -126,15 +128,12 @@ def qnd_residual(model: TwoQubitDispersiveModel, n_max: int) -> tuple[float, flo
     Both matrices are diagonal, so the commutator vanishes identically; the
     norms are returned so callers can quote the relative residual.
     """
+    import numpy as np
+
     h = dispersive_hamiltonian(model, n_max)
     p = parity_operator(n_max)
     comm = h @ p - p @ h
     return float(np.max(np.abs(comm))), float(np.max(np.abs(h)))
-
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def single_qubit_commutators(chi: float, n_max: int) -> dict[str, float]:
@@ -146,10 +145,15 @@ def single_qubit_commutators(chi: float, n_max: int) -> dict[str, float]:
       with_sx            [H_int, sx (x) 1], equals 2 |chi| n_max for chi != 0
       sx_identity_residual   [H_int, sx (x) 1] - 2i chi (sy (x) n) = 0
     """
+    import numpy as np
+
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     photons = _photons(n_max)
     nhat = np.diag(np.array(photons, dtype=float)).astype(complex)
     iph = np.eye(len(photons), dtype=complex)
-    h_int = chi * np.kron(_SZ, nhat)
+    h_int = chi * np.kron(sz, nhat)
 
     def comm(a, b):
         return a @ b - b @ a
@@ -157,11 +161,11 @@ def single_qubit_commutators(chi: float, n_max: int) -> dict[str, float]:
     def peak(m):
         return float(np.max(np.abs(m)))
 
-    with_sx = comm(h_int, np.kron(_SX, iph))
+    with_sx = comm(h_int, np.kron(sx, iph))
     return {
-        "with_sz": peak(comm(h_int, np.kron(_SZ, iph))),
+        "with_sz": peak(comm(h_int, np.kron(sz, iph))),
         "with_sx": peak(with_sx),
-        "sx_identity_residual": peak(with_sx - 2.0j * chi * np.kron(_SY, nhat)),
+        "sx_identity_residual": peak(with_sx - 2.0j * chi * np.kron(sy, nhat)),
     }
 
 

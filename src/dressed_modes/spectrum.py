@@ -35,9 +35,10 @@ lean, within three rules. Every float, count and error a solve produces
 stays bit-identical: a cheaper form must keep each expression and its order
 (tests/test_solver_pin.py pins a seeded set of solves). c*H calls
 line_log_deriv, looked up in this module, once per evaluation outside the
-line's pole guard, so the evaluation count stays the measure of work. No
-memo outlives one line: only the line's part of the partition (lam_max and
-the Dirichlet markers) is kept, for one length at a time.
+line's pole guard, so the evaluation count stays the measure of work;
+isolation evaluates each cell end once and keeps its parts for the residual
+tests. No memo outlives one line: only the line's part of the partition
+(lam_max and the Dirichlet markers) is kept, for one length at a time.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import attrgetter
 
-from .boundary import transmon_boundary
+from .boundary import resolved_coupling, transmon_boundary
 from .errors import PoleCollisionError, SolverError
 from .params import GHZ, DeviceParams, TransmonSpec, lambda_to_omega, omega_to_lambda
 from .resonator import XI_POLE_GUARD, ShortedLine, line_log_deriv
@@ -263,9 +264,10 @@ def _slope_bounds(line: ShortedLine, b):
     return bounds
 
 
-def _raw(ch, x, length):
-    """H at an interior x and the residual test's tolerance there."""
-    g_side, f_side, c = ch(x, parts=True)
+def _raw(parts, length):
+    """H at an interior cell end, from its parts (c*G, c*F, c), and the
+    residual test's tolerance there."""
+    g_side, f_side, c = parts
     return (g_side - f_side) / c, RESIDUAL_REL * max(abs(g_side), abs(f_side), c / length) / c
 
 
@@ -280,13 +282,16 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
     and none, so there, and all over a cell settled as holding none, |H|
     must exceed the residual test's tolerance. H is taken at interior ends
     only: sin(k pi) is not 0 in floats, so (c*H)/c has no sign at a pole.
+    Each cell carries its ends' parts (c*G, c*F, c), so no end is evaluated
+    twice.
     """
     a = lo.location if lo is not None else 0.0
     z = hi.location if hi is not None else lam_max
     brackets, last = [], 0.0    # last: +1/-1 if the cell settled before rose/fell, else 0
-    cells = [(a, z, ch(a), ch(z))]
+    cells = [(a, z, ch(a, parts=True), ch(z, parts=True))]
     while cells:
-        x0, x1, c0, c1 = cells.pop()
+        x0, x1, p0, p1 = cells.pop()
+        c0, c1 = p0[0] - p0[1], p1[0] - p1[1]
         lower, upper = bounds(x0, x1, lobe)
         if upper < 0.0 or lower > 0.0:
             rising = 1.0 if lower > 0.0 else -1.0
@@ -296,7 +301,7 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
             if u0 >= 0.0 >= u1:
                 raise SolverError(f"end signs contradict the slope bound on [{x0}, {x1}]")
             if last == -rising:
-                h0, tol = _raw(ch, x0, length)
+                h0, tol = _raw(p0, length)
                 if abs(h0) <= tol:
                     raise SolverError(f"H turns within {tol:.3e} of zero at lam={x0}")
             if u0 < 0.0 <= u1:
@@ -304,7 +309,7 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
             last = rising
             continue
         if (lo is None or x0 != a) and (hi is None or x1 != z):
-            (h0, t0), (h1, t1) = _raw(ch, x0, length), _raw(ch, x1, length)
+            (h0, t0), (h1, t1) = _raw(p0, length), _raw(p1, length)
             # |H'| <= s keeps |H| >= (|h0 + h1| - s (x1 - x0)) / 2 if h0, h1 share a sign
             if h0 * h1 > 0.0 and abs(h0 + h1) - max(upper, -lower) * (x1 - x0) > 2.0 * max(t0, t1):
                 last = 0.0
@@ -312,8 +317,8 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
         mid = 0.5 * (x0 + x1)
         if not x0 < mid < x1:
             raise SolverError(f"no certified root count on [{x0}, {x1}]")
-        cm = ch(mid)
-        cells += [(mid, x1, cm, c1), (x0, mid, c0, cm)]
+        pm = ch(mid, parts=True)
+        cells += [(mid, x1, pm, p1), (x0, mid, p0, pm)]
     return brackets
 
 
@@ -498,8 +503,14 @@ def qubit_frequency_sweep(
     Poles and residues move with omega_q; the coupling is held fixed. At each
     grid point the two dressed frequencies nearest the bare fundamental (one
     at or below, one at or above) are recorded; only those two roots are
-    refined.
+    refined. A ValueError at zero coupling, before any solve: there is no
+    crossing to follow.
     """
+    if resolved_coupling(spec, dev) == 0.0:
+        raise ValueError(
+            "zero coupling: at g = 0 the qubit adds no pole, "
+            "so there is no avoided crossing to follow"
+        )
     line = ShortedLine(dev.length)
     v = dev.phase_velocity
     lam_ref = omega_to_lambda(dev.fundamental_frequency, v)

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 OVERLAP_PANELS = 10_000   # Simpson panels of sine_mode_overlap
 
 
@@ -59,6 +57,8 @@ def sine_mode_overlap(n: int, m: int, geom: WedgeGeometry) -> float:
     rounding of the grid), (h0 + h1)/6 * (y0 (2 - h1/h0) + y1 (h0 + h1)^2/(h0 h1)
     + y2 (2 - h0/h1)), which is 1, 4, 1 times h/3 when they are equal.
     """
+    import numpy as np
+
     _check_index(n)
     _check_index(m)
     phi = np.linspace(0.0, geom.angle, 2 * OVERLAP_PANELS + 1)

@@ -2,6 +2,8 @@ import json
 import math
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -491,20 +493,25 @@ def zero_cfg(tmp_path):
 
 
 @pytest.mark.parametrize("argv, point", [
-    (["sweep"], "9.5"),
-    (["rabi", "--method", "sl"], "9.5"),
+    (["sweep"], None),
+    (["rabi", "--method", "sl"], None),
     (["rabi", "--method", "jc"], "10"),
     (["rabi", "--method", "both"], "10"),    # the JC branches are built first
 ])
 def test_zero_coupling_gap_error_names_its_grid_point(zero_cfg, tmp_path, capsys, argv, point):
-    """At g = 0 the near solve's only root sits on lam_ref, so both solver
-    branches are that root at every point; the JC branches meet at
+    """At g = 0 the qubit adds no pole, so the solver side refuses the sweep
+    before solving any point (point None); the JC branches meet at
     omega_q = omega_r = 10 GHz. Exit 1, no output, and the first bad point."""
     out = tmp_path / "out.csv"
     grid = ["--omega-q-ghz", "9.5:10.5:5"]
     assert main([*argv, "--config", zero_cfg, *grid, "--out", str(out)]) == 1
     assert not out.exists()
-    assert capsys.readouterr().err == f"error: branch gap must stay positive at omega_q={point} GHz\n"
+    if point is None:
+        expected = ("zero coupling: at g = 0 the qubit adds no pole, "
+                    "so there is no avoided crossing to follow")
+    else:
+        expected = f"branch gap must stay positive at omega_q={point} GHz"
+    assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 @pytest.mark.parametrize("command", ["chi", "parity"])
@@ -1069,3 +1076,44 @@ def test_readme_command_lines_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+# One fresh interpreter: the solver subcommands, then wedge, through cli.main.
+STARTUP_PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import dressed_modes, dressed_modes.cli, dressed_modes.acceptance
+cfg, out = sys.argv[2], sys.argv[3]
+grid = ["--omega-q-ghz", "9.8:10.2:5"]
+runs = [
+    ["spectrum", "--config", cfg],
+    ["sweep", "--config", cfg, *grid],
+    ["chi", "--config", cfg],
+    ["rabi", "--config", cfg, *grid, "--method", "sl"],
+    ["wedge"],
+]
+seen = [("import", 0, "numpy" in sys.modules)]
+for argv in runs:
+    code = dressed_modes.cli.main([*argv, "--out", f"{out}/{argv[0]}"])
+    seen.append((argv[0], code, "numpy" in sys.modules))
+print(seen)
+"""
+
+
+def test_solver_subcommands_start_without_numpy(tmp_path):
+    """Importing the package, its CLI and its gate loads no numpy, and
+    neither do spectrum, sweep, chi and rabi --method sl; the first wedge
+    run then loads it, so the deferred imports do run."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, src, SAMPLE_CFG, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == str([
+        ("import", 0, False),
+        ("spectrum", 0, False),
+        ("sweep", 0, False),
+        ("chi", 0, False),
+        ("rabi", 0, False),
+        ("wedge", 0, True),
+    ])

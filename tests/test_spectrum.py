@@ -258,6 +258,23 @@ def test_sweep_error_names_its_grid_point_and_keeps_its_type():
     assert type(exc.value) is SolverError
 
 
+def test_sweep_refuses_zero_coupling_before_solving(monkeypatch):
+    """g = 0, stated or implied by a zero charge element, with or without a
+    junction capacitance: no qubit pole, so no crossing and no solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved at zero coupling")
+
+    monkeypatch.setattr(spectrum, "solve_spectrum", no_solve)
+    grid = [9.5 * GHZ, 10.0 * GHZ]
+    for spec in (
+        replace(QUBIT, coupling=0.0),
+        replace(QUBIT, coupling=None, charge_element=0.0),
+        replace(QUBIT, coupling=0.0, junction_capacitance=5e-15),
+    ):
+        with pytest.raises(ValueError, match="^zero coupling: .* no avoided crossing to follow$"):
+            qubit_frequency_sweep(DEV, spec, grid)
+
+
 def test_crossing_sweep_rejects_closed_gap():
     with pytest.raises(ValueError):
         CrossingSweep(qubit_frequency=(1.0,), lower=(5.0,), upper=(5.0,))
