@@ -72,14 +72,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}: {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _schedule(text: str) -> list[int]:
@@ -447,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the acceptance criteria")
     p.add_argument("--only", default=None, help="run a single named criterion")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -76,8 +76,10 @@ def pulled_frequencies(dev: DeviceParams, specs, levels: int = 3) -> dict[str, f
     Every joint state is solved, keyed by one "g" or "e" per qubit in
     `specs`: ("g", "e") for one qubit, ("gg", "ge", "eg", "ee") for two.
     The qubits' boundary terms are summed and the full boundary-value
-    problem is solved once per joint state, refining only the roots next to
-    the fundamental. A solve error keeps its type and names its joint state.
+    problem is solved once per joint state, refining only the root nearest
+    the fundamental (solve_spectrum's nearest_only): one Brent run, unless
+    the other root's bracket reaches as close. A solve error keeps its type
+    and names its joint state.
     """
     if not specs:
         raise ValueError("pulled_frequencies needs at least one qubit")
@@ -91,7 +93,7 @@ def pulled_frequencies(dev: DeviceParams, specs, levels: int = 3) -> dict[str, f
             for spec, state in zip(specs, joint)
         ))
         try:
-            sp = solve_spectrum(line, bnd, near=lam_ref)
+            sp = solve_spectrum(line, bnd, near=lam_ref, nearest_only=True)
             pulled[joint] = lambda_to_omega(sp.nearest_eigenvalue(lam_ref), v)
         except SolverError as exc:
             raise type(exc)(f"{exc} in joint state {joint!r}") from None

@@ -133,7 +133,7 @@ _RECORDS = {"dev": DeviceParams, "spec": TransmonSpec}
 
 
 def _parse_flat_text(text: str) -> dict:
-    data = {}
+    data, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -141,7 +141,24 @@ def _parse_flat_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        data[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first:
+            raise ConfigError(
+                f"line {lineno}: duplicate key {key} (first set on line {first[key]})"
+            )
+        first[key] = lineno
+        data[key] = value.strip()
+    return data
+
+
+def _unique_pairs(pairs) -> dict:
+    """A JSON object's (key, value) pairs as a dict; ConfigError on a
+    repeated key, which json.loads would resolve to its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"duplicate key {key}")
+        data[key] = value
     return data
 
 
@@ -157,15 +174,15 @@ def _number(key: str, value) -> float:
 def load_config(path) -> tuple[DeviceParams, TransmonSpec]:
     """Parse a device config (flat key=value text, or a flat JSON object).
 
-    Every key must be one of CONFIG_KEYS; any other key is a ConfigError.
-    Returns (DeviceParams, TransmonSpec).
+    Every key must be one of CONFIG_KEYS, set once; any other key, or one
+    set twice, is a ConfigError. Returns (DeviceParams, TransmonSpec).
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{") or str(path).endswith(".json"):
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_unique_pairs)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
         if not isinstance(raw, dict):

@@ -28,7 +28,9 @@ interlacing flags and every SolverError of isolation describe the whole
 spectrum. Brent's method on c*H then refines the brackets a caller reads,
 each root checked by the residual test: all of them by default, or, given
 `near`, the largest root <= near and the smallest >= near, at most two
-Brent runs. A root's record does not depend on which others are refined.
+Brent runs, or with nearest_only the root nearest `near` alone, one Brent
+run unless the other bracket reaches closer to near than that root. A
+root's record does not depend on which others are refined.
 
 Cost. Every workload runs through this module, so its hot path is kept
 lean, within three rules. Every float, count and error a solve produces
@@ -80,7 +82,9 @@ class DressedSpectrum:
     per interval between them) always cover the whole domain, and so do
     intervals and interlacing, read off them. records holds every root when
     near is None, else only the roots next to near (solve_spectrum), and
-    then only questions about near itself can be answered from it."""
+    then only questions about near itself can be answered from it. A solve
+    with nearest_only returns a _NearestRoot, whose one record answers
+    nearest_eigenvalue(near) but not the pair around near."""
 
     records: tuple[EigenvalueRecord, ...]
     partition: tuple[PolePoint, ...]
@@ -106,9 +110,10 @@ class DressedSpectrum:
     def frequencies(self, v: float) -> tuple[float, ...]:
         return tuple(lambda_to_omega(r.lam, v) for r in self.records)
 
-    def _check_reads(self, lam: float):
-        """ValueError unless the records answer questions about lam: a
-        partial spectrum holds only the roots next to near."""
+    def _check_reads(self, lam: float, pair: bool = False):
+        """ValueError unless the records answer questions about lam, the
+        pair of roots around it too if `pair`: a partial spectrum holds
+        only the roots next to near."""
         if self.near is not None and lam != self.near:
             raise ValueError(f"spectrum refined near lam={self.near} read at lam={lam}")
 
@@ -117,6 +122,19 @@ class DressedSpectrum:
         if not self.records:
             raise SolverError("spectrum is empty")
         return min(self.records, key=lambda r: abs(r.lam - lam)).lam
+
+
+class _NearestRoot(DressedSpectrum):
+    """A spectrum refined at the root nearest `near` only
+    (solve_spectrum(..., nearest_only=True)): the pair around near is not
+    in its records, so reading it is a ValueError."""
+
+    def _check_reads(self, lam: float, pair: bool = False):
+        if pair:
+            raise ValueError(
+                f"spectrum refined at its nearest root to lam={self.near} read for a pair"
+            )
+        super()._check_reads(lam)
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float):
@@ -225,17 +243,23 @@ def _cleared_secular(line: ShortedLine, b, lo, hi, lobe: int):
 def _slope_bounds(line: ShortedLine, b):
     """bounds(x0, x1, lobe) -> (lower, upper) of H' over the cell [x0, x1],
     which holds no pole inside and stays in the lobe [lobe pi, (lobe+1) pi]
-    of xi = sqrt(lam) L. What does not depend on the cell is set up once."""
-    length, beta, poles = line.length, b.beta, b.poles
-    emission = [(p.location, -p.strength) for p in poles if p.strength < 0.0]
+    of xi = sqrt(lam) L. What does not depend on the cell is set up once.
+    `c if c > a else a` is max(a, c) and `c if c < a else a` is min(a, c),
+    operand for operand, without the call."""
+    length, beta, inf = line.length, b.beta, math.inf
+    emission = [(p.location, -p.strength) for p in b.poles if p.strength < 0.0]
+    # per pole: -delta_k, and -delta_k / d^2 at d = 0
+    terms = [(p.location, -p.strength, -math.copysign(inf, p.strength)) for p in b.poles]
     # G' <= -L/3, and absorption terms (delta_k > 0) only lower H'
     slack = beta - length / 3.0
-    sqrt, sin, inf, pi = math.sqrt, math.sin, math.inf, math.pi
+    sqrt, sin, pi = math.sqrt, math.sin, math.pi
 
     def bounds(x0, x1, lobe):
         upper = slack
         for loc, w in emission:
-            d = max(loc - x1, x0 - loc)
+            d, d0 = loc - x1, x0 - loc
+            if d0 > d:
+                d = d0
             upper = upper + w / (d * d) if d else inf
         if upper < 0.0:
             return -inf, upper
@@ -243,22 +267,31 @@ def _slope_bounds(line: ShortedLine, b):
         # negative and falling for xi > 0; sin^2 is unimodal on the lobe
         xi0, xi1 = sqrt(x0) * length, sqrt(x1) * length
         s0, s1 = sin(xi0) ** 2, sin(xi1) ** 2
-        s_max = 1.0 if xi0 <= (lobe + 0.5) * pi <= xi1 else max(s0, s1)
-        g_hi = min(-1.0 / 3.0, (0.5 * sin(2.0 * xi0) - xi0) / (2.0 * xi1 * s_max))
-        g_lo = (0.5 * sin(2.0 * xi1) - xi1) / (2.0 * xi0 * min(s0, s1)) if xi0 else -inf
+        s_max = 1.0 if xi0 <= (lobe + 0.5) * pi <= xi1 else s1 if s1 > s0 else s0
+        s_min = s1 if s1 < s0 else s0
+        g_hi = (0.5 * sin(2.0 * xi0) - xi0) / (2.0 * xi1 * s_max)
+        if not g_hi < -1.0 / 3.0:
+            g_hi = -1.0 / 3.0
+        g_lo = (0.5 * sin(2.0 * xi1) - xi1) / (2.0 * xi0 * s_min) if xi0 else -inf
         if lobe == 0:
             # sin x >= x - x^3/6 gives G'/L >= -xi^2 / (3 sin^2 xi), falling
             # on (0, pi) and finite at xi = 0, where the bound above is not
-            g_lo = max(g_lo, -xi1 * xi1 / (3.0 * s1))
+            g_0 = -xi1 * xi1 / (3.0 * s1)
+            if g_0 > g_lo:
+                g_lo = g_0
         lower, upper = beta + length * g_lo, beta + length * g_hi
-        for p in poles:
+        for loc, ns, t_pole in terms:
             # -delta_k / d^2 at the pole's nearest and farthest distance
-            loc, s = p.location, p.strength
-            near, far = max(loc - x1, x0 - loc), max(loc - x0, x1 - loc)
-            t_near = -s / (near * near) if near else -math.copysign(inf, s)
-            t_far = -s / (far * far)
-            lower += min(t_near, t_far)
-            upper += max(t_near, t_far)
+            near, d0 = loc - x1, x0 - loc
+            if d0 > near:
+                near = d0
+            far, d1 = loc - x0, x1 - loc
+            if d1 > far:
+                far = d1
+            t_near = ns / (near * near) if near else t_pole
+            t_far = ns / (far * far)
+            lower += t_far if t_far < t_near else t_near
+            upper += t_far if t_far > t_near else t_near
         return lower, upper
 
     return bounds
@@ -340,14 +373,19 @@ def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> Eige
     return EigenvalueRecord(root, (a, z), residual, iters)
 
 
-def _refine_near(brackets, near: float, length: float) -> list[EigenvalueRecord]:
-    """Records of the largest root <= near and the smallest >= near.
+def _refine_near(
+    brackets, near: float, length: float, nearest_only: bool = False
+) -> list[EigenvalueRecord]:
+    """Records of the largest root <= near and the smallest >= near, or
+    with nearest_only of the one nearest near (the lower on a tie).
 
     brackets run left to right, (c*H, x0, x1, c*H(x0), c*H(x1)) each, and a
     bracket's root lies in [x0, x1]. Bracket k, the first whose right end
     reaches near (else the last), holds one of the two: every root before
     it lies below near and every root after it above. The other is root
-    k-1 or k+1, on the side of near that root k leaves open, if any.
+    k-1 or k+1, on the side of near that root k leaves open, if any. With
+    nearest_only it is refined only if its bracket reaches as close to
+    near as root k.
     """
     if not brackets:
         return []
@@ -356,8 +394,15 @@ def _refine_near(brackets, near: float, length: float) -> list[EigenvalueRecord]
     j = k + 1 if root.lam < near else k - 1 if root.lam > near else k
     if j == k or not 0 <= j < len(brackets):
         return [root]
+    if nearest_only:
+        _, x0, x1, _, _ = brackets[j]
+        if (near - x1 if j < k else x0 - near) > abs(root.lam - near):
+            return [root]
     other = _refine(*brackets[j], length)
-    return [other, root] if j < k else [root, other]
+    pair = [other, root] if j < k else [root, other]
+    if nearest_only:
+        return [min(pair, key=lambda r: abs(r.lam - near))]
+    return pair
 
 
 @lru_cache(maxsize=1)
@@ -373,9 +418,13 @@ def _line_partition(length: float):
     return lam_max, dirichlet, markers
 
 
-def solve_spectrum(line: ShortedLine, b, near: float | None = None) -> DressedSpectrum:
+def solve_spectrum(
+    line: ShortedLine, b, near: float | None = None, nearest_only: bool = False
+) -> DressedSpectrum:
     """Dressed eigenvalues on (0, lam_max]: all of them, or with `near` the
-    largest one <= near and the smallest >= near.
+    largest one <= near and the smallest >= near, or with `near` and
+    nearest_only the one nearest near, the lower of two as near as each
+    other (what nearest_eigenvalue(near) reads).
 
     The domain is fixed: lam_max is line.default_lam_max(), just below the
     sixth Dirichlet pole, so every solve cuts it at the same five line
@@ -384,14 +433,19 @@ def solve_spectrum(line: ShortedLine, b, near: float | None = None) -> DressedSp
     `b` is a RationalBoundary, read through its poles, beta and gamma only.
     Every interval is solved on its cleared function c*H, its root count
     certified by a slope bound (module docstring), whatever `near` is; `near`
-    only selects the roots Brent's method refines, and each refined root is
-    bit-identical to the full solve's. Raises PoleCollisionError when a
-    boundary pole sits within 1e-6 relative of a Dirichlet pole, and
-    SolverError when a boundary pole sits exactly at lam_max, when no count
-    can be certified (two roots too close to tell apart, or H turning within
-    the residual tolerance of zero) or a refined root's cleared residual is
-    too large.
+    and nearest_only only select the roots Brent's method refines, and each
+    refined root is bit-identical to the full solve's. A nearest_only solve
+    refines the other root next to near only when its bracket reaches as
+    close to near as the first root, and its spectrum refuses a pair read
+    (_NearestRoot); nearest_only without near is a ValueError. Raises
+    PoleCollisionError when a boundary pole sits within 1e-6 relative of a
+    Dirichlet pole, and SolverError when a boundary pole sits exactly at
+    lam_max, when no count can be certified (two roots too close to tell
+    apart, or H turning within the residual tolerance of zero) or a refined
+    root's cleared residual is too large.
     """
+    if nearest_only and near is None:
+        raise ValueError("nearest_only needs near")
     length = line.length
     lam_max, dirichlet, line_markers = _line_partition(length)
     markers = list(line_markers)
@@ -428,12 +482,12 @@ def solve_spectrum(line: ShortedLine, b, near: float | None = None) -> DressedSp
     if near is None:
         records = [_refine(*br, length) for br in brackets]
     else:
-        records = _refine_near(brackets, near, length)
+        records = _refine_near(brackets, near, length, nearest_only)
     for r1, r2 in zip(records, records[1:]):
         if not r1.lam < r2.lam:
             raise SolverError("eigenvalues not strictly increasing")
 
-    return DressedSpectrum(
+    return (_NearestRoot if nearest_only else DressedSpectrum)(
         records=tuple(records),
         partition=tuple(markers),
         counts=tuple(counts),
@@ -464,7 +518,7 @@ def _fundamental_pair(sp: DressedSpectrum, lam_ref: float, v: float) -> tuple[fl
     """The dressed frequencies of the roots nearest lam_ref, the bare
     fundamental, one at or below it and one at or above; SolverError when
     either is missing."""
-    sp._check_reads(lam_ref)
+    sp._check_reads(lam_ref, pair=True)
     lower = max((x for x in sp.eigenvalues if x <= lam_ref), default=None)
     upper = min((x for x in sp.eigenvalues if x >= lam_ref), default=None)
     if lower is None or upper is None:

@@ -1037,6 +1037,21 @@ def test_usage_errors_exit_2(cfg):
         assert exc.value.code == 2, argv
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    """validate --seed -1 used to exit 1 with numpy's complaint about it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--only", "rabi", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "must be >= 0: '-1'" in capsys.readouterr().err
+
+
+def test_config_key_set_twice_exits_3(tmp_path, capsys):
+    path = tmp_path / "device.cfg"
+    path.write_text(CFG.replace("3e-3", "9e-3") + "resonator.length_m = 3e-3\n")
+    assert main(["chi", "--config", str(path)]) == 3
+    assert "duplicate key resonator.length_m" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -156,6 +156,27 @@ def test_load_config_rejects_unknown_keys(tmp_path, suffix, extra):
         load_config(path)
 
 
+def test_load_config_rejects_a_key_set_twice_in_the_flat_format(tmp_path):
+    """Both lengths used to load, the last one silently winning."""
+    path = tmp_path / "dev.cfg"
+    path.write_text(
+        CFG_TEXT.replace("resonator.length_m = 3e-3\n", "resonator.length_m = 9e-3\n")
+        + "resonator.length_m = 3e-3\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigError, match=r"^line 9: duplicate key resonator.length_m "
+                                          r"\(first set on line 2\)$"):
+        load_config(path)
+
+
+def test_load_config_rejects_a_key_set_twice_in_json(tmp_path):
+    path = tmp_path / "dev.json"
+    text = json.dumps(_parse_flat_text(CFG_TEXT))
+    path.write_text(text[:-1] + ', "resonator.length_m": "9e-3"}', encoding="utf-8")
+    with pytest.raises(ConfigError, match="^duplicate key resonator.length_m$"):
+        load_config(path)
+
+
 CJ_CFG_TEXT = """\
 resonator.length_m = 4.1e-3
 resonator.phase_velocity_m_s = 1.17e8

@@ -847,15 +847,22 @@ def brent_spy(monkeypatch):
 
 @pytest.mark.parametrize("state, levels", [("g", 2), ("e", 3)])
 def test_sweep_and_pulls_run_brent_at_most_twice_per_solve(brent_spy, state, levels):
+    """Sweep solves refine the pair around the fundamental, at most two
+    Brent runs; pulls refine only the root they read, one run each."""
     spec = replace(QUBIT, state=state)
     grid = [DEV.fundamental_frequency * x for x in (0.6, 0.8, 1.2, 1.4)]
     qubit_frequency_sweep(DEV, spec, grid, levels=levels)
     dispersive.pulled_frequencies(DEV, (QUBIT,), levels=levels)
     assert len(brent_spy) == len(grid) + 2
     lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
-    for sp, runs in brent_spy:
+    for i, (sp, runs) in enumerate(brent_spy):
         assert sp.near == lam_ref
-        assert runs == len(sp.records) <= 2
+        if i < len(grid):
+            assert type(sp) is DressedSpectrum
+            assert runs == len(sp.records) <= 2
+        else:
+            assert type(sp) is spectrum._NearestRoot
+            assert runs == len(sp.records) == 1
 
 
 def _assert_every_bracket_refined(solves):
