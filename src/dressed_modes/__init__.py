@@ -29,6 +29,7 @@ from .params import (
 )
 from .resonator import (
     ShortedLine,
+    default_lam_max,
     dirichlet_poles,
     line_log_deriv,
     line_log_deriv_dlam,
@@ -61,6 +62,7 @@ from .spectrum import (
 )
 from .dispersive import (
     DispersiveResult,
+    counter_rotating_shift,
     critical_photon_number,
     dispersive_report,
     dispersive_shift,

@@ -18,7 +18,7 @@ from .boundary import (
     RationalBoundary,
     transmon_boundary,
 )
-from .dispersive import dispersive_shift, dispersive_shift_exact
+from .dispersive import counter_rotating_shift, dispersive_shift, dispersive_shift_exact
 from .jc import JCModel, dispersive_shift_numeric
 from .multimode import MultimodeModel, divergence_report
 from .multiqubit import (
@@ -29,7 +29,9 @@ from .multiqubit import (
     additivity_report,
 )
 from .params import GHZ, DeviceParams, TransmonSpec, omega_to_lambda
-from .resonator import ShortedLine, line_log_deriv, line_log_deriv_dlam, quarterwave_zeros
+from .resonator import (
+    default_lam_max, dirichlet_poles, line_log_deriv, line_log_deriv_dlam, quarterwave_zeros,
+)
 from .spectrum import (
     DIRICHLET_COLLISION_REL,
     pole_margin,
@@ -74,8 +76,7 @@ def _result(name, passed, detail=""):
 
 def check_open_circuit() -> CriterionResult:
     """First five eigenvalues with no termination = bare quarter-wave values."""
-    line = ShortedLine(STANDARD_DEVICE.length)
-    sp = solve_spectrum(line, RationalBoundary(beta=0.0, gamma=0.0, poles=()))
+    sp = solve_spectrum(STANDARD_DEVICE.length, RationalBoundary(beta=0.0, gamma=0.0, poles=()))
     expected = quarterwave_zeros(STANDARD_DEVICE.length, 5)
     worst = 0.0
     for lam, ref in zip(sp.eigenvalues[:5], expected):
@@ -99,9 +100,8 @@ def check_derivative_identity(seed: int) -> CriterionResult:
     )
 
     rng = np.random.default_rng(seed)
-    line = ShortedLine(length)
-    lam_hi = line.default_lam_max() * 0.98
-    poles = line.poles(6)
+    lam_hi = default_lam_max(length) * 0.98
+    poles = dirichlet_poles(length, 6)
     worst_fd = 0.0
     # truncation-limited: relative error ~ h_rel^2 / (6 d^2) near the
     # rejection band d = 1e-3, so this step keeps ~10x margin on 1e-6
@@ -130,7 +130,7 @@ def _random_ground_config(rng):
     length = float(rng.uniform(2e-3, 8e-3))
     v = float(rng.uniform(0.8e8, 1.6e8))
     dev = DeviceParams(length=length, phase_velocity=v, impedance=50.0)
-    dirichlet = ShortedLine(length).poles(3)
+    dirichlet = dirichlet_poles(length, 3)
     while True:
         omega_q = float(rng.uniform(0.1, 5.8)) * dev.fundamental_frequency
         # redraw exactly what solve_spectrum rejects with PoleCollisionError
@@ -154,10 +154,9 @@ def check_interlacing(seed: int) -> CriterionResult:
     solved = 0
     for _ in range(INTERLACING_CONFIGS):
         dev, spec = _random_ground_config(rng)
-        line = ShortedLine(dev.length)
         bnd = transmon_boundary(spec, dev)
         try:
-            sp = solve_spectrum(line, bnd)
+            sp = solve_spectrum(dev.length, bnd)
         except Exception:
             failures += 1
             continue
@@ -179,7 +178,7 @@ def check_level_repulsion(seed: int) -> CriterionResult:
     min_margin = math.inf
     for _ in range(200):
         dev, spec = _random_ground_config(rng)
-        sp = solve_spectrum(ShortedLine(dev.length), transmon_boundary(spec, dev))
+        sp = solve_spectrum(dev.length, transmon_boundary(spec, dev))
         min_margin = min(min_margin, pole_margin(sp))
 
     omega_r = STANDARD_DEVICE.fundamental_frequency
@@ -209,7 +208,9 @@ def check_vacuum_rabi() -> CriterionResult:
 
 
 def check_dispersive_triangle(seed: int) -> CriterionResult:
-    """Closed form, exact solve, and ladder-diagonalization chi agree."""
+    """Closed form, exact solve, and ladder-diagonalization chi agree. The
+    closed form carries the boundary model's counter-rotating term, which
+    the exact solve has and the JC ladder, in the rotating wave, has not."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -224,7 +225,9 @@ def check_dispersive_triangle(seed: int) -> CriterionResult:
         spec = TransmonSpec(
             state="g", frequency=omega_r + delta, anharmonicity=alpha, coupling=g
         )
-        chi_cf = dispersive_shift(g, delta, alpha)
+        chi_cf = dispersive_shift(g, delta, alpha) + counter_rotating_shift(
+            g, spec.frequency + omega_r, alpha
+        )
         chi_sl, _, _ = dispersive_shift_exact(dev, spec, levels=3)
         chi_jc = dispersive_shift_numeric(
             JCModel(
@@ -326,9 +329,8 @@ def check_approximation_audit() -> CriterionResult:
     b_full = FullSusceptanceBoundary.from_rational(
         b_rat, dev.inductance_per_length, v, lam_ref
     )
-    line = ShortedLine(dev.length)
-    freqs_rat = solve_spectrum(line, b_rat).frequencies(v)
-    freqs_full = solve_spectrum(line, b_full.rational).frequencies(v)
+    freqs_rat = solve_spectrum(dev.length, b_rat).frequencies(v)
+    freqs_full = solve_spectrum(dev.length, b_full.rational).frequencies(v)
     window_rat = [f for f in freqs_rat if abs(f - omega_r) <= 0.05 * omega_r]
     window_full = [f for f in freqs_full if abs(f - omega_r) <= 0.05 * omega_r]
     if len(window_rat) != len(window_full) or not window_rat:

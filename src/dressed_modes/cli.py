@@ -28,7 +28,6 @@ from .multiqubit import (
     two_qubit_model,
 )
 from .params import GHZ, config_snapshot, load_config
-from .resonator import ShortedLine
 from .spectrum import pole_margins, qubit_frequency_sweep, solve_spectrum
 from .wedge import (
     WedgeGeometry,
@@ -159,9 +158,8 @@ def _load(args):
 
 def cmd_spectrum(args) -> int:
     dev, spec = _load(args)
-    line = ShortedLine(dev.length)
     bnd = transmon_boundary(spec, dev, levels=args.levels)
-    sp = solve_spectrum(line, bnd)
+    sp = solve_spectrum(dev.length, bnd)
     v = dev.phase_velocity
     payload = {
         "eigenvalues_hz": [f / (2.0 * math.pi) for f in sp.frequencies(v)],

@@ -16,7 +16,6 @@ from itertools import product
 from .boundary import resolved_coupling, sum_boundaries, transmon_boundary
 from .errors import SolverError
 from .params import DeviceParams, TransmonSpec, omega_to_lambda, lambda_to_omega
-from .resonator import ShortedLine
 from .spectrum import solve_spectrum
 
 RESONANCE_GUARD_REL = 1e-6   # reject detunings smaller than this, relative
@@ -33,6 +32,20 @@ def dispersive_shift(g: float, delta: float, alpha: float) -> float:
     if delta == 0.0 or delta + alpha == 0.0:
         raise ValueError("dispersive shift undefined at zero detuning")
     return g * g * alpha / (delta * (delta + alpha))
+
+
+def counter_rotating_shift(g: float, sigma: float, alpha: float) -> float:
+    """The boundary model's first-order chi beyond the rotating wave,
+    -g^2 alpha / (Sigma (Sigma + alpha)), with Sigma = omega_q + omega_ref:
+    the closed form at the sum frequency, negated.
+
+    Partial fractions of the qubit's pole term delta/(lam_q - lam) split the
+    model's first-order chi into dispersive_shift(g, Delta, alpha) and this
+    term; their sum is what dispersive_report's chi_perturbative evaluates.
+    It falls off as 1/Sigma^2, so it fades against dispersive_shift as the
+    mode frequency grows.
+    """
+    return -dispersive_shift(g, sigma, alpha)
 
 
 def regime_flags(g: float, delta: float, alpha: float) -> dict[str, bool]:
@@ -83,7 +96,6 @@ def pulled_frequencies(dev: DeviceParams, specs, levels: int = 3) -> dict[str, f
     """
     if not specs:
         raise ValueError("pulled_frequencies needs at least one qubit")
-    line = ShortedLine(dev.length)
     v = dev.phase_velocity
     lam_ref = omega_to_lambda(dev.fundamental_frequency, v)
     pulled = {}
@@ -93,7 +105,7 @@ def pulled_frequencies(dev: DeviceParams, specs, levels: int = 3) -> dict[str, f
             for spec, state in zip(specs, joint)
         ))
         try:
-            sp = solve_spectrum(line, bnd, near=lam_ref, nearest_only=True)
+            sp = solve_spectrum(dev.length, bnd, near=lam_ref, nearest_only=True)
             pulled[joint] = lambda_to_omega(sp.nearest_eigenvalue(lam_ref), v)
         except SolverError as exc:
             raise type(exc)(f"{exc} in joint state {joint!r}") from None

@@ -117,14 +117,15 @@ def dispersive_shift_numeric(model: JCModel) -> float:
 
 def jc_branch_sweep(omega_r: float, omega_q_values, g: float) -> CrossingSweep:
     """Single-excitation branches across the crossing, closed form per point."""
+    grid = tuple(omega_q_values)
     lower = []
     upper = []
-    for wq in omega_q_values:
+    for wq in grid:
         lo, hi = dressed_pair(omega_r, wq, g)
         lower.append(lo)
         upper.append(hi)
     return CrossingSweep(
-        qubit_frequency=tuple(omega_q_values),
+        qubit_frequency=grid,
         lower=tuple(lower),
         upper=tuple(upper),
     )

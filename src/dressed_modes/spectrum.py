@@ -1,8 +1,8 @@
 """Dressed-mode spectra of the terminated line.
 
 Eigenvalues are the roots of H(lam) = G(lam) - F(lam) on (0, lam_max], with
-G the line's log-derivative and F the rational boundary function; lam_max is
-fixed at ShortedLine.default_lam_max(), just below the sixth Dirichlet pole.
+G the log-derivative of a line of length L and F the rational boundary
+function; lam_max is default_lam_max(L), just below the sixth Dirichlet pole.
 The domain is partitioned at every pole of either side, and every interval is
 solved the same way, through its cleared function c*H: c > 0 inside the
 interval and vanishes at its bounding poles (sin(xi)/xi for a Dirichlet
@@ -53,7 +53,7 @@ from operator import attrgetter
 from .boundary import resolved_coupling, transmon_boundary
 from .errors import PoleCollisionError, SolverError
 from .params import GHZ, DeviceParams, TransmonSpec, lambda_to_omega, omega_to_lambda
-from .resonator import XI_POLE_GUARD, ShortedLine, line_log_deriv
+from .resonator import XI_POLE_GUARD, default_lam_max, dirichlet_poles, line_log_deriv
 
 RESIDUAL_REL = 1e-8          # threshold on |c*H| over max(|G|, |F|, 1/L)
 BRENT_MAX_STEPS = 200        # safety cap; 3000 random ground-state devices need <= 23
@@ -182,7 +182,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float):
     raise SolverError(f"Brent refinement did not converge in [{a}, {b}]")
 
 
-def _cleared_secular(line: ShortedLine, b, lo, hi, lobe: int):
+def _cleared_secular(length: float, b, lo, hi, lobe: int):
     """c*H on one interval, with c > 0 inside it and zero at its poles.
 
     lo and hi are the bounding PolePoints, None at 0 and lam_max, and
@@ -192,7 +192,6 @@ def _cleared_secular(line: ShortedLine, b, lo, hi, lobe: int):
     so c*H is finite and continuous on the closed interval. Returns
     cleared(lam), which is c*H, or (c*G, c*F, c) with parts=True.
     """
-    length = line.length
     sign = -1.0 if lobe % 2 else 1.0
     a = lo.location if lo is not None and lo.kind == "boundary" else None
     z = hi.location if hi is not None and hi.kind == "boundary" else None
@@ -240,13 +239,13 @@ def _cleared_secular(line: ShortedLine, b, lo, hi, lobe: int):
     return cleared
 
 
-def _slope_bounds(line: ShortedLine, b):
+def _slope_bounds(length: float, b):
     """bounds(x0, x1, lobe) -> (lower, upper) of H' over the cell [x0, x1],
     which holds no pole inside and stays in the lobe [lobe pi, (lobe+1) pi]
     of xi = sqrt(lam) L. What does not depend on the cell is set up once.
     `c if c > a else a` is max(a, c) and `c if c < a else a` is min(a, c),
     operand for operand, without the call."""
-    length, beta, inf = line.length, b.beta, math.inf
+    beta, inf = b.beta, math.inf
     emission = [(p.location, -p.strength) for p in b.poles if p.strength < 0.0]
     # per pole: -delta_k, and -delta_k / d^2 at d = 0
     terms = [(p.location, -p.strength, -math.copysign(inf, p.strength)) for p in b.poles]
@@ -410,43 +409,47 @@ def _line_partition(length: float):
     """(lam_max, Dirichlet poles below it, their PolePoints): the part of a
     solve's partition that depends on the line alone. One entry, so a run of
     solves on one line builds it once and the next line replaces it."""
-    line = ShortedLine(length)
-    lam_max = line.default_lam_max()
-    count = int(math.sqrt(lam_max) * length / math.pi) + 1
-    dirichlet = tuple(p for p in line.poles(count) if p < lam_max)
+    try:
+        lam_max = default_lam_max(length) if length > 0.0 else 0.0
+    except OverflowError:    # (6 pi / L)^2 beyond the float range
+        lam_max = math.inf
+    if not 0.0 < lam_max < math.inf:
+        raise ValueError(f"line length {length!r} must be positive with a finite lam_max > 0")
+    dirichlet = tuple(dirichlet_poles(length, 5))
     markers = tuple(PolePoint(p, "dirichlet") for p in dirichlet)
     return lam_max, dirichlet, markers
 
 
 def solve_spectrum(
-    line: ShortedLine, b, near: float | None = None, nearest_only: bool = False
+    length: float, b, near: float | None = None, nearest_only: bool = False
 ) -> DressedSpectrum:
     """Dressed eigenvalues on (0, lam_max]: all of them, or with `near` the
     largest one <= near and the smallest >= near, or with `near` and
     nearest_only the one nearest near, the lower of two as near as each
     other (what nearest_eigenvalue(near) reads).
 
-    The domain is fixed: lam_max is line.default_lam_max(), just below the
+    The domain is fixed: lam_max is default_lam_max(length), just below the
     sixth Dirichlet pole, so every solve cuts it at the same five line
     poles and holds the first six quarter-wave modes, dressed.
 
-    `b` is a RationalBoundary, read through its poles, beta and gamma only.
-    Every interval is solved on its cleared function c*H, its root count
-    certified by a slope bound (module docstring), whatever `near` is; `near`
-    and nearest_only only select the roots Brent's method refines, and each
-    refined root is bit-identical to the full solve's. A nearest_only solve
-    refines the other root next to near only when its bracket reaches as
-    close to near as the first root, and its spectrum refuses a pair read
-    (_NearestRoot); nearest_only without near is a ValueError. Raises
-    PoleCollisionError when a boundary pole sits within 1e-6 relative of a
-    Dirichlet pole, and SolverError when a boundary pole sits exactly at
-    lam_max, when no count can be certified (two roots too close to tell
-    apart, or H turning within the residual tolerance of zero) or a refined
-    root's cleared residual is too large.
+    The line is its `length` alone, and `b` is a RationalBoundary, read
+    through its poles, beta and gamma only. Every interval is solved on its
+    cleared function c*H, its root count certified by a slope bound (module
+    docstring), whatever `near` is; `near` and nearest_only only select the
+    roots Brent's method refines, and each refined root is bit-identical to
+    the full solve's. A nearest_only solve refines the other root next to
+    near only when its bracket reaches as close to near as the first root,
+    and its spectrum refuses a pair read (_NearestRoot). Raises ValueError
+    for nearest_only without near and for a length that is not positive or
+    gives no positive finite lam_max, PoleCollisionError when a boundary
+    pole sits within 1e-6 relative of a Dirichlet pole, and SolverError
+    when a boundary pole sits exactly at lam_max, when no count can be
+    certified (two roots too close to tell apart, or H turning within the
+    residual tolerance of zero) or a refined root's cleared residual is too
+    large.
     """
     if nearest_only and near is None:
         raise ValueError("nearest_only needs near")
-    length = line.length
     lam_max, dirichlet, line_markers = _line_partition(length)
     markers = list(line_markers)
     for p in b.poles:
@@ -466,14 +469,14 @@ def solve_spectrum(
         markers.append(PolePoint(p.location, "boundary"))
     markers.sort(key=_location)
 
-    bounds = _slope_bounds(line, b)
+    bounds = _slope_bounds(length, b)
     ends = [None, *markers, None]
     brackets, counts = [], []
     lobe = 0
     for lo, hi in zip(ends, ends[1:]):
         if lo is not None and lo.kind == "dirichlet":
             lobe += 1
-        ch = _cleared_secular(line, b, lo, hi, lobe)
+        ch = _cleared_secular(length, b, lo, hi, lobe)
         found = _isolate(ch, lo, hi, lam_max, bounds, lobe, length)
         for br in found:
             brackets.append((ch, *br))
@@ -565,21 +568,21 @@ def qubit_frequency_sweep(
             "zero coupling: at g = 0 the qubit adds no pole, "
             "so there is no avoided crossing to follow"
         )
-    line = ShortedLine(dev.length)
+    grid = tuple(omega_q_values)
     v = dev.phase_velocity
     lam_ref = omega_to_lambda(dev.fundamental_frequency, v)
 
     def solve_one(omega_q):
         bnd = transmon_boundary(replace(spec, frequency=omega_q), dev, levels)
         try:
-            sp = solve_spectrum(line, bnd, near=lam_ref)
+            sp = solve_spectrum(dev.length, bnd, near=lam_ref)
             return _fundamental_pair(sp, lam_ref, v)
         except SolverError as exc:
             raise type(exc)(f"{exc} at omega_q={omega_q / GHZ:.12g} GHz") from None
 
-    pairs = [solve_one(w) for w in omega_q_values]
+    pairs = [solve_one(w) for w in grid]
     return CrossingSweep(
-        qubit_frequency=tuple(omega_q_values),
+        qubit_frequency=grid,
         lower=tuple(p[0] for p in pairs),
         upper=tuple(p[1] for p in pairs),
     )
@@ -606,7 +609,7 @@ def vacuum_rabi_gap(dev: DeviceParams, spec: TransmonSpec) -> RabiSplitting:
     delta = bnd.poles[0].strength
     v = dev.phase_velocity
     predicted = (v * v / omega_ref) * math.sqrt(2.0 * delta / dev.length)
-    sp = solve_spectrum(ShortedLine(dev.length), bnd)
+    sp = solve_spectrum(dev.length, bnd)
     lower, upper = _fundamental_pair(sp, omega_to_lambda(omega_ref, v), v)
     return RabiSplitting(
         measured=upper - lower,

@@ -13,7 +13,6 @@ import pytest
 from dressed_modes import (
     GHZ,
     FullSusceptanceBoundary,
-    ShortedLine,
     TransmonSpec,
     additivity_report,
     omega_to_lambda,
@@ -25,6 +24,7 @@ from dressed_modes.acceptance import (
     ALL_CHECKS,
     STANDARD_DEVICE,
     STANDARD_QUBIT,
+    check_dispersive_triangle,
     run_all,
 )
 
@@ -44,6 +44,15 @@ def test_run_all_covers_every_criterion(gate_results):
     assert all(r.passed for r in gate_results)
     with pytest.raises(ValueError):
         run_all(only="not-a-criterion")
+
+
+@pytest.mark.parametrize("seed", [2, 9, 15])
+def test_chi_triangle_passes_where_the_rwa_closed_form_failed(seed):
+    """validate --seed 2, 9 and 15 (the criterion draws with seed + 2)
+    failed at 1.024, 1.003 and 1.022 of tolerance while the closed form
+    left out the boundary model's counter-rotating term."""
+    result = check_dispersive_triangle(seed + 2)
+    assert result.passed, result.detail
 
 
 # Frozen measurements. Bands are generous (15-25%) because the quantities
@@ -76,9 +85,8 @@ def test_regression_boundary_form_disagreement():
     b_full = FullSusceptanceBoundary.from_rational(
         b_rat, dev.inductance_per_length, v, omega_to_lambda(wr, v)
     )
-    line = ShortedLine(dev.length)
-    near_rat = [f for f in solve_spectrum(line, b_rat).frequencies(v) if abs(f - wr) <= 0.05 * wr]
-    near_full = [f for f in solve_spectrum(line, b_full.rational).frequencies(v) if abs(f - wr) <= 0.05 * wr]
+    near_rat = [f for f in solve_spectrum(dev.length, b_rat).frequencies(v) if abs(f - wr) <= 0.05 * wr]
+    near_full = [f for f in solve_spectrum(dev.length, b_full.rational).frequencies(v) if abs(f - wr) <= 0.05 * wr]
     assert len(near_rat) == len(near_full) == 1
     worst = max(abs(a - b) / abs(a) for a, b in zip(near_rat, near_full))
     assert 1.2e-6 < worst < 1.7e-6

@@ -168,6 +168,16 @@ def test_transmon_boundary_excited_state_levels():
     )
 
 
+def test_excited_three_level_boundary_needs_a_positive_ef_frequency():
+    """omega_q + alpha <= 0 leaves no e-f absorption pole to place; the
+    two-level boundary, which has none, still builds."""
+    for omega_q in (0.2 * GHZ, 0.25 * GHZ):
+        spec = replace(QUBIT, state="e", frequency=omega_q)
+        with pytest.raises(ValueError, match="^e-f transition frequency must stay positive$"):
+            transmon_boundary(spec, DEV, levels=3)
+        assert len(transmon_boundary(spec, DEV, levels=2).poles) == 1
+
+
 def test_zero_coupling_gives_poleless_boundary():
     b = transmon_boundary(replace(QUBIT, coupling=0.0), DEV)
     assert b.poles == ()

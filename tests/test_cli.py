@@ -913,7 +913,7 @@ VALIDATE_SEED_0 = (
     "[PASS] interlacing: 1000/1000 configurations solved, 0 interlacing failures\n"
     "[PASS] level repulsion: min eigenvalue-pole relative margin 6.223e-07; min crossing gap 0.200015 GHz over 41 points\n"
     "[PASS] vacuum Rabi matching: g/omega_r=0.01: |gap-2g|/2g = 7.451743e-05 (tol 0.005); g/omega_r=0.15: |gap-2g|/2g = 1.761752e-02 (tol 0.05)\n"
-    "[PASS] dispersive-shift triangle: 50 draws, worst pairwise error at 0.919 of tolerance\n"
+    "[PASS] dispersive-shift triangle: 50 draws, worst pairwise error at 0.650 of tolerance\n"
     "[PASS] multimode divergences: Lamb linear fit R^2 = 1.000000 (need > 0.999); chi doubling-increment spread 0.003 (need <= 0.10)\n"
     "[PASS] two-qubit structure: matched: odd gap 0.0, even gap = 4|chi|: True; QND commutator 0.0e+00 vs 1e-14*|H| = 6.3e-03; additivity deviation 1.345e-04 GHz (tol 7.666e-04)\n"
     "[PASS] commutator algebra: [H_int, sz] = 0.0, sx identity residual = 0.0, [H_int, sx] = 1.885e+08\n"
@@ -996,6 +996,30 @@ def test_unknown_config_key_exits_3_and_names_it(tmp_path, capsys, suffix, key):
         path.write_text(CFG + f"{key} = 5e-15\n")
     assert main(["chi", "--config", str(path)]) == 3
     assert capsys.readouterr().err == f"config error: unknown key: {key}\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("device.json", "[1, 2]", "JSON config must be a flat object"),
+        ("device.json", json.dumps({**dict(line.split(" = ") for line in CFG.splitlines()),
+                                    "qubit.state": 1}), "qubit.state must be text"),
+        ("device.cfg", CFG.replace("qubit.coupling_ghz = 0.1", "qubit.coupling_ghz = abc"),
+         "qubit.coupling_ghz must be a number"),
+    ],
+)
+def test_malformed_config_value_exits_3_and_says_why(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["chi", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_non_numeric_option_value_exits_2_and_names_it(cfg, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["parity", "--config", cfg, "--q2-frequency-ghz", "abc"])
+    assert exc.value.code == 2
+    assert "argument --q2-frequency-ghz: bad number 'abc'" in capsys.readouterr().err
 
 
 def test_junction_capacitance_key_still_runs(tmp_path, capsys):

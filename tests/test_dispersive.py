@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from dressed_modes import (
     DeviceParams,
     RationalBoundary,
     TransmonSpec,
+    counter_rotating_shift,
     critical_photon_number,
     dispersive_report,
     dispersive_shift,
@@ -47,6 +49,38 @@ def test_closed_form_rejects_zero_detuning():
         dispersive_shift(0.1 * GHZ, 0.0, -0.25 * GHZ)
     with pytest.raises(ValueError):
         dispersive_shift(0.1 * GHZ, 0.25 * GHZ, -0.25 * GHZ)
+
+
+def test_closed_form_plus_counter_rotating_term_is_the_perturbative_chi():
+    """The boundary model's first-order chi: dispersive_shift plus
+    counter_rotating_shift equals dispersive_report's chi_perturbative to
+    rounding, on seeded dispersive draws on either side of the mode."""
+    rng = random.Random(4)
+    omega_r = DEV.fundamental_frequency
+    for _ in range(20):
+        delta = rng.choice((-1.0, 1.0)) * rng.uniform(0.4, 3.0) * GHZ
+        alpha = rng.uniform(-0.3, -0.1) * GHZ
+        g = rng.uniform(0.02, 0.1) * abs(delta)
+        spec = replace(QUBIT, frequency=omega_r + delta, anharmonicity=alpha, coupling=g)
+        closed = dispersive_shift(g, delta, alpha) + counter_rotating_shift(
+            g, spec.frequency + omega_r, alpha
+        )
+        assert closed == pytest.approx(dispersive_report(DEV, spec).chi_perturbative, rel=1e-13)
+
+
+def test_counter_rotating_term_fades_as_the_mode_frequency_grows():
+    """At fixed g, Delta and alpha the term falls off as 1/Sigma^2 against
+    dispersive_shift: about 100-fold for each decade of omega_r."""
+    g, delta, alpha = 0.1 * GHZ, -1.0 * GHZ, -0.25 * GHZ
+    chi = dispersive_shift(g, delta, alpha)
+    ratios = [
+        abs(counter_rotating_shift(g, 2.0 * omega_r + delta, alpha) / chi)
+        for omega_r in (10.0 * GHZ, 100.0 * GHZ, 1e3 * GHZ, 1e4 * GHZ)
+    ]
+    assert ratios[0] > 1e-3
+    for wide, narrow in zip(ratios, ratios[1:]):
+        assert 80.0 < wide / narrow < 120.0
+    assert ratios[-1] < 1e-8
 
 
 def test_critical_photon_number():

@@ -112,6 +112,12 @@ def test_branch_sweep_brackets_and_self_comparison():
     assert np.min(sweep.gap) == pytest.approx(2.0 * G, rel=1e-9)
 
 
+def test_branch_sweep_reads_an_iterator_grid_once():
+    """A one-pass iterator gives the sweep of the same grid as a list."""
+    grid = [8.0 * GHZ, 10.0 * GHZ, 12.0 * GHZ]
+    assert jc_branch_sweep(W_R, (w for w in grid), G) == jc_branch_sweep(W_R, grid, G)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         JCModel(omega_r=-W_R, omega_q=W_Q, g=G)

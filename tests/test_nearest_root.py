@@ -8,9 +8,9 @@ import random
 
 import pytest
 
-from dressed_modes import solve_spectrum, spectrum
+from dressed_modes import default_lam_max, solve_spectrum, spectrum
 from test_solver_pin import _boundary_draw
-from test_spectrum import DEV, LINE, _bits
+from test_spectrum import DEV, LENGTH, _bits
 
 DRAWS = 300
 
@@ -29,7 +29,7 @@ def _counted(monkeypatch):
 
 def _draws():
     rng = random.Random(20261020)
-    lam_max = LINE.default_lam_max()
+    lam_max = default_lam_max(LENGTH)
     for _ in range(DRAWS):
         bnd = _boundary_draw(rng)
         near = rng.uniform(0.0, 1.0) * lam_max
@@ -44,9 +44,9 @@ def test_nearest_root_solve_keeps_the_pair_solves_nearest_record(monkeypatch):
     skipped = refined = 0
     for bnd, near in _draws():
         calls[0] = 0
-        pair = solve_spectrum(LINE, bnd, near=near)
+        pair = solve_spectrum(LENGTH, bnd, near=near)
         pair_calls, calls[0] = calls[0], 0
-        nearest = solve_spectrum(LINE, bnd, near=near, nearest_only=True)
+        nearest = solve_spectrum(LENGTH, bnd, near=near, nearest_only=True)
         assert calls[0] <= pair_calls
         skipped += calls[0] < pair_calls
         refined += len(pair.records) == 2 and calls[0] == pair_calls
@@ -66,4 +66,4 @@ def test_nearest_root_solve_keeps_the_pair_solves_nearest_record(monkeypatch):
 def test_nearest_only_needs_near():
     bnd = next(_draws())[0]
     with pytest.raises(ValueError, match="nearest_only needs near"):
-        solve_spectrum(LINE, bnd, nearest_only=True)
+        solve_spectrum(LENGTH, bnd, nearest_only=True)

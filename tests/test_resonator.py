@@ -6,6 +6,7 @@ import pytest
 from dressed_modes import (
     PoleProximityError,
     ShortedLine,
+    default_lam_max,
     dirichlet_poles,
     line_log_deriv,
     line_log_deriv_dlam,
@@ -13,7 +14,6 @@ from dressed_modes import (
 )
 
 L = 3e-3
-LINE = ShortedLine(L)
 
 
 def test_value_at_zero_lambda():
@@ -61,7 +61,7 @@ def test_series_branch_matches_direct_formula():
 def test_derivative_against_finite_differences():
     rng = np.random.default_rng(11)
     poles = dirichlet_poles(L, 7)
-    lam_hi = LINE.default_lam_max() * 0.97
+    lam_hi = default_lam_max(L) * 0.97
     checked = 0
     while checked < 300:
         lam = float(rng.uniform(1e3, lam_hi))
@@ -78,7 +78,7 @@ def test_derivative_is_negative_everywhere_between_poles():
     rng = np.random.default_rng(5)
     poles = dirichlet_poles(L, 7)
     for _ in range(200):
-        lam = float(rng.uniform(10.0, LINE.default_lam_max()))
+        lam = float(rng.uniform(10.0, default_lam_max(L)))
         if any(abs(lam - p) < 1e-6 * p for p in poles):
             continue
         assert line_log_deriv_dlam(lam, L) < 0.0
@@ -109,8 +109,20 @@ def test_negative_lambda_rejected():
         line_log_deriv(-1.0, L)
 
 
+def test_shorted_line_keeps_only_its_length_and_the_traced_kernel():
+    """What bench/tracing.py patches by name, and the length check; the
+    solver's helpers are free functions of the length."""
+    line = ShortedLine(L)
+    assert line.log_deriv(1e5) == line_log_deriv(1e5, L)
+    assert line.dlog_deriv(1e5) == line_log_deriv_dlam(1e5, L)
+    assert not hasattr(line, "poles") and not hasattr(line, "default_lam_max")
+    for bad in (0.0, -L):
+        with pytest.raises(ValueError, match="length must be positive"):
+            ShortedLine(bad)
+
+
 def test_default_lam_max_clears_sixth_pole():
-    lam_max = LINE.default_lam_max()
+    lam_max = default_lam_max(L)
     assert lam_max < (6 * math.pi / L) ** 2
     # still above the sixth quarter-wave zero
     assert lam_max > quarterwave_zeros(L, 6)[-1]

@@ -12,15 +12,15 @@ import pytest
 
 from dressed_modes import BoundaryPole, RationalBoundary, solve_spectrum, spectrum
 from test_solver_pin import _boundary_draw
-from test_spectrum import LINE
+from test_spectrum import LENGTH
 
 MIXED_DRAWS = 40
 
 
-def _oracle_slope_bounds(line, b):
+def _oracle_slope_bounds(length, b):
     """The slope bound as first written, with builtins max/min and the
     poles' attributes read on every cell."""
-    length, beta, poles = line.length, b.beta, b.poles
+    beta, poles = b.beta, b.poles
     emission = [(p.location, -p.strength) for p in poles if p.strength < 0.0]
     slack = beta - length / 3.0
     sqrt, sin, inf, pi = math.sqrt, math.sin, math.inf, math.pi
@@ -68,8 +68,8 @@ def _solve_cells(bnd, monkeypatch):
     """Every (x0, x1, lobe) a full solve of bnd asks the slope bound about."""
     cells, make = [], spectrum._slope_bounds
 
-    def recording(line, b):
-        bounds = make(line, b)
+    def recording(length, b):
+        bounds = make(length, b)
 
         def recorded(x0, x1, lobe):
             cells.append((x0, x1, lobe))
@@ -78,7 +78,7 @@ def _solve_cells(bnd, monkeypatch):
         return recorded
 
     monkeypatch.setattr(spectrum, "_slope_bounds", recording)
-    solve_spectrum(LINE, bnd)
+    solve_spectrum(LENGTH, bnd)
     monkeypatch.undo()
     return cells
 
@@ -88,11 +88,11 @@ def test_slope_bounds_are_bit_identical_to_the_plain_form(monkeypatch):
     solver's bound returns the oracle's (lower, upper) bit for bit. The
     cells that reach the sharp bound include ones with an end on a pole
     (d = 0), ones in lobe 0, and ones straddling (lobe + 1/2) pi."""
-    length = LINE.length
+    length = LENGTH
     seen = {"pole end": 0, "lobe 0": 0, "straddling": 0}
     total = 0
     for bnd in _mixed_boundaries():
-        fast, plain = spectrum._slope_bounds(LINE, bnd), _oracle_slope_bounds(LINE, bnd)
+        fast, plain = spectrum._slope_bounds(LENGTH, bnd), _oracle_slope_bounds(LENGTH, bnd)
         locations = {p.location for p in bnd.poles}
         for x0, x1, lobe in _solve_cells(bnd, monkeypatch):
             expected = plain(x0, x1, lobe)
@@ -112,10 +112,10 @@ def test_slope_bounds_are_bit_identical_to_the_plain_form(monkeypatch):
 def test_slope_bounds_at_a_pole_end_match_the_plain_form(strength):
     """A cell with an end on an absorption or an emission pole: the pole's
     term is -/+inf there, on the same side as in the plain form."""
-    lam_1 = (math.pi / (2.0 * LINE.length)) ** 2
-    pole = BoundaryPole(2.0 * lam_1, strength * lam_1 / LINE.length)
-    bnd = RationalBoundary(beta=LINE.length / 3.0, gamma=10.0, poles=(pole,))
-    fast, plain = spectrum._slope_bounds(LINE, bnd), _oracle_slope_bounds(LINE, bnd)
+    lam_1 = (math.pi / (2.0 * LENGTH)) ** 2
+    pole = BoundaryPole(2.0 * lam_1, strength * lam_1 / LENGTH)
+    bnd = RationalBoundary(beta=LENGTH / 3.0, gamma=10.0, poles=(pole,))
+    fast, plain = spectrum._slope_bounds(LENGTH, bnd), _oracle_slope_bounds(LENGTH, bnd)
     for x0, x1 in ((1.5 * lam_1, 2.0 * lam_1), (2.0 * lam_1, 2.5 * lam_1)):
         got = fast(x0, x1, 0)
         assert [x.hex() for x in got] == [x.hex() for x in plain(x0, x1, 0)]

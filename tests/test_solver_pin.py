@@ -23,11 +23,13 @@ from dressed_modes import (
     RationalBoundary,
     SolverError,
     TransmonSpec,
+    default_lam_max,
+    dirichlet_poles,
     qubit_frequency_sweep,
     solve_spectrum,
 )
 from dressed_modes import spectrum
-from test_spectrum import LINE, _bits, _excited, _random_boundary
+from test_spectrum import LENGTH, _bits, _excited, _random_boundary
 
 PIN = Path(__file__).with_name("solver_pin.json")
 BOUNDARY_DRAWS = 300
@@ -68,8 +70,8 @@ def _boundary_draw(rng):
 
 def _error_boundaries():
     """Boundaries every solve of which raises, one per kind of error."""
-    lam_max = LINE.default_lam_max()
-    d2 = LINE.poles(2)[1]
+    lam_max = default_lam_max(LENGTH)
+    d2 = dirichlet_poles(LENGTH, 2)[1]
     yield "merge+1e-9", _excited(MERGE_COUPLING_GHZ * (1.0 + 1e-9))
     yield "merge-1e-9", _excited(MERGE_COUPLING_GHZ * (1.0 - 1e-9))
     yield "pole at lam_max", RationalBoundary(poles=(BoundaryPole(lam_max, 1e3),))
@@ -79,20 +81,20 @@ def _error_boundaries():
 def _cases():
     """(name, thunk) of every pinned draw, in a fixed order."""
     rng = random.Random(20261018)
-    lam_max = LINE.default_lam_max()
+    lam_max = default_lam_max(LENGTH)
     for label, bnd in _error_boundaries():
         for near in (None, 0.5 * lam_max):
             yield f"{label} near={near}", lambda b=bnd, x=near: _spectrum_bits(
-                solve_spectrum(LINE, b, near=x)
+                solve_spectrum(LENGTH, b, near=x)
             )
     for i in range(BOUNDARY_DRAWS):
         bnd = _boundary_draw(rng)
         near = rng.uniform(0.0, 1.0) * lam_max
         if bnd is None:
             continue
-        yield f"boundary[{i}] full", lambda b=bnd: _spectrum_bits(solve_spectrum(LINE, b))
+        yield f"boundary[{i}] full", lambda b=bnd: _spectrum_bits(solve_spectrum(LENGTH, b))
         yield f"boundary[{i}] near", lambda b=bnd, x=near: _spectrum_bits(
-            solve_spectrum(LINE, b, near=x)
+            solve_spectrum(LENGTH, b, near=x)
         )
     for i in range(SWEEP_DEVICES):
         dev = DeviceParams(

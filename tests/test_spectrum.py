@@ -22,6 +22,8 @@ from dressed_modes import (
     SolverError,
     ShortedLine,
     TransmonSpec,
+    default_lam_max,
+    dirichlet_poles,
     omega_to_lambda,
     pole_margin,
     pole_margins,
@@ -39,7 +41,7 @@ from dressed_modes.spectrum import DIRICHLET_COLLISION_REL
 
 DEV = DeviceParams(length=3e-3, phase_velocity=1.2e8, impedance=50.0)
 QUBIT = TransmonSpec(state="g", frequency=9 * GHZ, anharmonicity=-0.25 * GHZ, coupling=0.1 * GHZ)
-LINE = ShortedLine(DEV.length)
+LENGTH = DEV.length
 
 
 def _oracle_h(length, beta, gamma, poles):
@@ -105,7 +107,7 @@ def _oracle_roots(length, beta, gamma, poles, lam_max, points_per_interval=100_0
 
 
 def test_open_circuit_recovers_quarter_wave_modes():
-    sp = solve_spectrum(LINE, RationalBoundary(beta=0.0, gamma=0.0, poles=()))
+    sp = solve_spectrum(LENGTH, RationalBoundary(beta=0.0, gamma=0.0, poles=()))
     expected = quarterwave_zeros(DEV.length, 6)
     assert len(sp.eigenvalues) == 6
     for lam, ref in zip(sp.eigenvalues, expected):
@@ -114,7 +116,7 @@ def test_open_circuit_recovers_quarter_wave_modes():
 
 def test_ground_state_spectrum_matches_dense_scan_oracle():
     bnd = transmon_boundary(QUBIT, DEV)
-    sp = solve_spectrum(LINE, bnd)
+    sp = solve_spectrum(LENGTH, bnd)
     oracle = _oracle_roots(
         DEV.length, bnd.beta, bnd.gamma,
         [(p.location, p.strength) for p in bnd.poles],
@@ -127,7 +129,7 @@ def test_ground_state_spectrum_matches_dense_scan_oracle():
 
 def test_affine_boundary_matches_dense_scan_oracle():
     bnd = RationalBoundary(beta=3e-4, gamma=120.0, poles=())
-    sp = solve_spectrum(LINE, bnd)
+    sp = solve_spectrum(LENGTH, bnd)
     oracle = _oracle_roots(DEV.length, bnd.beta, bnd.gamma, [], sp.lam_max)
     assert len(sp.eigenvalues) == len(oracle)
     for lam, ref in zip(sp.eigenvalues, oracle):
@@ -138,7 +140,7 @@ def test_excited_state_spectrum_matches_dense_scan_oracle():
     """Mixed-sign residues: no interlacing guarantee, still every root found."""
     bnd = transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3)
     assert not bnd.all_positive_residues
-    sp = solve_spectrum(LINE, bnd)
+    sp = solve_spectrum(LENGTH, bnd)
     oracle = _oracle_roots(
         DEV.length, bnd.beta, bnd.gamma,
         [(p.location, p.strength) for p in bnd.poles],
@@ -151,7 +153,7 @@ def test_excited_state_spectrum_matches_dense_scan_oracle():
 
 def test_interlacing_bookkeeping():
     bnd = transmon_boundary(QUBIT, DEV)
-    sp = solve_spectrum(LINE, bnd)
+    sp = solve_spectrum(LENGTH, bnd)
     assert len(sp.intervals) == len(sp.counts) == len(sp.interlacing)
     assert sum(sp.counts) == len(sp.records)
     # pole-bounded intervals carry booleans, the two edges carry None
@@ -164,7 +166,7 @@ def test_interlacing_bookkeeping():
 
 def test_eigenvalues_strictly_increasing_with_small_residuals():
     bnd = transmon_boundary(QUBIT, DEV)
-    sp = solve_spectrum(LINE, bnd)
+    sp = solve_spectrum(LENGTH, bnd)
     lams = sp.eigenvalues
     assert all(a < b for a, b in zip(lams, lams[1:]))
     for rec in sp.records:
@@ -177,23 +179,41 @@ def test_collision_precondition():
     spec = replace(QUBIT, frequency=20.0 * GHZ * (1.0 + 1e-8))
     bnd = transmon_boundary(spec, DEV)
     with pytest.raises(PoleCollisionError):
-        solve_spectrum(LINE, bnd)
+        solve_spectrum(LENGTH, bnd)
 
 
 def test_boundary_pole_exactly_at_lam_max_is_a_solver_error():
-    lam_max = LINE.default_lam_max()
+    lam_max = default_lam_max(LENGTH)
     bnd = RationalBoundary(poles=(BoundaryPole(lam_max, 1e3),))
     with pytest.raises(SolverError, match="lam_max"):
-        solve_spectrum(LINE, bnd)
+        solve_spectrum(LENGTH, bnd)
     # a hair to either side, the pole is an ordinary marker or out of range
     for rel in (1.0 - 1e-12, 1.0 + 1e-12):
         bnd = RationalBoundary(poles=(BoundaryPole(lam_max * rel, 1e3),))
-        assert solve_spectrum(LINE, bnd).records
+        assert solve_spectrum(LENGTH, bnd).records
+
+
+@pytest.mark.parametrize("length", [0.0, -1e-3, math.nan, math.inf, 1e300, 1e-200])
+def test_length_without_a_finite_positive_lam_max_is_a_value_error(length):
+    """Not positive, or so long (short) that (6 pi / L)^2 underflows to 0
+    (overflows): refused before any interval is solved."""
+    with pytest.raises(ValueError, match="line length"):
+        solve_spectrum(length, RationalBoundary())
+    with pytest.raises(ValueError, match="line length"):
+        solve_spectrum(length, transmon_boundary(QUBIT, DEV), near=1.0, nearest_only=True)
+
+
+def test_solver_takes_the_length_not_a_line_object():
+    """The first argument is the line's length; no second path accepts a
+    ShortedLine in its place."""
+    assert list(inspect.signature(solve_spectrum).parameters)[:2] == ["length", "b"]
+    with pytest.raises(TypeError):
+        solve_spectrum(ShortedLine(LENGTH), RationalBoundary())
 
 
 def test_every_solve_covers_the_one_fixed_domain():
-    sp = solve_spectrum(LINE, transmon_boundary(QUBIT, DEV))
-    assert sp.lam_max == sp.intervals[-1][1] == LINE.default_lam_max()
+    sp = solve_spectrum(LENGTH, transmon_boundary(QUBIT, DEV))
+    assert sp.lam_max == sp.intervals[-1][1] == default_lam_max(LENGTH)
     # the domain and the other single-value settings are constants, not options
     fixed = {"lam_max", "omega_ref", "panels", "n_configs", "n_draws"}
     for mod in (dressed_modes, acceptance):
@@ -205,28 +225,28 @@ def test_every_solve_covers_the_one_fixed_domain():
 def test_margin_scales_with_coupling_squared():
     margins = {}
     for g in (0.05 * GHZ, 0.1 * GHZ):
-        sp = solve_spectrum(LINE, transmon_boundary(replace(QUBIT, coupling=g), DEV))
+        sp = solve_spectrum(LENGTH, transmon_boundary(replace(QUBIT, coupling=g), DEV))
         margins[g] = pole_margin(sp)
     ratio = margins[0.1 * GHZ] / margins[0.05 * GHZ]
     assert ratio == pytest.approx(4.0, rel=0.1)
 
 
 def test_pole_margin_infinite_without_boundary_poles():
-    sp = solve_spectrum(LINE, RationalBoundary(beta=0.0, gamma=0.0, poles=()))
+    sp = solve_spectrum(LENGTH, RationalBoundary(beta=0.0, gamma=0.0, poles=()))
     assert pole_margin(sp) == math.inf
 
 
 def test_pole_margins_per_root():
-    sp = solve_spectrum(LINE, transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3))
+    sp = solve_spectrum(LENGTH, transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3))
     margins = pole_margins(sp)
     bpoles = [p.location for p in sp.partition if p.kind == "boundary"]
     assert len(bpoles) == 2
     assert margins == tuple(min(abs(lam - p) / p for p in bpoles) for lam in sp.eigenvalues)
     assert pole_margin(sp) == min(margins)
-    assert pole_margins(solve_spectrum(LINE, RationalBoundary())) == ()
+    assert pole_margins(solve_spectrum(LENGTH, RationalBoundary())) == ()
     lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
     with pytest.raises(ValueError, match="every root"):
-        pole_margins(solve_spectrum(LINE, transmon_boundary(QUBIT, DEV), near=lam_ref))
+        pole_margins(solve_spectrum(LENGTH, transmon_boundary(QUBIT, DEV), near=lam_ref))
 
 
 def test_result_stores_only_what_the_solve_decides():
@@ -237,7 +257,7 @@ def test_result_stores_only_what_the_solve_decides():
         "records", "partition", "counts", "lam_max", "near",
     ]
     assert [f.name for f in fields(PolePoint)] == ["location", "kind"]
-    sp = solve_spectrum(LINE, transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3))
+    sp = solve_spectrum(LENGTH, transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3))
     edges = [0.0, *(p.location for p in sp.partition), sp.lam_max]
     assert sp.intervals == tuple(zip(edges, edges[1:]))
     assert sp.counts == (1, 0, 2, 1, 1, 1, 1, 1)
@@ -293,6 +313,15 @@ def test_sweep_brackets_reference_and_stays_open():
     assert min(sweep.gap) == sweep.gap[2]
 
 
+def test_sweep_reads_an_iterator_grid_once():
+    """A one-pass iterator gives the sweep of the same grid as a list."""
+    omega_r = DEV.fundamental_frequency
+    grid = [omega_r * x for x in (0.99, 1.0, 1.01)]
+    assert qubit_frequency_sweep(DEV, QUBIT, (w for w in grid)) == qubit_frequency_sweep(
+        DEV, QUBIT, grid
+    )
+
+
 def test_vacuum_rabi_gap_reference_values():
     omega_r = DEV.fundamental_frequency
     spec = replace(QUBIT, frequency=omega_r)
@@ -330,12 +359,12 @@ def test_random_ground_configs_interlace(length, v, ratio, g_ghz):
     omega_q = ratio * dev.fundamental_frequency
     lam_q = omega_to_lambda(omega_q, v)
     # skip exactly the draws solve_spectrum rejects with PoleCollisionError
-    if any(abs(lam_q - d) < DIRICHLET_COLLISION_REL * d for d in ShortedLine(length).poles(3)):
+    if any(abs(lam_q - d) < DIRICHLET_COLLISION_REL * d for d in dirichlet_poles(length, 3)):
         return
     spec = TransmonSpec(
         state="g", frequency=omega_q, anharmonicity=-0.25 * GHZ, coupling=g_ghz * GHZ
     )
-    sp = solve_spectrum(ShortedLine(length), transmon_boundary(spec, dev))
+    sp = solve_spectrum(length, transmon_boundary(spec, dev))
     assert all(flag is None or flag for flag in sp.interlacing)
     assert pole_margin(sp) > 0.0
 
@@ -378,7 +407,7 @@ def test_weak_coupling_keeps_the_root_next_to_the_qubit_pole(g_ghz):
     """The qubit-like root sits within 1e-8 relative of its pole; it is
     counted in the edge interval (0, lam_q), not lost."""
     bnd = transmon_boundary(replace(QUBIT, coupling=g_ghz * GHZ), DEV)
-    sp = solve_spectrum(LINE, bnd)
+    sp = solve_spectrum(LENGTH, bnd)
     assert len(sp.eigenvalues) == 7
     assert sp.counts == (1,) * 7
     lam_q = bnd.poles[0].location
@@ -404,7 +433,7 @@ def test_weak_coupling_excited_state_keeps_the_roots_next_to_its_poles(g_ghz, le
     and 2.2e-11 (1e-5 GHz) relative from a transmon pole are ordinary roots
     of the cleared function, so none is lost."""
     bnd = transmon_boundary(replace(QUBIT, state="e", coupling=g_ghz * GHZ), DEV, levels=levels)
-    sp = solve_spectrum(LINE, bnd)
+    sp = solve_spectrum(LENGTH, bnd)
     assert len(sp.eigenvalues) == len(counts)
     assert sp.counts == counts
     _assert_raw_sign_changes(sp, bnd)
@@ -415,7 +444,7 @@ def test_root_within_an_ulp_of_its_pole(state, counts):
     """At g = 1e-8 GHz the qubit-like root lies closer to its pole than one
     ulp, so it rounds onto the pole, where the clearing factor is zero."""
     bnd = transmon_boundary(replace(QUBIT, state=state, coupling=1e-8 * GHZ), DEV)
-    sp = solve_spectrum(LINE, bnd)
+    sp = solve_spectrum(LENGTH, bnd)
     assert sp.counts == counts
     lam_q = bnd.poles[0].location
     assert min(abs(lam - lam_q) for lam in sp.eigenvalues) <= math.ulp(lam_q)
@@ -429,7 +458,7 @@ def test_excited_state_root_pair_next_to_the_emission_pole():
     pole tells them apart."""
     spec = replace(QUBIT, state="e", frequency=50.05 * GHZ, coupling=1e-4 * GHZ)
     bnd = transmon_boundary(spec, DEV)
-    sp = solve_spectrum(LINE, bnd)
+    sp = solve_spectrum(LENGTH, bnd)
     assert sp.counts == (1, 1, 2, 0, 1, 1, 1)
     _assert_raw_sign_changes(sp, bnd)
 
@@ -456,8 +485,8 @@ def test_solver_reads_only_the_rational_form(monkeypatch):
             replace(bnd, beta=0.0), DEV.inductance_per_length, DEV.phase_velocity, lam_ref
         ).rational
         assert full.gamma != 0.0
-        assert solve_spectrum(LINE, bnd).records
-        assert solve_spectrum(LINE, full).records
+        assert solve_spectrum(LENGTH, bnd).records
+        assert solve_spectrum(LENGTH, full).records
 
 
 @pytest.mark.parametrize("r", [1.1e-6, 2e-6, 3e-6, 5e-6, -1.1e-6, -2e-6, -3e-6, -5e-6])
@@ -466,7 +495,7 @@ def test_qubit_pole_just_outside_the_collision_guard_solves(r):
     the first Dirichlet pole: outside the 1e-6 guard, so it must solve."""
     spec = replace(QUBIT, frequency=2.0 * DEV.fundamental_frequency * (1.0 + r))
     bnd = transmon_boundary(spec, DEV)
-    sp = solve_spectrum(LINE, bnd)
+    sp = solve_spectrum(LENGTH, bnd)
     assert all(sp.interlacing[1:-1])
     assert sp.counts == (1,) * 7
     _assert_matches_oracle(sp, bnd, DEV.length)
@@ -483,7 +512,7 @@ def test_random_draw_with_root_2e_9_from_the_qubit_pole():
         coupling=374460292.0206963,
     )
     bnd = transmon_boundary(spec, dev)
-    sp = solve_spectrum(ShortedLine(dev.length), bnd)
+    sp = solve_spectrum(dev.length, bnd)
     assert all(sp.interlacing[1:-1])
     assert sp.counts == (1,) * 7
     assert 0.0 < pole_margin(sp) < 1e-8
@@ -574,7 +603,7 @@ def _random_boundary(locations, strengths, beta_frac, gamma):
     length = DEV.length
     lam_1 = (math.pi / (2.0 * length)) ** 2
     locs = [x * lam_1 for x in locations]
-    if any(abs(p - d) < DIRICHLET_COLLISION_REL * d for p in locs for d in LINE.poles(6)):
+    if any(abs(p - d) < DIRICHLET_COLLISION_REL * d for p in locs for d in dirichlet_poles(LENGTH, 6)):
         return None
     ordered = sorted(locs)
     if any(q - p < POLE_GUARD_REL * q for p, q in zip(ordered, ordered[1:])):
@@ -604,7 +633,7 @@ def test_certified_roots_match_oracle(locations, strengths, beta_frac, gamma):
     bnd = _random_boundary(locations, strengths, beta_frac, gamma)
     if bnd is None:
         return
-    sp = solve_spectrum(LINE, bnd)
+    sp = solve_spectrum(LENGTH, bnd)
     if bnd.all_positive_residues and beta_frac < 1.0:
         assert all(sp.interlacing[1:-1])
         assert all(r.bracket in sp.intervals for r in sp.records)
@@ -650,14 +679,14 @@ def test_near_solve_is_a_subset_of_the_full_solve(
     bnd = _random_boundary(locations, strengths, beta_frac, gamma)
     if bnd is None:
         return
-    full = solve_spectrum(LINE, bnd)
+    full = solve_spectrum(LENGTH, bnd)
     near = frac * full.lam_max
     if pick is not None and full.records:
         where, i = pick
         rec = full.records[i % len(full.records)]
         near = {"left": rec.bracket[0], "right": rec.bracket[1], "root": rec.lam}[where]
         near = max(near, math.ulp(0.0))
-    part = solve_spectrum(LINE, bnd, near=near)
+    part = solve_spectrum(LENGTH, bnd, near=near)
     for field in ("counts", "interlacing", "partition", "intervals", "lam_max"):
         assert getattr(part, field) == getattr(full, field)
     assert part.near == near and full.near is None
@@ -676,8 +705,8 @@ def test_near_solve_is_a_subset_of_the_full_solve(
 def test_partial_spectrum_answers_only_at_near():
     bnd = transmon_boundary(QUBIT, DEV)
     lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
-    full = solve_spectrum(LINE, bnd)
-    part = solve_spectrum(LINE, bnd, near=lam_ref)
+    full = solve_spectrum(LENGTH, bnd)
+    part = solve_spectrum(LENGTH, bnd, near=lam_ref)
     assert part.nearest_eigenvalue(lam_ref) == full.nearest_eigenvalue(lam_ref)
     with pytest.raises(ValueError, match="refined near"):
         part.nearest_eigenvalue(lam_ref * (1.0 + 1e-12))
@@ -692,7 +721,7 @@ def test_beta_around_l_over_3_matches_oracle(beta_frac):
     """Below L/3 the slope bound settles each interval whole, so every
     bracket is its interval; at and above it cells may be split."""
     bnd = replace(transmon_boundary(QUBIT, DEV), beta=beta_frac * DEV.length / 3.0)
-    sp = solve_spectrum(LINE, bnd)
+    sp = solve_spectrum(LENGTH, bnd)
     if beta_frac < 1.0:
         assert all(r.bracket in sp.intervals for r in sp.records)
     _assert_matches_oracle(sp, bnd, DEV.length)
@@ -710,7 +739,7 @@ def test_excited_state_root_pair_far_below_the_emission_pole():
     4.7% below the emission pole, 1.7e-3 relative apart, where the grid
     scan saw neither (it returned counts (0, 0, 1, 1, 1, 1, 1))."""
     bnd = _excited(0.2456)
-    sp = solve_spectrum(LINE, bnd)
+    sp = solve_spectrum(LENGTH, bnd)
     assert sp.counts == (2, 0, 1, 1, 1, 1, 1)
     _assert_matches_oracle(sp, bnd, DEV.length)
 
@@ -755,7 +784,7 @@ def _dense_counts(bnd, lam_max, around):
     side of `around`, down to 1e-16 relative."""
     h = _extended_h(bnd)
     singular = sorted(
-        LINE.poles(5) + [p.location for p in bnd.poles if p.location < lam_max]
+        dirichlet_poles(LENGTH, 5) + [p.location for p in bnd.poles if p.location < lam_max]
     )
     edges = [0.0] + [x for x in singular if x < lam_max] + [lam_max]
     rel = np.logspace(-12, -1, 2000)
@@ -795,12 +824,12 @@ def test_merge_probe_never_returns_a_wrong_count():
     silently."""
     g_star = _merge_coupling()
     assert g_star == pytest.approx(0.2456, rel=1e-3)
-    lam_max = LINE.default_lam_max()
+    lam_max = default_lam_max(LENGTH)
     for side, pair in ((1.0, 0), (-1.0, 2)):
         for k in range(1, 17):
             bnd = _excited(g_star * (1.0 + side * 10.0 ** -k))
             try:
-                counts = solve_spectrum(LINE, bnd).counts
+                counts = solve_spectrum(LENGTH, bnd).counts
             except SolverError:
                 assert k > 3, "a pair this far from merging must be resolved"
                 continue
@@ -814,12 +843,12 @@ def test_merge_probe_fails_whatever_near_is():
     cannot be certified: a solve near lam_max or mid-domain, far from that
     pair, raises SolverError as the full solve does."""
     g_star = _merge_coupling()
-    lam_max = LINE.default_lam_max()
+    lam_max = default_lam_max(LENGTH)
     for side in (1.0, -1.0):
         bnd = _excited(g_star * (1.0 + side * 1e-9))
         for near in (None, 0.5 * lam_max, lam_max):
             with pytest.raises(SolverError, match="no certified root count"):
-                solve_spectrum(LINE, bnd, near=near)
+                solve_spectrum(LENGTH, bnd, near=near)
 
 
 @pytest.fixture
