@@ -17,13 +17,16 @@ inter-pole interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import PoleProximityError
-from .params import HBAR, DeviceParams, TransmonSpec, omega_to_lambda
+from .params import HBAR, DeviceParams, TransmonSpec, _check_qubit_frequency, omega_to_lambda
 
 # Relative guard around boundary poles, and the pole-distinctness floor.
 POLE_GUARD_REL = 1e-9
+_location = attrgetter("location")
 
 
 def pole_strength_from_coupling(g: float, omega_signed: float, length: float, v: float) -> float:
@@ -79,8 +82,7 @@ def pole_strength_from_charge(charge: float, omega_r: float, v: float, impedance
     return omega_r ** 3 * charge * charge * impedance / (HBAR * v ** 3)
 
 
-@dataclass(frozen=True)
-class BoundaryPole:
+class BoundaryPole(NamedTuple):
     location: float   # lam_k = (omega_nm / v)^2, 1/m^2
     strength: float   # signed residue, 1/m^3
     label: str = ""
@@ -96,29 +98,32 @@ class RationalBoundary:
 
     def __post_init__(self):
         # a NaN passes every comparison below and an inf breaks the solve
-        if not math.isfinite(self.beta):
+        isfinite = math.isfinite
+        if not isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta}")
-        if not math.isfinite(self.gamma):
+        if not isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
+        kept = []
         for p in self.poles:
-            if not math.isfinite(p.location):
+            if not isfinite(p.location):
                 raise ValueError(f"pole location must be finite, got {p.location}")
-            if not math.isfinite(p.strength):
+            if not isfinite(p.strength):
                 raise ValueError(f"pole strength must be finite, got {p.strength}")
+            if p.strength != 0.0:
+                kept.append(p)
         if self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
-        kept = tuple(sorted(
-            (p for p in self.poles if p.strength != 0.0), key=lambda p: p.location
-        ))
-        if any(p.location <= 0.0 for p in kept):
-            raise ValueError("pole locations must be positive")
+        for p in kept:
+            if p.location <= 0.0:
+                raise ValueError("pole locations must be positive")
+        kept.sort(key=_location)
         for a, b in zip(kept, kept[1:]):
             if b.location - a.location < POLE_GUARD_REL * b.location:
                 raise ValueError(
                     f"pole locations {a.location} and {b.location} closer than "
                     f"{POLE_GUARD_REL} relative"
                 )
-        object.__setattr__(self, "poles", kept)
+        object.__setattr__(self, "poles", tuple(kept))
 
     @property
     def all_positive_residues(self) -> bool:
@@ -232,27 +237,44 @@ def transmon_boundary(spec: TransmonSpec, dev: DeviceParams, levels: int = 2) ->
     transition-frequency residue formula, so the e-f strength is close to,
     but not exactly, twice the g-e one.
     """
-    if levels not in (2, 3):
-        raise ValueError("levels must be 2 or 3")
+    return _tuned_transmon(spec, dev, levels)(spec.frequency)
+
+
+def _tuned_transmon(spec: TransmonSpec, dev: DeviceParams, levels: int):
+    """boundary(omega_q): transmon_boundary of spec with its qubit tuned to
+    omega_q, all else fixed. What does not depend on omega_q (the coupling,
+    the line, beta) is worked out once, so a sweep builds per grid point only
+    the poles that move. Each omega_q first gets TransmonSpec's checks on a
+    frequency and then levels is checked, so a call raises what a spec with
+    that frequency would raise in transmon_boundary.
+    """
     L, v = dev.length, dev.phase_velocity
     g = resolved_coupling(spec, dev)
-    lam_q = omega_to_lambda(spec.frequency, v)
-    delta_ge = pole_strength_from_coupling(g, spec.frequency, L, v)
-    if spec.state == "g":
-        poles = (BoundaryPole(lam_q, delta_ge, "ge"),)
-    else:
-        poles = (BoundaryPole(lam_q, -delta_ge, "eg"),)
-        if levels == 3:
-            omega_ef = spec.ef_frequency
-            if omega_ef <= 0.0:
-                raise ValueError("e-f transition frequency must stay positive")
-            lam_ef = omega_to_lambda(omega_ef, v)
-            delta_ef = pole_strength_from_coupling(math.sqrt(2.0) * g, omega_ef, L, v)
-            poles += (BoundaryPole(lam_ef, delta_ef, "ef"),)
+    excited, alpha = spec.state == "e", spec.anharmonicity
     beta = 0.0
     if spec.junction_capacitance is not None:
         beta = spec.junction_capacitance / dev.capacitance_per_length
-    return RationalBoundary(beta=beta, gamma=0.0, poles=poles)
+
+    def boundary(omega_q) -> RationalBoundary:
+        _check_qubit_frequency(omega_q)
+        if levels not in (2, 3):
+            raise ValueError("levels must be 2 or 3")
+        lam_q = omega_to_lambda(omega_q, v)
+        delta_ge = pole_strength_from_coupling(g, omega_q, L, v)
+        if not excited:
+            poles = (BoundaryPole(lam_q, delta_ge, "ge"),)
+        else:
+            poles = (BoundaryPole(lam_q, -delta_ge, "eg"),)
+            if levels == 3:
+                omega_ef = omega_q + alpha    # TransmonSpec.ef_frequency
+                if omega_ef <= 0.0:
+                    raise ValueError("e-f transition frequency must stay positive")
+                lam_ef = omega_to_lambda(omega_ef, v)
+                delta_ef = pole_strength_from_coupling(math.sqrt(2.0) * g, omega_ef, L, v)
+                poles += (BoundaryPole(lam_ef, delta_ef, "ef"),)
+        return RationalBoundary(beta, 0.0, poles)
+
+    return boundary
 
 
 def sum_boundaries(b1: RationalBoundary, b2: RationalBoundary) -> RationalBoundary:
@@ -265,7 +287,7 @@ def sum_boundaries(b1: RationalBoundary, b2: RationalBoundary) -> RationalBounda
     for p in b2.poles:
         for i, q in enumerate(merged):
             if abs(p.location - q.location) < POLE_GUARD_REL * q.location:
-                merged[i] = replace(q, strength=q.strength + p.strength)
+                merged[i] = q._replace(strength=q.strength + p.strength)
                 break
         else:
             merged.append(p)

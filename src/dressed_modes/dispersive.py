@@ -91,18 +91,25 @@ def pulled_frequencies(dev: DeviceParams, specs, levels: int = 3) -> dict[str, f
     The qubits' boundary terms are summed and the full boundary-value
     problem is solved once per joint state, refining only the root nearest
     the fundamental (solve_spectrum's nearest_only): one Brent run, unless
-    the other root's bracket reaches as close. A solve error keeps its type
-    and names its joint state.
+    the other root's bracket reaches as close. Each qubit's boundary in g
+    and in e is built once, when a joint state first needs it. A solve
+    error keeps its type and names its joint state.
     """
     if not specs:
         raise ValueError("pulled_frequencies needs at least one qubit")
     v = dev.phase_velocity
     lam_ref = omega_to_lambda(dev.fundamental_frequency, v)
+    single = {}     # (qubit, state) -> that qubit's boundary
+
+    def boundary(i, spec, state):
+        if (i, state) not in single:
+            single[i, state] = transmon_boundary(replace(spec, state=state), dev, levels)
+        return single[i, state]
+
     pulled = {}
     for joint in map("".join, product("ge", repeat=len(specs))):
         bnd = reduce(sum_boundaries, (
-            transmon_boundary(replace(spec, state=state), dev, levels=levels)
-            for spec, state in zip(specs, joint)
+            boundary(i, spec, state) for i, (spec, state) in enumerate(zip(specs, joint))
         ))
         try:
             sp = solve_spectrum(dev.length, bnd, near=lam_ref, nearest_only=True)

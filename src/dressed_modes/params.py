@@ -37,6 +37,20 @@ def _finite(value) -> bool:
     return not isinstance(value, bool) and math.isfinite(value)
 
 
+def _check_finite(name: str, value) -> None:
+    if value is not None and not _finite(value):
+        raise ValueError(f"{name} must be a finite number")
+
+
+def _check_qubit_frequency(omega_q) -> None:
+    """TransmonSpec's checks on its `frequency`, with its messages: a finite
+    number, and positive. Boundaries built at another omega_q than a spec's
+    run them too."""
+    _check_finite("frequency", omega_q)
+    if omega_q <= 0.0:
+        raise ValueError("qubit frequency must be positive")
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     """Transmission-line resonator: length [m], phase velocity [m/s], impedance [ohm]."""
@@ -89,11 +103,8 @@ class TransmonSpec:
             raise ValueError("state must be 'g' or 'e'")
         for name in ("frequency", "anharmonicity", "coupling", "charge_element",
                      "junction_capacitance"):
-            value = getattr(self, name)
-            if value is not None and not _finite(value):
-                raise ValueError(f"{name} must be a finite number")
-        if self.frequency <= 0.0:
-            raise ValueError("qubit frequency must be positive")
+            _check_finite(name, getattr(self, name))
+        _check_qubit_frequency(self.frequency)
         if self.anharmonicity >= 0.0:
             raise ValueError("anharmonicity must be negative")
         given = (self.coupling is not None) + (self.charge_element is not None)

@@ -41,6 +41,13 @@ line's pole guard, so the evaluation count stays the measure of work;
 isolation evaluates each cell end once and keeps its parts for the residual
 tests. No memo outlives one line: only the line's part of the partition
 (lam_max and the Dirichlet markers) is kept, for one length at a time.
+Within those rules the fixed cost around the evaluations is kept small too:
+the records are NamedTuples, built without a per-field setattr; what does
+not depend on the interval (the poles as (location, strength) pairs, the
+slope bound's terms) is set up once per solve; an interval settled whole
+stacks no cells; and a sweep works out the boundary's parts that do not
+move with omega_q once, building per grid point only the poles, through
+the same builder as transmon_boundary.
 """
 from __future__ import annotations
 
@@ -49,8 +56,9 @@ import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import attrgetter
+from typing import NamedTuple
 
-from .boundary import resolved_coupling, transmon_boundary
+from .boundary import _tuned_transmon, resolved_coupling, transmon_boundary
 from .errors import PoleCollisionError, SolverError
 from .params import GHZ, DeviceParams, TransmonSpec, lambda_to_omega, omega_to_lambda
 from .resonator import XI_POLE_GUARD, default_lam_max, dirichlet_poles, line_log_deriv
@@ -62,22 +70,19 @@ _TWO_EPS = 2.0 * sys.float_info.epsilon    # Brent's bracket floor, per |b|
 _location = attrgetter("location")
 
 
-@dataclass(frozen=True)
-class PolePoint:
+class PolePoint(NamedTuple):
     location: float
     kind: str      # "dirichlet" or "boundary"
 
 
-@dataclass(frozen=True)
-class EigenvalueRecord:
+class EigenvalueRecord(NamedTuple):
     lam: float
     bracket: tuple[float, float]
     residual: float
     iterations: int
 
 
-@dataclass(frozen=True)
-class DressedSpectrum:
+class DressedSpectrum(NamedTuple):
     """Roots of one solve. partition (the poles, sorted) and counts (one
     per interval between them) always cover the whole domain, and so do
     intervals and interlacing, read off them. records holds every root when
@@ -128,6 +133,8 @@ class _NearestRoot(DressedSpectrum):
     """A spectrum refined at the root nearest `near` only
     (solve_spectrum(..., nearest_only=True)): the pair around near is not
     in its records, so reading it is a ValueError."""
+
+    __slots__ = ()
 
     def _check_reads(self, lam: float, pair: bool = False):
         if pair:
@@ -182,61 +189,71 @@ def _brent(f, a: float, b: float, fa: float, fb: float):
     raise SolverError(f"Brent refinement did not converge in [{a}, {b}]")
 
 
-def _cleared_secular(length: float, b, lo, hi, lobe: int):
-    """c*H on one interval, with c > 0 inside it and zero at its poles.
+def _cleared_secular(length: float, b):
+    """on(lo, hi, lobe) -> c*H on one interval, with c > 0 inside it and
+    zero at its poles. What does not depend on the interval (the line, b's
+    poles split into (location, strength) pairs, beta, gamma) is set up once
+    per solve.
 
     lo and hi are the bounding PolePoints, None at 0 and lam_max, and
     xi = sqrt(lam) L stays in the lobe (lobe pi, (lobe+1) pi). c carries
     sin(xi)/xi, signed positive on that lobe, when a Dirichlet pole bounds
     the interval, and |lam_k - lam|/lam_k for each bounding boundary pole,
-    so c*H is finite and continuous on the closed interval. Returns
+    so c*H is finite and continuous on the closed interval. on() returns
     cleared(lam), which is c*H, or (c*G, c*F, c) with parts=True.
     """
-    sign = -1.0 if lobe % 2 else 1.0
-    a = lo.location if lo is not None and lo.kind == "boundary" else None
-    z = hi.location if hi is not None and hi.kind == "boundary" else None
-    # a bound that is no boundary pole is a Dirichlet pole
-    clear_xi = (lo is not None and a is None) or (hi is not None and z is None)
-    # the line's own pole guard (resonator._xi_checked) around xi = k pi, k >= 1
-    guard = XI_POLE_GUARD
-    xi_lo = lobe * math.pi if lobe else -math.inf
-    xi_hi = (lobe + 1) * math.pi
-    # cleared bounding pole terms: c * delta_k/(lam_k - lam) = -/+ (c/e_k) delta_k/lam_k
-    rest, r_lo, r_hi = [], 0.0, 0.0
-    for p in b.poles:
-        if p.location == a:
-            r_lo = p.strength / a
-        elif p.location == z:
-            r_hi = p.strength / z
-        else:
-            rest.append((p.location, p.strength))
+    pairs = [(p.location, p.strength) for p in b.poles]
     beta, gamma = b.beta, b.gamma
+    # the line's own pole guard (resonator._xi_checked) around xi = k pi, k >= 1
+    guard, pi, inf = XI_POLE_GUARD, math.pi, math.inf
     log_deriv, sqrt, sin, cos, fabs = line_log_deriv, math.sqrt, math.sin, math.cos, abs
 
-    def cleared(lam, parts=False):
-        e_lo = (lam - a) / a if a else 1.0
-        e_hi = (z - lam) / z if z else 1.0
-        e = e_lo * e_hi
-        d = 1.0
-        if clear_xi:
-            xi = sqrt(lam) * length
-            d = sign * sin(xi) / xi if xi else 1.0
-            if fabs(xi - xi_hi) < guard or fabs(xi - xi_lo) < guard:
-                # inside the line's own pole guard: sin(xi)/xi * G = cos(xi)/L
-                g_side = sign * cos(xi) / length * e
-            else:
-                g_side = d * log_deriv(lam, length) * e
-        else:
-            g_side = log_deriv(lam, length) * e
-        f = -beta * lam - gamma
-        for loc, s in rest:
-            f += s / (loc - lam)
-        f_side = d * (e * f - e_hi * r_lo + e_lo * r_hi)
-        if parts:
-            return g_side, f_side, d * e
-        return g_side - f_side
+    def on(lo, hi, lobe):
+        sign = -1.0 if lobe % 2 else 1.0
+        a = lo.location if lo is not None and lo.kind == "boundary" else None
+        z = hi.location if hi is not None and hi.kind == "boundary" else None
+        # a bound that is no boundary pole is a Dirichlet pole
+        clear_xi = (lo is not None and a is None) or (hi is not None and z is None)
+        xi_lo = lobe * pi if lobe else -inf
+        xi_hi = (lobe + 1) * pi
+        # cleared bounding pole terms: c * delta_k/(lam_k - lam) = -/+ (c/e_k) delta_k/lam_k
+        rest, r_lo, r_hi = pairs, 0.0, 0.0
+        if a is not None or z is not None:
+            rest = []
+            for pair in pairs:
+                if pair[0] == a:
+                    r_lo = pair[1] / a
+                elif pair[0] == z:
+                    r_hi = pair[1] / z
+                else:
+                    rest.append(pair)
 
-    return cleared
+        def cleared(lam, parts=False):
+            e_lo = (lam - a) / a if a else 1.0
+            e_hi = (z - lam) / z if z else 1.0
+            e = e_lo * e_hi
+            d = 1.0
+            if clear_xi:
+                xi = sqrt(lam) * length
+                d = sign * sin(xi) / xi if xi else 1.0
+                if fabs(xi - xi_hi) < guard or fabs(xi - xi_lo) < guard:
+                    # inside the line's own pole guard: sin(xi)/xi * G = cos(xi)/L
+                    g_side = sign * cos(xi) / length * e
+                else:
+                    g_side = d * log_deriv(lam, length) * e
+            else:
+                g_side = log_deriv(lam, length) * e
+            f = -beta * lam - gamma
+            for loc, s in rest:
+                f += s / (loc - lam)
+            f_side = d * (e * f - e_hi * r_lo + e_lo * r_hi)
+            if parts:
+                return g_side, f_side, d * e
+            return g_side - f_side
+
+        return cleared
+
+    return on
 
 
 def _slope_bounds(length: float, b):
@@ -246,9 +263,12 @@ def _slope_bounds(length: float, b):
     `c if c > a else a` is max(a, c) and `c if c < a else a` is min(a, c),
     operand for operand, without the call."""
     beta, inf = b.beta, math.inf
-    emission = [(p.location, -p.strength) for p in b.poles if p.strength < 0.0]
-    # per pole: -delta_k, and -delta_k / d^2 at d = 0
-    terms = [(p.location, -p.strength, -math.copysign(inf, p.strength)) for p in b.poles]
+    # emission poles: -delta_k; every pole: -delta_k, and -delta_k / d^2 at d = 0
+    emission, terms = [], []
+    for p in b.poles:
+        if p.strength < 0.0:
+            emission.append((p.location, -p.strength))
+        terms.append((p.location, -p.strength, -math.copysign(inf, p.strength)))
     # G' <= -L/3, and absorption terms (delta_k > 0) only lower H'
     slack = beta - length / 3.0
     sqrt, sin, pi = math.sqrt, math.sin, math.pi
@@ -315,17 +335,19 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
     must exceed the residual test's tolerance. H is taken at interior ends
     only: sin(k pi) is not 0 in floats, so (c*H)/c has no sign at a pole.
     Each cell carries its ends' parts (c*G, c*F, c), so no end is evaluated
-    twice.
+    twice. The cell in hand is held in locals and only the right halves
+    still to settle are stacked, so an interval settled whole, as every
+    interval of a ground-state solve is, stacks nothing.
     """
     a = lo.location if lo is not None else 0.0
     z = hi.location if hi is not None else lam_max
     brackets, last = [], 0.0    # last: +1/-1 if the cell settled before rose/fell, else 0
-    cells = [(a, z, ch(a, parts=True), ch(z, parts=True))]
-    while cells:
-        x0, x1, p0, p1 = cells.pop()
-        c0, c1 = p0[0] - p0[1], p1[0] - p1[1]
+    pending = []                # right halves still to settle, the next one last
+    x0, x1, p0, p1 = a, z, ch(a, True), ch(z, True)
+    while True:
         lower, upper = bounds(x0, x1, lobe)
         if upper < 0.0 or lower > 0.0:
+            c0, c1 = p0[0] - p0[1], p1[0] - p1[1]
             rising = 1.0 if lower > 0.0 else -1.0
             # taken in the rising direction, the end signs must not fall;
             # where they do, rounding has swamped c*H on the cell
@@ -339,19 +361,26 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
             if u0 < 0.0 <= u1:
                 brackets.append((x0, x1, c0, c1))
             last = rising
-            continue
-        if (lo is None or x0 != a) and (hi is None or x1 != z):
-            (h0, t0), (h1, t1) = _raw(p0, length), _raw(p1, length)
-            # |H'| <= s keeps |H| >= (|h0 + h1| - s (x1 - x0)) / 2 if h0, h1 share a sign
-            if h0 * h1 > 0.0 and abs(h0 + h1) - max(upper, -lower) * (x1 - x0) > 2.0 * max(t0, t1):
-                last = 0.0
+        else:
+            empty = False
+            if (lo is None or x0 != a) and (hi is None or x1 != z):
+                (h0, t0), (h1, t1) = _raw(p0, length), _raw(p1, length)
+                # |H'| <= s keeps |H| >= (|h0 + h1| - s (x1 - x0)) / 2 if h0, h1 share a sign
+                empty = h0 * h1 > 0.0 and (
+                    abs(h0 + h1) - max(upper, -lower) * (x1 - x0) > 2.0 * max(t0, t1)
+                )
+            if not empty:
+                mid = 0.5 * (x0 + x1)
+                if not x0 < mid < x1:
+                    raise SolverError(f"no certified root count on [{x0}, {x1}]")
+                pm = ch(mid, True)
+                pending.append((mid, x1, pm, p1))
+                x1, p1 = mid, pm
                 continue
-        mid = 0.5 * (x0 + x1)
-        if not x0 < mid < x1:
-            raise SolverError(f"no certified root count on [{x0}, {x1}]")
-        pm = ch(mid, parts=True)
-        cells += [(mid, x1, pm, p1), (x0, mid, p0, pm)]
-    return brackets
+            last = 0.0
+        if not pending:
+            return brackets
+        x0, x1, p0, p1 = pending.pop()
 
 
 def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> EigenvalueRecord:
@@ -388,7 +417,11 @@ def _refine_near(
     """
     if not brackets:
         return []
-    k = next((i for i, br in enumerate(brackets) if br[2] >= near), len(brackets) - 1)
+    k = len(brackets) - 1
+    for i, br in enumerate(brackets):
+        if br[2] >= near:
+            k = i
+            break
     root = _refine(*brackets[k], length)
     j = k + 1 if root.lam < near else k - 1 if root.lam > near else k
     if j == k or not 0 <= j < len(brackets):
@@ -406,18 +439,20 @@ def _refine_near(
 
 @lru_cache(maxsize=1)
 def _line_partition(length: float):
-    """(lam_max, Dirichlet poles below it, their PolePoints): the part of a
-    solve's partition that depends on the line alone. One entry, so a run of
-    solves on one line builds it once and the next line replaces it."""
+    """(lam_max, (Dirichlet pole, its collision tolerance) below lam_max,
+    their PolePoints): the part of a solve's partition that depends on the
+    line alone. One entry, so a run of solves on one line builds it once and
+    the next line replaces it."""
     try:
         lam_max = default_lam_max(length) if length > 0.0 else 0.0
     except OverflowError:    # (6 pi / L)^2 beyond the float range
         lam_max = math.inf
     if not 0.0 < lam_max < math.inf:
         raise ValueError(f"line length {length!r} must be positive with a finite lam_max > 0")
-    dirichlet = tuple(dirichlet_poles(length, 5))
-    markers = tuple(PolePoint(p, "dirichlet") for p in dirichlet)
-    return lam_max, dirichlet, markers
+    dirichlet = dirichlet_poles(length, 5)
+    guards = tuple((d, DIRICHLET_COLLISION_REL * d) for d in dirichlet)
+    markers = tuple(PolePoint(d, "dirichlet") for d in dirichlet)
+    return lam_max, guards, markers
 
 
 def solve_spectrum(
@@ -450,37 +485,39 @@ def solve_spectrum(
     """
     if nearest_only and near is None:
         raise ValueError("nearest_only needs near")
-    lam_max, dirichlet, line_markers = _line_partition(length)
+    lam_max, guards, line_markers = _line_partition(length)
     markers = list(line_markers)
     for p in b.poles:
-        if p.location == lam_max:
+        loc = p.location
+        if loc == lam_max:
             # not a marker, so c*H would divide by lam_k - lam = 0 at the end
             raise SolverError(
-                f"boundary pole {p.label or p.location} sits exactly at lam_max={lam_max}"
+                f"boundary pole {p.label or loc} sits exactly at lam_max={lam_max}"
             )
-        if p.location > lam_max:
+        if loc > lam_max:
             continue
-        for d in dirichlet:
-            if abs(p.location - d) < DIRICHLET_COLLISION_REL * d:
+        for d, tol in guards:
+            if abs(loc - d) < tol:
                 raise PoleCollisionError(
-                    f"boundary pole {p.label or p.location} within "
+                    f"boundary pole {p.label or loc} within "
                     f"{DIRICHLET_COLLISION_REL} relative of Dirichlet pole at {d}"
                 )
-        markers.append(PolePoint(p.location, "boundary"))
+        markers.append(PolePoint(loc, "boundary"))
     markers.sort(key=_location)
 
     bounds = _slope_bounds(length, b)
-    ends = [None, *markers, None]
+    cleared_on = _cleared_secular(length, b)
     brackets, counts = [], []
-    lobe = 0
-    for lo, hi in zip(ends, ends[1:]):
+    lobe, lo = 0, None
+    for hi in (*markers, None):
         if lo is not None and lo.kind == "dirichlet":
             lobe += 1
-        ch = _cleared_secular(length, b, lo, hi, lobe)
+        ch = cleared_on(lo, hi, lobe)
         found = _isolate(ch, lo, hi, lam_max, bounds, lobe, length)
         for br in found:
             brackets.append((ch, *br))
         counts.append(len(found))
+        lo = hi
 
     if near is None:
         records = [_refine(*br, length) for br in brackets]
@@ -491,11 +528,7 @@ def solve_spectrum(
             raise SolverError("eigenvalues not strictly increasing")
 
     return (_NearestRoot if nearest_only else DressedSpectrum)(
-        records=tuple(records),
-        partition=tuple(markers),
-        counts=tuple(counts),
-        lam_max=lam_max,
-        near=near,
+        tuple(records), tuple(markers), tuple(counts), lam_max, near
     )
 
 
@@ -522,8 +555,13 @@ def _fundamental_pair(sp: DressedSpectrum, lam_ref: float, v: float) -> tuple[fl
     fundamental, one at or below it and one at or above; SolverError when
     either is missing."""
     sp._check_reads(lam_ref, pair=True)
-    lower = max((x for x in sp.eigenvalues if x <= lam_ref), default=None)
-    upper = min((x for x in sp.eigenvalues if x >= lam_ref), default=None)
+    lower = upper = None
+    for r in sp.records:    # strictly increasing: the last at or below, the first at or above
+        if r.lam <= lam_ref:
+            lower = r.lam
+        if r.lam >= lam_ref:
+            upper = r.lam
+            break
     if lower is None or upper is None:
         raise SolverError("no dressed pair brackets the fundamental")
     return lambda_to_omega(lower, v), lambda_to_omega(upper, v)
@@ -569,13 +607,14 @@ def qubit_frequency_sweep(
             "so there is no avoided crossing to follow"
         )
     grid = tuple(omega_q_values)
-    v = dev.phase_velocity
+    v, length = dev.phase_velocity, dev.length
     lam_ref = omega_to_lambda(dev.fundamental_frequency, v)
+    boundary_at = _tuned_transmon(spec, dev, levels)
 
     def solve_one(omega_q):
-        bnd = transmon_boundary(replace(spec, frequency=omega_q), dev, levels)
+        bnd = boundary_at(omega_q)
         try:
-            sp = solve_spectrum(dev.length, bnd, near=lam_ref)
+            sp = solve_spectrum(length, bnd, near=lam_ref)
             return _fundamental_pair(sp, lam_ref, v)
         except SolverError as exc:
             raise type(exc)(f"{exc} at omega_q={omega_q / GHZ:.12g} GHz") from None

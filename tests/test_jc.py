@@ -108,7 +108,7 @@ def test_labeling_fails_under_strong_mixing():
 def test_branch_sweep_brackets_and_self_comparison():
     grid = np.linspace(8.0 * GHZ, 12.0 * GHZ, 21)
     sweep = jc_branch_sweep(W_R, grid, G)
-    assert np.all(sweep.upper > sweep.lower)
+    assert np.all(np.asarray(sweep.upper) > np.asarray(sweep.lower))
     assert np.min(sweep.gap) == pytest.approx(2.0 * G, rel=1e-9)
 
 

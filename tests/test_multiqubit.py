@@ -24,6 +24,7 @@ from dressed_modes import (
     state_frequencies,
     two_qubit_model,
 )
+from dressed_modes import dispersive
 from dressed_modes.multiqubit import STATES
 
 MHZ = GHZ / 1000.0
@@ -213,6 +214,32 @@ def test_pulled_frequencies_solves_every_joint_state():
     assert tuple(pulled_frequencies(DEV, (Q1,))) == ("g", "e")
     assert tuple(pulled_frequencies(DEV, (Q1, Q2))) == STATES
     assert "joints" not in inspect.signature(pulled_frequencies).parameters
+
+
+def test_pulled_frequencies_builds_each_qubit_boundary_once(monkeypatch):
+    """Two qubits have four joint states but four single-qubit boundaries:
+    each is built once, when a joint state first needs it, and the joint
+    states sum the same objects."""
+    expected = pulled_frequencies(DEV, (Q1, Q2))
+    built, summed = {}, []
+    make, add = dispersive.transmon_boundary, dispersive.sum_boundaries
+
+    def making(spec, dev, levels=2):
+        b = built[spec.frequency, spec.state] = make(spec, dev, levels)
+        return b
+
+    def adding(b1, b2):
+        summed.append((b1, b2))
+        return add(b1, b2)
+
+    monkeypatch.setattr(dispersive, "transmon_boundary", making)
+    monkeypatch.setattr(dispersive, "sum_boundaries", adding)
+    assert pulled_frequencies(DEV, (Q1, Q2)) == expected
+    q1, q2 = Q1.frequency, Q2.frequency
+    assert list(built) == [(q1, "g"), (q2, "g"), (q2, "e"), (q1, "e")]
+    assert len(summed) == len(STATES)
+    for (b1, b2), (s1, s2) in zip(summed, STATES):
+        assert b1 is built[q1, s1] and b2 is built[q2, s2]
 
 
 # The merge probe: at 10.5 GHz this coupling puts a root of the e-state

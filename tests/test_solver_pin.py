@@ -23,6 +23,7 @@ from dressed_modes import (
     RationalBoundary,
     SolverError,
     TransmonSpec,
+    charge_from_coupling,
     default_lam_max,
     dirichlet_poles,
     qubit_frequency_sweep,
@@ -37,6 +38,8 @@ BOUNDARY_DRAWS = 300
 MERGE_COUPLING_GHZ = 0.2456374403733215
 SWEEP_DEVICES = 4
 SWEEP_POINTS = 21
+# sweeps of the spec branches the draws above leave out, drawn after them
+BRANCH_SWEEP_DEVICES = 3
 
 
 def _digest(value) -> str:
@@ -68,6 +71,20 @@ def _boundary_draw(rng):
     return _random_boundary(locations, strengths, beta_frac, rng.uniform(0.0, 500.0))
 
 
+def _sweep_device(rng):
+    """(device, alpha, g, grid) of one pinned sweep: 21 points over
+    +-5% of the fundamental."""
+    dev = DeviceParams(
+        length=rng.uniform(2e-3, 8e-3), phase_velocity=rng.uniform(0.8e8, 1.6e8),
+        impedance=50.0,
+    )
+    w1 = dev.fundamental_frequency
+    alpha = rng.uniform(-0.3, -0.1) * GHZ
+    g = math.exp(rng.uniform(math.log(1e-4), math.log(0.2))) * GHZ
+    grid = [w1 * (0.95 + 0.1 * k / (SWEEP_POINTS - 1)) for k in range(SWEEP_POINTS)]
+    return dev, alpha, g, grid
+
+
 def _error_boundaries():
     """Boundaries every solve of which raises, one per kind of error."""
     lam_max = default_lam_max(LENGTH)
@@ -97,18 +114,30 @@ def _cases():
             solve_spectrum(LENGTH, b, near=x)
         )
     for i in range(SWEEP_DEVICES):
-        dev = DeviceParams(
-            length=rng.uniform(2e-3, 8e-3), phase_velocity=rng.uniform(0.8e8, 1.6e8),
-            impedance=50.0,
-        )
-        w1 = dev.fundamental_frequency
-        alpha = rng.uniform(-0.3, -0.1) * GHZ
-        g = math.exp(rng.uniform(math.log(1e-4), math.log(0.2))) * GHZ
-        grid = [w1 * (0.95 + 0.1 * k / (SWEEP_POINTS - 1)) for k in range(SWEEP_POINTS)]
+        dev, alpha, g, grid = _sweep_device(rng)
         for state, levels in (("g", 2), ("e", 3)):
-            spec = TransmonSpec(state=state, frequency=w1, anharmonicity=alpha, coupling=g)
+            spec = TransmonSpec(state=state, frequency=dev.fundamental_frequency,
+                                anharmonicity=alpha, coupling=g)
             yield f"sweep[{i}] {state} levels={levels}", lambda d=dev, s=spec, w=grid, n=levels: (
                 _sweep_bits(qubit_frequency_sweep(d, s, w, levels=n))
+            )
+    # a charge element in place of g, a junction capacitance, and e at levels 2
+    for i in range(SWEEP_DEVICES, SWEEP_DEVICES + BRANCH_SWEEP_DEVICES):
+        dev, alpha, g, grid = _sweep_device(rng)
+        charge = charge_from_coupling(g, dev.fundamental_frequency, dev)
+        c_j = rng.uniform(1e-15, 2e-14)
+        for label, state, levels, kw in (
+            ("charge", "g", 2, {"charge_element": charge}),
+            ("cj", "g", 2, {"coupling": g, "junction_capacitance": c_j}),
+            ("coupling", "e", 2, {"coupling": g}),
+            ("charge cj", "e", 3, {"charge_element": charge, "junction_capacitance": c_j}),
+        ):
+            spec = TransmonSpec(state=state, frequency=dev.fundamental_frequency,
+                                anharmonicity=alpha, **kw)
+            yield f"sweep[{i}] {state} levels={levels} {label}", (
+                lambda d=dev, s=spec, w=grid, n=levels: (
+                    _sweep_bits(qubit_frequency_sweep(d, s, w, levels=n))
+                )
             )
 
 

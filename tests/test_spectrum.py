@@ -2,7 +2,7 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -252,12 +252,20 @@ def test_pole_margins_per_root():
 def test_result_stores_only_what_the_solve_decides():
     """The roots, the partition, the counts, the domain end and near; the
     intervals and the interlacing flags are read off the partition and the
-    counts."""
-    assert [f.name for f in fields(DressedSpectrum)] == [
+    counts. The result and its records are immutable."""
+    assert list(DressedSpectrum._fields) == [
         "records", "partition", "counts", "lam_max", "near",
     ]
-    assert [f.name for f in fields(PolePoint)] == ["location", "kind"]
+    assert list(PolePoint._fields) == ["location", "kind"]
     sp = solve_spectrum(LENGTH, transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3))
+    lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
+    nearest = solve_spectrum(LENGTH, transmon_boundary(QUBIT, DEV), near=lam_ref, nearest_only=True)
+    for record, name in (
+        (sp, "near"), (nearest, "near"), (nearest, "extra"),
+        (sp.records[0], "lam"), (sp.partition[0], "kind"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
     edges = [0.0, *(p.location for p in sp.partition), sp.lam_max]
     assert sp.intervals == tuple(zip(edges, edges[1:]))
     assert sp.counts == (1, 0, 2, 1, 1, 1, 1, 1)
@@ -276,6 +284,34 @@ def test_sweep_error_names_its_grid_point_and_keeps_its_type():
     with pytest.raises(SolverError, match=match) as exc:
         qubit_frequency_sweep(DEV, spec, [10.5 * GHZ], levels=2)
     assert type(exc.value) is SolverError
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0.0, "qubit frequency must be positive"),
+    (-1.0, "qubit frequency must be positive"),
+    (math.nan, "frequency must be a finite number"),
+    (math.inf, "frequency must be a finite number"),
+])
+def test_sweep_refuses_a_bad_grid_value_at_its_point(bad, message, monkeypatch):
+    """A grid value the spec would refuse as its frequency raises the
+    spec's own ValueError, with no grid point appended, once the points
+    before it have solved."""
+    with pytest.raises(ValueError) as spec_error:
+        replace(QUBIT, frequency=bad)
+    assert str(spec_error.value) == message
+    solves, solve = [], spectrum.solve_spectrum
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "solve_spectrum", counted)
+    grid = [9.9 * GHZ, 10.1 * GHZ, bad, 10.2 * GHZ]
+    with pytest.raises(ValueError) as sweep_error:
+        qubit_frequency_sweep(DEV, QUBIT, grid)
+    assert type(sweep_error.value) is ValueError
+    assert str(sweep_error.value) == message
+    assert len(solves) == 2
 
 
 def test_sweep_refuses_zero_coupling_before_solving(monkeypatch):
