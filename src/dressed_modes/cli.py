@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: spectrum, sweep, chi, rabi, multimode, parity, wedge,
-validate. Frequencies are GHz in every file and printout, rad/s inside.
+validate, each defined by one entry of COMMANDS. A call builds the parser
+of its own subcommand only. Frequencies are GHz in every file and printout,
+rad/s inside.
 Every file-producing run drops a <out>.manifest.json sidecar recording the
 resolved inputs; rerunning with the same arguments reproduces every output
 byte for byte. Exit codes: 0 success, 1 validation or solver failure,
@@ -357,8 +359,17 @@ def cmd_wedge(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .acceptance import run_all
+    # imported here, so that no other subcommand pays for loading the gate
+    from .acceptance import ALL_CHECKS, run_all
 
+    keys = [key for key, _ in ALL_CHECKS]
+    if args.only is not None and args.only not in keys:
+        print(
+            f"dressed-modes validate: error: no criterion named {args.only!r}"
+            f" (choose from {', '.join(keys)})",
+            file=sys.stderr,
+        )
+        return 2
     results = run_all(only=args.only, seed=args.seed)
     failed = 0
     for res in results:
@@ -370,19 +381,21 @@ def cmd_validate(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dressed-modes",
-        description="Dressed-mode spectra of a transmon-terminated resonator.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _arg(*flags, **kwargs):
+    """A subcommand table entry that adds one argument."""
+    return lambda p: p.add_argument(*flags, **kwargs)
 
-    def add_common(p, out_default=None):
+
+def _common(out_default=None):
+    def add(p):
         p.add_argument("--config", required=True, help="device config file")
         p.add_argument("--out", default=out_default)
 
-    def add_format(p, default):
+    return add
+
+
+def _format(default):
+    def add(p):
         group = p.add_mutually_exclusive_group()
         group.add_argument(
             "--json", dest="format", action="store_const", const="json",
@@ -394,74 +407,99 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.set_defaults(format=default)
 
-    p = sub.add_parser("spectrum", help="solve one configuration")
-    add_common(p, out_default="spectrum.json")
-    p.add_argument("--state", choices=("g", "e"))
-    p.add_argument("--levels", type=int, choices=(2, 3), default=2)
-    p.set_defaults(func=cmd_spectrum)
+    return add
 
-    p = sub.add_parser("sweep", help="tune the qubit through the fundamental")
-    add_common(p, out_default="sweep.csv")
-    add_format(p, "csv")
-    p.add_argument("--state", choices=("g", "e"))
-    p.add_argument("--levels", type=int, choices=(2, 3), default=2)
-    p.add_argument(
-        "--omega-q-ghz", dest="omega_q_ghz", type=_grid, required=True,
-        help="grid START:STOP:COUNT in GHz",
+
+def _levels(default):
+    return _arg("--levels", type=int, choices=(2, 3), default=default)
+
+
+_STATE = _arg("--state", choices=("g", "e"))
+_GRID = _arg(
+    "--omega-q-ghz", dest="omega_q_ghz", type=_grid, required=True,
+    help="grid START:STOP:COUNT in GHz",
+)
+
+# Every subcommand: name -> (help, handler, its arguments in --help order).
+# The handler is named, and looked up in this module when a parser is built,
+# so a wrapper set on the module attribute (bench/tracing.py) is what runs.
+COMMANDS = {
+    "spectrum": ("solve one configuration", "cmd_spectrum", (
+        _common("spectrum.json"), _STATE, _levels(2),
+    )),
+    "sweep": ("tune the qubit through the fundamental", "cmd_sweep", (
+        _common("sweep.csv"), _format("csv"), _STATE, _levels(2), _GRID,
+    )),
+    "chi": ("dispersive shift of the fundamental", "cmd_chi", (
+        _common(), _format("json"), _levels(3),
+    )),
+    "rabi": ("avoided-crossing branches, both models", "cmd_rabi", (
+        _common("rabi.csv"), _format("csv"),
+        _arg("--method", choices=("jc", "sl", "both"), default="both"),
+        _GRID,
+    )),
+    "multimode": ("divergent partial sums over modes", "cmd_multimode", (
+        _common("multimode.csv"), _format("csv"),
+        # a text default goes through _schedule, so each parse gets its own list
+        _arg("--nmax-schedule", dest="nmax_schedule", type=_schedule,
+             default=",".join(map(str, DEFAULT_SCHEDULE))),
+    )),
+    "parity": ("two-qubit readout map and QND checks", "cmd_parity", (
+        _common(), _levels(3),
+        _arg("--q2-frequency-ghz", type=_finite_float, default=None),
+        _arg("--q2-anharmonicity-ghz", type=_finite_float, default=None),
+        _arg("--q2-coupling-ghz", type=_finite_float, default=None),
+        _arg("--chi-p-mhz", type=_finite_float, default=None),
+    )),
+    "wedge": ("azimuthal modes of a wedge domain", "cmd_wedge", (
+        _arg("--angle-rad", type=_finite_float, default=math.pi / 2.0),
+        _arg("--modes", type=_positive_int, default=4),
+        _arg("--out", default=None),
+    )),
+    "validate": ("run the acceptance criteria", "cmd_validate", (
+        _arg("--only", default=None, help="run a single named criterion"),
+        _arg("--seed", type=_int_at_least(0), default=0),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand in COMMANDS, or of `command` alone.
+
+    Both parse that subcommand's arguments to the same Namespace, with the
+    same messages. main builds only the parser of the subcommand it runs.
+    """
+    parser = argparse.ArgumentParser(
+        prog="dressed-modes",
+        description="Dressed-mode spectra of a transmon-terminated resonator.",
     )
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("chi", help="dispersive shift of the fundamental")
-    add_common(p)
-    add_format(p, "json")
-    p.add_argument("--levels", type=int, choices=(2, 3), default=3)
-    p.set_defaults(func=cmd_chi)
-
-    p = sub.add_parser("rabi", help="avoided-crossing branches, both models")
-    add_common(p, out_default="rabi.csv")
-    add_format(p, "csv")
-    p.add_argument("--method", choices=("jc", "sl", "both"), default="both")
-    p.add_argument(
-        "--omega-q-ghz", dest="omega_q_ghz", type=_grid, required=True,
-        help="grid START:STOP:COUNT in GHz",
-    )
-    p.set_defaults(func=cmd_rabi)
-
-    p = sub.add_parser("multimode", help="divergent partial sums over modes")
-    add_common(p, out_default="multimode.csv")
-    add_format(p, "csv")
-    p.add_argument(
-        "--nmax-schedule", dest="nmax_schedule", type=_schedule,
-        default=list(DEFAULT_SCHEDULE),
-    )
-    p.set_defaults(func=cmd_multimode)
-
-    p = sub.add_parser("parity", help="two-qubit readout map and QND checks")
-    add_common(p)
-    p.add_argument("--levels", type=int, choices=(2, 3), default=3)
-    p.add_argument("--q2-frequency-ghz", type=_finite_float, default=None)
-    p.add_argument("--q2-anharmonicity-ghz", type=_finite_float, default=None)
-    p.add_argument("--q2-coupling-ghz", type=_finite_float, default=None)
-    p.add_argument("--chi-p-mhz", type=_finite_float, default=None)
-    p.set_defaults(func=cmd_parity)
-
-    p = sub.add_parser("wedge", help="azimuthal modes of a wedge domain")
-    p.add_argument("--angle-rad", type=_finite_float, default=math.pi / 2.0)
-    p.add_argument("--modes", type=_positive_int, default=4)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_wedge)
-
-    p = sub.add_parser("validate", help="run the acceptance criteria")
-    p.add_argument("--only", default=None, help="run a single named criterion")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.set_defaults(func=cmd_validate)
-
+    parser.add_argument("--version", action="version", version=__version__)
+    if command is None:
+        names = COMMANDS
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        names = [command]
+        # The usage line printed with top-level errors names every subcommand.
+        # Only here: on the full parser a metavar would also replace "command"
+        # in its missing-command and invalid-choice errors.
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}",
+        )
+    for name in names:
+        help_text, handler, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for add in arguments:
+            add(p)
+        p.set_defaults(func=globals()[handler])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # help, --version, a missing or unknown command: the full parser answers
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

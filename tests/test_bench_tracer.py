@@ -44,6 +44,8 @@ def test_tracer_counts_every_layer_and_uninstalls():
         "cli.main.calls",
     ):
         assert figures[name] > 0, name
+    # the CLI runs the wrapped handler, looked up when its parser is built
+    assert "cli.cmd_validate" in {span[3] for span in tracer.spans}
     assert patches
     for owner, attr, original in patches:
         assert vars(owner)[attr] is original, (owner, attr)

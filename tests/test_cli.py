@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -945,8 +946,26 @@ def test_validate_single_criterion(capsys):
     assert "1/1 criteria passed" in out
 
 
-def test_validate_unknown_criterion():
-    assert main(["validate", "--only", "bogus"]) == 1
+def test_validate_unknown_criterion(capsys):
+    """An unknown --only key is a usage error that lists the valid keys."""
+    assert main(["validate", "--only", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "no criterion named 'bogus'" in err
+    assert err.endswith(f"(choose from {', '.join(k for k, _ in acceptance.ALL_CHECKS)})\n")
+
+
+def test_validate_builds_only_its_own_parser(monkeypatch):
+    """A subcommand call builds the top-level parser and its own, not all nine."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["validate", "--only", "open-circuit"]) == 0
+    assert built == ["dressed-modes", "dressed-modes validate"]
 
 
 def test_missing_config_exits_3(tmp_path):
@@ -1088,8 +1107,6 @@ def test_grid_parsing():
     assert _grid("5:9:1") == [5.0]
     grid = _grid("0:1:11")
     assert grid[0] == 0.0 and grid[-1] == 1.0 and len(grid) == 11
-    import argparse
-
     with pytest.raises(argparse.ArgumentTypeError):
         _grid("1:2:0")
     with pytest.raises(argparse.ArgumentTypeError):
@@ -1111,10 +1128,13 @@ def test_readme_command_lines_parse():
     assert lines
     parser = build_parser()
     for line in lines:
+        argv = shlex.split(line)[1:]
         try:
-            parser.parse_args(shlex.split(line)[1:])
+            full = parser.parse_args(argv)
+            own = build_parser(argv[0]).parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+        assert own == full, line
 
 
 # One fresh interpreter: the solver subcommands, then wedge, through cli.main.
