@@ -53,7 +53,6 @@ from .spectrum import (
     DressedSpectrum,
     EigenvalueRecord,
     PolePoint,
-    RabiSplitting,
     pole_margin,
     pole_margins,
     qubit_frequency_sweep,

@@ -200,8 +200,9 @@ def check_vacuum_rabi() -> CriterionResult:
     details = []
     passed = True
     for ratio, tol in ((0.01, 0.005), (0.15, 0.05)):
-        out = vacuum_rabi_gap(STANDARD_DEVICE, replace(STANDARD_QUBIT, coupling=ratio * omega_r))
-        rel = abs(out.measured - out.predicted) / out.predicted
+        g = ratio * omega_r
+        gap = vacuum_rabi_gap(STANDARD_DEVICE, replace(STANDARD_QUBIT, coupling=g))
+        rel = abs(gap - 2.0 * g) / (2.0 * g)
         passed = passed and rel <= tol
         details.append(f"g/omega_r={ratio}: |gap-2g|/2g = {rel:.6e} (tol {tol})")
     return _result("vacuum Rabi matching", passed, "; ".join(details))

@@ -29,7 +29,14 @@ from .multiqubit import (
     single_qubit_commutators,
     two_qubit_model,
 )
-from .params import GHZ, config_snapshot, load_config
+from .params import (
+    GHZ,
+    _check_anharmonicity,
+    _check_coupling,
+    _check_qubit_frequency,
+    config_snapshot,
+    load_config,
+)
 from .spectrum import pole_margins, qubit_frequency_sweep, solve_spectrum
 from .wedge import (
     WedgeGeometry,
@@ -71,6 +78,22 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
     return value
+
+
+def _model_checked(check, unit: float = 1.0):
+    """An argparse type: a finite number whose value times `unit` passes the
+    model's own `check`; the check's ValueError becomes a usage error with
+    its message."""
+
+    def parse(text: str) -> float:
+        value = _finite_float(text)
+        try:
+            check(value * unit)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
+
+    return parse
 
 
 def _int_at_least(low: int):
@@ -446,13 +469,16 @@ COMMANDS = {
     )),
     "parity": ("two-qubit readout map and QND checks", "cmd_parity", (
         _common(), _levels(3),
-        _arg("--q2-frequency-ghz", type=_finite_float, default=None),
-        _arg("--q2-anharmonicity-ghz", type=_finite_float, default=None),
-        _arg("--q2-coupling-ghz", type=_finite_float, default=None),
+        # q2's values get TransmonSpec's own checks, so a bad one is a usage error
+        _arg("--q2-frequency-ghz", type=_model_checked(_check_qubit_frequency, GHZ),
+             default=None),
+        _arg("--q2-anharmonicity-ghz", type=_model_checked(_check_anharmonicity, GHZ),
+             default=None),
+        _arg("--q2-coupling-ghz", type=_model_checked(_check_coupling, GHZ), default=None),
         _arg("--chi-p-mhz", type=_finite_float, default=None),
     )),
     "wedge": ("azimuthal modes of a wedge domain", "cmd_wedge", (
-        _arg("--angle-rad", type=_finite_float, default=math.pi / 2.0),
+        _arg("--angle-rad", type=_model_checked(WedgeGeometry), default=math.pi / 2.0),
         _arg("--modes", type=_positive_int, default=4),
         _arg("--out", default=None),
     )),

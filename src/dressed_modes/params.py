@@ -51,6 +51,22 @@ def _check_qubit_frequency(omega_q) -> None:
         raise ValueError("qubit frequency must be positive")
 
 
+def _check_anharmonicity(alpha) -> None:
+    """TransmonSpec's checks on its `anharmonicity`, with its messages: a
+    finite number, and negative."""
+    _check_finite("anharmonicity", alpha)
+    if alpha >= 0.0:
+        raise ValueError("anharmonicity must be negative")
+
+
+def _check_coupling(g) -> None:
+    """TransmonSpec's checks on a given `coupling`, with its messages: a
+    finite number, and nonnegative."""
+    _check_finite("coupling", g)
+    if g < 0.0:
+        raise ValueError("coupling must be nonnegative")
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     """Transmission-line resonator: length [m], phase velocity [m/s], impedance [ohm]."""
@@ -105,15 +121,14 @@ class TransmonSpec:
                      "junction_capacitance"):
             _check_finite(name, getattr(self, name))
         _check_qubit_frequency(self.frequency)
-        if self.anharmonicity >= 0.0:
-            raise ValueError("anharmonicity must be negative")
+        _check_anharmonicity(self.anharmonicity)
         given = (self.coupling is not None) + (self.charge_element is not None)
         if given != 1:
             raise ValueError(
                 "exactly one of coupling or charge_element must be given"
             )
-        if self.coupling is not None and self.coupling < 0.0:
-            raise ValueError("coupling must be nonnegative")
+        if self.coupling is not None:
+            _check_coupling(self.coupling)
         if self.charge_element is not None and self.charge_element < 0.0:
             raise ValueError("charge_element must be nonnegative")
         if self.junction_capacitance is not None and self.junction_capacitance <= 0.0:

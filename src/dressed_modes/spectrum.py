@@ -58,7 +58,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
-from .boundary import _tuned_transmon, resolved_coupling, transmon_boundary
+from .boundary import _tuned_transmon, pole_strength_from_coupling, resolved_coupling
 from .errors import PoleCollisionError, SolverError
 from .params import GHZ, DeviceParams, TransmonSpec, lambda_to_omega, omega_to_lambda
 from .resonator import XI_POLE_GUARD, default_lam_max, dirichlet_poles, line_log_deriv
@@ -627,31 +627,17 @@ def qubit_frequency_sweep(
     )
 
 
-@dataclass(frozen=True)
-class RabiSplitting:
-    measured: float    # gap between the dressed pair at resonance
-    predicted: float   # (v^2/omega_q) sqrt(2 delta / L); identically 2g
-    margin: float      # relative eigenvalue-pole margin at resonance
+def vacuum_rabi_gap(dev: DeviceParams, spec: TransmonSpec) -> float:
+    """Vacuum Rabi splitting: the gap of the dressed pair with the qubit
+    tuned to the fundamental, read as a one-point qubit_frequency_sweep.
 
-
-def vacuum_rabi_gap(dev: DeviceParams, spec: TransmonSpec) -> RabiSplitting:
-    """Vacuum Rabi splitting with the qubit tuned to the fundamental.
-
-    The qubit is tuned there and put in g whatever spec says. With zero
-    coupling the pole term vanishes and the crossing is degenerate: both
-    branches coincide with the fundamental and the gap and margin are zero.
+    The qubit is tuned there and put in g whatever spec says. Where its
+    pole strength is zero (zero coupling, or a strength that underflows)
+    the boundary has no pole and the crossing is degenerate: both branches
+    coincide with the fundamental and the gap is 0.0.
     """
     omega_ref = dev.fundamental_frequency
-    bnd = transmon_boundary(replace(spec, frequency=omega_ref, state="g"), dev, levels=2)
-    if not bnd.poles:
-        return RabiSplitting(measured=0.0, predicted=0.0, margin=0.0)
-    delta = bnd.poles[0].strength
-    v = dev.phase_velocity
-    predicted = (v * v / omega_ref) * math.sqrt(2.0 * delta / dev.length)
-    sp = solve_spectrum(dev.length, bnd)
-    lower, upper = _fundamental_pair(sp, omega_to_lambda(omega_ref, v), v)
-    return RabiSplitting(
-        measured=upper - lower,
-        predicted=predicted,
-        margin=pole_margin(sp),
-    )
+    g = resolved_coupling(spec, dev)
+    if pole_strength_from_coupling(g, omega_ref, dev.length, dev.phase_velocity) == 0.0:
+        return 0.0
+    return qubit_frequency_sweep(dev, replace(spec, state="g"), (omega_ref,), levels=2).gap[0]

@@ -62,8 +62,9 @@ def test_chi_triangle_passes_where_the_rwa_closed_form_failed(seed):
 
 def _rabi_rel_diff(ratio):
     wr = STANDARD_DEVICE.fundamental_frequency
-    r = vacuum_rabi_gap(STANDARD_DEVICE, replace(STANDARD_QUBIT, coupling=ratio * wr))
-    return abs(r.measured - r.predicted) / r.predicted
+    g = ratio * wr
+    gap = vacuum_rabi_gap(STANDARD_DEVICE, replace(STANDARD_QUBIT, coupling=g))
+    return abs(gap - 2.0 * g) / (2.0 * g)
 
 
 def test_regression_rabi_deviation_weak_coupling():

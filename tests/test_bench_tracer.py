@@ -28,6 +28,8 @@ def test_tracer_counts_every_layer_and_uninstalls():
         spectrum.qubit_frequency_sweep(
             STANDARD_DEVICE, STANDARD_QUBIT, [0.9 * omega_1, 1.1 * omega_1]
         )
+        # bench/tracing.py reads this function's calls by name
+        spectrum.vacuum_rabi_gap(STANDARD_DEVICE, STANDARD_QUBIT)
         dispersive.dispersive_report(STANDARD_DEVICE, STANDARD_QUBIT)
         q2 = replace(STANDARD_QUBIT, frequency=STANDARD_QUBIT.frequency - 0.4 * GHZ)
         multiqubit.additivity_report(STANDARD_DEVICE, STANDARD_QUBIT, q2)
@@ -39,6 +41,7 @@ def test_tracer_counts_every_layer_and_uninstalls():
     for name in (
         "resonator.log_deriv.calls",
         "spectrum.solve_spectrum.calls",
+        "spectrum.vacuum_rabi_gap.calls",
         "dispersive.dispersive_shift_exact.calls",
         "multiqubit.time_s",
         "cli.main.calls",

@@ -115,6 +115,17 @@ def test_rational_form_rejects_non_finite_inputs(kwargs, field):
         RationalBoundary(**kwargs)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: RationalBoundary(beta=-1.0), "beta must be nonnegative"),
+    (lambda: RationalBoundary(poles=(BoundaryPole(0.0, 1.0),)), "pole locations must be positive"),
+    (lambda: RationalBoundary(poles=(BoundaryPole(-1e6, -1.0),)), "pole locations must be positive"),
+    (lambda: transmon_boundary(QUBIT, DEV, levels=4), "levels must be 2 or 3"),
+], ids=["negative-beta", "pole-at-zero", "negative-pole", "levels-4"])
+def test_boundary_builders_reject_out_of_range_inputs(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_non_finite_inputs_rejected_through_full_form_and_sum():
     ell, v = DEV.inductance_per_length, DEV.phase_velocity
     with pytest.raises(ValueError, match="^beta must be finite"):

@@ -946,6 +946,17 @@ def test_validate_single_criterion(capsys):
     assert "1/1 criteria passed" in out
 
 
+def test_validate_reports_a_failing_criterion(monkeypatch, capsys):
+    """A failing criterion prints [FAIL] with its detail, does not count as
+    passed, and makes validate exit 1."""
+    failing = acceptance.CriterionResult("always fails", False, "measured 1 (tol 0)")
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", (("broken", lambda seed: failing),))
+    assert main(["validate", "--only", "broken"]) == 1
+    assert capsys.readouterr().out == (
+        "[FAIL] always fails: measured 1 (tol 0)\n0/1 criteria passed\n"
+    )
+
+
 def test_validate_unknown_criterion(capsys):
     """An unknown --only key is a usage error that lists the valid keys."""
     assert main(["validate", "--only", "bogus"]) == 2
@@ -1063,6 +1074,11 @@ def test_usage_errors_exit_2(cfg):
                        "--q2-coupling-ghz")
            for value in ("nan", "inf", "-inf")]
     bad += [["wedge", "--angle-rad", value] for value in ("nan", "inf")]
+    # values only the model rejects, refused while parsing; these used to exit 1
+    bad += [["wedge", "--angle-rad", value] for value in ("0", "7")]
+    bad += [["parity", "--config", cfg, opt, value]
+            for opt, value in (("--q2-frequency-ghz", "-5"), ("--q2-anharmonicity-ghz", "0.1"),
+                               ("--q2-coupling-ghz", "-0.1"))]
     bad += [["wedge", "--modes", value] for value in ("0", "-3", "2.5")]
     # a schedule needs at least two distinct cutoffs, each >= 1; these used to exit 1
     bad += [["multimode", "--config", cfg, f"--nmax-schedule={value}"]

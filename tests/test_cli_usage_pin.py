@@ -37,6 +37,12 @@ ARGVS = (
     ["chi", "--json", "--csv", "--config", "x"],
     ["wedge", "--modes", "0"],
     ["spectrum"],
+    # values the model itself rejects, checked while parsing
+    ["wedge", "--angle-rad", "0"],
+    ["wedge", "--angle-rad", "7"],
+    ["parity", "--config", "x", "--q2-frequency-ghz", "-5"],
+    ["parity", "--config", "x", "--q2-anharmonicity-ghz", "0.1"],
+    ["parity", "--config", "x", "--q2-coupling-ghz", "-0.1"],
 )
 
 

@@ -27,6 +27,7 @@ from dressed_modes import (
     omega_to_lambda,
     pole_margin,
     pole_margins,
+    pole_strength_from_coupling,
     quarterwave_zeros,
     qubit_frequency_sweep,
     solve_spectrum,
@@ -361,17 +362,35 @@ def test_sweep_reads_an_iterator_grid_once():
 def test_vacuum_rabi_gap_reference_values():
     omega_r = DEV.fundamental_frequency
     spec = replace(QUBIT, frequency=omega_r)
-    out = vacuum_rabi_gap(DEV, spec)
-    assert out.predicted == pytest.approx(2 * spec.coupling, rel=1e-12)
-    assert out.measured == pytest.approx(out.predicted, rel=1e-3)
-    assert out.margin > 0.0
+    assert vacuum_rabi_gap(DEV, spec) == pytest.approx(2 * spec.coupling, rel=1e-3)
 
 
 def test_vacuum_rabi_gap_zero_coupling_degenerates():
+    """At zero coupling, and where the pole strength underflows to 0, the
+    boundary has no pole and the doublet is degenerate."""
     omega_r = DEV.fundamental_frequency
-    spec = replace(QUBIT, frequency=omega_r, coupling=0.0)
-    out = vacuum_rabi_gap(DEV, spec)
-    assert out.measured == out.predicted == out.margin == 0.0
+    for coupling in (0.0, 1e-157):
+        assert pole_strength_from_coupling(coupling, omega_r, LENGTH, DEV.phase_velocity) == 0.0
+        assert vacuum_rabi_gap(DEV, replace(QUBIT, frequency=omega_r, coupling=coupling)) == 0.0
+
+
+def test_vacuum_rabi_gap_below_float_resolution_is_refused():
+    """A pole too weak to split the doublet in floats is refused as the
+    sweep refuses it, not read as the no-pole 0.0."""
+    with pytest.raises(ValueError, match="^branch gap must stay positive at omega_q=10 GHz$"):
+        vacuum_rabi_gap(DEV, replace(QUBIT, coupling=1e-5))
+
+
+@pytest.mark.parametrize("spec", [
+    replace(QUBIT, coupling=0.01 * DEV.fundamental_frequency),
+    replace(QUBIT, coupling=0.15 * DEV.fundamental_frequency),
+    replace(QUBIT, state="e", frequency=7.0 * GHZ),
+], ids=["g-0.01", "g-0.15", "e-off-resonance"])
+def test_vacuum_rabi_gap_is_a_one_point_crossing_sweep(spec):
+    """The gap is the ground-state sweep's gap at the fundamental, bit for bit."""
+    omega_ref = DEV.fundamental_frequency
+    sweep = qubit_frequency_sweep(DEV, replace(spec, state="g"), [omega_ref], levels=2)
+    assert vacuum_rabi_gap(DEV, spec) == sweep.gap[0]
 
 
 def test_vacuum_rabi_gap_tunes_the_qubit_itself():
