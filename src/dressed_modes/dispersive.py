@@ -91,9 +91,10 @@ def pulled_frequencies(dev: DeviceParams, specs, levels: int = 3) -> dict[str, f
     The qubits' boundary terms are summed and the full boundary-value
     problem is solved once per joint state, refining only the root nearest
     the fundamental (solve_spectrum's nearest_only): one Brent run, unless
-    the other root's bracket reaches as close. Each qubit's boundary in g
-    and in e is built once, when a joint state first needs it. A solve
-    error keeps its type and names its joint state.
+    the other root's bracket reaches as close. That root is the solve's
+    one record, and a solve that finds no root is a SolverError. Each
+    qubit's boundary in g and in e is built once, when a joint state first
+    needs it. A solve error keeps its type and names its joint state.
     """
     if not specs:
         raise ValueError("pulled_frequencies needs at least one qubit")
@@ -113,7 +114,9 @@ def pulled_frequencies(dev: DeviceParams, specs, levels: int = 3) -> dict[str, f
         ))
         try:
             sp = solve_spectrum(dev.length, bnd, near=lam_ref, nearest_only=True)
-            pulled[joint] = lambda_to_omega(sp.nearest_eigenvalue(lam_ref), v)
+            if not sp.records:
+                raise SolverError("spectrum is empty")
+            pulled[joint] = lambda_to_omega(sp.records[0].lam, v)
         except SolverError as exc:
             raise type(exc)(f"{exc} in joint state {joint!r}") from None
     return pulled

@@ -201,10 +201,14 @@ def load_config(path) -> tuple[DeviceParams, TransmonSpec]:
     """Parse a device config (flat key=value text, or a flat JSON object).
 
     Every key must be one of CONFIG_KEYS, set once; any other key, or one
-    set twice, is a ConfigError. Returns (DeviceParams, TransmonSpec).
+    set twice, is a ConfigError, and so is text that is not UTF-8.
+    Returns (DeviceParams, TransmonSpec).
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(exc)) from exc
     stripped = text.lstrip()
     if stripped.startswith("{") or str(path).endswith(".json"):
         try:

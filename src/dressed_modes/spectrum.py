@@ -29,8 +29,12 @@ spectrum. Brent's method on c*H then refines the brackets a caller reads,
 each root checked by the residual test: all of them by default, or, given
 `near`, the largest root <= near and the smallest >= near, at most two
 Brent runs, or with nearest_only the root nearest `near` alone, one Brent
-run unless the other bracket reaches closer to near than that root. A
-root's record does not depend on which others are refined.
+run unless the other bracket reaches closer to near than that root. The
+records are the answer: a root's record does not depend on which others
+are refined, and a near solve's records are consecutive roots of the full
+solve, so a read of the pair around some lam either finds the full
+solve's pair or misses one side and raises. A reader that needs every
+root checks that there are sum(counts) records (pole_margins).
 
 Cost. Every workload runs through this module, so its hot path is kept
 lean, within three rules. Every float, count and error a solve produces
@@ -85,17 +89,14 @@ class EigenvalueRecord(NamedTuple):
 class DressedSpectrum(NamedTuple):
     """Roots of one solve. partition (the poles, sorted) and counts (one
     per interval between them) always cover the whole domain, and so do
-    intervals and interlacing, read off them. records holds every root when
-    near is None, else only the roots next to near (solve_spectrum), and
-    then only questions about near itself can be answered from it. A solve
-    with nearest_only returns a _NearestRoot, whose one record answers
-    nearest_eigenvalue(near) but not the pair around near."""
+    intervals and interlacing, read off them. records holds the roots the
+    solve refined, in increasing order: all sum(counts) of them by default,
+    else the one or two next to `near` (solve_spectrum)."""
 
     records: tuple[EigenvalueRecord, ...]
     partition: tuple[PolePoint, ...]
     counts: tuple[int, ...]
     lam_max: float
-    near: float | None = None
 
     @property
     def intervals(self) -> tuple[tuple[float, float], ...]:
@@ -114,34 +115,6 @@ class DressedSpectrum(NamedTuple):
 
     def frequencies(self, v: float) -> tuple[float, ...]:
         return tuple(lambda_to_omega(r.lam, v) for r in self.records)
-
-    def _check_reads(self, lam: float, pair: bool = False):
-        """ValueError unless the records answer questions about lam, the
-        pair of roots around it too if `pair`: a partial spectrum holds
-        only the roots next to near."""
-        if self.near is not None and lam != self.near:
-            raise ValueError(f"spectrum refined near lam={self.near} read at lam={lam}")
-
-    def nearest_eigenvalue(self, lam: float) -> float:
-        self._check_reads(lam)
-        if not self.records:
-            raise SolverError("spectrum is empty")
-        return min(self.records, key=lambda r: abs(r.lam - lam)).lam
-
-
-class _NearestRoot(DressedSpectrum):
-    """A spectrum refined at the root nearest `near` only
-    (solve_spectrum(..., nearest_only=True)): the pair around near is not
-    in its records, so reading it is a ValueError."""
-
-    __slots__ = ()
-
-    def _check_reads(self, lam: float, pair: bool = False):
-        if pair:
-            raise ValueError(
-                f"spectrum refined at its nearest root to lam={self.near} read for a pair"
-            )
-        super()._check_reads(lam)
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float):
@@ -461,7 +434,7 @@ def solve_spectrum(
     """Dressed eigenvalues on (0, lam_max]: all of them, or with `near` the
     largest one <= near and the smallest >= near, or with `near` and
     nearest_only the one nearest near, the lower of two as near as each
-    other (what nearest_eigenvalue(near) reads).
+    other.
 
     The domain is fixed: lam_max is default_lam_max(length), just below the
     sixth Dirichlet pole, so every solve cuts it at the same five line
@@ -473,10 +446,10 @@ def solve_spectrum(
     docstring), whatever `near` is; `near` and nearest_only only select the
     roots Brent's method refines, and each refined root is bit-identical to
     the full solve's. A nearest_only solve refines the other root next to
-    near only when its bracket reaches as close to near as the first root,
-    and its spectrum refuses a pair read (_NearestRoot). Raises ValueError
-    for nearest_only without near and for a length that is not positive or
-    gives no positive finite lam_max, PoleCollisionError when a boundary
+    near only when its bracket reaches as close to near as the first root.
+    The records are the whole answer. Raises ValueError for nearest_only
+    without near and for a length that is not positive or gives no
+    positive finite lam_max, PoleCollisionError when a boundary
     pole sits within 1e-6 relative of a Dirichlet pole, and SolverError
     when a boundary pole sits exactly at lam_max, when no count can be
     certified (two roots too close to tell apart, or H turning within the
@@ -527,16 +500,15 @@ def solve_spectrum(
         if not r1.lam < r2.lam:
             raise SolverError("eigenvalues not strictly increasing")
 
-    return (_NearestRoot if nearest_only else DressedSpectrum)(
-        tuple(records), tuple(markers), tuple(counts), lam_max, near
-    )
+    return DressedSpectrum(tuple(records), tuple(markers), tuple(counts), lam_max)
 
 
 def pole_margins(spectrum: DressedSpectrum) -> tuple[float, ...]:
     """Each root's smallest relative distance to a boundary pole, () when
     no boundary pole lies in the domain. Reads every root, so a spectrum
-    solved with `near` is a ValueError."""
-    if spectrum.near is not None:
+    with fewer records than its counts (most solves with `near`) is a
+    ValueError."""
+    if len(spectrum.records) != sum(spectrum.counts):
         raise ValueError("pole_margin reads every root; solve without near")
     bpoles = [m.location for m in spectrum.partition if m.kind == "boundary"]
     if not bpoles:
@@ -554,7 +526,6 @@ def _fundamental_pair(sp: DressedSpectrum, lam_ref: float, v: float) -> tuple[fl
     """The dressed frequencies of the roots nearest lam_ref, the bare
     fundamental, one at or below it and one at or above; SolverError when
     either is missing."""
-    sp._check_reads(lam_ref, pair=True)
     lower = upper = None
     for r in sp.records:    # strictly increasing: the last at or below, the first at or above
         if r.lam <= lam_ref:

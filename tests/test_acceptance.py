@@ -13,6 +13,7 @@ import pytest
 from dressed_modes import (
     GHZ,
     FullSusceptanceBoundary,
+    SolverError,
     TransmonSpec,
     additivity_report,
     omega_to_lambda,
@@ -20,11 +21,14 @@ from dressed_modes import (
     transmon_boundary,
     vacuum_rabi_gap,
 )
+from dressed_modes import acceptance
 from dressed_modes.acceptance import (
     ALL_CHECKS,
     STANDARD_DEVICE,
     STANDARD_QUBIT,
+    check_approximation_audit,
     check_dispersive_triangle,
+    check_interlacing,
     run_all,
 )
 
@@ -53,6 +57,58 @@ def test_chi_triangle_passes_where_the_rwa_closed_form_failed(seed):
     left out the boundary model's counter-rotating term."""
     result = check_dispersive_triangle(seed + 2)
     assert result.passed, result.detail
+
+
+def test_interlacing_criterion_fails_on_a_raised_or_non_interlacing_solve(monkeypatch):
+    """Of three draws, the first solve raises and the second reports two
+    roots on a pole-bounded interval: both count as failures."""
+    monkeypatch.setattr(acceptance, "INTERLACING_CONFIGS", 3)
+    solve, calls = acceptance.solve_spectrum, []
+
+    def faulty(length, b):
+        calls.append(b)
+        if len(calls) == 1:
+            raise SolverError("no certified root count")
+        sp = solve(length, b)
+        if len(calls) == 2:
+            return sp._replace(counts=(sp.counts[0], 2, *sp.counts[2:]))
+        return sp
+
+    monkeypatch.setattr(acceptance, "solve_spectrum", faulty)
+    result = check_interlacing(0)
+    assert not result.passed
+    assert result.detail == "2/3 configurations solved, 2 interlacing failures"
+
+
+def test_chi_triangle_fails_on_a_doubled_exact_chi(monkeypatch):
+    monkeypatch.setattr(acceptance, "TRIANGLE_DRAWS", 2)
+    exact = acceptance.dispersive_shift_exact
+
+    def doubled(*args, **kwargs):
+        chi, pull_g, pull_e = exact(*args, **kwargs)
+        return 2.0 * chi, pull_g, pull_e
+
+    monkeypatch.setattr(acceptance, "dispersive_shift_exact", doubled)
+    result = check_dispersive_triangle(2)
+    assert not result.passed
+    draws, worst = result.detail.split(" draws, worst pairwise error at ")
+    assert draws == "2"
+    assert float(worst.removesuffix(" of tolerance")) > 1.0
+
+
+def test_boundary_forms_fail_on_a_mode_count_mismatch(monkeypatch):
+    """The full-susceptance solve, the second, loses its roots."""
+    solve, calls = acceptance.solve_spectrum, []
+
+    def second_empty(length, b):
+        calls.append(b)
+        sp = solve(length, b)
+        return sp._replace(records=()) if len(calls) == 2 else sp
+
+    monkeypatch.setattr(acceptance, "solve_spectrum", second_empty)
+    result = check_approximation_audit()
+    assert not result.passed
+    assert result.detail == "mode count mismatch near the fundamental: 1 vs 0"
 
 
 # Frozen measurements. Bands are generous (15-25%) because the quantities

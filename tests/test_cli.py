@@ -1036,11 +1036,16 @@ def test_unknown_config_key_exits_3_and_names_it(tmp_path, capsys, suffix, key):
                                     "qubit.state": 1}), "qubit.state must be text"),
         ("device.cfg", CFG.replace("qubit.coupling_ghz = 0.1", "qubit.coupling_ghz = abc"),
          "qubit.coupling_ghz must be a number"),
+        ("device.cfg", b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
     ],
 )
 def test_malformed_config_value_exits_3_and_says_why(tmp_path, capsys, name, text, message):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     assert main(["chi", "--config", str(path)]) == 3
     assert capsys.readouterr().err == f"config error: {message}\n"
 

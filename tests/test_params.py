@@ -64,11 +64,25 @@ def test_spec_validation():
             coupling=0.1 * GHZ,
             charge_element=1e-19,
         )
-    for field in ("frequency", "anharmonicity", "coupling", "junction_capacitance"):
+    with pytest.raises(ValueError, match="charge_element must be nonnegative"):
+        TransmonSpec(
+            state="g", frequency=9 * GHZ, anharmonicity=-0.25 * GHZ, charge_element=-1e-19
+        )
+    for cj in (0.0, -1e-15):
+        with pytest.raises(ValueError, match="junction_capacitance must be positive when given"):
+            TransmonSpec(
+                state="g", frequency=9 * GHZ, anharmonicity=-0.25 * GHZ, coupling=0.1 * GHZ,
+                junction_capacitance=cj,
+            )
+    for field in (
+        "frequency", "anharmonicity", "coupling", "charge_element", "junction_capacitance"
+    ):
         for bad in (math.nan, math.inf, -math.inf, True):
             kwargs = dict(
                 state="g", frequency=9 * GHZ, anharmonicity=-0.25 * GHZ, coupling=0.1 * GHZ
             )
+            if field == "charge_element":
+                kwargs["coupling"] = None
             kwargs[field] = bad
             with pytest.raises(ValueError):
                 TransmonSpec(**kwargs)

@@ -251,18 +251,19 @@ def test_pole_margins_per_root():
 
 
 def test_result_stores_only_what_the_solve_decides():
-    """The roots, the partition, the counts, the domain end and near; the
+    """The roots, the partition, the counts and the domain end; the
     intervals and the interlacing flags are read off the partition and the
-    counts. The result and its records are immutable."""
-    assert list(DressedSpectrum._fields) == [
-        "records", "partition", "counts", "lam_max", "near",
-    ]
+    counts, and which roots were refined off the records. The result and
+    its records are immutable."""
+    assert list(DressedSpectrum._fields) == ["records", "partition", "counts", "lam_max"]
     assert list(PolePoint._fields) == ["location", "kind"]
     sp = solve_spectrum(LENGTH, transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3))
     lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
     nearest = solve_spectrum(LENGTH, transmon_boundary(QUBIT, DEV), near=lam_ref, nearest_only=True)
+    assert len(sp.records) == sum(sp.counts)
+    assert len(nearest.records) == 1 < sum(nearest.counts)
     for record, name in (
-        (sp, "near"), (nearest, "near"), (nearest, "extra"),
+        (sp, "records"), (nearest, "lam_max"), (nearest, "extra"),
         (sp.records[0], "lam"), (sp.partition[0], "kind"),
     ):
         with pytest.raises(AttributeError):
@@ -633,10 +634,13 @@ def test_refine_near_without_brackets_is_empty():
     assert spectrum._refine_near([], 1.0, 1.0) == []
 
 
-def test_empty_spectrum_has_no_nearest_eigenvalue():
-    sp = DressedSpectrum(records=(), partition=(), counts=(0,), lam_max=1.0)
-    with pytest.raises(SolverError, match="^spectrum is empty$"):
-        sp.nearest_eigenvalue(0.5)
+def test_empty_spectrum_has_no_nearest_eigenvalue(monkeypatch):
+    """A pull reads its solve's one record; a solve that found no root
+    raises, naming the joint state."""
+    empty = DressedSpectrum(records=(), partition=(), counts=(0,), lam_max=1.0)
+    monkeypatch.setattr(dispersive, "solve_spectrum", lambda *args, **kwargs: empty)
+    with pytest.raises(SolverError, match="^spectrum is empty in joint state 'g'$"):
+        dispersive.pulled_frequencies(DEV, (QUBIT,))
 
 
 # Random boundaries, residues of either sign, beta up to 2L/3, gamma of
@@ -744,7 +748,7 @@ def test_near_solve_is_a_subset_of_the_full_solve(
     part = solve_spectrum(LENGTH, bnd, near=near)
     for field in ("counts", "interlacing", "partition", "intervals", "lam_max"):
         assert getattr(part, field) == getattr(full, field)
-    assert part.near == near and full.near is None
+    assert len(full.records) == sum(full.counts)
     below = [r for r in full.records if r.lam <= near][-1:]
     above = [r for r in full.records if r.lam >= near][:1]
     expected = list(dict.fromkeys(_bits(r) for r in below + above))
@@ -754,19 +758,29 @@ def test_near_solve_is_a_subset_of_the_full_solve(
     assert _outcome(spectrum._fundamental_pair, part, near, v) == _outcome(
         spectrum._fundamental_pair, full, near, v
     )
-    assert _outcome(part.nearest_eigenvalue, near) == _outcome(full.nearest_eigenvalue, near)
+
+    def nearest(sp):
+        """The record nearest near, the lower on a tie."""
+        return min(sp.records, key=lambda r: abs(r.lam - near), default=None)
+
+    assert nearest(part) == nearest(full)
 
 
 def test_partial_spectrum_answers_only_at_near():
+    """At near a pair solve's records give the full solve's answer; read
+    for a pair away from near they miss a side and raise, and a read of
+    every root is refused."""
     bnd = transmon_boundary(QUBIT, DEV)
-    lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
+    v = DEV.phase_velocity
+    lam_ref = omega_to_lambda(DEV.fundamental_frequency, v)
     full = solve_spectrum(LENGTH, bnd)
     part = solve_spectrum(LENGTH, bnd, near=lam_ref)
-    assert part.nearest_eigenvalue(lam_ref) == full.nearest_eigenvalue(lam_ref)
-    with pytest.raises(ValueError, match="refined near"):
-        part.nearest_eigenvalue(lam_ref * (1.0 + 1e-12))
-    with pytest.raises(ValueError, match="refined near"):
-        spectrum._fundamental_pair(part, 0.5 * lam_ref, DEV.phase_velocity)
+    assert len(part.records) == 2 < len(full.records) == sum(full.counts)
+    pair = spectrum._fundamental_pair(part, lam_ref, v)
+    assert pair == spectrum._fundamental_pair(full, lam_ref, v)
+    for lam in (0.5 * lam_ref, 2.0 * lam_ref):
+        with pytest.raises(SolverError, match="no dressed pair"):
+            spectrum._fundamental_pair(part, lam, v)
     with pytest.raises(ValueError, match="every root"):
         pole_margin(part)
 
@@ -938,21 +952,16 @@ def test_sweep_and_pulls_run_brent_at_most_twice_per_solve(brent_spy, state, lev
     qubit_frequency_sweep(DEV, spec, grid, levels=levels)
     dispersive.pulled_frequencies(DEV, (QUBIT,), levels=levels)
     assert len(brent_spy) == len(grid) + 2
-    lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
     for i, (sp, runs) in enumerate(brent_spy):
-        assert sp.near == lam_ref
         if i < len(grid):
-            assert type(sp) is DressedSpectrum
-            assert runs == len(sp.records) <= 2
+            assert runs == len(sp.records) <= 2 < sum(sp.counts)
         else:
-            assert type(sp) is spectrum._NearestRoot
-            assert runs == len(sp.records) == 1
+            assert runs == len(sp.records) == 1 < sum(sp.counts)
 
 
 def _assert_every_bracket_refined(solves):
     assert solves
     for sp, runs in solves:
-        assert sp.near is None
         assert runs == len(sp.records) == sum(sp.counts)
 
 
