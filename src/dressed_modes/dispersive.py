@@ -90,7 +90,7 @@ def pulled_frequencies(dev: DeviceParams, specs, levels: int = 3) -> dict[str, f
     `specs`: ("g", "e") for one qubit, ("gg", "ge", "eg", "ee") for two.
     The qubits' boundary terms are summed and the full boundary-value
     problem is solved once per joint state, refining only the root nearest
-    the fundamental (solve_spectrum's nearest_only): one Brent run, unless
+    the fundamental (solve_spectrum's nearest_only): one refiner run, unless
     the other root's bracket reaches as close. That root is the solve's
     one record, and a solve that finds no root is a SolverError. Each
     qubit's boundary in g and in e is built once, when a joint state first

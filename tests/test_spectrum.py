@@ -619,12 +619,15 @@ def test_isolate_turn_needs_h_off_zero(shift):
 
 def test_refine_refuses_a_sign_change_without_a_zero():
     """A step H = -1 below x = 0.5 and +1 from it on changes sign on [0, 1]
-    but has no zero (c = 1, L = 1): Brent closes on the step and the
-    residual test refuses it instead of returning a record."""
+    but has no zero (c = 1, L = 1, F' = 0, bounded by lam = 0 and lam_max):
+    the refiner closes on the step and the residual test refuses it instead
+    of returning a record."""
 
-    def ch(x, parts=False):
+    def ch(x, parts=False, slope=False):
         h = -1.0 if x < 0.5 else 1.0
-        return (h, 0.0, 1.0) if parts else h
+        return (h, 0.0, 1.0, 0.0) if slope else (h, 0.0, 1.0) if parts else h
+
+    ch.bounds = (None, None, 0.0, 0.0)
 
     with pytest.raises(SolverError, match="cleared residual 1.000e[+]00 exceeds"):
         spectrum._refine(ch, 0.0, 1.0, -1.0, 1.0, 1.0)
@@ -697,6 +700,46 @@ def test_certified_roots_match_oracle(locations, strengths, beta_frac, gamma):
         assert all(sp.interlacing[1:-1])
         assert all(r.bracket in sp.intervals for r in sp.records)
     _assert_matches_oracle(sp, bnd, DEV.length)
+
+
+# The most evaluations of c*H the refiner may spend on one root: the worst
+# case measured over the solver pin (10), the three benchmark workloads at
+# seed 3 (7) and 80 000 further draws of RANDOM_BOUNDARY (16, the last two
+# examples below, where c*H is flat to its rounding error over several
+# floats next to the root). Brent's method took up to 31 on the sweep
+# workload.
+REFINE_STEP_BOUND = 16
+
+
+@settings(max_examples=40, deadline=None)
+@given(**RANDOM_BOUNDARY)
+# a root next to where c*H is flat to its rounding error. A refiner that
+# steps only from its last point and, as Brent's method does, sets both
+# remembered steps to a bisection's cannot step back there from a
+# bisection's midpoint, which is the whole remaining way: 55 and 47
+# evaluations
+@example([0.48378588150757995, 0.7401408476556507, 4.996974132853754],
+         [-0.9994132397093689, 1.6452383024910122, -0.3192470629764228], 1.2668649417158948,
+         -500.0)
+@example([1.0047295999822456, 3.6242308610126495], [-2.0, -2.0, 0.2962414034917173],
+         1.0794615512019148, 500.0)
+# the worst measured: 16 evaluations for a root at lam ~ 216, and 15 for
+# one between a Dirichlet pole and two boundary poles 0.2% apart
+@example([1.081436711070884, 1.2211928489750175, 1.2507718222129038],
+         [1.4814914973911786, -0.001, 0.4947098072079786], 1.0 - 1e-9, 255.29423757793313)
+@example([5.5, 3.229198957034918, 5.4904794958405905],
+         [1.6556511136776115, -1.3046990196536317, 0.0038670969528367682], 1.9980519276856876,
+         500.0)
+def test_refinement_steps_per_root_are_bounded(locations, strengths, beta_frac, gamma):
+    """RANDOM_BOUNDARY draws: g-like and e-like boundaries, emission poles,
+    beta up to twice its cheap-bound guard L/3. No root's refinement takes
+    more than REFINE_STEP_BOUND evaluations."""
+    bnd = _random_boundary(locations, strengths, beta_frac, gamma)
+    if bnd is None:
+        return
+    sp = solve_spectrum(LENGTH, bnd)
+    assert sp.records
+    assert max(r.iterations for r in sp.records) <= REFINE_STEP_BOUND
 
 
 def _bits(record):
@@ -921,15 +964,15 @@ def test_merge_probe_fails_whatever_near_is():
 
 
 @pytest.fixture
-def brent_spy(monkeypatch):
+def refine_spy(monkeypatch):
     """Every solve_spectrum call made through the package, as (spectrum,
-    Brent runs it made)."""
+    refiner runs it made)."""
     runs, solves = [0], []
-    brent, solve = spectrum._brent, spectrum.solve_spectrum
+    refine, solve = spectrum._refine, spectrum.solve_spectrum
 
-    def counted_brent(*args):
+    def counted_refine(*args):
         runs[0] += 1
-        return brent(*args)
+        return refine(*args)
 
     def spied_solve(*args, **kwargs):
         before = runs[0]
@@ -937,22 +980,22 @@ def brent_spy(monkeypatch):
         solves.append((sp, runs[0] - before))
         return sp
 
-    monkeypatch.setattr(spectrum, "_brent", counted_brent)
+    monkeypatch.setattr(spectrum, "_refine", counted_refine)
     for module in (spectrum, dispersive, cli, acceptance):
         monkeypatch.setattr(module, "solve_spectrum", spied_solve)
     return solves
 
 
 @pytest.mark.parametrize("state, levels", [("g", 2), ("e", 3)])
-def test_sweep_and_pulls_run_brent_at_most_twice_per_solve(brent_spy, state, levels):
+def test_sweep_and_pulls_refine_at_most_twice_per_solve(refine_spy, state, levels):
     """Sweep solves refine the pair around the fundamental, at most two
-    Brent runs; pulls refine only the root they read, one run each."""
+    refiner runs; pulls refine only the root they read, one run each."""
     spec = replace(QUBIT, state=state)
     grid = [DEV.fundamental_frequency * x for x in (0.6, 0.8, 1.2, 1.4)]
     qubit_frequency_sweep(DEV, spec, grid, levels=levels)
     dispersive.pulled_frequencies(DEV, (QUBIT,), levels=levels)
-    assert len(brent_spy) == len(grid) + 2
-    for i, (sp, runs) in enumerate(brent_spy):
+    assert len(refine_spy) == len(grid) + 2
+    for i, (sp, runs) in enumerate(refine_spy):
         if i < len(grid):
             assert runs == len(sp.records) <= 2 < sum(sp.counts)
         else:
@@ -965,18 +1008,18 @@ def _assert_every_bracket_refined(solves):
         assert runs == len(sp.records) == sum(sp.counts)
 
 
-def test_spectrum_cli_refines_every_bracket(brent_spy, tmp_path):
+def test_spectrum_cli_refines_every_bracket(refine_spy, tmp_path):
     cfg = str(Path(__file__).resolve().parent.parent / "sample_device.cfg")
     out = str(tmp_path / "spectrum.json")
     argv = ["spectrum", "--config", cfg, "--state", "e", "--levels", "3", "--out", out]
     assert cli.main(argv) == 0
-    _assert_every_bracket_refined(brent_spy)
+    _assert_every_bracket_refined(refine_spy)
     with open(out) as fh:
         payload = json.load(fh)
-    assert len(payload["brackets"]) == sum(brent_spy[0][0].counts)
+    assert len(payload["brackets"]) == sum(refine_spy[0][0].counts)
 
 
-def test_interlacing_criterion_refines_every_bracket(brent_spy, capsys):
+def test_interlacing_criterion_refines_every_bracket(refine_spy, capsys):
     assert cli.main(["validate", "--only", "interlacing"]) == 0
-    assert len(brent_spy) == 1000
-    _assert_every_bracket_refined(brent_spy)
+    assert len(refine_spy) == 1000
+    _assert_every_bracket_refined(refine_spy)
