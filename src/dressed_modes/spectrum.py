@@ -76,7 +76,7 @@ from .params import GHZ, DeviceParams, TransmonSpec, lambda_to_omega, omega_to_l
 from .resonator import XI_POLE_GUARD, default_lam_max, dirichlet_poles, line_log_deriv
 
 RESIDUAL_REL = 1e-8          # threshold on |c*H| over max(|G|, |F|, 1/L)
-REFINE_MAX_STEPS = 200       # safety cap; 3000 random ground-state devices need <= 8
+REFINE_MAX_STEPS = 200       # safety cap; 3000 random ground-state devices need <= 6
 DIRICHLET_COLLISION_REL = 1e-6
 _TWO_EPS = 2.0 * sys.float_info.epsilon    # the refiner's bracket floor, per |x|
 _location = attrgetter("location")
