@@ -704,10 +704,9 @@ def test_certified_roots_match_oracle(locations, strengths, beta_frac, gamma):
 
 # The most evaluations of c*H the refiner may spend on one root: the worst
 # case measured over the solver pin (10), the three benchmark workloads at
-# seed 3 (7) and 80 000 further draws of RANDOM_BOUNDARY (16, the last two
-# examples below, where c*H is flat to its rounding error over several
-# floats next to the root). Brent's method took up to 31 on the sweep
-# workload.
+# seed 3 (7) and 80 000 further draws of RANDOM_BOUNDARY (16; the last two
+# examples below). Brent's method took up to 32 on the sweep workload, its
+# residual evaluation included.
 REFINE_STEP_BOUND = 16
 
 
@@ -723,8 +722,9 @@ REFINE_STEP_BOUND = 16
          -500.0)
 @example([1.0047295999822456, 3.6242308610126495], [-2.0, -2.0, 0.2962414034917173],
          1.0794615512019148, 500.0)
-# the worst measured: 16 evaluations for a root at lam ~ 216, and 15 for
-# one between a Dirichlet pole and two boundary poles 0.2% apart
+# the worst measured: 16 evaluations for a root at lam ~ 216, where c*H is
+# flat to its rounding error over several floats, and 15 for one between a
+# Dirichlet pole and two boundary poles 0.2% apart
 @example([1.081436711070884, 1.2211928489750175, 1.2507718222129038],
          [1.4814914973911786, -0.001, 0.4947098072079786], 1.0 - 1e-9, 255.29423757793313)
 @example([5.5, 3.229198957034918, 5.4904794958405905],
