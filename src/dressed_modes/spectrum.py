@@ -10,7 +10,7 @@ pole, |lam_k - lam|/lam_k for a boundary pole), so c*H is finite on the
 closed interval, poles included, and a root next to a pole is an ordinary
 root. Nothing is clamped off the poles.
 
-Root count. Every interval goes through one routine, _isolate, which halves
+Root count. Every interval goes through one routine, _isolate, which splits
 cells until a bound on H' = G' + beta - sum_k delta_k/(lam_k - lam)^2
 settles each: H monotone on a cell gives one root iff c*H changes sign
 across it, |H| kept off zero gives none, and a cell that reaches float
@@ -21,7 +21,12 @@ lower H', so beta - L/3 + sum over emission poles (delta_k < 0) of
 and beta < L/3 (a ground-state transmon) that settles each interval whole:
 one root between two poles, and one in an edge interval iff
 H(0) = 1/L - F(0) > 0, resp. H(lam_max) <= 0. The sharper bound of
-_slope_bounds serves the rest.
+_slope_bounds serves the rest. A cell is halved, except where an emission
+pole bounding the interval is one of its ends and beta < L/3: there it is
+cut 1.05 sqrt(|delta_k|/(L/3 - beta)) from the pole (_pole_cut), past which
+the pole's term in the cheap bound is under the line's least fall, so the
+far part settles in one call rather than after a halving per factor of two
+toward the pole.
 
 Refinement. Isolation runs on every interval, so the counts, the
 interlacing flags and every SolverError of isolation describe the whole
@@ -46,7 +51,8 @@ lean, within three rules. Every float, count and error a solve produces
 stays bit-identical: a cheaper form must keep each expression and its order
 (tests/test_solver_pin.py pins a seeded set of solves). c*H calls
 line_log_deriv, looked up in this module, once per evaluation outside the
-line's pole guard, so the evaluation count stays the measure of work:
+line's pole guard and off the interval's bounding boundary poles, where c*G
+is exactly 0, so the evaluation count stays the measure of work:
 refinement takes H' from the same call, through
 G' = G/(2 lam) - (L/2)(1 + G^2/lam). Isolation evaluates each cell end
 once and keeps its parts for the residual tests, and refinement tests the
@@ -78,6 +84,8 @@ from .resonator import XI_POLE_GUARD, default_lam_max, dirichlet_poles, line_log
 RESIDUAL_REL = 1e-8          # threshold on |c*H| over max(|G|, |F|, 1/L)
 REFINE_MAX_STEPS = 200       # safety cap; 3000 random ground-state devices need <= 6
 DIRICHLET_COLLISION_REL = 1e-6
+EMISSION_REACH = 1.05        # _pole_cut's cut, in units of an emission pole's reach
+POLE_CUT_SHARE = 0.9         # _pole_cut's largest cut, as a share of the cell
 _TWO_EPS = 2.0 * sys.float_info.epsilon    # the refiner's bracket floor, per |x|
 _location = attrgetter("location")
 
@@ -135,9 +143,12 @@ def _cleared_secular(length: float, b):
     xi = sqrt(lam) L stays in the lobe (lobe pi, (lobe+1) pi). c carries
     sin(xi)/xi, signed positive on that lobe, when a Dirichlet pole bounds
     the interval, and |lam_k - lam|/lam_k for each bounding boundary pole,
-    so c*H is finite and continuous on the closed interval. on() returns
-    cleared(lam), which is c*H, or (c*G, c*F, c) with parts=True, or with
-    slope=True (c*G, c*F, c, F') with F' less the bounding poles' terms.
+    so c*H is finite and continuous on the closed interval. At a bounding
+    boundary pole c = 0 and c*G = 0 exactly, so the line is not evaluated
+    there; c*F keeps the pole's own term, and sin(xi)/xi with it. on()
+    returns cleared(lam), which is c*H, or (c*G, c*F, c) with parts=True,
+    or with slope=True (c*G, c*F, c, F') with F' less the bounding poles'
+    terms.
     For _refine, cleared.bounds is (lo, hi, delta_lo, delta_hi), the
     strengths of the bounding boundary poles, 0.0 for any other bound.
     """
@@ -177,13 +188,16 @@ def _cleared_secular(length: float, b):
             if clear_xi:
                 xi = sqrt(lam) * length
                 d = sign * sin(xi) / xi if xi else 1.0
-                if fabs(xi - xi_hi) < guard or fabs(xi - xi_lo) < guard:
+                if not e:
+                    # on a bounding boundary pole, where e, and so c*G, is 0
+                    g_side = 0.0
+                elif fabs(xi - xi_hi) < guard or fabs(xi - xi_lo) < guard:
                     # inside the line's own pole guard: sin(xi)/xi * G = cos(xi)/L
                     g_side = sign * cos(xi) / length * e
                 else:
                     g_side = d * log_deriv(lam, length) * e
             else:
-                g_side = log_deriv(lam, length) * e
+                g_side = log_deriv(lam, length) * e if e else 0.0
             f = -beta * lam - gamma
             for loc, s in rest:
                 f += s / (loc - lam)
@@ -206,7 +220,8 @@ def _cleared_secular(length: float, b):
 def _slope_bounds(length: float, b):
     """bounds(x0, x1, lobe) -> (lower, upper) of H' over the cell [x0, x1],
     which holds no pole inside and stays in the lobe [lobe pi, (lobe+1) pi]
-    of xi = sqrt(lam) L. What does not depend on the cell is set up once.
+    of xi = sqrt(lam) L. What does not depend on the cell is set up once;
+    bounds.slack is the cheap bound's beta - L/3, for _pole_cut.
     `c if c > a else a` is max(a, c) and `c if c < a else a` is min(a, c),
     operand for operand, without the call."""
     beta, inf = b.beta, math.inf
@@ -260,7 +275,28 @@ def _slope_bounds(length: float, b):
             upper += t_far if t_far > t_near else t_near
         return lower, upper
 
+    bounds.slack = slack
     return bounds
+
+
+def _pole_cut(x0, x1, a, z, ch, bounds, mid):
+    """Where _isolate splits the cell [x0, x1] of the interval [a, z]: mid,
+    unless an emission pole bounding the interval (ch.bounds) is a cell end
+    and beta < L/3. Then the cut lies r = EMISSION_REACH sqrt(delta_k/slack)
+    from that pole, with slack = beta - L/3 < 0 the cheap slope bound's own
+    term (bounds.slack): beyond r the pole's term |delta_k|/d^2 stays under
+    the line's least fall L/3 - beta, so unless another emission pole adds
+    to it the cheap bound settles the far part in one call, and only a cell
+    about r wide is left to split. The cut is taken when r is under
+    POLE_CUT_SHARE of the cell, so the far part keeps a tenth of it or
+    more, and the midpoint otherwise."""
+    _, _, s_lo, s_hi = ch.bounds
+    below = x0 == a and s_lo < 0.0      # the pole at the cell's lower end
+    if not (below or x1 == z and s_hi < 0.0) or not bounds.slack < 0.0:
+        return mid
+    r = EMISSION_REACH * math.sqrt((s_lo if below else s_hi) / bounds.slack)
+    cut = x0 + r if below else x1 - r
+    return cut if r < POLE_CUT_SHARE * (x1 - x0) and x0 < cut < x1 else mid
 
 
 def _raw(parts, length):
@@ -281,15 +317,18 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
     and none, so there, and all over a cell settled as holding none, |H|
     must exceed the residual test's tolerance. H is taken at interior ends
     only: sin(k pi) is not 0 in floats, so (c*H)/c has no sign at a pole.
-    Each cell carries its ends' parts (c*G, c*F, c), so no end is evaluated
-    twice. The cell in hand is held in locals and only the right halves
-    still to settle are stacked, so an interval settled whole, as every
-    interval of a ground-state solve is, stacks nothing.
+    A cell left unsettled is split at its midpoint, or where an emission
+    pole bounding the interval (ch.bounds) is one of its ends, at that
+    pole's reach (_pole_cut). Each cell carries its ends' parts
+    (c*G, c*F, c), so no end is evaluated twice. The cell in hand is held
+    in locals and only the right parts still to settle are stacked, so an
+    interval settled whole, as every interval of a ground-state solve is,
+    stacks nothing.
     """
     a = lo.location if lo is not None else 0.0
     z = hi.location if hi is not None else lam_max
     brackets, last = [], 0.0    # last: +1/-1 if the cell settled before rose/fell, else 0
-    pending = []                # right halves still to settle, the next one last
+    pending = []                # right parts still to settle, the next one last
     x0, x1, p0, p1 = a, z, ch(a, True), ch(z, True)
     while True:
         lower, upper = bounds(x0, x1, lobe)
@@ -318,6 +357,8 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
                 )
             if not empty:
                 mid = 0.5 * (x0 + x1)
+                if x0 == a or x1 == z:
+                    mid = _pole_cut(x0, x1, a, z, ch, bounds, mid)
                 if not x0 < mid < x1:
                     raise SolverError(f"no certified root count on [{x0}, {x1}]")
                 pm = ch(mid, True)

@@ -250,11 +250,11 @@ PINNED_JSON_OUTPUTS = {
     ],
     [
       222066.0990245106,
-      225482.33579094667
+      225239.13270989634
     ],
     [
-      249395.99315599934,
-      276725.8872874881
+      228412.16639528208,
+      1096622.711232151
     ],
     [
       1096622.711232151,

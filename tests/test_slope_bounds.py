@@ -12,7 +12,7 @@ import pytest
 
 from dressed_modes import BoundaryPole, RationalBoundary, solve_spectrum, spectrum
 from test_solver_pin import _boundary_draw
-from test_spectrum import LENGTH
+from test_spectrum import LENGTH, _emission_above_absorption, _oracle_roots
 
 MIXED_DRAWS = 40
 
@@ -75,6 +75,7 @@ def _solve_cells(bnd, monkeypatch):
             cells.append((x0, x1, lobe))
             return bounds(x0, x1, lobe)
 
+        recorded.slack = bounds.slack
         return recorded
 
     monkeypatch.setattr(spectrum, "_slope_bounds", recording)
@@ -120,3 +121,20 @@ def test_slope_bounds_at_a_pole_end_match_the_plain_form(strength):
         got = fast(x0, x1, 0)
         assert [x.hex() for x in got] == [x.hex() for x in plain(x0, x1, 0)]
         assert math.inf in map(abs, got)
+
+
+def test_interval_above_an_emission_pole_settles_in_few_cells(monkeypatch):
+    """A cell with the emission pole at one end is cut at the pole's reach,
+    beyond which the cheap bound settles the far part in one call. Halved
+    toward the pole instead, the interval above it took 19 slope-bound
+    calls; the counts still match the dense-scan oracle's."""
+    bnd = _emission_above_absorption()
+    cells = _solve_cells(bnd, monkeypatch)
+    sp = solve_spectrum(LENGTH, bnd)
+    emission = next(p.location for p in bnd.poles if p.strength < 0.0)
+    a, z = next(iv for iv in sp.intervals if iv[0] == emission)
+    assert sum(a <= x0 and x1 <= z for x0, x1, _ in cells) <= 6
+    roots = _oracle_roots(
+        LENGTH, bnd.beta, bnd.gamma, [(p.location, p.strength) for p in bnd.poles], sp.lam_max
+    )
+    assert sp.counts == tuple(sum(x0 < r <= x1 for r in roots) for x0, x1 in sp.intervals)

@@ -3,9 +3,12 @@
 Each draw's outcome is stored as a short sha256 of its exact bits (every
 record's floats and refiner evaluation count, the counts and the
 interlacing flags), or of its exception's type and message, together with
-the number of `spectrum.line_log_deriv` calls the draw made. A change meant
-to keep results must leave every entry of `solver_pin.json` as it is. A
-change meant to alter them rewrites the file, from the root of a checkout:
+the number of `spectrum.line_log_deriv` calls the draw made and the number
+of slope-bound calls (`spectrum._slope_bounds`) its isolation made. The
+evaluation count misses the cost of isolation's cells, so the second count
+shows it. A change meant to keep results must leave every entry of
+`solver_pin.json` as it is. A change meant to alter them rewrites the file,
+from the root of a checkout:
 
     PYTHONPATH=src python tests/test_solver_pin.py > tests/solver_pin.json
 """
@@ -142,23 +145,34 @@ def _cases():
 
 
 def observe():
-    """{name: [digest, line_log_deriv calls]} of every pinned draw."""
-    calls = [0]
-    log_deriv = spectrum.line_log_deriv
+    """{name: [digest, line_log_deriv calls, slope-bound calls]} of every
+    pinned draw."""
+    calls = [0, 0]
+    log_deriv, slope_bounds = spectrum.line_log_deriv, spectrum._slope_bounds
 
     def counted(lam, length):
         calls[0] += 1
         return log_deriv(lam, length)
 
-    spectrum.line_log_deriv = counted
+    def counted_bounds(length, b):
+        bounds = slope_bounds(length, b)
+
+        def counted_cell(x0, x1, lobe):
+            calls[1] += 1
+            return bounds(x0, x1, lobe)
+
+        counted_cell.slack = bounds.slack
+        return counted_cell
+
+    spectrum.line_log_deriv, spectrum._slope_bounds = counted, counted_bounds
     try:
         out = {}
         for name, thunk in _cases():
-            calls[0] = 0
-            out[name] = [_digest(_bits_or_error(thunk)), calls[0]]
+            calls[0] = calls[1] = 0
+            out[name] = [_digest(_bits_or_error(thunk)), *calls]
         return out
     finally:
-        spectrum.line_log_deriv = log_deriv
+        spectrum.line_log_deriv, spectrum._slope_bounds = log_deriv, slope_bounds
 
 
 def test_solver_bits_and_evaluation_counts_are_pinned():
@@ -166,7 +180,7 @@ def test_solver_bits_and_evaluation_counts_are_pinned():
     seen = observe()
     assert list(seen) == list(expected), "the set of pinned draws changed"
     for name, pinned in expected.items():
-        assert seen[name] == pinned, f"{name}: [digest, log_deriv calls] moved"
+        assert seen[name] == pinned, f"{name}: [digest, log_deriv calls, slope-bound calls] moved"
 
 
 if __name__ == "__main__":

@@ -596,6 +596,8 @@ def _v_shaped(shift):
         h = abs(x - 1.0) + shift
         return (h, 0.0, 1.0) if parts else h
 
+    ch.bounds = (None, None, 0.0, 0.0)
+
     def bounds(x0, x1, lobe):
         return (-1.0, -1.0) if x1 <= 1.0 else (1.0, 1.0) if x0 >= 1.0 else (-1.0, 1.0)
 
@@ -631,6 +633,90 @@ def test_refine_refuses_a_sign_change_without_a_zero():
 
     with pytest.raises(SolverError, match="cleared residual 1.000e[+]00 exceeds"):
         spectrum._refine(ch, 0.0, 1.0, -1.0, 1.0, 1.0)
+
+
+def _emission_above_absorption():
+    """Standard device, qubit in e at levels 3, 1 GHz above the fundamental,
+    g = 50 MHz: the e-f absorption pole just below the g-e emission pole,
+    both in the first lobe, beta = 0."""
+    spec = replace(
+        QUBIT, state="e", frequency=DEV.fundamental_frequency + 1.0 * GHZ,
+        coupling=0.05 * GHZ,
+    )
+    return transmon_boundary(spec, DEV, levels=3)
+
+
+def test_cleared_at_a_boundary_pole_skips_the_line(monkeypatch):
+    """At a bounding boundary pole e = 0, so c = 0 and c*G = 0 exactly, and
+    cleared returns them without calling line_log_deriv. Its c*H is the
+    bounding pole's cleared term alone, +/- d e_other delta_k/lam_k (+ at
+    the interval's lower end), which is what the full formula
+    d G e - d (e f - e_hi r_lo + e_lo r_hi) gives there, bit for bit: d is
+    sin(xi)/xi, signed positive on the lobe, when a Dirichlet pole bounds
+    the interval, and e_other the other bounding boundary pole's factor."""
+    bnd = _emission_above_absorption()
+    sp = solve_spectrum(LENGTH, bnd)
+    strengths = {p.location: p.strength for p in bnd.poles}
+    calls, log_deriv = [], spectrum.line_log_deriv
+
+    def counted(lam, length):
+        calls.append(lam)
+        return log_deriv(lam, length)
+
+    monkeypatch.setattr(spectrum, "line_log_deriv", counted)
+    on = spectrum._cleared_secular(LENGTH, bnd)
+    ends, lobe, lo = 0, 0, None
+    for hi in (*sp.partition, None):
+        if lo is not None and lo.kind == "dirichlet":
+            lobe += 1
+        ch = on(lo, hi, lobe)
+        for end, other, sign in ((lo, hi, 1.0), (hi, lo, -1.0)):
+            if end is None or end.kind != "boundary":
+                continue
+            lam = end.location
+            d = e_other = 1.0
+            if other is not None and other.kind == "dirichlet":
+                xi = math.sqrt(lam) * LENGTH
+                d = (-1.0 if lobe % 2 else 1.0) * math.sin(xi) / xi
+            elif other is not None:
+                e_other = abs(other.location - lam) / other.location
+            g_side, f_side, c = ch(lam, True)
+            assert (g_side, c) == (0.0, 0.0)
+            assert ch(lam) == sign * (d * (e_other * (strengths[lam] / lam)))
+            ends += 1
+        lo = hi
+    assert ends == 4
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "strengths, slack, cut",
+    [
+        ((-1.0, 0.0), -1.0, 1.05),          # at the emission pole's reach above it
+        ((0.0, -1.0), -1.0, 8.95),          # ... and below it
+        ((-1.0, -1.0), -1.0, 1.05),         # the lower pole first
+        ((-1.0, 0.0), 0.0, 5.0),            # beta >= L/3: no reach, halve
+        ((1.0, 0.0), -1.0, 5.0),            # an absorption pole: halve
+        ((-100.0, 0.0), -1.0, 5.0),         # reach over 9/10 of the cell: halve
+        ((-1e-40, 0.0), -1.0, 5.0),         # a cut below float resolution: halve
+    ],
+)
+def test_pole_cut_splits_at_an_emission_pole_reach(strengths, slack, cut):
+    """_pole_cut on a cell 10 wide that spans its interval: the cut lies
+    1.05 sqrt(delta_k/slack) from an emission pole bounding it, else at the
+    midpoint."""
+
+    def ch(x, parts=False):
+        raise AssertionError("the cut needs no evaluation")
+
+    def bounds(x0, x1, lobe):
+        raise AssertionError("the cut needs no slope bound")
+
+    ch.bounds = (None, None, *strengths)
+    bounds.slack = slack
+    base = 1e6
+    got = spectrum._pole_cut(base, base + 10.0, base, base + 10.0, ch, bounds, base + 5.0)
+    assert got == pytest.approx(base + cut, abs=1e-9)
 
 
 def test_refine_near_without_brackets_is_empty():
