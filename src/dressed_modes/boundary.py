@@ -240,17 +240,20 @@ def transmon_boundary(spec: TransmonSpec, dev: DeviceParams, levels: int = 2) ->
     return _tuned_transmon(spec, dev, levels)(spec.frequency)
 
 
-def _tuned_transmon(spec: TransmonSpec, dev: DeviceParams, levels: int):
+def _tuned_transmon(spec: TransmonSpec, dev: DeviceParams, levels: int, state: str | None = None):
     """boundary(omega_q): transmon_boundary of spec with its qubit tuned to
-    omega_q, all else fixed. What does not depend on omega_q (the coupling,
-    the line, beta) is worked out once, so a sweep builds per grid point only
-    the poles that move. Each omega_q first gets TransmonSpec's checks on a
-    frequency and then levels is checked, so a call raises what a spec with
-    that frequency would raise in transmon_boundary.
+    omega_q, all else fixed, and in `state` ("g" or "e") in place of
+    spec.state when given, which spares a caller that needs both states a
+    dataclasses.replace that re-runs every check of a spec already checked.
+    What does not depend on omega_q (the coupling, the line, beta) is worked
+    out once, so a sweep builds per grid point only the poles that move.
+    Each omega_q first gets TransmonSpec's checks on a frequency and then
+    levels is checked, so a call raises what a spec with that frequency
+    would raise in transmon_boundary.
     """
     L, v = dev.length, dev.phase_velocity
     g = resolved_coupling(spec, dev)
-    excited, alpha = spec.state == "e", spec.anharmonicity
+    excited, alpha = (state or spec.state) == "e", spec.anharmonicity
     beta = 0.0
     if spec.junction_capacitance is not None:
         beta = spec.junction_capacitance / dev.capacitance_per_length

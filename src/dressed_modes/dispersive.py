@@ -9,11 +9,11 @@ qubit prepared in g and in e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 
-from .boundary import resolved_coupling, sum_boundaries, transmon_boundary
+from .boundary import _tuned_transmon, resolved_coupling, sum_boundaries
 from .errors import SolverError
 from .params import DeviceParams, TransmonSpec, omega_to_lambda, lambda_to_omega
 from .spectrum import solve_spectrum
@@ -76,6 +76,12 @@ def perturbative_mode_shift(b, dev: DeviceParams) -> float:
     return -(v * v / (omega_ref * dev.length)) * b.value(lam_ref)
 
 
+def _boundary_in(state: str, spec: TransmonSpec, dev: DeviceParams, levels: int):
+    """transmon_boundary of spec with its qubit in `state`, read from the
+    spec as checked once, not from a copy that re-runs its checks."""
+    return _tuned_transmon(spec, dev, levels, state)(spec.frequency)
+
+
 def _guard_detuning(delta: float, alpha: float, omega_ref: float):
     if abs(delta) < RESONANCE_GUARD_REL * omega_ref:
         raise ValueError("qubit degenerate with the mode; dispersive quantities undefined")
@@ -104,7 +110,7 @@ def pulled_frequencies(dev: DeviceParams, specs, levels: int = 3) -> dict[str, f
 
     def boundary(i, spec, state):
         if (i, state) not in single:
-            single[i, state] = transmon_boundary(replace(spec, state=state), dev, levels)
+            single[i, state] = _boundary_in(state, spec, dev, levels)
         return single[i, state]
 
     pulled = {}
@@ -159,8 +165,8 @@ def dispersive_report(dev: DeviceParams, spec: TransmonSpec, levels: int = 3) ->
     chi = dispersive_shift(g, delta, alpha)
     chi_exact, _, _ = dispersive_shift_exact(dev, spec, levels=levels)
     chi_pert = 0.5 * (
-        perturbative_mode_shift(transmon_boundary(replace(spec, state="e"), dev, levels), dev)
-        - perturbative_mode_shift(transmon_boundary(replace(spec, state="g"), dev, levels), dev)
+        perturbative_mode_shift(_boundary_in("e", spec, dev, levels), dev)
+        - perturbative_mode_shift(_boundary_in("g", spec, dev, levels), dev)
     )
     return DispersiveResult(
         chi=chi,

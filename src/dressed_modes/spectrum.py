@@ -17,9 +17,15 @@ across it, |H| kept off zero gives none, and a cell that reaches float
 resolution unsettled raises SolverError, so no root is lost silently. The
 cheap bound comes first: G' <= -L/3 and absorption terms (delta_k > 0) only
 lower H', so beta - L/3 + sum over emission poles (delta_k < 0) of
-|delta_k|/d_min^2 < 0 proves a cell decreasing. With every residue positive
-and beta < L/3 (a ground-state transmon) that settles each interval whole:
-one root between two poles, and one in an edge interval iff
+|delta_k|/d_min^2 < 0 proves a cell decreasing. A cell end at a bounding
+pole is signed, not evaluated: near the pole H ~ w/(lam - p), with the
+weight w = 2 lam_n/L > 0 of a Dirichlet pole or delta_k of a boundary
+pole, so by the level-repulsion theorem c*H is + just above a Dirichlet or
+absorption pole and - just below it, flipped for an emission pole
+(_pole_end). Only lam = 0, lam_max and the cuts are evaluated. With every
+residue positive and beta < L/3 (a ground-state transmon) the cheap bound
+settles each interval whole: one root between two poles, read off the
+signs without an evaluation, and one in an edge interval iff
 H(0) = 1/L - F(0) > 0, resp. H(lam_max) <= 0. The sharper bound of
 _slope_bounds serves the rest. A cell is halved, except where an emission
 pole bounding the interval is one of its ends and beta < L/3: there it is
@@ -49,23 +55,28 @@ sum(counts) records (pole_margins).
 Cost. Every workload runs through this module, so its hot path is kept
 lean, within three rules. Every float, count and error a solve produces
 stays bit-identical: a cheaper form must keep each expression and its order
-(tests/test_solver_pin.py pins a seeded set of solves). c*H calls
-line_log_deriv, looked up in this module, once per evaluation outside the
-line's pole guard and off the interval's bounding boundary poles, where c*G
-is exactly 0, so the evaluation count stays the measure of work:
-refinement takes H' from the same call, through
-G' = G/(2 lam) - (L/2)(1 + G^2/lam). Isolation evaluates each cell end
-once and keeps its parts for the residual tests, and refinement tests the
-parts of the iterate it returns. No memo outlives one line: only the
-line's part of the partition (lam_max and the Dirichlet markers) is kept,
-for one length at a time.
+(tests/test_solver_pin.py pins a seeded set of solves). Every evaluation
+of c*H a solve makes calls line_log_deriv, looked up in this module, once,
+so the line's call count is the measure of work: the pole ends, where c*G
+is exactly 0 at a boundary pole and taken inside the line's pole guard at
+a Dirichlet pole, are signed rather than evaluated, and refinement takes
+H' from the same call, through G' = G/(2 lam) - (L/2)(1 + G^2/lam). Two
+rare evaluations skip the line: an iterate inside its pole guard, and the
+pole end of a bracket that collapses onto it, whose value the refiner then
+reads. Isolation evaluates each interior cell end once and keeps its parts
+for the residual tests, and refinement tests the parts of the iterate it
+returns. No memo outlives one line: only the line's part of the partition
+(lam_max and the Dirichlet markers) is kept, for one length at a time.
 Within those rules the fixed cost around the evaluations is kept small too:
 the records are NamedTuples, built without a per-field setattr; what does
 not depend on the interval (the poles as (location, strength) pairs, the
-slope bound's terms) is set up once per solve; an interval settled whole
-stacks no cells; and a sweep works out the boundary's parts that do not
-move with omega_q once, building per grid point only the poles, through
-the same builder as transmon_boundary.
+slope bound's terms) is set up once per solve; an interval's cleared
+function is set up only when isolation first evaluates on it or refinement
+takes one of its brackets, so a near solve of a ground-state transmon sets
+up three of its seven; an interval settled whole stacks no cells; and a
+sweep works out the boundary's parts that do not move with omega_q once,
+building per grid point only the poles, through the same builder as
+transmon_boundary.
 """
 from __future__ import annotations
 
@@ -306,9 +317,27 @@ def _raw(parts, length):
     return (g_side - f_side) / c, RESIDUAL_REL * max(abs(g_side), abs(f_side), c / length) / c
 
 
-def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
-    """Brackets (x0, x1, c*H(x0), c*H(x1)) of every root in (a, z], the
-    interval between the PolePoints lo and hi (None at 0 and at lam_max).
+_SIGN_PLUS, _SIGN_MINUS = (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)
+
+
+def _pole_end(strength: float, upper: bool):
+    """The parts (c*G, c*F, c) _isolate carries for an end of its interval
+    at a bounding pole, in place of an evaluation: the limit sign of c*H
+    there, as c*G, with c = 0. strength is the pole's delta_k, 0.0 for a
+    Dirichlet pole. Near the pole H ~ w/(lam - p), with the weight
+    w = 2 lam_n/L > 0 of a Dirichlet pole or delta_k of a boundary pole
+    (the level-repulsion theorem), so c*H tends to the sign of w at the
+    interval's lower end and to its opposite at the upper end."""
+    return _SIGN_PLUS if (strength >= 0.0) != upper else _SIGN_MINUS
+
+
+def _isolate(on, lo, hi, s_lo, s_hi, lam_max: float, bounds, lobe: int, length: float):
+    """(ch, brackets): brackets (x0, x1, c*H(x0), c*H(x1)) of every root in
+    (a, z], the interval between the PolePoints lo and hi (None at 0 and at
+    lam_max), and ch = on(lo, hi, lobe), its cleared function, or None if
+    isolation evaluated nothing on the interval. s_lo and s_hi are the
+    strengths of the bounding boundary poles, 0.0 for any other bound, as in
+    ch.bounds.
 
     Cells are settled left to right. One proven monotone owns a root at its
     right end, where c*H may vanish exactly, not at its left: that belongs
@@ -317,19 +346,26 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
     and none, so there, and all over a cell settled as holding none, |H|
     must exceed the residual test's tolerance. H is taken at interior ends
     only: sin(k pi) is not 0 in floats, so (c*H)/c has no sign at a pole.
-    A cell left unsettled is split at its midpoint, or where an emission
-    pole bounding the interval (ch.bounds) is one of its ends, at that
-    pole's reach (_pole_cut). Each cell carries its ends' parts
-    (c*G, c*F, c), so no end is evaluated twice. The cell in hand is held
-    in locals and only the right parts still to settle are stacked, so an
-    interval settled whole, as every interval of a ground-state solve is,
-    stacks nothing.
+    A bounding pole's end is signed by the pole's weight, not evaluated
+    (_pole_end), and a bracket ending there carries that sign, 1.0 or -1.0,
+    as its c*H. Only lam = 0, lam_max and the cuts are evaluated, and each
+    calls the line. A cell left unsettled is split at its midpoint, or where
+    an emission pole bounding the interval (ch.bounds) is one of its ends,
+    at that pole's reach (_pole_cut). ch is built when the first evaluation
+    needs it. Each cell carries its ends' parts (c*G, c*F, c), so no end is
+    evaluated twice. The cell in hand is held in locals and
+    only the right parts still to settle are stacked, so an interval
+    settled whole, as every interval of a ground-state solve is, stacks
+    nothing.
     """
     a = lo.location if lo is not None else 0.0
     z = hi.location if hi is not None else lam_max
     brackets, last = [], 0.0    # last: +1/-1 if the cell settled before rose/fell, else 0
     pending = []                # right parts still to settle, the next one last
-    x0, x1, p0, p1 = a, z, ch(a, True), ch(z, True)
+    ch = on(lo, hi, lobe) if lo is None or hi is None else None
+    x0, x1 = a, z
+    p0 = ch(a, True) if lo is None else _pole_end(s_lo, False)
+    p1 = ch(z, True) if hi is None else _pole_end(s_hi, True)
     while True:
         lower, upper = bounds(x0, x1, lobe)
         if upper < 0.0 or lower > 0.0:
@@ -356,6 +392,8 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
                     abs(h0 + h1) - max(upper, -lower) * (x1 - x0) > 2.0 * max(t0, t1)
                 )
             if not empty:
+                if ch is None:
+                    ch = on(lo, hi, lobe)
                 mid = 0.5 * (x0 + x1)
                 if x0 == a or x1 == z:
                     mid = _pole_cut(x0, x1, a, z, ch, bounds, mid)
@@ -367,13 +405,15 @@ def _isolate(ch, lo, hi, lam_max: float, bounds, lobe: int, length: float):
                 continue
             last = 0.0
         if not pending:
-            return brackets
+            return ch, brackets
         x0, x1, p0, p1 = pending.pop()
 
 
 def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> EigenvalueRecord:
     """The root of c*H on the bracket [a, z], where fa = c*H(a) and
-    fz = c*H(z) differ in sign or fz == 0, checked by the residual test.
+    fz = c*H(z) differ in sign or fz == 0, checked by the residual test. At
+    an end on one of the interval's bounding poles (ch.bounds) fa or fz is
+    the sign isolation gave it (_pole_end), not a value.
 
     A secular step that knows the poles (Bunch, Nielsen & Sorensen 1978;
     Li 1993): near a point x, H is the term w/(lam - p) of the nearer of the
@@ -394,8 +434,10 @@ def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> Eige
     iterations before, gives way to a bisection, and one under
     tol = 2 eps |x| becomes a step of tol toward the bracket's other end.
     The bracket stops the search, not the step: once it is at most 2 tol
-    wide, its end with the smaller |c*H| is the root. The record's
-    iterations counts the evaluations of c*H.
+    wide, its end with the smaller |c*H| is the root, a pole end that holds
+    a sign alone evaluated first (without the line, whose part there is 0 or
+    taken inside its pole guard). The record's iterations counts the
+    refiner's steps, each one evaluation of c*H.
     """
     fabs, sqrt, copysign, pi, half_length = abs, math.sqrt, math.copysign, math.pi, 0.5 * length
     bracket, steps = (a, z), 0
@@ -436,6 +478,13 @@ def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> Eige
                 z, fz, pz = x, fx, parts
             tol = _TWO_EPS * fabs(x)
             if z - a <= 2.0 * tol:
+                # an end left from isolation at a pole holds its sign alone
+                if pa is None and a == p_lo:
+                    pa = ch(a, True, True)
+                    fa = pa[0] - pa[1]
+                if pz is None and z == p_hi:
+                    pz = ch(z, True, True)
+                    fz = pz[0] - pz[1]
                 x, parts = (a, pa) if fabs(fa) < fabs(fz) else (z, pz)
                 break
             # the step from the evaluated end with the smaller |c*H|, else from
@@ -494,19 +543,17 @@ def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> Eige
     return EigenvalueRecord(x, bracket, residual, steps)
 
 
-def _refine_near(
-    brackets, near: float, length: float, nearest_only: bool = False
-) -> list[EigenvalueRecord]:
+def _refine_near(brackets, near: float, refine, nearest_only: bool = False) -> list[EigenvalueRecord]:
     """Records of the largest root <= near and the smallest >= near, or
     with nearest_only of the one nearest near (the lower on a tie).
 
-    brackets run left to right, (c*H, x0, x1, c*H(x0), c*H(x1)) each, and a
-    bracket's root lies in [x0, x1]. Bracket k, the first whose right end
-    reaches near (else the last), holds one of the two: every root before
-    it lies below near and every root after it above. The other is root
-    k-1 or k+1, on the side of near that root k leaves open, if any. With
-    nearest_only it is refined only if its bracket reaches as close to
-    near as root k.
+    brackets run left to right, (interval, x0, x1, c*H(x0), c*H(x1)) each,
+    a bracket's root lies in [x0, x1], and refine(*bracket) is its record.
+    Bracket k, the first whose right end reaches near (else the last),
+    holds one of the two: every root before it lies below near and every
+    root after it above. The other is root k-1 or k+1, on the side of near
+    that root k leaves open, if any. With nearest_only it is refined only if
+    its bracket reaches as close to near as root k.
     """
     if not brackets:
         return []
@@ -515,7 +562,7 @@ def _refine_near(
         if br[2] >= near:
             k = i
             break
-    root = _refine(*brackets[k], length)
+    root = refine(*brackets[k])
     j = k + 1 if root.lam < near else k - 1 if root.lam > near else k
     if j == k or not 0 <= j < len(brackets):
         return [root]
@@ -523,7 +570,7 @@ def _refine_near(
         _, x0, x1, _, _ = brackets[j]
         if (near - x1 if j < k else x0 - near) > abs(root.lam - near):
             return [root]
-    other = _refine(*brackets[j], length)
+    other = refine(*brackets[j])
     pair = [other, root] if j < k else [root, other]
     if nearest_only:
         return [min(pair, key=lambda r: abs(r.lam - near))]
@@ -579,7 +626,7 @@ def solve_spectrum(
     if nearest_only and near is None:
         raise ValueError("nearest_only needs near")
     lam_max, guards, line_markers = _line_partition(length)
-    markers = list(line_markers)
+    markers, strengths = list(line_markers), {}
     for p in b.poles:
         loc = p.location
         if loc == lam_max:
@@ -596,26 +643,32 @@ def solve_spectrum(
                     f"{DIRICHLET_COLLISION_REL} relative of Dirichlet pole at {d}"
                 )
         markers.append(PolePoint(loc, "boundary"))
+        strengths[loc] = p.strength
     markers.sort(key=_location)
 
     bounds = _slope_bounds(length, b)
     cleared_on = _cleared_secular(length, b)
     brackets, counts = [], []
-    lobe, lo = 0, None
+    lobe, lo, s_lo = 0, None, 0.0
     for hi in (*markers, None):
         if lo is not None and lo.kind == "dirichlet":
             lobe += 1
-        ch = cleared_on(lo, hi, lobe)
-        found = _isolate(ch, lo, hi, lam_max, bounds, lobe, length)
+        s_hi = strengths.get(hi.location, 0.0) if hi is not None else 0.0
+        ch, found = _isolate(cleared_on, lo, hi, s_lo, s_hi, lam_max, bounds, lobe, length)
         for br in found:
-            brackets.append((ch, *br))
+            brackets.append(((ch, lo, hi, lobe), *br))
         counts.append(len(found))
-        lo = hi
+        lo, s_lo = hi, s_hi
+
+    def refine(interval, x0, x1, f0, f1):
+        # an interval isolation evaluated nothing on holds one bracket at most
+        ch, lo, hi, lobe = interval
+        return _refine(ch or cleared_on(lo, hi, lobe), x0, x1, f0, f1, length)
 
     if near is None:
-        records = [_refine(*br, length) for br in brackets]
+        records = [refine(*br) for br in brackets]
     else:
-        records = _refine_near(brackets, near, length, nearest_only)
+        records = _refine_near(brackets, near, refine, nearest_only)
     for r1, r2 in zip(records, records[1:]):
         if not r1.lam < r2.lam:
             raise SolverError("eigenvalues not strictly increasing")

@@ -222,17 +222,17 @@ def test_pulled_frequencies_builds_each_qubit_boundary_once(monkeypatch):
     states sum the same objects."""
     expected = pulled_frequencies(DEV, (Q1, Q2))
     built, summed = {}, []
-    make, add = dispersive.transmon_boundary, dispersive.sum_boundaries
+    make, add = dispersive._boundary_in, dispersive.sum_boundaries
 
-    def making(spec, dev, levels=2):
-        b = built[spec.frequency, spec.state] = make(spec, dev, levels)
+    def making(state, spec, dev, levels):
+        b = built[spec.frequency, state] = make(state, spec, dev, levels)
         return b
 
     def adding(b1, b2):
         summed.append((b1, b2))
         return add(b1, b2)
 
-    monkeypatch.setattr(dispersive, "transmon_boundary", making)
+    monkeypatch.setattr(dispersive, "_boundary_in", making)
     monkeypatch.setattr(dispersive, "sum_boundaries", adding)
     assert pulled_frequencies(DEV, (Q1, Q2)) == expected
     q1, q2 = Q1.frequency, Q2.frequency

@@ -1,8 +1,10 @@
 import inspect
 import json
 import math
+import random
 import sys
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -613,9 +615,11 @@ def test_isolate_turn_needs_h_off_zero(shift):
     ch, bounds = _v_shaped(shift)
     if abs(shift) <= spectrum.RESIDUAL_REL:
         with pytest.raises(SolverError, match="H turns within"):
-            spectrum._isolate(ch, None, None, 2.0, bounds, 0, 1.0)
+            spectrum._isolate(lambda lo, hi, lobe: ch, None, None, 0.0, 0.0, 2.0, bounds, 0, 1.0)
     else:
-        brackets = spectrum._isolate(ch, None, None, 2.0, bounds, 0, 1.0)
+        _, brackets = spectrum._isolate(
+            lambda lo, hi, lobe: ch, None, None, 0.0, 0.0, 2.0, bounds, 0, 1.0
+        )
         assert [br[:2] for br in brackets] == [(0.0, 1.0), (1.0, 2.0)]
 
 
@@ -760,6 +764,119 @@ def _random_boundary(locations, strengths, beta_frac, gamma):
         BoundaryPole(loc, s * lam_1 / length) for loc, s in zip(locs, strengths)
     )
     return RationalBoundary(beta=beta_frac * length / 3.0, gamma=gamma, poles=poles)
+
+
+def _check_pole_end_signs(length, bnd):
+    """Evaluate c*H at each end of each interval that is a bounding pole and
+    assert it is nonzero with the sign _isolate assigns there in place of
+    the evaluation (_pole_end). The partition is built here from the line's
+    poles and bnd's, so a solve that raises is checked too. Returns the
+    number of ends checked."""
+    lam_max, _, line_markers = spectrum._line_partition(length)
+    strengths = {p.location: p.strength for p in bnd.poles if p.location < lam_max}
+    markers = sorted(
+        [*line_markers, *(PolePoint(x, "boundary") for x in strengths)],
+        key=lambda m: m.location,
+    )
+    on = spectrum._cleared_secular(length, bnd)
+    ends, lobe = 0, 0
+    for lo, hi in zip([None, *markers], [*markers, None]):
+        if lo is not None and lo.kind == "dirichlet":
+            lobe += 1
+        ch = on(lo, hi, lobe)
+        for end, upper in ((lo, False), (hi, True)):
+            if end is None:
+                continue
+            g_side, f_side, _ = ch(end.location, True)
+            signed = spectrum._pole_end(strengths.get(end.location, 0.0), upper)
+            assert g_side - f_side != 0.0
+            assert (g_side - f_side > 0.0) == (signed[0] - signed[1] > 0.0), (lo, hi, upper)
+            ends += 1
+    return ends
+
+
+@settings(max_examples=60, deadline=None)
+@given(**RANDOM_BOUNDARY)
+def test_pole_ends_have_the_sign_isolation_assigns(locations, strengths, beta_frac, gamma):
+    """The level-repulsion theorem signs c*H at a bounding pole by the
+    pole's weight, so isolation reads that sign without evaluating c*H:
+    + at a Dirichlet pole or absorption pole below the interval, - at one
+    above it, flipped for an emission pole. Over RANDOM_BOUNDARY every pole
+    end, both ends of all five Dirichlet poles included, evaluates to that
+    sign."""
+    bnd = _random_boundary(locations, strengths, beta_frac, gamma)
+    if bnd is None:
+        return
+    assert _check_pole_end_signs(LENGTH, bnd) >= 10
+
+
+def test_pole_ends_of_the_pin_draws_have_the_sign_isolation_assigns():
+    """The same over the solver pin's random boundaries, drawn as
+    test_solver_pin._cases draws them, and the standard qubit in g and in e
+    at levels 2 and 3."""
+    from test_solver_pin import BOUNDARY_DRAWS, _boundary_draw
+
+    rng = random.Random(20261018)
+    ends = 0
+    for _ in range(BOUNDARY_DRAWS):
+        bnd = _boundary_draw(rng)
+        rng.uniform(0.0, 1.0)       # the pin's near, drawn after each boundary
+        if bnd is not None:
+            ends += _check_pole_end_signs(LENGTH, bnd)
+    for state, levels in product("ge", (2, 3)):
+        ends += _check_pole_end_signs(
+            LENGTH, transmon_boundary(replace(QUBIT, state=state), DEV, levels)
+        )
+    assert ends > 10 * BOUNDARY_DRAWS
+
+
+@pytest.mark.parametrize("case", ["sweep point", "e-state pull", "full solve"])
+def test_every_cleared_evaluation_calls_the_line(monkeypatch, case):
+    """Isolation signs the bounding poles' ends instead of evaluating c*H
+    there, so every evaluation a solve keeps calls line_log_deriv: a
+    ground-state sweep point (the pair around the fundamental), an e-state
+    levels-3 nearest_only pull and a full solve make exactly as many c*H
+    evaluations as line calls. An interval's cleared function is set up
+    only when isolation evaluates on it or a bracket of it is refined: the
+    two edge intervals, where lam = 0 and lam_max are evaluated, the two
+    next to each emission pole, which no slope bound settles whole, and one
+    per refined root, at most."""
+    n = {"evals": 0, "setups": 0, "line": 0}
+    cleared_secular, log_deriv = spectrum._cleared_secular, spectrum.line_log_deriv
+
+    def counted_line(lam, length):
+        n["line"] += 1
+        return log_deriv(lam, length)
+
+    def counted_secular(length, b):
+        on = cleared_secular(length, b)
+
+        def counted_on(lo, hi, lobe):
+            n["setups"] += 1
+            ch = on(lo, hi, lobe)
+
+            def counted(lam, *args):
+                n["evals"] += 1
+                return ch(lam, *args)
+
+            counted.bounds = ch.bounds
+            return counted
+
+        return counted_on
+
+    monkeypatch.setattr(spectrum, "line_log_deriv", counted_line)
+    monkeypatch.setattr(spectrum, "_cleared_secular", counted_secular)
+    lam_ref = omega_to_lambda(DEV.fundamental_frequency, DEV.phase_velocity)
+    excited = transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3)
+    if case == "sweep point":
+        sp = solve_spectrum(LENGTH, transmon_boundary(QUBIT, DEV), near=lam_ref)
+    elif case == "e-state pull":
+        sp = solve_spectrum(LENGTH, excited, near=lam_ref, nearest_only=True)
+    else:
+        sp = solve_spectrum(LENGTH, excited)
+    emission = sum(p.strength < 0.0 for p in excited.poles) if case != "sweep point" else 0
+    assert n["evals"] == n["line"] > 0
+    assert n["setups"] <= 2 + 2 * emission + len(sp.records)
 
 
 @settings(max_examples=20, deadline=None)
