@@ -830,6 +830,23 @@ def test_pole_ends_of_the_pin_draws_have_the_sign_isolation_assigns():
     assert ends > 10 * BOUNDARY_DRAWS
 
 
+@pytest.mark.parametrize("strength", [1e-320, 5e-324])
+def test_pole_too_weak_for_a_float_keeps_every_root(strength):
+    """An absorption pole so weak that c*H at it, d e delta_k/lam_k,
+    underflows to 0. Isolation signs the pole's ends by delta_k, not by
+    that 0, so the interval above the pole keeps its root, the bare
+    fundamental, and every pole-bounded interval holds one: an evaluated
+    0 there would sign nothing, and a falling cell from it holds no root."""
+    lam_1 = (math.pi / (2.0 * LENGTH)) ** 2
+    loc = 0.7 * lam_1
+    bnd = RationalBoundary(poles=(BoundaryPole(loc, strength),))
+    lo, hi = PolePoint(loc, "boundary"), PolePoint(4.0 * lam_1, "dirichlet")
+    assert spectrum._cleared_secular(LENGTH, bnd)(lo, hi, 0)(loc) == 0.0
+    sp = solve_spectrum(LENGTH, bnd)
+    assert sp.counts == (1,) * 7
+    assert sp.records[1].lam == pytest.approx(lam_1, rel=1e-12)
+
+
 @pytest.mark.parametrize("case", ["sweep point", "e-state pull", "full solve"])
 def test_every_cleared_evaluation_calls_the_line(monkeypatch, case):
     """Isolation signs the bounding poles' ends instead of evaluating c*H
