@@ -353,10 +353,9 @@ def _isolate(on, lo, hi, s_lo, s_hi, lam_max: float, bounds, lobe: int, length: 
     an emission pole bounding the interval (ch.bounds) is one of its ends,
     at that pole's reach (_pole_cut). ch is built when the first evaluation
     needs it. Each cell carries its ends' parts (c*G, c*F, c), so no end is
-    evaluated twice. The cell in hand is held in locals and
-    only the right parts still to settle are stacked, so an interval
-    settled whole, as every interval of a ground-state solve is, stacks
-    nothing.
+    evaluated twice. The cell in hand is held in locals and only the right
+    parts still to settle are stacked, so an interval settled whole, as
+    every interval of a ground-state solve is, stacks nothing.
     """
     a = lo.location if lo is not None else 0.0
     z = hi.location if hi is not None else lam_max
@@ -434,10 +433,10 @@ def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> Eige
     iterations before, gives way to a bisection, and one under
     tol = 2 eps |x| becomes a step of tol toward the bracket's other end.
     The bracket stops the search, not the step: once it is at most 2 tol
-    wide, its end with the smaller |c*H| is the root, a pole end that holds
-    a sign alone evaluated first (without the line, whose part there is 0 or
-    taken inside its pole guard). The record's iterations counts the
-    refiner's steps, each one evaluation of c*H.
+    wide, its end with the smaller |c*H| is the root; a pole end that still
+    carries a sign alone is evaluated there first, without the line, whose
+    part at a pole is 0 or taken inside its pole guard. The record's
+    iterations counts the refiner's steps, each one evaluation of c*H.
     """
     fabs, sqrt, copysign, pi, half_length = abs, math.sqrt, math.copysign, math.pi, 0.5 * length
     bracket, steps = (a, z), 0
