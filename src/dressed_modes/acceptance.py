@@ -18,15 +18,18 @@ from .boundary import (
     RationalBoundary,
     transmon_boundary,
 )
-from .dispersive import counter_rotating_shift, dispersive_shift, dispersive_shift_exact
+from .dispersive import (
+    counter_rotating_shift, dispersive_shift, dispersive_shift_exact, pulled_frequencies,
+)
 from .jc import JCModel, dispersive_shift_numeric
 from .multimode import MultimodeModel, divergence_report
 from .multiqubit import (
+    _additivity_from,
+    _model_from_pulls,
     parity_report,
     qnd_residual,
     single_qubit_commutators,
-    two_qubit_model,
-    additivity_report,
+    state_frequencies,
 )
 from .params import GHZ, DeviceParams, TransmonSpec, omega_to_lambda
 from .resonator import (
@@ -279,7 +282,12 @@ def check_two_qubit_structure() -> CriterionResult:
         state="g", frequency=8.6 * GHZ, anharmonicity=-0.22 * GHZ, coupling=0.12 * GHZ
     )
 
-    matched = two_qubit_model(dev, q1, q1)
+    # each qubit solved once in g and e, then the four joint states: every
+    # report below is built from these 8 solves
+    omega_r = dev.fundamental_frequency
+    pulled_1 = pulled_frequencies(dev, (q1,), 3)
+    pulled_2 = pulled_frequencies(dev, (q2,), 3)
+    matched = _model_from_pulls(omega_r, (pulled_1, pulled_1))
     rep = parity_report(matched)
     chi = matched.chi_1
     # both equalities are bitwise, not approximate
@@ -288,13 +296,16 @@ def check_two_qubit_structure() -> CriterionResult:
     comm_norm, h_norm = qnd_residual(replace(matched, chi_2=0.7 * matched.chi_2), 10)
     qnd = comm_norm <= 1e-14 * h_norm
 
-    add = additivity_report(dev, q1, q2, levels=3)
+    add = _additivity_from(
+        state_frequencies(_model_from_pulls(omega_r, (pulled_1, pulled_2))),
+        pulled_frequencies(dev, (q1, q2), 3),
+    )
     scale = (abs(matched.chi_1) + abs(matched.chi_2)) ** 2
     dmin = min(
-        abs(q1.frequency - dev.fundamental_frequency),
-        abs(q1.ef_frequency - dev.fundamental_frequency),
-        abs(q2.frequency - dev.fundamental_frequency),
-        abs(q2.ef_frequency - dev.fundamental_frequency),
+        abs(q1.frequency - omega_r),
+        abs(q1.ef_frequency - omega_r),
+        abs(q2.frequency - omega_r),
+        abs(q2.ef_frequency - omega_r),
     )
     tol = ADDITIVITY_CONST * scale / dmin
     additive_ok = add.max_abs_deviation <= tol

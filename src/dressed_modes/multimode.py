@@ -5,6 +5,8 @@ growing as g_n = g_1 sqrt(2n-1), so g_n^2/omega_n is the same for every
 mode. Consequences: the qubit Lamb-shift sum diverges linearly in the mode
 cutoff, and the total dispersive pull diverges logarithmically. Both are
 computed as explicit partial sums so the growth law itself can be checked.
+A report over a cutoff schedule evaluates each term list once, to its
+largest cutoff, and takes every partial sum as a prefix of that list.
 """
 from __future__ import annotations
 
@@ -51,20 +53,41 @@ def _guarded_detuning(model: MultimodeModel, omega: float, n: int) -> float:
     return delta
 
 
+def _need_modes(n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError("need at least one mode")
+
+
+def _lamb_terms(model: MultimodeModel, n_max: int) -> list[float]:
+    """The terms g_n^2 / (omega_q - omega_n), n = 1..n_max, in mode order."""
+    _need_modes(n_max)
+    terms = []
+    for n in range(1, n_max + 1):
+        delta = _guarded_detuning(model, model.omega_q, n)
+        g_n = model.mode_coupling(n)
+        terms.append(g_n * g_n / delta)
+    return terms
+
+
+def _chi_terms(model: MultimodeModel, n_max: int) -> list[float]:
+    """The per-mode dispersive pulls, n = 1..n_max, in mode order."""
+    _need_modes(n_max)
+    terms = []
+    for n in range(1, n_max + 1):
+        delta = _guarded_detuning(model, model.omega_q, n)
+        delta_ef = _guarded_detuning(model, model.omega_q + model.alpha, n)
+        g_n = model.mode_coupling(n)
+        terms.append(g_n * g_n * model.alpha / (delta * delta_ef))
+    return terms
+
+
 def lamb_shift_partial_sum(model: MultimodeModel, n_max: int) -> float:
     """Sum of g_n^2 / (omega_q - omega_n) over the first n_max modes.
 
     Terms tend to the constant -g_1^2/omega_1, so the partial sums grow
     linearly in n_max; there is no limit to converge to.
     """
-    if n_max < 1:
-        raise ValueError("need at least one mode")
-    terms = []
-    for n in range(1, n_max + 1):
-        delta = _guarded_detuning(model, model.omega_q, n)
-        g_n = model.mode_coupling(n)
-        terms.append(g_n * g_n / delta)
-    return math.fsum(terms)
+    return math.fsum(_lamb_terms(model, n_max))
 
 
 def dispersive_partial_sum(model: MultimodeModel, n_max: int) -> float:
@@ -73,15 +96,7 @@ def dispersive_partial_sum(model: MultimodeModel, n_max: int) -> float:
     Per-mode chi falls off as 1/(2n-1), a harmonic tail, so the partial sums
     grow like (g_1^2 alpha / omega_1^2) * (ln n_max)/2.
     """
-    if n_max < 1:
-        raise ValueError("need at least one mode")
-    terms = []
-    for n in range(1, n_max + 1):
-        delta = _guarded_detuning(model, model.omega_q, n)
-        delta_ef = _guarded_detuning(model, model.omega_q + model.alpha, n)
-        g_n = model.mode_coupling(n)
-        terms.append(g_n * g_n * model.alpha / (delta * delta_ef))
-    return math.fsum(terms)
+    return math.fsum(_chi_terms(model, n_max))
 
 
 @dataclass(frozen=True)
@@ -105,14 +120,23 @@ def divergence_report(model: MultimodeModel, schedule=DEFAULT_SCHEDULE) -> Diver
     chi increments between consecutive doubled cutoffs, whose common limit
     is (g_1^2 alpha / omega_1^2) (ln 2)/2. With g_1 = 0 every sum is zero
     and the report is flagged degenerate.
+
+    Each term list is built once, up to the largest cutoff, and every
+    partial sum is the fsum of a prefix of it. fsum rounds the exact sum of
+    its terms, so each sum is bit for bit the one lamb_shift_partial_sum or
+    dispersive_partial_sum returns at that cutoff, and building to the
+    largest cutoff raises the same resonance error, at the same mode.
     """
     import numpy as np
 
     n_values = tuple(sorted(set(int(n) for n in schedule)))
     if len(n_values) < 2:
         raise ValueError("schedule needs at least two cutoffs")
-    lamb = tuple(lamb_shift_partial_sum(model, n) for n in n_values)
-    chi = tuple(dispersive_partial_sum(model, n) for n in n_values)
+    _need_modes(n_values[0])
+    lamb_terms = _lamb_terms(model, n_values[-1])
+    chi_terms = _chi_terms(model, n_values[-1])
+    lamb = tuple(math.fsum(lamb_terms[:n]) for n in n_values)
+    chi = tuple(math.fsum(chi_terms[:n]) for n in n_values)
 
     slope, intercept = np.polyfit(n_values, lamb, 1)
     fitted = np.polyval([slope, intercept], n_values)

@@ -8,6 +8,13 @@ and an odd manifold {ge, eg} separated by 2|chi_1 - chi_2|. Matched shifts
 leave the odd pair unresolved by the readout, which is what makes a parity
 measurement possible. `state_frequencies` is the one additive map; it is
 checked against exact solves with both boundary terms summed.
+
+Solves: `two_qubit_model` solves each qubit in g and in e (4 solves), or
+once for both when the two specs are equal (2 solves), and
+`additivity_report` adds the 4 joint solves. Both are thin wrappers over
+builders that take pulls already solved (`_model_from_pulls`,
+`_additivity_from`), so a caller holding the single-qubit and joint pulls,
+as the acceptance gate does, builds every report from 8 solves.
 """
 from __future__ import annotations
 
@@ -169,6 +176,17 @@ def single_qubit_commutators(chi: float, n_max: int) -> dict[str, float]:
     }
 
 
+def _model_from_pulls(omega_bare: float, pulls) -> TwoQubitDispersiveModel:
+    """Additive model from each qubit's pulls, as `pulled_frequencies`
+    returns them for that qubit alone (keys "g" and "e")."""
+    center = omega_bare
+    chis = []
+    for pulled in pulls:
+        chis.append(0.5 * (pulled["e"] - pulled["g"]))
+        center += 0.5 * (pulled["e"] + pulled["g"]) - omega_bare
+    return TwoQubitDispersiveModel(center=center, chi_1=chis[0], chi_2=chis[1])
+
+
 def two_qubit_model(
     dev: DeviceParams,
     spec_1: TransmonSpec,
@@ -177,17 +195,13 @@ def two_qubit_model(
 ) -> TwoQubitDispersiveModel:
     """Additive model from two independent single-qubit exact solves.
 
-    Identical specs produce bitwise-identical chi values, which is what the
-    exact-degeneracy parity flags rely on.
+    Each qubit is solved in g and in e. Equal specs share one pair of
+    solves, so matched qubits give bitwise-equal chi values by
+    construction, which is what the exact-degeneracy parity flags rely on.
     """
-    omega_bare = dev.fundamental_frequency
-    center = omega_bare
-    chis = []
-    for spec in (spec_1, spec_2):
-        pulled = pulled_frequencies(dev, (spec,), levels)
-        chis.append(0.5 * (pulled["e"] - pulled["g"]))
-        center += 0.5 * (pulled["e"] + pulled["g"]) - omega_bare
-    return TwoQubitDispersiveModel(center=center, chi_1=chis[0], chi_2=chis[1])
+    pulled_1 = pulled_frequencies(dev, (spec_1,), levels)
+    pulled_2 = pulled_1 if spec_2 == spec_1 else pulled_frequencies(dev, (spec_2,), levels)
+    return _model_from_pulls(dev.fundamental_frequency, (pulled_1, pulled_2))
 
 
 @dataclass(frozen=True)
@@ -200,21 +214,8 @@ class AdditivityReport:
     even_gap_exact: float
 
 
-def additivity_report(
-    dev: DeviceParams,
-    spec_1: TransmonSpec,
-    spec_2: TransmonSpec,
-    levels: int = 3,
-) -> AdditivityReport:
-    """Exact joint solves against the additive readout map.
-
-    The additive prediction is `state_frequencies` of `two_qubit_model`,
-    built from single-qubit solves. The cross term vanishes identically in
-    any additive model, so its exact-solve value measures the qubit-qubit
-    piece directly.
-    """
-    additive = state_frequencies(two_qubit_model(dev, spec_1, spec_2, levels))
-    exact = pulled_frequencies(dev, (spec_1, spec_2), levels)
+def _additivity_from(additive: dict[str, float], exact: dict[str, float]) -> AdditivityReport:
+    """Compare the additive map with the exact joint pulls, both keyed by STATES."""
     deviation = max(abs(exact[s] - additive[s]) for s in STATES)
     cross = 0.25 * (exact["gg"] - exact["ge"] - exact["eg"] + exact["ee"])
     return AdditivityReport(
@@ -225,3 +226,21 @@ def additivity_report(
         odd_gap_exact=abs(exact["ge"] - exact["eg"]),
         even_gap_exact=abs(exact["gg"] - exact["ee"]),
     )
+
+
+def additivity_report(
+    dev: DeviceParams,
+    spec_1: TransmonSpec,
+    spec_2: TransmonSpec,
+    levels: int = 3,
+) -> AdditivityReport:
+    """Exact joint solves against the additive readout map.
+
+    The additive prediction is `state_frequencies` of `two_qubit_model`,
+    built from single-qubit solves: 4 of them for distinct specs (2 for
+    equal ones), then 4 joint solves. The cross term vanishes identically
+    in any additive model, so its exact-solve value measures the
+    qubit-qubit piece directly.
+    """
+    additive = state_frequencies(two_qubit_model(dev, spec_1, spec_2, levels))
+    return _additivity_from(additive, pulled_frequencies(dev, (spec_1, spec_2), levels))

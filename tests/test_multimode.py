@@ -9,6 +9,7 @@ from dressed_modes import (
     divergence_report,
     lamb_shift_partial_sum,
 )
+from dressed_modes.multimode import DEFAULT_SCHEDULE
 
 MODEL = MultimodeModel(omega_1=10.0 * GHZ, g_1=0.1 * GHZ, omega_q=9.0 * GHZ, alpha=-0.25 * GHZ)
 
@@ -101,3 +102,33 @@ def test_validation():
         lamb_shift_partial_sum(MODEL, 0)
     with pytest.raises(ValueError):
         divergence_report(MODEL, schedule=(100,))
+
+
+@pytest.mark.parametrize("schedule", [(0, 100), (-5, 100), (100, 200, 0)])
+def test_divergence_report_refuses_a_cutoff_below_one(schedule):
+    with pytest.raises(ValueError, match="^need at least one mode$"):
+        divergence_report(MODEL, schedule)
+
+
+def test_divergence_report_finds_a_resonance_between_cutoffs():
+    # mode 5 sits at 9 omega_1: past the first cutoff, below the second
+    on_mode = MultimodeModel(omega_1=1.0 * GHZ, g_1=0.1 * GHZ, omega_q=9.0 * GHZ, alpha=-0.25 * GHZ)
+    ef_res = MultimodeModel(
+        omega_1=1.0 * GHZ, g_1=0.1 * GHZ, omega_q=9.25 * GHZ, alpha=-0.25 * GHZ
+    )
+    for model in (on_mode, ef_res):
+        assert divergence_report(model, (2, 4)).n_values == (2, 4)
+        with pytest.raises(ValueError, match="^transition resonant with mode 5; sum undefined$"):
+            divergence_report(model, (2, 10))
+
+
+@pytest.mark.parametrize(
+    "schedule", [DEFAULT_SCHEDULE, (50, 3, 7, 7)], ids=["default", "unsorted-duplicate"]
+)
+def test_divergence_report_sums_are_the_partial_sums(schedule):
+    """Prefixes of one term list give each cutoff's own sum, bit for bit."""
+    rep = divergence_report(MODEL, schedule)
+    assert rep.n_values == tuple(sorted(set(schedule)))
+    for n, lamb, chi in zip(rep.n_values, rep.lamb_sums, rep.chi_sums):
+        assert lamb.hex() == lamb_shift_partial_sum(MODEL, n).hex()
+        assert chi.hex() == dispersive_partial_sum(MODEL, n).hex()

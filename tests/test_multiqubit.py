@@ -1,5 +1,6 @@
 import inspect
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +26,18 @@ from dressed_modes import (
     two_qubit_model,
 )
 from dressed_modes import dispersive
-from dressed_modes.multiqubit import STATES
+from dressed_modes.acceptance import check_two_qubit_structure
+from dressed_modes.cli import main
+from dressed_modes.dispersive import dispersive_report
+from dressed_modes.multiqubit import STATES, _model_from_pulls
 
 MHZ = GHZ / 1000.0
 
 DEV = DeviceParams(length=3e-3, phase_velocity=1.2e8, impedance=50.0)
 Q1 = TransmonSpec(state="g", frequency=9.0 * GHZ, anharmonicity=-0.25 * GHZ, coupling=0.1 * GHZ)
 Q2 = TransmonSpec(state="g", frequency=8.6 * GHZ, anharmonicity=-0.22 * GHZ, coupling=0.12 * GHZ)
+
+SAMPLE_CFG = str(Path(__file__).resolve().parent.parent / "sample_device.cfg")
 
 chi_values = st.floats(min_value=-5.0 * MHZ, max_value=5.0 * MHZ)
 
@@ -200,6 +206,40 @@ def test_identical_qubits_give_bitwise_equal_chis():
     m = two_qubit_model(DEV, Q1, Q1)
     assert m.chi_1 == m.chi_2
     assert parity_report(m).odd_protected
+
+
+def test_equal_specs_share_a_solve_bit_for_bit():
+    """One shared pair of solves gives the model two separate pairs give."""
+    apart = (pulled_frequencies(DEV, (Q1,)), pulled_frequencies(DEV, (Q1,)))
+    assert repr(two_qubit_model(DEV, Q1, Q1)) == repr(
+        _model_from_pulls(DEV.fundamental_frequency, apart)
+    )
+
+
+# Solves per call. The last three make up a readout benchmark operation:
+# 2 + 4 + 8 = 14 solves, of 8 distinct boundaries.
+SOLVE_COUNTS = {
+    "two-qubit criterion": (check_two_qubit_structure, 8),
+    "two_qubit_model, equal specs": (lambda: two_qubit_model(DEV, Q1, Q1), 2),
+    "parity without q2 flags": (lambda: main(["parity", "--config", SAMPLE_CFG]), 2),
+    "dispersive_report": (lambda: dispersive_report(DEV, Q1), 2),
+    "two_qubit_model, distinct specs": (lambda: two_qubit_model(DEV, Q1, Q2), 4),
+    "additivity_report": (lambda: additivity_report(DEV, Q1, Q2), 8),
+}
+
+
+@pytest.mark.parametrize("call, solves", SOLVE_COUNTS.values(), ids=SOLVE_COUNTS)
+def test_solve_counts(call, solves, monkeypatch, capsys):
+    made = []
+    solve = dispersive.solve_spectrum
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dispersive, "solve_spectrum", counting)
+    call()
+    assert len(made) == solves
 
 
 @pytest.mark.parametrize("specs", [()], ids=["no-qubits"])
