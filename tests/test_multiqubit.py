@@ -229,7 +229,7 @@ SOLVE_COUNTS = {
 
 
 @pytest.mark.parametrize("call, solves", SOLVE_COUNTS.values(), ids=SOLVE_COUNTS)
-def test_solve_counts(call, solves, monkeypatch, capsys):
+def test_solve_counts(call, solves, monkeypatch):
     made = []
     solve = dispersive.solve_spectrum
 
