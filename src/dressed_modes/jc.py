@@ -9,9 +9,10 @@ frequencies from the ground state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import LabelingError
+from .params import _check_finite
 from .spectrum import CrossingSweep
 
 SYMMETRY_TOL = 1e-12
@@ -28,6 +29,8 @@ class JCModel:
     n_max: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_finite(f.name, getattr(self, f.name))
         if self.levels not in (2, 3):
             raise ValueError("levels must be 2 or 3")
         if self.n_max < 1:
@@ -81,30 +84,41 @@ def dressed_energies(model: JCModel) -> dict[tuple[int, int], float]:
     most. Raises LabelingError if the best squared overlap drops below
     OVERLAP_FLOOR or two bare states claim the same eigenvector, both of
     which happen once the coupling stops being a dressing correction.
+    Every state is labeled in one pass over the overlap matrix; the error
+    names the first failing state in ladder order.
     """
     import numpy as np
 
     vals, vecs = diagonalize(build_hamiltonian(model))
     weights = vecs ** 2
+    best = weights.argmax(axis=1)
+    overlap = weights.max(axis=1)
+    if overlap.min() < OVERLAP_FLOOR or np.bincount(best).max() > 1:
+        _refuse_labels(model, best, overlap)
+    nph = model.n_max + 1
+    states = [(j, n) for j in range(model.levels) for n in range(nph)]
+    return dict(zip(states, vals[best].tolist()))
+
+
+def _refuse_labels(model: JCModel, best, overlap) -> None:
+    """Raise the LabelingError of the first bare state, in ladder order,
+    whose claim fails."""
     taken: dict[int, tuple[int, int]] = {}
-    out: dict[tuple[int, int], float] = {}
     nph = model.n_max + 1
     for j in range(model.levels):
         for n in range(nph):
             i = j * nph + n
-            k = int(np.argmax(weights[i, :]))
-            if weights[i, k] < OVERLAP_FLOOR:
+            k = int(best[i])
+            if overlap[i] < OVERLAP_FLOOR:
                 raise LabelingError(
                     f"bare state (j={j}, n={n}) has no dominant eigenvector "
-                    f"(best overlap^2 = {weights[i, k]:.3f})"
+                    f"(best overlap^2 = {overlap[i]:.3f})"
                 )
             if k in taken:
                 raise LabelingError(
                     f"eigenvector {k} claimed by both {taken[k]} and (j={j}, n={n})"
                 )
             taken[k] = (j, n)
-            out[(j, n)] = float(vals[k])
-    return out
 
 
 def dispersive_shift_numeric(model: JCModel) -> float:

@@ -5,13 +5,21 @@ growing as g_n = g_1 sqrt(2n-1), so g_n^2/omega_n is the same for every
 mode. Consequences: the qubit Lamb-shift sum diverges linearly in the mode
 cutoff, and the total dispersive pull diverges logarithmically. Both are
 computed as explicit partial sums so the growth law itself can be checked.
-A report over a cutoff schedule evaluates each term list once, to its
-largest cutoff, and takes every partial sum as a prefix of that list.
+
+One array kernel, _mode_terms, evaluates every mode's Lamb and chi terms
+with the scalar expressions of bare_frequency and mode_coupling, in the
+same order. Float64 arithmetic and sqrt round as Python floats do, so the
+terms, and their fsums, keep the bits of a per-mode loop at a fraction of
+its cost. numpy is imported inside the kernel, so importing the package
+still loads none. A report over a cutoff schedule builds the terms once, to
+its largest cutoff, and takes every partial sum as a prefix of that list.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from .params import _check_finite
 
 RESONANCE_GUARD_REL = 1e-6
 DEFAULT_SCHEDULE = (100, 200, 400, 800)
@@ -25,6 +33,8 @@ class MultimodeModel:
     alpha: float
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_finite(f.name, getattr(self, f.name))
         if self.omega_1 <= 0.0:
             raise ValueError("fundamental must be positive")
         if self.g_1 < 0.0:
@@ -45,40 +55,42 @@ class MultimodeModel:
         return self.g_1 * math.sqrt(2 * n - 1)
 
 
-def _guarded_detuning(model: MultimodeModel, omega: float, n: int) -> float:
-    omega_n = model.bare_frequency(n)
-    delta = omega - omega_n
-    if abs(delta) < RESONANCE_GUARD_REL * omega_n:
-        raise ValueError(f"transition resonant with mode {n}; sum undefined")
-    return delta
-
-
 def _need_modes(n_max: int) -> None:
     if n_max < 1:
         raise ValueError("need at least one mode")
 
 
-def _lamb_terms(model: MultimodeModel, n_max: int) -> list[float]:
-    """The terms g_n^2 / (omega_q - omega_n), n = 1..n_max, in mode order."""
+def _mode_terms(model: MultimodeModel, n_max: int):
+    """The Lamb and chi terms of modes n = 1..n_max, in mode order, and the
+    masks of modes resonant with omega_q and with the e-f line.
+
+    Each term is the scalar expression of bare_frequency and mode_coupling,
+    evaluated elementwise in the same order. Float64 + - * / and sqrt round
+    as Python floats do and no ufunc fuses two of them, so every term has
+    the scalar's bits. The terms come back as lists of Python floats.
+    """
+    import numpy as np
+
     _need_modes(n_max)
-    terms = []
-    for n in range(1, n_max + 1):
-        delta = _guarded_detuning(model, model.omega_q, n)
-        g_n = model.mode_coupling(n)
-        terms.append(g_n * g_n / delta)
-    return terms
+    m = np.arange(1, 2 * n_max, 2, dtype=float)  # 2n - 1; no int64 wrap on int fields
+    omega_n = m * model.omega_1
+    guard = RESONANCE_GUARD_REL * omega_n
+    delta = model.omega_q - omega_n
+    delta_ef = (model.omega_q + model.alpha) - omega_n
+    g_n = model.g_1 * np.sqrt(m)
+    # a zero detuning is refused before its term is read; an overflow reads
+    # inf, as in Python floats
+    with np.errstate(all="ignore"):
+        lamb = g_n * g_n / delta
+        chi = g_n * g_n * model.alpha / (delta * delta_ef)
+    return lamb.tolist(), chi.tolist(), abs(delta) < guard, abs(delta_ef) < guard
 
 
-def _chi_terms(model: MultimodeModel, n_max: int) -> list[float]:
-    """The per-mode dispersive pulls, n = 1..n_max, in mode order."""
-    _need_modes(n_max)
-    terms = []
-    for n in range(1, n_max + 1):
-        delta = _guarded_detuning(model, model.omega_q, n)
-        delta_ef = _guarded_detuning(model, model.omega_q + model.alpha, n)
-        g_n = model.mode_coupling(n)
-        terms.append(g_n * g_n * model.alpha / (delta * delta_ef))
-    return terms
+def _refuse_resonance(resonant) -> None:
+    """Raise at the first mode the mask marks resonant, if any."""
+    if resonant.any():
+        n = int(resonant.argmax()) + 1
+        raise ValueError(f"transition resonant with mode {n}; sum undefined")
 
 
 def lamb_shift_partial_sum(model: MultimodeModel, n_max: int) -> float:
@@ -87,16 +99,21 @@ def lamb_shift_partial_sum(model: MultimodeModel, n_max: int) -> float:
     Terms tend to the constant -g_1^2/omega_1, so the partial sums grow
     linearly in n_max; there is no limit to converge to.
     """
-    return math.fsum(_lamb_terms(model, n_max))
+    lamb, _, on_q, _ = _mode_terms(model, n_max)
+    _refuse_resonance(on_q)
+    return math.fsum(lamb)
 
 
 def dispersive_partial_sum(model: MultimodeModel, n_max: int) -> float:
     """Total dispersive pull summed over the first n_max modes.
 
     Per-mode chi falls off as 1/(2n-1), a harmonic tail, so the partial sums
-    grow like (g_1^2 alpha / omega_1^2) * (ln n_max)/2.
+    grow like (g_1^2 alpha / omega_1^2) * (ln n_max)/2. Raises at the first
+    mode resonant with either line.
     """
-    return math.fsum(_chi_terms(model, n_max))
+    _, chi, on_q, on_ef = _mode_terms(model, n_max)
+    _refuse_resonance(on_q | on_ef)
+    return math.fsum(chi)
 
 
 @dataclass(frozen=True)
@@ -121,11 +138,12 @@ def divergence_report(model: MultimodeModel, schedule=DEFAULT_SCHEDULE) -> Diver
     is (g_1^2 alpha / omega_1^2) (ln 2)/2. With g_1 = 0 every sum is zero
     and the report is flagged degenerate.
 
-    Each term list is built once, up to the largest cutoff, and every
-    partial sum is the fsum of a prefix of it. fsum rounds the exact sum of
+    The kernel builds both term lists once, up to the largest cutoff, and
+    every partial sum is the fsum of a prefix. fsum rounds the exact sum of
     its terms, so each sum is bit for bit the one lamb_shift_partial_sum or
-    dispersive_partial_sum returns at that cutoff, and building to the
-    largest cutoff raises the same resonance error, at the same mode.
+    dispersive_partial_sum returns at that cutoff. A resonance below the
+    largest cutoff raises at the first mode resonant with omega_q, else at
+    the first resonant with the e-f line.
     """
     import numpy as np
 
@@ -133,8 +151,9 @@ def divergence_report(model: MultimodeModel, schedule=DEFAULT_SCHEDULE) -> Diver
     if len(n_values) < 2:
         raise ValueError("schedule needs at least two cutoffs")
     _need_modes(n_values[0])
-    lamb_terms = _lamb_terms(model, n_values[-1])
-    chi_terms = _chi_terms(model, n_values[-1])
+    lamb_terms, chi_terms, on_q, on_ef = _mode_terms(model, n_values[-1])
+    _refuse_resonance(on_q)
+    _refuse_resonance(on_ef)
     lamb = tuple(math.fsum(lamb_terms[:n]) for n in n_values)
     chi = tuple(math.fsum(chi_terms[:n]) for n in n_values)
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from dressed_modes import jc
 from dressed_modes import (
     GHZ,
     JCModel,
@@ -101,8 +102,11 @@ def test_labeling_fails_under_strong_mixing():
     # resonant three-level ladder with alpha = 0: bare states hybridize
     # three ways and no dressed state keeps majority character
     model = JCModel(omega_r=W_R, omega_q=W_R, g=0.3 * W_R, alpha=0.0, levels=3, n_max=6)
-    with pytest.raises(LabelingError):
+    with pytest.raises(LabelingError) as err:
         dressed_energies(model)
+    assert str(err.value) == (
+        "bare state (j=0, n=1) has no dominant eigenvector (best overlap^2 = 0.500)"
+    )
 
 
 def test_branch_sweep_brackets_and_self_comparison():
@@ -125,3 +129,19 @@ def test_model_validation():
         JCModel(omega_r=W_R, omega_q=W_Q, g=G, levels=4)
     with pytest.raises(ValueError):
         JCModel(omega_r=W_R, omega_q=W_Q, g=G, n_max=0)
+    valid = {"omega_r": W_R, "omega_q": W_Q, "g": G, "alpha": -0.2 * GHZ}
+    for name in ("omega_r", "omega_q", "g", "alpha", "levels", "n_max"):
+        for bad in (math.nan, math.inf, -math.inf, True):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number$"):
+                JCModel(**{**valid, name: bad})
+
+
+def test_labeling_refuses_a_doubly_claimed_eigenvector(monkeypatch):
+    # two bare states split evenly between the first two eigenvectors: both
+    # clear the overlap floor and both claim eigenvector 0
+    half = math.sqrt(0.5)
+    vecs = np.array([[half, half, 0, 0], [half, -half, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    monkeypatch.setattr(jc, "diagonalize", lambda h: (np.arange(4.0), vecs))
+    with pytest.raises(LabelingError) as err:
+        dressed_energies(JCModel(omega_r=W_R, omega_q=W_Q, g=G, n_max=1))
+    assert str(err.value) == "eigenvector 0 claimed by both (0, 0) and (j=0, n=1)"

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dressed_modes import (
     GHZ,
@@ -9,7 +11,7 @@ from dressed_modes import (
     divergence_report,
     lamb_shift_partial_sum,
 )
-from dressed_modes.multimode import DEFAULT_SCHEDULE
+from dressed_modes.multimode import DEFAULT_SCHEDULE, RESONANCE_GUARD_REL
 
 MODEL = MultimodeModel(omega_1=10.0 * GHZ, g_1=0.1 * GHZ, omega_q=9.0 * GHZ, alpha=-0.25 * GHZ)
 
@@ -102,6 +104,11 @@ def test_validation():
         lamb_shift_partial_sum(MODEL, 0)
     with pytest.raises(ValueError):
         divergence_report(MODEL, schedule=(100,))
+    for name in ("omega_1", "g_1", "omega_q", "alpha"):
+        for bad in (math.nan, math.inf, -math.inf, True):
+            fields = {**vars(MODEL), name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number$"):
+                MultimodeModel(**fields)
 
 
 @pytest.mark.parametrize("schedule", [(0, 100), (-5, 100), (100, 200, 0)])
@@ -132,3 +139,109 @@ def test_divergence_report_sums_are_the_partial_sums(schedule):
     for n, lamb, chi in zip(rep.n_values, rep.lamb_sums, rep.chi_sums):
         assert lamb.hex() == lamb_shift_partial_sum(MODEL, n).hex()
         assert chi.hex() == dispersive_partial_sum(MODEL, n).hex()
+
+
+def test_resonance_precedence_names_the_parent_mode():
+    """omega_q sits on mode 7 and its e-f line on mode 6: the Lamb sum sees
+    mode 7 only, the chi sum meets mode 6 first, and the report raises at
+    the qubit's mode before it looks at the e-f line."""
+    model = MultimodeModel(
+        omega_1=0.125 * GHZ, g_1=0.01 * GHZ, omega_q=13 * 0.125 * GHZ, alpha=-0.25 * GHZ
+    )
+    cases = (
+        (lamb_shift_partial_sum, 10, 7),
+        (dispersive_partial_sum, 10, 6),
+        (divergence_report, (2, 10), 7),
+    )
+    for fn, arg, mode in cases:
+        with pytest.raises(ValueError) as err:
+            fn(model, arg)
+        assert str(err.value) == f"transition resonant with mode {mode}; sum undefined"
+
+
+def _guarded(model, omega, n):
+    omega_n = model.bare_frequency(n)
+    delta = omega - omega_n
+    if abs(delta) < RESONANCE_GUARD_REL * omega_n:
+        raise ValueError(f"transition resonant with mode {n}; sum undefined")
+    return delta
+
+
+def _scalar_lamb_sum(model, n_max):
+    """The per-mode Lamb loop, from the public scalar methods."""
+    terms = []
+    for n in range(1, n_max + 1):
+        delta = _guarded(model, model.omega_q, n)
+        g = model.mode_coupling(n)
+        terms.append(g * g / delta)
+    return math.fsum(terms)
+
+
+def _scalar_chi_sum(model, n_max):
+    """The per-mode chi loop; each mode checks omega_q, then the e-f line."""
+    terms = []
+    for n in range(1, n_max + 1):
+        delta = _guarded(model, model.omega_q, n)
+        delta_ef = _guarded(model, model.omega_q + model.alpha, n)
+        g = model.mode_coupling(n)
+        terms.append(g * g * model.alpha / (delta * delta_ef))
+    return math.fsum(terms)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def models_and_cutoffs(draw):
+    """Any valid model, frequencies over twelve decades around 1 GHz (far
+    outside them the detuning products leave float range), with omega_q
+    free, on a mode, on a mode through the e-f line, or at the guard's
+    edge."""
+    n_max = draw(st.integers(1, 3000))
+    omega_1 = draw(st.floats(1e-6, 1e6)) * GHZ
+    # an anharmonicity of an even number of mode spacings puts both lines
+    # on modes at once, the e-f line on the lower one
+    alpha = draw(st.one_of(
+        st.floats(-1e6, 0.0).map(lambda x: x * GHZ),
+        st.integers(1, n_max).map(lambda j: -2 * j * omega_1),
+    ))
+    k = 2 * draw(st.integers(1, n_max)) - 1
+    omega_q = draw(st.one_of(
+        st.floats(1e-6, 1e6).map(lambda x: x * GHZ),
+        st.just(k * omega_1),
+        st.just(k * omega_1 - alpha),
+        st.floats(0.5, 2.0).map(lambda r: k * omega_1 * (1.0 + r * RESONANCE_GUARD_REL)),
+        st.floats(0.5, 2.0).map(lambda r: k * omega_1 * (1.0 - r * RESONANCE_GUARD_REL)),
+    ))
+    g_1 = draw(st.floats(0.0, 1e6)) * GHZ
+    return MultimodeModel(omega_1=omega_1, g_1=g_1, omega_q=omega_q, alpha=alpha), n_max
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=models_and_cutoffs())
+def test_partial_sums_are_the_scalar_loops_bit_for_bit(case):
+    """Each sum equals, by float.hex, the fsum of the per-mode terms built
+    from bare_frequency and mode_coupling; a resonance raises the same
+    message on both sides."""
+    model, n_max = case
+    lamb = _outcome(_scalar_lamb_sum, model, n_max)
+    chi = _outcome(_scalar_chi_sum, model, n_max)
+    assert _outcome(lamb_shift_partial_sum, model, n_max) == lamb
+    assert _outcome(dispersive_partial_sum, model, n_max) == chi
+    if n_max < 2:
+        return
+    cutoffs = (n_max // 2, n_max)
+    try:
+        rep = divergence_report(model, cutoffs)
+    except ValueError as exc:
+        # the report builds its Lamb terms first
+        first = lamb if lamb.startswith("transition") else chi
+        assert str(exc) == first
+        return
+    assert rep.lamb_sums[-1].hex() == lamb and rep.chi_sums[-1].hex() == chi
+    assert rep.lamb_sums[0].hex() == _scalar_lamb_sum(model, cutoffs[0]).hex()
+    assert rep.chi_sums[0].hex() == _scalar_chi_sum(model, cutoffs[0]).hex()
