@@ -3,10 +3,13 @@
 Each draw's outcome is stored as a short sha256 of its exact bits (every
 record's floats and refiner evaluation count, the counts and the
 interlacing flags), or of its exception's type and message, together with
-the number of `spectrum.line_log_deriv` calls the draw made and the number
-of slope-bound calls (`spectrum._slope_bounds`) its isolation made. The
-evaluation count misses the cost of isolation's cells, so the second count
-shows it. A change meant to keep results must leave every entry of
+the number of `spectrum.line_log_deriv` calls the draw made, the number
+of slope-bound calls (`spectrum._slope_bounds`) its isolation made, and the
+number of cleared functions it set up (calls of the `on` that
+`spectrum._cleared_secular` returns). The evaluation count misses the cost
+of isolation's cells, so the second count shows it; the third shows that
+an interval's cleared function is set up only when it is first used. A
+change meant to keep results must leave every entry of
 `solver_pin.json` as it is. A change meant to alter them rewrites the file,
 from the root of a checkout:
 
@@ -145,10 +148,11 @@ def _cases():
 
 
 def observe():
-    """{name: [digest, line_log_deriv calls, slope-bound calls]} of every
-    pinned draw."""
-    calls = [0, 0]
+    """{name: [digest, line_log_deriv calls, slope-bound calls, set-ups]}
+    of every pinned draw."""
+    calls = [0, 0, 0]
     log_deriv, slope_bounds = spectrum.line_log_deriv, spectrum._slope_bounds
+    cleared_secular = spectrum._cleared_secular
 
     def counted(lam, length):
         calls[0] += 1
@@ -164,15 +168,26 @@ def observe():
         counted_cell.slack = bounds.slack
         return counted_cell
 
+    def counted_secular(length, b):
+        on = cleared_secular(length, b)
+
+        def counted_on(lo, hi, lobe):
+            calls[2] += 1
+            return on(lo, hi, lobe)
+
+        return counted_on
+
     spectrum.line_log_deriv, spectrum._slope_bounds = counted, counted_bounds
+    spectrum._cleared_secular = counted_secular
     try:
         out = {}
         for name, thunk in _cases():
-            calls[0] = calls[1] = 0
+            calls[:] = 0, 0, 0
             out[name] = [_digest(_bits_or_error(thunk)), *calls]
         return out
     finally:
         spectrum.line_log_deriv, spectrum._slope_bounds = log_deriv, slope_bounds
+        spectrum._cleared_secular = cleared_secular
 
 
 def test_solver_bits_and_evaluation_counts_are_pinned():
@@ -180,7 +195,9 @@ def test_solver_bits_and_evaluation_counts_are_pinned():
     seen = observe()
     assert list(seen) == list(expected), "the set of pinned draws changed"
     for name, pinned in expected.items():
-        assert seen[name] == pinned, f"{name}: [digest, log_deriv calls, slope-bound calls] moved"
+        assert seen[name] == pinned, (
+            f"{name}: [digest, log_deriv calls, slope-bound calls, set-ups] moved"
+        )
 
 
 if __name__ == "__main__":
