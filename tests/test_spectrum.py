@@ -594,11 +594,8 @@ def _v_shaped(shift):
     c = 1 and L = 1, and a slope bound that proves [0, 1] falling and
     [1, 2] rising but settles no cell across x = 1."""
 
-    def ch(x, parts=False):
-        h = abs(x - 1.0) + shift
-        return (h, 0.0, 1.0) if parts else h
-
-    ch.bounds = (None, None, 0.0, 0.0)
+    def ch(x):
+        return abs(x - 1.0) + shift, 0.0, 1.0
 
     def bounds(x0, x1, lobe):
         return (-1.0, -1.0) if x1 <= 1.0 else (1.0, 1.0) if x0 >= 1.0 else (-1.0, 1.0)
@@ -615,10 +612,10 @@ def test_isolate_turn_needs_h_off_zero(shift):
     ch, bounds = _v_shaped(shift)
     if abs(shift) <= spectrum.RESIDUAL_REL:
         with pytest.raises(SolverError, match="H turns within"):
-            spectrum._isolate(lambda lo, hi, lobe: ch, None, None, 0.0, 0.0, 2.0, bounds, 0, 1.0)
+            spectrum._isolate(lambda lo, hi, lobe: ch, None, None, 2.0, bounds, 0.0, 0, 1.0)
     else:
         _, brackets = spectrum._isolate(
-            lambda lo, hi, lobe: ch, None, None, 0.0, 0.0, 2.0, bounds, 0, 1.0
+            lambda lo, hi, lobe: ch, None, None, 2.0, bounds, 0.0, 0, 1.0
         )
         assert [br[:2] for br in brackets] == [(0.0, 1.0), (1.0, 2.0)]
 
@@ -629,14 +626,12 @@ def test_refine_refuses_a_sign_change_without_a_zero():
     the refiner closes on the step and the residual test refuses it instead
     of returning a record."""
 
-    def ch(x, parts=False, slope=False):
+    def ch(x, slope=False):
         h = -1.0 if x < 0.5 else 1.0
-        return (h, 0.0, 1.0, 0.0) if slope else (h, 0.0, 1.0) if parts else h
-
-    ch.bounds = (None, None, 0.0, 0.0)
+        return (h, 0.0, 1.0, 0.0) if slope else (h, 0.0, 1.0)
 
     with pytest.raises(SolverError, match="cleared residual 1.000e[+]00 exceeds"):
-        spectrum._refine(ch, 0.0, 1.0, -1.0, 1.0, 1.0)
+        spectrum._refine(ch, None, None, 0, 0.0, 1.0, -1.0, 1.0, 1.0)
 
 
 def _emission_above_absorption():
@@ -650,6 +645,18 @@ def _emission_above_absorption():
     return transmon_boundary(spec, DEV, levels=3)
 
 
+def _partition_ends(length, bnd):
+    """The ends (spectrum._End) solve_spectrum partitions the domain at,
+    built here from the line's poles and bnd's, so a solve that raises is
+    covered too."""
+    lam_max, _, line_ends = spectrum._line_partition(length)
+    ends = [*line_ends, *(
+        spectrum._End(p.location, p.strength, p.strength, PolePoint(p.location, "boundary"))
+        for p in bnd.poles if p.location < lam_max
+    )]
+    return sorted(ends, key=lambda end: end.location)
+
+
 def test_cleared_at_a_boundary_pole_skips_the_line(monkeypatch):
     """At a bounding boundary pole e = 0, so c = 0 and c*G = 0 exactly, and
     cleared returns them without calling line_log_deriv. Its c*H is the
@@ -659,7 +666,8 @@ def test_cleared_at_a_boundary_pole_skips_the_line(monkeypatch):
     sin(xi)/xi, signed positive on the lobe, when a Dirichlet pole bounds
     the interval, and e_other the other bounding boundary pole's factor."""
     bnd = _emission_above_absorption()
-    sp = solve_spectrum(LENGTH, bnd)
+    ends = _partition_ends(LENGTH, bnd)
+    assert tuple(end.point for end in ends) == solve_spectrum(LENGTH, bnd).partition
     strengths = {p.location: p.strength for p in bnd.poles}
     calls, log_deriv = [], spectrum.line_log_deriv
 
@@ -669,27 +677,27 @@ def test_cleared_at_a_boundary_pole_skips_the_line(monkeypatch):
 
     monkeypatch.setattr(spectrum, "line_log_deriv", counted)
     on = spectrum._cleared_secular(LENGTH, bnd)
-    ends, lobe, lo = 0, 0, None
-    for hi in (*sp.partition, None):
-        if lo is not None and lo.kind == "dirichlet":
+    checked, lobe, lo = 0, 0, None
+    for hi in (*ends, None):
+        if lo is not None and lo.point.kind == "dirichlet":
             lobe += 1
         ch = on(lo, hi, lobe)
         for end, other, sign in ((lo, hi, 1.0), (hi, lo, -1.0)):
-            if end is None or end.kind != "boundary":
+            if end is None or end.point.kind != "boundary":
                 continue
             lam = end.location
             d = e_other = 1.0
-            if other is not None and other.kind == "dirichlet":
+            if other is not None and other.point.kind == "dirichlet":
                 xi = math.sqrt(lam) * LENGTH
                 d = (-1.0 if lobe % 2 else 1.0) * math.sin(xi) / xi
             elif other is not None:
                 e_other = abs(other.location - lam) / other.location
-            g_side, f_side, c = ch(lam, True)
+            g_side, f_side, c = ch(lam)
             assert (g_side, c) == (0.0, 0.0)
-            assert ch(lam) == sign * (d * (e_other * (strengths[lam] / lam)))
-            ends += 1
+            assert g_side - f_side == sign * (d * (e_other * (strengths[lam] / lam)))
+            checked += 1
         lo = hi
-    assert ends == 4
+    assert checked == 4
     assert calls == []
 
 
@@ -708,18 +716,14 @@ def test_cleared_at_a_boundary_pole_skips_the_line(monkeypatch):
 def test_pole_cut_splits_at_an_emission_pole_reach(strengths, slack, cut):
     """_pole_cut on a cell 10 wide that spans its interval: the cut lies
     1.05 sqrt(delta_k/slack) from an emission pole bounding it, else at the
-    midpoint."""
-
-    def ch(x, parts=False):
-        raise AssertionError("the cut needs no evaluation")
-
-    def bounds(x0, x1, lobe):
-        raise AssertionError("the cut needs no slope bound")
-
-    ch.bounds = (None, None, *strengths)
-    bounds.slack = slack
+    midpoint. strengths are the ends' F-weights: delta_k for a boundary
+    pole and 0.0 for a Dirichlet pole."""
     base = 1e6
-    got = spectrum._pole_cut(base, base + 10.0, base, base + 10.0, ch, bounds, base + 5.0)
+    lo, hi = (
+        spectrum._End(x, wf or 2.0 * x, wf, PolePoint(x, "boundary" if wf else "dirichlet"))
+        for x, wf in zip((base, base + 10.0), strengths)
+    )
+    got = spectrum._pole_cut(base, base + 10.0, lo, hi, slack, base + 5.0)
     assert got == pytest.approx(base + cut, abs=1e-9)
 
 
@@ -769,30 +773,25 @@ def _random_boundary(locations, strengths, beta_frac, gamma):
 def _check_pole_end_signs(length, bnd):
     """Evaluate c*H at each end of each interval that is a bounding pole and
     assert it is nonzero with the sign _isolate assigns there in place of
-    the evaluation (_pole_end). The partition is built here from the line's
-    poles and bnd's, so a solve that raises is checked too. Returns the
+    the evaluation (_pole_end). The partition is built here
+    (_partition_ends), so a solve that raises is checked too. Returns the
     number of ends checked."""
-    lam_max, _, line_markers = spectrum._line_partition(length)
-    strengths = {p.location: p.strength for p in bnd.poles if p.location < lam_max}
-    markers = sorted(
-        [*line_markers, *(PolePoint(x, "boundary") for x in strengths)],
-        key=lambda m: m.location,
-    )
+    ends = _partition_ends(length, bnd)
     on = spectrum._cleared_secular(length, bnd)
-    ends, lobe = 0, 0
-    for lo, hi in zip([None, *markers], [*markers, None]):
-        if lo is not None and lo.kind == "dirichlet":
+    checked, lobe = 0, 0
+    for lo, hi in zip([None, *ends], [*ends, None]):
+        if lo is not None and lo.point.kind == "dirichlet":
             lobe += 1
         ch = on(lo, hi, lobe)
         for end, upper in ((lo, False), (hi, True)):
             if end is None:
                 continue
-            g_side, f_side, _ = ch(end.location, True)
-            signed = spectrum._pole_end(strengths.get(end.location, 0.0), upper)
+            g_side, f_side, _ = ch(end.location)
+            signed = spectrum._pole_end(end.weight, upper)
             assert g_side - f_side != 0.0
             assert (g_side - f_side > 0.0) == (signed[0] - signed[1] > 0.0), (lo, hi, upper)
-            ends += 1
-    return ends
+            checked += 1
+    return checked
 
 
 @settings(max_examples=60, deadline=None)
@@ -840,8 +839,10 @@ def test_pole_too_weak_for_a_float_keeps_every_root(strength):
     lam_1 = (math.pi / (2.0 * LENGTH)) ** 2
     loc = 0.7 * lam_1
     bnd = RationalBoundary(poles=(BoundaryPole(loc, strength),))
-    lo, hi = PolePoint(loc, "boundary"), PolePoint(4.0 * lam_1, "dirichlet")
-    assert spectrum._cleared_secular(LENGTH, bnd)(lo, hi, 0)(loc) == 0.0
+    lo, hi = _partition_ends(LENGTH, bnd)[:2]
+    assert (lo.location, hi.point.kind) == (loc, "dirichlet")
+    g_side, f_side, _ = spectrum._cleared_secular(LENGTH, bnd)(lo, hi, 0)(loc)
+    assert g_side - f_side == 0.0
     sp = solve_spectrum(LENGTH, bnd)
     assert sp.counts == (1,) * 7
     assert sp.records[1].lam == pytest.approx(lam_1, rel=1e-12)
@@ -876,7 +877,6 @@ def test_every_cleared_evaluation_calls_the_line(monkeypatch, case):
                 n["evals"] += 1
                 return ch(lam, *args)
 
-            counted.bounds = ch.bounds
             return counted
 
         return counted_on
