@@ -13,6 +13,11 @@ terms, and their fsums, keep the bits of a per-mode loop at a fraction of
 its cost. numpy is imported inside the kernel, so importing the package
 still loads none. A report over a cutoff schedule builds the terms once, to
 its largest cutoff, and takes every partial sum as a prefix of that list.
+
+Finite fields can still overflow a term (g_1^2 past the float range) or a
+sum. Every sum is refused then, after the resonance checks, by one
+ValueError that names the first mode whose term is not finite, or says
+that finite terms sum past the float range.
 """
 from __future__ import annotations
 
@@ -93,6 +98,23 @@ def _refuse_resonance(resonant) -> None:
         raise ValueError(f"transition resonant with mode {n}; sum undefined")
 
 
+def _finite_fsum(terms) -> float:
+    """math.fsum of the terms, or a ValueError if it is not a finite number.
+    fsum itself raises on +inf and -inf terms or on finite terms that sum
+    past the float range, and returns inf or nan for the other non-finite
+    terms; the term scan runs on that failure path only."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):
+        total = math.nan
+    if math.isfinite(total):
+        return total
+    for n, term in enumerate(terms, 1):
+        if not math.isfinite(term):
+            raise ValueError(f"term of mode {n} is not finite; sum undefined")
+    raise ValueError(f"sum of {len(terms)} finite terms overflows; sum undefined")
+
+
 def lamb_shift_partial_sum(model: MultimodeModel, n_max: int) -> float:
     """Sum of g_n^2 / (omega_q - omega_n) over the first n_max modes.
 
@@ -101,7 +123,7 @@ def lamb_shift_partial_sum(model: MultimodeModel, n_max: int) -> float:
     """
     lamb, _, on_q, _ = _mode_terms(model, n_max)
     _refuse_resonance(on_q)
-    return math.fsum(lamb)
+    return _finite_fsum(lamb)
 
 
 def dispersive_partial_sum(model: MultimodeModel, n_max: int) -> float:
@@ -113,7 +135,7 @@ def dispersive_partial_sum(model: MultimodeModel, n_max: int) -> float:
     """
     _, chi, on_q, on_ef = _mode_terms(model, n_max)
     _refuse_resonance(on_q | on_ef)
-    return math.fsum(chi)
+    return _finite_fsum(chi)
 
 
 @dataclass(frozen=True)
@@ -143,7 +165,9 @@ def divergence_report(model: MultimodeModel, schedule=DEFAULT_SCHEDULE) -> Diver
     its terms, so each sum is bit for bit the one lamb_shift_partial_sum or
     dispersive_partial_sum returns at that cutoff. A resonance below the
     largest cutoff raises at the first mode resonant with omega_q, else at
-    the first resonant with the e-f line.
+    the first resonant with the e-f line. A sum that is not finite raises
+    next, the Lamb sums' first (_finite_fsum), and then an asymptote that
+    is not a finite number.
     """
     import numpy as np
 
@@ -154,8 +178,14 @@ def divergence_report(model: MultimodeModel, schedule=DEFAULT_SCHEDULE) -> Diver
     lamb_terms, chi_terms, on_q, on_ef = _mode_terms(model, n_values[-1])
     _refuse_resonance(on_q)
     _refuse_resonance(on_ef)
-    lamb = tuple(math.fsum(lamb_terms[:n]) for n in n_values)
-    chi = tuple(math.fsum(chi_terms[:n]) for n in n_values)
+    lamb = tuple(_finite_fsum(lamb_terms[:n]) for n in n_values)
+    chi = tuple(_finite_fsum(chi_terms[:n]) for n in n_values)
+    try:
+        asymptote = model.g_1 ** 2 * model.alpha / model.omega_1 ** 2 * 0.5 * math.log(2.0)
+    except (OverflowError, ZeroDivisionError):    # omega_1^2 past the float range, or 0.0
+        asymptote = math.nan
+    if not math.isfinite(asymptote):
+        raise ValueError("chi increment asymptote is not a finite number")
 
     slope, intercept = np.polyfit(n_values, lamb, 1)
     fitted = np.polyval([slope, intercept], n_values)
@@ -183,8 +213,6 @@ def divergence_report(model: MultimodeModel, schedule=DEFAULT_SCHEDULE) -> Diver
         lamb_r_squared=r_squared,
         chi_increments=tuple(increments),
         chi_increment_spread=spread,
-        chi_increment_asymptote=(
-            model.g_1 ** 2 * model.alpha / model.omega_1 ** 2 * 0.5 * math.log(2.0)
-        ),
+        chi_increment_asymptote=asymptote,
         degenerate=model.g_1 == 0.0,
     )

@@ -515,6 +515,20 @@ def test_zero_coupling_gap_error_names_its_grid_point(zero_cfg, tmp_path, capsys
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+def test_multimode_overflow_is_a_domain_error(tmp_path, capsys):
+    """A coupling whose square leaves the float range: exit 1, no output,
+    and the multimode sums' own message, with no numpy warning before it
+    (the suite turns warnings into errors, which would change the message)."""
+    text = Path(SAMPLE_CFG).read_text()
+    assert "qubit.coupling_ghz = 0.1\n" in text
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text.replace("qubit.coupling_ghz = 0.1\n", "qubit.coupling_ghz = 1e190\n"))
+    out = tmp_path / "out.csv"
+    assert main(["multimode", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: term of mode 1 is not finite; sum undefined\n"
+
+
 @pytest.mark.parametrize("command", ["chi", "parity"])
 def test_readout_solve_error_names_its_joint_state(tmp_path, capsys, command):
     """The merge probe: at 10.5 GHz this coupling leaves the e-state solve

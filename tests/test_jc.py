@@ -99,13 +99,21 @@ def test_diagonalize_rejects_asymmetric_input():
 
 
 def test_labeling_fails_under_strong_mixing():
-    # resonant three-level ladder with alpha = 0: bare states hybridize
-    # three ways and no dressed state keeps majority character
-    model = JCModel(omega_r=W_R, omega_q=W_R, g=0.3 * W_R, alpha=0.0, levels=3, n_max=6)
+    """A detuned three-level ladder whose blocks of two or more
+    excitations mix all three levels. In ladder order every state before
+    (j=1, n=1) keeps a best overlap^2 of at least 0.55 and (j=1, n=1) has
+    at most 0.45, so which state fails first, and the message, stand well
+    clear of the 0.5 floor and of the last bits of eigh."""
+    model = JCModel(omega_r=W_R, omega_q=1.2 * W_R, g=0.08 * W_R, alpha=-0.125 * W_R,
+                    levels=3, n_max=4)
+    _, vecs = jc.diagonalize(jc.build_hamiltonian(model))
+    overlap = (vecs ** 2).max(axis=1)
+    first = 1 * (model.n_max + 1) + 1       # (j=1, n=1) in ladder order
+    assert overlap[:first].min() >= 0.55 and overlap[first] <= 0.45
     with pytest.raises(LabelingError) as err:
         dressed_energies(model)
     assert str(err.value) == (
-        "bare state (j=0, n=1) has no dominant eigenvector (best overlap^2 = 0.500)"
+        "bare state (j=1, n=1) has no dominant eigenvector (best overlap^2 = 0.399)"
     )
 
 

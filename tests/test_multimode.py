@@ -159,6 +159,51 @@ def test_resonance_precedence_names_the_parent_mode():
         assert str(err.value) == f"transition resonant with mode {mode}; sum undefined"
 
 
+# g_1^2 beyond the float range: every term overflows
+OVERFLOWING = MultimodeModel(omega_1=1.0, g_1=1e200, omega_q=2.0, alpha=-0.5)
+
+
+@pytest.mark.parametrize("fn, arg", [
+    (lamb_shift_partial_sum, 10), (dispersive_partial_sum, 10), (divergence_report, DEFAULT_SCHEDULE),
+])
+def test_overflowing_terms_raise_one_domain_error(fn, arg):
+    """Finite fields whose terms overflow: fsum used to raise its own
+    `-inf + inf in fsum` on the Lamb terms and to return -inf for the chi
+    sum. Each entry point names the first mode whose term is not finite;
+    a resonance keeps its precedence."""
+    with pytest.raises(ValueError, match="^term of mode 1 is not finite; sum undefined$"):
+        fn(OVERFLOWING, arg)
+    with pytest.raises(ValueError, match="^transition resonant with mode 2; sum undefined$"):
+        fn(MultimodeModel(omega_1=1.0, g_1=1e200, omega_q=3.0, alpha=-0.5), arg)
+
+
+def test_finite_terms_that_sum_past_the_float_range_are_refused():
+    """Every Lamb term is finite, the largest 1.06e308, but their sum is
+    not: fsum's OverflowError becomes the same kind of domain error. The
+    chi sum of the same model is finite and keeps its value."""
+    model = MultimodeModel(omega_1=1.0, g_1=1e153, omega_q=160.5, alpha=-0.5)
+    message = "^sum of 80 finite terms overflows; sum undefined$"
+    with pytest.raises(ValueError, match=message):
+        lamb_shift_partial_sum(model, 80)
+    with pytest.raises(ValueError, match=message):
+        divergence_report(model, (40, 80))
+    assert math.isfinite(dispersive_partial_sum(model, 80))
+
+
+@pytest.mark.parametrize("model", [
+    MultimodeModel(omega_1=1e-150, g_1=1e5, omega_q=2.0, alpha=-1.0),      # inf
+    MultimodeModel(omega_1=1e200, g_1=1.0, omega_q=1.0, alpha=-0.5),       # omega_1^2 overflows
+    MultimodeModel(omega_1=1e-200, g_1=1.0, omega_q=1.0, alpha=-0.5),      # omega_1^2 is 0.0
+], ids=["inf", "square-overflows", "square-underflows"])
+def test_divergence_report_refuses_an_asymptote_that_is_not_finite(model):
+    """The sums are finite, but g_1^2 alpha / omega_1^2 is not a finite
+    number: the report raises a ValueError, not OverflowError or
+    ZeroDivisionError, and before its fits."""
+    assert math.isfinite(lamb_shift_partial_sum(model, 800))
+    with pytest.raises(ValueError, match="^chi increment asymptote is not a finite number$"):
+        divergence_report(model)
+
+
 def _guarded(model, omega, n):
     omega_n = model.bare_frequency(n)
     delta = omega - omega_n
