@@ -5,9 +5,10 @@ validate, each defined by one entry of COMMANDS. A call builds the parser
 of its own subcommand only. Frequencies are GHz in every file and printout,
 rad/s inside.
 Every file-producing run drops a <out>.manifest.json sidecar recording the
-resolved inputs; rerunning with the same arguments reproduces every output
-byte for byte. Exit codes: 0 success, 1 validation or solver failure,
-2 usage error, 3 unreadable or invalid config.
+device snapshot and every option the run parsed, the grid as its endpoints
+and count and q2 as its resolved values; rerunning with the same arguments
+reproduces every output byte for byte. Exit codes: 0 success, 1 validation
+or solver failure, 2 usage error, 3 unreadable or invalid config.
 """
 from __future__ import annotations
 
@@ -154,17 +155,35 @@ def _rows_text(args, header: list[str], rows) -> str:
     return _csv_text(header, rows)
 
 
+# The parsed options a manifest does not record by name, and why
+_NOT_RECORDED = {
+    "command", "func",      # argparse plumbing
+    "config",               # recorded as its snapshot
+    "state",                # the snapshot carries it as qubit.state
+    "out",                  # listed in outputs
+    "omega_q_ghz",          # recorded as sweep.omega_q_ghz: [start, stop, count]
+    "q2_frequency_ghz", "q2_anharmonicity_ghz", "q2_coupling_ghz",  # as resolved q2.*
+}
+
+
 def _save(args, text: str, snapshot: dict, sidecars=()):
     """Write text to --out, each (suffix, text) sidecar beside it, and the manifest.
 
-    <out>.manifest.json records the subcommand, the input snapshot, the
-    output paths and the package version.
+    <out>.manifest.json records the subcommand, the output paths, the
+    package version and a config: the handler's snapshot of the device (and
+    of q2, as its resolved values) plus every option the run parsed that is
+    set and not in _NOT_RECORDED, the grid as its endpoints and count.
     """
     files = [(args.out, text)]
     files.extend((args.out + suffix, body) for suffix, body in sidecars)
+    config = dict(snapshot)
+    config.update((k, v) for k, v in vars(args).items() if v is not None and k not in _NOT_RECORDED)
+    grid = getattr(args, "omega_q_ghz", None)
+    if grid is not None:
+        config["sweep.omega_q_ghz"] = [grid[0], grid[-1], len(grid)]
     manifest = {
         "subcommand": args.command,
-        "config": snapshot,
+        "config": config,
         "outputs": [path for path, _ in files],
         "version": __version__,
     }
@@ -199,7 +218,7 @@ def cmd_spectrum(args) -> int:
             ],
         },
     }
-    _save(args, _json_text(payload), {**config_snapshot(dev, spec), "levels": args.levels})
+    _save(args, _json_text(payload), config_snapshot(dev, spec))
     return 0
 
 
@@ -212,13 +231,7 @@ def cmd_sweep(args) -> int:
         for wq, lo, hi in zip(sweep.qubit_frequency, sweep.lower, sweep.upper)
     ]
     text = _rows_text(args, ["omega_q_ghz", "branch_lo_ghz", "branch_hi_ghz", "gap_ghz"], rows)
-    grid = args.omega_q_ghz
-    _save(args, text, {
-        **config_snapshot(dev, spec),
-        "levels": args.levels,
-        "format": args.format,
-        "sweep.omega_q_ghz": [grid[0], grid[-1], len(grid)],
-    })
+    _save(args, text, config_snapshot(dev, spec))
     return 0
 
 
@@ -243,9 +256,7 @@ def cmd_chi(args) -> int:
         text = _json_text(payload)
     print(text, end="")
     if args.out:
-        _save(args, text, {
-            **config_snapshot(dev, spec), "levels": args.levels, "format": args.format,
-        })
+        _save(args, text, config_snapshot(dev, spec))
     return 0
 
 
@@ -269,13 +280,7 @@ def cmd_rabi(args) -> int:
         sl_hi = sl.upper[i] / GHZ if sl else None
         rows.append((wq / GHZ, jc_lo, jc_hi, sl_lo, sl_hi, diffs[i]))
     text = _rows_text(args, ["omega_q_ghz", "jc_lo", "jc_hi", "sl_lo", "sl_hi", "diff"], rows)
-    grid = args.omega_q_ghz
-    _save(args, text, {
-        **config_snapshot(dev, spec),
-        "method": args.method,
-        "format": args.format,
-        "sweep.omega_q_ghz": [grid[0], grid[-1], len(grid)],
-    })
+    _save(args, text, config_snapshot(dev, spec))
     return 0
 
 
@@ -302,12 +307,7 @@ def cmd_multimode(args) -> int:
         "chi_increment_asymptote_ghz": rep.chi_increment_asymptote / GHZ,
         "degenerate": rep.degenerate,
     }
-    snapshot = {
-        **config_snapshot(dev, spec),
-        "nmax_schedule": list(args.nmax_schedule),
-        "format": args.format,
-    }
-    _save(args, text, snapshot, sidecars=((".fits.json", _json_text(fits)),))
+    _save(args, text, config_snapshot(dev, spec), sidecars=((".fits.json", _json_text(fits)),))
     return 0
 
 
@@ -353,7 +353,6 @@ def cmd_parity(args) -> int:
     if args.out:
         _save(args, text, {
             **config_snapshot(dev, spec1),
-            "levels": args.levels,
             "q2.frequency_ghz": spec2.frequency / GHZ,
             "q2.anharmonicity_ghz": spec2.anharmonicity / GHZ,
             "q2.coupling_ghz": resolved_coupling(spec2, dev) / GHZ,
@@ -377,7 +376,7 @@ def cmd_wedge(args) -> int:
     text = _json_text(payload)
     print(text, end="")
     if args.out:
-        _save(args, text, {"angle_rad": geom.angle, "modes": n_modes})
+        _save(args, text, {})
     return 0
 
 

@@ -166,8 +166,9 @@ def divergence_report(model: MultimodeModel, schedule=DEFAULT_SCHEDULE) -> Diver
     dispersive_partial_sum returns at that cutoff. A resonance below the
     largest cutoff raises at the first mode resonant with omega_q, else at
     the first resonant with the e-f line. A sum that is not finite raises
-    next, the Lamb sums' first (_finite_fsum), and then an asymptote that
-    is not a finite number.
+    next, the Lamb sums' first (_finite_fsum), then an asymptote that is
+    not a finite number, and then a Lamb fit whose squared residuals
+    overflow.
     """
     import numpy as np
 
@@ -187,10 +188,13 @@ def divergence_report(model: MultimodeModel, schedule=DEFAULT_SCHEDULE) -> Diver
     if not math.isfinite(asymptote):
         raise ValueError("chi increment asymptote is not a finite number")
 
-    slope, intercept = np.polyfit(n_values, lamb, 1)
-    fitted = np.polyval([slope, intercept], n_values)
-    ss_res = float(np.sum((np.asarray(lamb) - fitted) ** 2))
-    ss_tot = float(np.sum((np.asarray(lamb) - np.mean(lamb)) ** 2))
+    with np.errstate(over="ignore"):
+        slope, intercept = np.polyfit(n_values, lamb, 1)
+        fitted = np.polyval([slope, intercept], n_values)
+        ss_res = float(np.sum((np.asarray(lamb) - fitted) ** 2))
+        ss_tot = float(np.sum((np.asarray(lamb) - np.mean(lamb)) ** 2))
+    if not (math.isfinite(ss_res) and math.isfinite(ss_tot)):
+        raise ValueError("Lamb fit residuals overflow; R^2 undefined")
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
     increments = []

@@ -52,9 +52,11 @@ def line_log_deriv(lam: float, length: float) -> float:
 
 
 def line_log_deriv_dlam(lam: float, length: float) -> float:
-    """d/dlam of line_log_deriv: cot(xi)/(2 sqrt(lam)) - (L/2) csc(xi)^2.
+    """d/dlam of line_log_deriv G: G/(2 lam) - (L/2)(1 + G^2/lam).
 
-    Equals exactly -L/2 at the quarter-wave zeros and -L/3 at lam = 0.
+    The expression spectrum._refine evaluates, operand for operand, so the
+    derivative criterion checks the slope the refiner steps with. Equals
+    -L/2 at the quarter-wave zeros and -L/3 at lam = 0.
     """
     if length <= 0.0:
         raise ValueError("length must be positive")
@@ -63,9 +65,8 @@ def line_log_deriv_dlam(lam: float, length: float) -> float:
         # series of d/dlam [(xi cot xi)/L] with xi^2 = lam L^2
         l3 = length ** 3
         return -length / 3.0 - 2.0 * lam * l3 / 45.0 - 2.0 * lam ** 2 * l3 * length ** 2 / 315.0
-    s = math.sin(xi)
-    cot = math.cos(xi) / s
-    return cot / (2.0 * math.sqrt(lam)) - (length / 2.0) / (s * s)
+    g = line_log_deriv(lam, length)
+    return g / (2.0 * lam) - 0.5 * length * (1.0 + g * g / lam)
 
 
 def dirichlet_poles(length: float, count: int) -> list[float]:

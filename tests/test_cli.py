@@ -11,8 +11,8 @@ import pytest
 
 from dressed_modes import __version__, acceptance
 from dressed_modes.boundary import resolved_coupling
-from dressed_modes.cli import _grid, _json_text, build_parser, main
-from dressed_modes.params import GHZ, load_config
+from dressed_modes.cli import COMMANDS, _NOT_RECORDED, _grid, _json_text, build_parser, main
+from dressed_modes.params import CONFIG_KEYS, GHZ, load_config
 
 CFG = """\
 resonator.length_m = 3e-3
@@ -516,17 +516,23 @@ def test_zero_coupling_gap_error_names_its_grid_point(zero_cfg, tmp_path, capsys
 
 
 def test_multimode_overflow_is_a_domain_error(tmp_path, capsys):
-    """A coupling whose square leaves the float range: exit 1, no output,
-    and the multimode sums' own message, with no numpy warning before it
-    (the suite turns warnings into errors, which would change the message)."""
+    """A coupling whose square leaves the float range, and one whose Lamb
+    sums are finite but whose fit residuals overflow when squared (that one
+    used to print two numpy overflow warnings and exit 1 with the JSON
+    writer's complaint about R^2 = nan): exit 1, no output, and the
+    multimode report's own message, with no numpy warning before it (the
+    suite turns warnings into errors, which would change the message)."""
     text = Path(SAMPLE_CFG).read_text()
     assert "qubit.coupling_ghz = 0.1\n" in text
-    cfg = tmp_path / "overflow.cfg"
-    cfg.write_text(text.replace("qubit.coupling_ghz = 0.1\n", "qubit.coupling_ghz = 1e190\n"))
-    out = tmp_path / "out.csv"
-    assert main(["multimode", "--config", str(cfg), "--out", str(out)]) == 1
-    assert not out.exists()
-    assert capsys.readouterr().err == "error: term of mode 1 is not finite; sum undefined\n"
+    for coupling, message in (("1e190", "term of mode 1 is not finite; sum undefined"),
+                              ("1e138", "Lamb fit residuals overflow; R^2 undefined")):
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(text.replace("qubit.coupling_ghz = 0.1\n",
+                                    f"qubit.coupling_ghz = {coupling}\n"))
+        out = tmp_path / "out.csv"
+        assert main(["multimode", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["chi", "parity"])
@@ -774,6 +780,77 @@ def test_sample_device_manifest_bytes_are_pinned(key, tmp_path):
     assert main([*args, "--out", out]) == 0
     text = Path(out + ".manifest.json").read_text(encoding="utf-8")
     assert text.replace(out, "OUT") == expected
+
+
+# Every file-writing subcommand with each option it takes set away from its default
+REPLAYED = {
+    "spectrum": ["--state", "e", "--levels", "3"],
+    "sweep": ["--state", "e", "--levels", "3", "--json", "--omega-q-ghz", "9.5:10.5:2"],
+    "chi": ["--csv", "--levels", "2"],
+    "rabi": ["--json", "--method", "sl", "--omega-q-ghz", "9.8:10.2:3"],
+    "multimode": ["--json", "--nmax-schedule", "10,20,40"],
+    "parity": ["--levels", "2", "--q2-frequency-ghz", "8.6", "--q2-anharmonicity-ghz", "-0.22",
+               "--q2-coupling-ghz", "0.12", "--chi-p-mhz", "1.5"],
+    "wedge": ["--angle-rad", "1.3", "--modes", "5"],
+}
+
+
+def _subcommand_actions(name):
+    """The argparse actions of subcommand `name`, as build_parser(name) defines them."""
+    parser = build_parser(name)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]._actions
+
+
+def _replay_argv(manifest, directory, out):
+    """An argv, and a config file in `directory`, rebuilt from a manifest alone."""
+    name, config = manifest["subcommand"], manifest["config"]
+    device = {k: v for k, v in config.items() if k in CONFIG_KEYS}
+    argv = [name, "--out", out]
+    if device:
+        path = directory / "replay.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in device.items()))
+        argv += ["--config", str(path)]
+    actions = _subcommand_actions(name)
+    for key, value in config.items():
+        if key in device:
+            continue
+        if key == "sweep.omega_q_ghz":
+            start, stop, count = value
+            argv += ["--omega-q-ghz", f"{start!r}:{stop!r}:{count}"]
+            continue
+        dest = key.replace("q2.", "q2_")
+        action = next(a for a in actions if a.dest == dest
+                      and (a.const is None or a.const == value))
+        if action.const is not None:
+            argv.append(action.option_strings[0])
+        else:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += [action.option_strings[0], text]
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(REPLAYED))
+def test_manifest_alone_replays_every_output(name, tmp_path):
+    """The README's promise: a manifest records enough to rerun its run. A
+    config file and an argv rebuilt from it alone reproduce every output
+    byte, and the manifest itself, for every option a subcommand takes."""
+    device = ["--config", SAMPLE_CFG] if name != "wedge" else []
+    out, out2 = str(tmp_path / "first"), str(tmp_path / "again")
+    assert main([name, *device, *REPLAYED[name], "--out", out]) == 0
+    manifest = read_manifest(out)
+    assert main(_replay_argv(manifest, tmp_path, out2)) == 0
+    for path in manifest["outputs"] + [out + ".manifest.json"]:
+        replayed = Path(out2 + path[len(out):]).read_bytes()
+        assert replayed.replace(out2.encode(), out.encode()) == Path(path).read_bytes(), path
+
+
+def test_manifest_exclusions_name_only_parsed_options():
+    """What _save leaves out of a manifest is argparse plumbing or the dest
+    of an option some subcommand defines: no typo, and no option that is
+    gone, can hide there."""
+    dests = {a.dest for name in COMMANDS for a in _subcommand_actions(name)}
+    assert _NOT_RECORDED <= dests | {"command", "func"}
 
 
 def test_sweep_json_format(cfg, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +203,19 @@ def test_divergence_report_refuses_an_asymptote_that_is_not_finite(model):
     assert math.isfinite(lamb_shift_partial_sum(model, 800))
     with pytest.raises(ValueError, match="^chi increment asymptote is not a finite number$"):
         divergence_report(model)
+
+
+def test_divergence_report_refuses_a_lamb_fit_that_overflows():
+    """Every sum and the asymptote are finite, the Lamb sums ~1e298, but the
+    fit's squared residuals are not: numpy used to warn twice (`overflow
+    encountered in square`) and the report returned R^2 = nan. Now one
+    domain error names the Lamb fit, and no warning comes before it."""
+    model = MultimodeModel(omega_1=1.0, g_1=1e150, omega_q=1e6, alpha=-0.5)
+    assert math.isfinite(lamb_shift_partial_sum(model, max(DEFAULT_SCHEDULE)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^Lamb fit residuals overflow; R\^2 undefined$"):
+            divergence_report(model)
 
 
 def _guarded(model, omega, n):

@@ -196,6 +196,23 @@ def test_boundary_pole_exactly_at_lam_max_is_a_solver_error():
         assert solve_spectrum(LENGTH, bnd).records
 
 
+@pytest.mark.parametrize("scale, last_count", [(1.0, 1), (1.0 + 1e-12, 0), (1.0 - 1e-12, 1)])
+def test_root_exactly_at_lam_max(scale, last_count):
+    """gamma = -G(lam_max) with no pole and beta = 0 puts c*H at lam_max at
+    exactly 0: the edge interval's end is its root, taken as it stands
+    with no refiner step. A hair off, the root leaves the domain or moves
+    inside it and is refined as any other."""
+    lam_max = default_lam_max(LENGTH)
+    gamma = -dressed_modes.line_log_deriv(lam_max, LENGTH) * scale
+    sp = solve_spectrum(LENGTH, RationalBoundary(beta=0.0, gamma=gamma))
+    assert sp.counts == (1, 1, 1, 1, 1, last_count)
+    last = sp.records[-1]
+    if scale == 1.0:
+        assert (last.lam, last.residual, last.iterations) == (lam_max, 0.0, 0)
+    else:
+        assert last.lam < lam_max and last.iterations > 0
+
+
 @pytest.mark.parametrize("length", [0.0, -1e-3, math.nan, math.inf, 1e300, 1e-200])
 def test_length_without_a_finite_positive_lam_max_is_a_value_error(length):
     """Not positive, or so long (short) that (6 pi / L)^2 underflows to 0
