@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 
 from .boundary import (
     FullSusceptanceBoundary,
@@ -36,7 +36,7 @@ from .resonator import (
     default_lam_max, dirichlet_poles, line_log_deriv, line_log_deriv_dlam, quarterwave_zeros,
 )
 from .spectrum import (
-    DIRICHLET_COLLISION_REL,
+    _line_partition,
     pole_margin,
     qubit_frequency_sweep,
     solve_spectrum,
@@ -64,6 +64,7 @@ STANDARD_QUBIT = TransmonSpec(
 ADDITIVITY_CONST = 50.0
 INTERLACING_CONFIGS = 1000    # random ground-state devices of the interlacing criterion
 TRIANGLE_DRAWS = 50           # random dispersive devices of the chi triangle
+UNIFORM_BLOCK = 256           # numbers a random criterion reads from its generator at once
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,19 @@ class CriterionResult:
 
 def _result(name, passed, detail=""):
     return CriterionResult(name=name, passed=bool(passed), detail=detail)
+
+
+def _uniform_draws(seed: int):
+    """uniform(lo, hi): call for call, the numbers rng.uniform(lo, hi) gives
+    for rng = np.random.default_rng(seed), bit for bit. Each u is read from
+    rng.random in blocks of UNIFORM_BLOCK, and uniform returns
+    lo + (hi - lo) * u, numpy's own expression for a uniform draw, without
+    a scalar numpy call per number."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    units = chain.from_iterable(iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None))
+    return lambda lo, hi: lo + (hi - lo) * next(units)
 
 
 def check_open_circuit() -> CriterionResult:
@@ -94,15 +108,13 @@ def check_open_circuit() -> CriterionResult:
 def check_derivative_identity(seed: int) -> CriterionResult:
     """dG/dlam equals -L/2 at the quarter-wave zeros, and matches finite
     differences at random off-pole points."""
-    import numpy as np
-
     length = STANDARD_DEVICE.length
     worst_zero = max(
         abs(line_log_deriv_dlam(z, length) + length / 2.0) / (length / 2.0)
         for z in quarterwave_zeros(length, 5)
     )
 
-    rng = np.random.default_rng(seed)
+    uniform = _uniform_draws(seed)
     lam_hi = default_lam_max(length) * 0.98
     poles = dirichlet_poles(length, 6)
     worst_fd = 0.0
@@ -111,7 +123,7 @@ def check_derivative_identity(seed: int) -> CriterionResult:
     h_rel = 3e-7
     n = 0
     while n < 1000:
-        lam = float(rng.uniform(1e3, lam_hi))
+        lam = uniform(1e3, lam_hi)
         if any(abs(lam - p) < 1e-3 * p for p in poles):
             continue
         n += 1
@@ -128,20 +140,21 @@ def check_derivative_identity(seed: int) -> CriterionResult:
     )
 
 
-def _random_ground_config(rng):
-    """A solvable ground-state draw: geometry, qubit, boundary."""
-    length = float(rng.uniform(2e-3, 8e-3))
-    v = float(rng.uniform(0.8e8, 1.6e8))
+def _random_ground_config(uniform):
+    """A solvable ground-state draw from a _uniform_draws stream: geometry,
+    qubit, boundary."""
+    length = uniform(2e-3, 8e-3)
+    v = uniform(0.8e8, 1.6e8)
     dev = DeviceParams(length=length, phase_velocity=v, impedance=50.0)
-    dirichlet = dirichlet_poles(length, 3)
+    _, guards, _ = _line_partition(length)
     while True:
-        omega_q = float(rng.uniform(0.1, 5.8)) * dev.fundamental_frequency
-        # redraw exactly what solve_spectrum rejects with PoleCollisionError
+        omega_q = uniform(0.1, 5.8) * dev.fundamental_frequency
+        # redraw exactly what solve_spectrum rejects with PoleCollisionError,
+        # by its own (Dirichlet pole, tolerance) guards
         lam_q = omega_to_lambda(omega_q, v)
-        if any(abs(lam_q - d) < DIRICHLET_COLLISION_REL * d for d in dirichlet):
-            continue
-        break
-    g = float(rng.uniform(0.01, 0.2)) * GHZ
+        if not any(abs(lam_q - d) < tol for d, tol in guards):
+            break
+    g = uniform(0.01, 0.2) * GHZ
     spec = TransmonSpec(
         state="g", frequency=omega_q, anharmonicity=-0.25 * GHZ, coupling=g
     )
@@ -150,13 +163,11 @@ def _random_ground_config(rng):
 
 def check_interlacing(seed: int) -> CriterionResult:
     """Random ground-state draws: one eigenvalue per pole-bounded interval."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    uniform = _uniform_draws(seed)
     failures = 0
     solved = 0
     for _ in range(INTERLACING_CONFIGS):
-        dev, spec = _random_ground_config(rng)
+        dev, spec = _random_ground_config(uniform)
         bnd = transmon_boundary(spec, dev)
         try:
             sp = solve_spectrum(dev.length, bnd)
@@ -177,10 +188,10 @@ def check_level_repulsion(seed: int) -> CriterionResult:
     """Eigenvalues never land on poles; the crossing gap never closes."""
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    uniform = _uniform_draws(seed)
     min_margin = math.inf
     for _ in range(200):
-        dev, spec = _random_ground_config(rng)
+        dev, spec = _random_ground_config(uniform)
         sp = solve_spectrum(dev.length, transmon_boundary(spec, dev))
         min_margin = min(min_margin, pole_margin(sp))
 
@@ -215,17 +226,15 @@ def check_dispersive_triangle(seed: int) -> CriterionResult:
     """Closed form, exact solve, and ladder-diagonalization chi agree. The
     closed form carries the boundary model's counter-rotating term, which
     the exact solve has and the JC ladder, in the rotating wave, has not."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    uniform = _uniform_draws(seed)
     dev = STANDARD_DEVICE
     omega_r = dev.fundamental_frequency
     worst = 0.0
     failures = 0
     for _ in range(TRIANGLE_DRAWS):
-        delta = float(rng.uniform(-2.0, -0.4)) * GHZ
-        alpha = float(rng.uniform(-0.3, -0.1)) * GHZ
-        g = float(rng.uniform(0.02, 0.1)) * abs(delta)
+        delta = uniform(-2.0, -0.4) * GHZ
+        alpha = uniform(-0.3, -0.1) * GHZ
+        g = uniform(0.02, 0.1) * abs(delta)
         spec = TransmonSpec(
             state="g", frequency=omega_r + delta, anharmonicity=alpha, coupling=g
         )

@@ -6,7 +6,8 @@ of its own subcommand only. Frequencies are GHz in every file and printout,
 rad/s inside.
 Every file-producing run drops a <out>.manifest.json sidecar recording the
 device snapshot and every option the run parsed, the grid as its endpoints
-and count and q2 as its resolved values; rerunning with the same arguments
+and count and q2 as its resolved values (its coupling in the form q2
+holds it, g or an inherited charge element); rerunning with the same arguments
 reproduces every output byte for byte. Exit codes: 0 success, 1 validation
 or solver failure, 2 usage error, 3 unreadable or invalid config.
 """
@@ -355,7 +356,10 @@ def cmd_parity(args) -> int:
             **config_snapshot(dev, spec1),
             "q2.frequency_ghz": spec2.frequency / GHZ,
             "q2.anharmonicity_ghz": spec2.anharmonicity / GHZ,
-            "q2.coupling_ghz": resolved_coupling(spec2, dev) / GHZ,
+            # in the form q2 holds it: g / GHZ need not multiply back to a
+            # charge element's g, so an inherited charge element is recorded
+            **({"q2.coupling_ghz": spec2.coupling / GHZ} if spec2.charge_element is None
+               else {"q2.charge_element_C": spec2.charge_element}),
         })
     return 0
 

@@ -49,6 +49,28 @@ def derivative_wall_values(n: int, geom: WedgeGeometry) -> tuple[float, float]:
     return math.cos(0.0), math.cos(n * math.pi)
 
 
+def _simpson_panels(geom: WedgeGeometry):
+    """The grid of sine_mode_overlap's rule and, per panel, its factors
+    (h0 + h1)/6, 2 - h1/h0, (h0 + h1)^2/(h0 h1) and 2 - h0/h1, each in the
+    rule's own operand order: everything in a quadrature that is not a mode."""
+    import numpy as np
+
+    phi = np.linspace(0.0, geom.angle, 2 * OVERLAP_PANELS + 1)
+    h = np.diff(phi)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    return phi, (hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio)
+
+
+def _overlap(sin_n, sin_m, panels) -> float:
+    """Simpson quadrature of sin_n * sin_m, the modes sampled on the grid of
+    `panels`, which _simpson_panels gives."""
+    width, w0, w1, w2 = panels
+    y = sin_n * sin_m
+    return float((width * (y[:-2:2] * w0 + y[1::2] * w1 + y[2::2] * w2)).sum())
+
+
 def sine_mode_overlap(n: int, m: int, geom: WedgeGeometry) -> float:
     """Quadrature of sin(mu_n phi) sin(mu_m phi) over (0, Phi).
 
@@ -61,27 +83,28 @@ def sine_mode_overlap(n: int, m: int, geom: WedgeGeometry) -> float:
 
     _check_index(n)
     _check_index(m)
-    phi = np.linspace(0.0, geom.angle, 2 * OVERLAP_PANELS + 1)
-    y = np.sin(azimuthal_wavenumber(n, geom) * phi) * np.sin(
-        azimuthal_wavenumber(m, geom) * phi
+    phi, panels = _simpson_panels(geom)
+    return _overlap(
+        np.sin(azimuthal_wavenumber(n, geom) * phi),
+        np.sin(azimuthal_wavenumber(m, geom) * phi),
+        panels,
     )
-    h = np.diff(phi)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    weighted = hsum / 6.0 * (
-        y[:-2:2] * (2.0 - 1.0 / ratio)
-        + y[1::2] * (hsum * (hsum / (h0 * h1)))
-        + y[2::2] * (2.0 - ratio)
-    )
-    return float(np.sum(weighted))
 
 
 def orthogonality_error(geom: WedgeGeometry, modes: int) -> float:
-    """Largest |overlap(n, m) - (Phi/2) delta_nm| over 1 <= n, m <= modes."""
+    """Largest |overlap(n, m) - (Phi/2) delta_nm| over 1 <= n, m <= modes.
+
+    The grid, its panel factors and each mode's sine are set up once, and
+    each unordered pair is summed once: overlap(n, m) and overlap(m, n) are
+    the same floats, and each equals sine_mode_overlap's bit for bit."""
+    import numpy as np
+
+    phi, panels = _simpson_panels(geom)
+    sines = [np.sin(azimuthal_wavenumber(n, geom) * phi) for n in range(1, modes + 1)]
+    del phi
     worst = 0.0
-    for n in range(1, modes + 1):
-        for m in range(1, modes + 1):
-            ref = geom.angle / 2.0 if n == m else 0.0
-            worst = max(worst, abs(sine_mode_overlap(n, m, geom) - ref))
+    for i, sin_n in enumerate(sines):
+        worst = max(worst, abs(_overlap(sin_n, sin_n, panels) - geom.angle / 2.0))
+        for sin_m in sines[i + 1:]:
+            worst = max(worst, abs(_overlap(sin_n, sin_m, panels)))
     return worst

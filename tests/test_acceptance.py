@@ -6,16 +6,22 @@ tests at the bottom freeze measured values from a known-good build so quiet
 numerical drift shows up as a hard failure instead of eroding the margins.
 """
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from dressed_modes import (
     GHZ,
+    DeviceParams,
     FullSusceptanceBoundary,
+    PoleCollisionError,
     SolverError,
     TransmonSpec,
     additivity_report,
+    default_lam_max,
+    dirichlet_poles,
     omega_to_lambda,
     solve_spectrum,
     transmon_boundary,
@@ -24,6 +30,9 @@ from dressed_modes import (
 from dressed_modes import acceptance
 from dressed_modes.acceptance import (
     ALL_CHECKS,
+    UNIFORM_BLOCK,
+    _random_ground_config,
+    _uniform_draws,
     STANDARD_DEVICE,
     STANDARD_QUBIT,
     check_approximation_audit,
@@ -109,6 +118,88 @@ def test_boundary_forms_fail_on_a_mode_count_mismatch(monkeypatch):
     result = check_approximation_audit()
     assert not result.passed
     assert result.detail == "mode count mismatch near the fundamental: 1 vs 0"
+
+
+def _scalar_uniform(seed):
+    """Reference: one scalar rng.uniform(lo, hi) call per number, as the
+    criteria drew before they read their numbers in blocks."""
+    rng = np.random.default_rng(seed)
+    return lambda lo, hi: float(rng.uniform(lo, hi))
+
+
+def _reference_ground_config(uniform):
+    """Reference: _random_ground_config as it was before it read the
+    solver's guards, with its own first three Dirichlet poles and bands."""
+    length = uniform(2e-3, 8e-3)
+    v = uniform(0.8e8, 1.6e8)
+    dev = DeviceParams(length=length, phase_velocity=v, impedance=50.0)
+    dirichlet = dirichlet_poles(length, 3)
+    while True:
+        omega_q = uniform(0.1, 5.8) * dev.fundamental_frequency
+        lam_q = omega_to_lambda(omega_q, v)
+        if any(abs(lam_q - d) < 1e-6 * d for d in dirichlet):
+            continue
+        break
+    g = uniform(0.01, 0.2) * GHZ
+    spec = TransmonSpec(state="g", frequency=omega_q, anharmonicity=-0.25 * GHZ, coupling=g)
+    return dev, spec
+
+
+# every (lo, hi) a random criterion draws from
+CRITERION_RANGES = (
+    (1e3, default_lam_max(STANDARD_DEVICE.length) * 0.98),
+    (2e-3, 8e-3), (0.8e8, 1.6e8), (0.1, 5.8), (0.01, 0.2),
+    (-2.0, -0.4), (-0.3, -0.1), (0.02, 0.1),
+)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_block_draws_are_rng_uniform_bit_for_bit(seed):
+    draws = 12_000
+    assert draws > 40 * UNIFORM_BLOCK
+    ranges = [CRITERION_RANGES[i % len(CRITERION_RANGES)] for i in range(draws)]
+    blocks, scalar = _uniform_draws(seed), _scalar_uniform(seed)
+    assert [blocks(lo, hi) for lo, hi in ranges] == [scalar(lo, hi) for lo, hi in ranges]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ground_configs_from_block_draws_are_the_scalar_draws_devices(seed):
+    blocks, scalar = _uniform_draws(seed), _scalar_uniform(seed)
+    for _ in range(1200):
+        dev, spec = _random_ground_config(blocks)
+        assert (dev, spec) == _reference_ground_config(scalar)
+
+
+@pytest.mark.parametrize(
+    "offset, redrawn",
+    [(0.0, True), (0.9e-6, True), (-0.9e-6, True), (1.1e-6, False), (-1.1e-6, False)],
+)
+def test_ground_config_redraws_what_the_solver_rejects_with_one_number(offset, redrawn):
+    """A qubit drawn inside the first Dirichlet pole's collision band, which
+    solve_spectrum rejects, is redrawn with exactly one more number before
+    g; one drawn just outside it is kept."""
+    # lam_q = (1 + offset) (pi / L)^2, the first Dirichlet pole, at omega_q = 2 omega_1 sqrt(1 + offset)
+    u_q = (2.0 * math.sqrt(1.0 + offset) - 0.1) / 5.7
+    units = iter([0.5, 0.5, u_q, 0.3, 0.7])
+    taken = []
+
+    def uniform(lo, hi):
+        taken.append((lo, hi))
+        return lo + (hi - lo) * next(units)
+
+    dev, spec = _random_ground_config(uniform)
+    qubit_draws = [(0.1, 5.8)] * (2 if redrawn else 1)
+    assert taken == [(2e-3, 8e-3), (0.8e8, 1.6e8), *qubit_draws, (0.01, 0.2)]
+    first = replace(spec, frequency=(0.1 + 5.7 * u_q) * dev.fundamental_frequency)
+    if redrawn:
+        assert spec.frequency == (0.1 + 5.7 * 0.3) * dev.fundamental_frequency
+        assert spec.coupling == (0.01 + 0.19 * 0.7) * GHZ
+        with pytest.raises(PoleCollisionError):
+            solve_spectrum(dev.length, transmon_boundary(first, dev))
+    else:
+        assert spec == first
+        assert spec.coupling == (0.01 + 0.19 * 0.3) * GHZ
+        solve_spectrum(dev.length, transmon_boundary(first, dev))
 
 
 # Frozen measurements. Bands are generous (15-25%) because the quantities

@@ -10,9 +10,8 @@ from pathlib import Path
 import pytest
 
 from dressed_modes import __version__, acceptance
-from dressed_modes.boundary import resolved_coupling
 from dressed_modes.cli import COMMANDS, _NOT_RECORDED, _grid, _json_text, build_parser, main
-from dressed_modes.params import CONFIG_KEYS, GHZ, load_config
+from dressed_modes.params import CONFIG_KEYS, GHZ
 
 CFG = """\
 resonator.length_m = 3e-3
@@ -793,6 +792,14 @@ REPLAYED = {
                "--q2-coupling-ghz", "0.12", "--chi-p-mhz", "1.5"],
     "wedge": ["--angle-rad", "1.3", "--modes", "5"],
 }
+# A charge element whose g, divided by GHZ, is one ulp off g when multiplied back
+CHARGE_ROUND_TRIP_CFG = CFG.replace(
+    "qubit.coupling_ghz = 0.1", "qubit.charge_element_C = 1.857673955040305e-20"
+)
+REPLAY_CASES = [
+    *(pytest.param(name, None, REPLAYED[name], id=name) for name in sorted(REPLAYED)),
+    pytest.param("parity", CHARGE_ROUND_TRIP_CFG, [], id="parity-charge-element"),
+]
 
 
 def _subcommand_actions(name):
@@ -815,6 +822,10 @@ def _replay_argv(manifest, directory, out):
     for key, value in config.items():
         if key in device:
             continue
+        if key == "q2.charge_element_C":
+            # q2 inherits the config's charge element when no --q2-coupling-ghz is given
+            assert value == config["qubit.charge_element_C"]
+            continue
         if key == "sweep.omega_q_ghz":
             start, stop, count = value
             argv += ["--omega-q-ghz", f"{start!r}:{stop!r}:{count}"]
@@ -830,14 +841,20 @@ def _replay_argv(manifest, directory, out):
     return argv
 
 
-@pytest.mark.parametrize("name", sorted(REPLAYED))
-def test_manifest_alone_replays_every_output(name, tmp_path):
+@pytest.mark.parametrize("name, cfg_text, options", REPLAY_CASES)
+def test_manifest_alone_replays_every_output(name, cfg_text, options, tmp_path):
     """The README's promise: a manifest records enough to rerun its run. A
     config file and an argv rebuilt from it alone reproduce every output
-    byte, and the manifest itself, for every option a subcommand takes."""
-    device = ["--config", SAMPLE_CFG] if name != "wedge" else []
+    byte, and the manifest itself, for every option a subcommand takes and
+    for a second qubit that inherits a charge element."""
+    device = []
+    if cfg_text is not None:
+        (tmp_path / "device.cfg").write_text(cfg_text)
+        device = ["--config", str(tmp_path / "device.cfg")]
+    elif name != "wedge":
+        device = ["--config", SAMPLE_CFG]
     out, out2 = str(tmp_path / "first"), str(tmp_path / "again")
-    assert main([name, *device, *REPLAYED[name], "--out", out]) == 0
+    assert main([name, *device, *options, "--out", out]) == 0
     manifest = read_manifest(out)
     assert main(_replay_argv(manifest, tmp_path, out2)) == 0
     for path in manifest["outputs"] + [out + ".manifest.json"]:
@@ -972,13 +989,19 @@ def test_parity_q2_coupling_replaces_a_charge_element(charge_cfg, capsys):
     assert payload["odd_gap_mhz"] > 0.0
 
 
-def test_parity_manifest_records_q2_resolved_coupling(charge_cfg, tmp_path):
+def test_parity_manifest_records_q2_charge_element(charge_cfg, tmp_path):
+    """q2 inherits q1's charge element, and the manifest records it as such:
+    its g / GHZ would not always multiply back to the same g."""
     out = str(tmp_path / "parity.json")
     assert main(["parity", "--config", charge_cfg, "--out", out]) == 0
-    dev, spec = load_config(charge_cfg)
-    recorded = read_manifest(out)["config"]["q2.coupling_ghz"]
-    assert recorded == resolved_coupling(spec, dev) / GHZ
-    assert recorded == pytest.approx(0.3885, rel=1e-3)
+    config = read_manifest(out)["config"]
+    assert config["q2.charge_element_C"] == config["qubit.charge_element_C"] == 1e-19
+    assert "q2.coupling_ghz" not in config
+    out = str(tmp_path / "parity-g.json")
+    assert main(["parity", "--config", charge_cfg, "--q2-coupling-ghz", "0.1", "--out", out]) == 0
+    config = read_manifest(out)["config"]
+    assert config["q2.coupling_ghz"] == 0.1 * GHZ / GHZ
+    assert "q2.charge_element_C" not in config
 
 
 def test_parity_engineered_block(cfg, capsys):

@@ -9,8 +9,10 @@ from dressed_modes import (
     azimuthal_wavenumber,
     derivative_wall_values,
     laplacian_eigenvalue,
+    orthogonality_error,
     sine_mode_overlap,
 )
+from dressed_modes.wedge import OVERLAP_PANELS
 
 
 def test_wavenumbers_exact():
@@ -83,3 +85,43 @@ def test_overlap_property(angle, n, m):
     geom = WedgeGeometry(angle=angle)
     want = angle / 2.0 if n == m else 0.0
     assert sine_mode_overlap(n, m, geom) == pytest.approx(want, abs=1e-8)
+
+
+def _per_pair_overlap(n, m, geom):
+    """Reference: one quadrature per pair, its grid, panel weights and both
+    sines built afresh, as sine_mode_overlap computed it before the set-up
+    was shared."""
+    import numpy as np
+
+    phi = np.linspace(0.0, geom.angle, 2 * OVERLAP_PANELS + 1)
+    y = np.sin(azimuthal_wavenumber(n, geom) * phi) * np.sin(
+        azimuthal_wavenumber(m, geom) * phi
+    )
+    h = np.diff(phi)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    weighted = hsum / 6.0 * (
+        y[:-2:2] * (2.0 - 1.0 / ratio)
+        + y[1::2] * (hsum * (hsum / (h0 * h1)))
+        + y[2::2] * (2.0 - ratio)
+    )
+    return float(np.sum(weighted))
+
+
+@pytest.mark.parametrize("angle", [1e-3, 0.37, 1.3, 2.0, math.pi, 4.4, 5.9, 2.0 * math.pi])
+def test_shared_setup_is_the_per_pair_quadrature_bit_for_bit(angle):
+    geom = WedgeGeometry(angle=angle)
+    modes = 7
+    reference = {
+        (n, m): _per_pair_overlap(n, m, geom)
+        for n in range(1, modes + 1) for m in range(1, modes + 1)
+    }
+    for (n, m), want in reference.items():
+        assert sine_mode_overlap(n, m, geom) == want
+    for count in range(1, modes + 1):
+        want = max(
+            abs(reference[n, m] - (angle / 2.0 if n == m else 0.0))
+            for n in range(1, count + 1) for m in range(1, count + 1)
+        )
+        assert orthogonality_error(geom, count) == want
