@@ -43,9 +43,13 @@ with nearest_only the root nearest `near` alone, one run unless the other
 bracket reaches closer to near than that root. Its step knows the poles:
 H is the term of the nearer bounding pole, kept exact, plus a rest taken
 linear from H and H' (Bunch, Nielsen & Sorensen 1978; Li 1993), safeguarded
-by bisection inside the sign bracket as Brent's method is. On the sweep
-benchmark's brackets it spends 4.3 evaluations a root, residual test
-included, where Brent's method spent 13.4. The records are the answer: a
+by bisection inside the sign bracket as Brent's method is. It starts one
+Newton step of H past the line's zero in the lobe, mu, where G = 0 and
+G' = -L/2, so the step mu - F(mu)/(L/2 + F'(mu)) is exact in G, needs F
+alone and calls no line (_line_zero_step). Residual test included, it
+spends 3.9 evaluations a root on the sweep benchmark's brackets and 3.3 on
+the gate's (4.3 and 4.1 when it started at mu itself), where Brent's
+method spent 13.4 on the sweep's. The records are the answer: a
 root's record does not depend on which others are refined, and a near
 solve's records are consecutive roots of the full solve, so a read of the
 pair around some lam either finds the full solve's pair or misses one side
@@ -225,6 +229,24 @@ def _cleared_secular(length: float, b):
         return cleared
 
     return on
+
+
+def _line_zero_step(b, mu: float, half_length: float):
+    """Where _refine first evaluates a bracket around mu, the line's zero in
+    a lobe, where G = 0 and G' = -L/2: one Newton step of H = G - F from
+    there, mu - F(mu)/(L/2 + F'(mu)), exact in G, so the boundary alone
+    places a line-like root and the line is not called. F and F' are b's
+    whole rational form, in the expressions and the order of
+    _cleared_secular's f and F'. None where L/2 + F' <= 0, as
+    H' = -L/2 - F' is then not negative and the step points nowhere."""
+    beta = b.beta
+    f, fp = -beta * mu - b.gamma, -beta
+    for p in b.poles:
+        loc, s = p.location, p.strength
+        f += s / (loc - mu)
+        fp += s / ((loc - mu) * (loc - mu))
+    den = half_length + fp
+    return mu - f / den if den > 0.0 else None
 
 
 def _slope_bounds(length: float, b):
@@ -408,11 +430,12 @@ def _isolate(on, lo, hi, lam_max: float, bounds, slack: float, lobe: int, length
 
 
 def _refine(ch, lo, hi, lobe: int, a: float, z: float, fa: float, fz: float,
-            length: float) -> EigenvalueRecord:
+            length: float, b) -> EigenvalueRecord:
     """The root of c*H on the bracket [a, z], where fa = c*H(a) and
     fz = c*H(z) differ in sign or fz == 0, checked by the residual test. ch,
-    lo, hi and lobe are its interval's, as _isolate's. At an end on a
-    bounding pole fa or fz is the sign isolation gave it (_pole_end).
+    lo, hi and lobe are its interval's, as _isolate's, and b is its solve's
+    boundary. At an end on a bounding pole fa or fz is the sign isolation
+    gave it (_pole_end).
 
     A secular step that knows the poles (Bunch, Nielsen & Sorensen 1978;
     Li 1993): near a point x, H is the term w/(lam - p) of the nearer of the
@@ -423,11 +446,14 @@ def _refine(ch, lo, hi, lobe: int, a: float, z: float, fa: float, fz: float,
     G' = G/(2 lam) - (L/2)(1 + G^2/lam), so H' = G' - F', with F' from
     the parts for the other poles and wf/(x - p)^2 for each bounding pole,
     wf its end's F-weight. lam = 0 is no pole, and the line's next pole
-    stands in for lam_max. The first point is the line's own zero in the
-    lobe, ((lobe + 1/2) pi / L)^2, where it falls in the bracket, else the
-    root of the two bounding poles' terms alone where both weigh positive
-    and it falls there, kept tol from the bracket's ends as a step is, else
-    the bracket's midpoint.
+    stands in for lam_max. Where the line's own zero in the lobe,
+    mu = ((lobe + 1/2) pi / L)^2, lies strictly inside the bracket, the
+    first point is one Newton step of H from mu, read from b's F alone
+    (_line_zero_step), if that lies more than tol inside the bracket's
+    ends. Else it is mu itself where mu falls in the bracket, else the root
+    of the two bounding poles' terms alone where both weigh positive and it
+    falls there, each kept tol from the bracket's ends as a step is, else
+    the bracket's midpoint. No first point is an evaluation of c*H.
 
     Safeguarded as Brent's method is. The step is taken from the bracket end
     evaluated here with the smaller |c*H|, or else from the other one; a
@@ -454,11 +480,17 @@ def _refine(ch, lo, hi, lobe: int, a: float, z: float, fa: float, fz: float,
             w_hi, wf_hi = 2.0 * p_hi / length, 0.0
         # the line's zero in the lobe, where G = 0 and the boundary alone decides
         guess = ((lobe + 0.5) * pi / length) ** 2
-        if not a < guess < z and w_lo > 0.0 and w_hi > 0.0:
+        inside = a < guess < z
+        if not inside and w_lo > 0.0 and w_hi > 0.0:
             guess = (w_lo * p_hi + w_hi * p_lo) / (w_lo + w_hi)
         tol = _TWO_EPS * guess
         if a <= guess <= z and a + tol < z - tol:
             x = min(max(guess, a + tol), z - tol)
+            if inside:
+                # one Newton step of H from the line's zero, read from F alone
+                x0 = _line_zero_step(b, guess, half_length)
+                if x0 is not None and a + tol < x0 < z - tol:
+                    x = x0
         for steps in range(1, REFINE_MAX_STEPS + 1):
             parts = ch(x, True)
             fx = parts[0] - parts[1]
@@ -653,7 +685,7 @@ def solve_spectrum(
     def refine(interval, x0, x1, f0, f1):
         # an interval isolation evaluated nothing on holds one bracket at most
         ch, lo, hi, lobe = interval
-        return _refine(ch or cleared_on(lo, hi, lobe), lo, hi, lobe, x0, x1, f0, f1, length)
+        return _refine(ch or cleared_on(lo, hi, lobe), lo, hi, lobe, x0, x1, f0, f1, length, b)
 
     if near is None:
         records = [refine(*br) for br in brackets]
@@ -688,10 +720,16 @@ def pole_margin(spectrum: DressedSpectrum) -> float:
     return min(pole_margins(spectrum), default=math.inf)
 
 
-def _fundamental_pair(sp: DressedSpectrum, lam_ref: float, v: float) -> tuple[float, float]:
+def _fundamental_pair(sp: DressedSpectrum, lam_ref: float, v: float,
+                      straddle: float | None = None) -> tuple[float, float]:
     """The dressed frequencies of the roots nearest lam_ref, the bare
     fundamental, one at or below it and one at or above; SolverError when
-    either is missing."""
+    either is missing. Given straddle, the pole of a ground-state qubit in
+    the fundamental's lobe, the doublet lies on either side of that pole,
+    so two distinct roots that do not are the wrong pair (at tiny g the
+    mode-like root can round to the other side of lam_ref) and raise
+    SolverError too; a degenerate pair is left to CrossingSweep's gap
+    check."""
     lower = upper = None
     for r in sp.records:    # strictly increasing: the last at or below, the first at or above
         if r.lam <= lam_ref:
@@ -701,6 +739,8 @@ def _fundamental_pair(sp: DressedSpectrum, lam_ref: float, v: float) -> tuple[fl
             break
     if lower is None or upper is None:
         raise SolverError("no dressed pair brackets the fundamental")
+    if straddle is not None and lower != upper and not lower <= straddle <= upper:
+        raise SolverError("the dressed pair around the fundamental misses the qubit's pole")
     return lambda_to_omega(lower, v), lambda_to_omega(upper, v)
 
 
@@ -735,8 +775,11 @@ def qubit_frequency_sweep(
     Poles and residues move with omega_q; the coupling is held fixed. At each
     grid point the two dressed frequencies nearest the bare fundamental (one
     at or below, one at or above) are recorded; only those two roots are
-    refined. A ValueError at zero coupling, before any solve: there is no
-    crossing to follow.
+    refined. A ground-state qubit below the first Dirichlet pole (omega_q
+    below twice the fundamental) puts its pole between the two, and a grid
+    point whose pair misses it raises SolverError (_fundamental_pair). A
+    ValueError at zero coupling, before any solve: there is no crossing to
+    follow.
     """
     if resolved_coupling(spec, dev) == 0.0:
         raise ValueError(
@@ -747,12 +790,17 @@ def qubit_frequency_sweep(
     v, length = dev.phase_velocity, dev.length
     lam_ref = omega_to_lambda(dev.fundamental_frequency, v)
     boundary_at = _tuned_transmon(spec, dev, levels)
+    ground, lobe_top = spec.state == "g", 2.0 * dev.fundamental_frequency
 
     def solve_one(omega_q):
         bnd = boundary_at(omega_q)
+        # a ground-state qubit in the fundamental's lobe has its one pole there
+        straddle = None
+        if ground and omega_q < lobe_top and bnd.poles:
+            straddle = bnd.poles[0].location
         try:
             sp = solve_spectrum(length, bnd, near=lam_ref)
-            return _fundamental_pair(sp, lam_ref, v)
+            return _fundamental_pair(sp, lam_ref, v, straddle)
         except SolverError as exc:
             raise type(exc)(f"{exc} at omega_q={omega_q / GHZ:.12g} GHz") from None
 

@@ -204,20 +204,20 @@ PINNED_JSON_OUTPUTS = {
   "eigenvalues_hz": [
     8990164475.540096,
     10008444031.151031,
-    30000065933.602543,
+    30000065933.602547,
     50000013393.95344,
     70000004802.418,
-    90000002244.66876,
-    110000001225.33255
+    90000002244.66873,
+    110000001225.33257
   ],
   "margins": [
     0.002184477811566727,
     0.23665372746521843,
-    10.111159950870366,
+    10.111159950870368,
     29.864214066611403,
     59.49383546096965,
-    99.00000498815282,
-    148.38271937744645
+    99.0000049881528,
+    148.38271937744648
   ]
 }
 """,
@@ -284,17 +284,17 @@ PINNED_JSON_OUTPUTS = {
     50000011880.043686,
     70000004267.875,
     90000001996.37822,
-    110000001090.22054
+    110000001090.22055
   ],
   "margins": [
     0.003465193251674353,
     0.0020697050415579257,
-    0.23568628988223697,
-    10.111154102076673,
+    0.23568628988223672,
+    10.111154102076672,
     29.864212197586525,
     59.49383453706812,
     99.0000044363961,
-    148.38271901047548
+    148.38271901047554
   ]
 }
 """,

@@ -21,10 +21,10 @@ from dressed_modes import SolverError, spectrum
 
 ROOTS = Path(__file__).with_name("solver_roots.json")
 # Both refiners stop on a sign bracket at most 2 tol = 4 eps |x| wide, 4 to 8
-# ulps, and return its end with the smaller |c*H|. Of the 3404 roots, 3397
-# lie within 3 ulps of Brent's and 3 at 4; where c*H is flat to its
+# ulps, and return its end with the smaller |c*H|. Of the 3404 roots, 3394
+# lie within 3 ulps of Brent's and 7 at 4; where c*H is flat to its
 # rounding error over several floats the two can pick ends further apart,
-# and 4 roots lie 5 and 6 ulps away (boundary[137], [196], [206], [295]).
+# and 3 roots lie 5 and 6 ulps away (boundary[137], [206], [295]).
 MAX_ULPS = 6
 
 

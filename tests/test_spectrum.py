@@ -26,6 +26,7 @@ from dressed_modes import (
     TransmonSpec,
     default_lam_max,
     dirichlet_poles,
+    load_config,
     omega_to_lambda,
     pole_margin,
     pole_margins,
@@ -305,6 +306,44 @@ def test_sweep_error_names_its_grid_point_and_keeps_its_type():
     with pytest.raises(SolverError, match=match) as exc:
         qubit_frequency_sweep(DEV, spec, [10.5 * GHZ], levels=2)
     assert type(exc.value) is SolverError
+
+
+SAMPLE_CFG = Path(__file__).resolve().parent.parent / "sample_device.cfg"
+
+
+@pytest.mark.parametrize("omega_q_ghz", [9.5, 10.5])
+def test_tiny_coupling_sweep_reads_the_doublet_or_refuses(omega_q_ghz):
+    """sample_device.cfg with the qubit at omega_q and 200 log-spaced g in
+    1e-9..1e-5 GHz: each one-point sweep reads a pair inside (5, 20) GHz or
+    raises naming its grid point. At g ~ 2e-8 GHz the mode-like root can
+    round an ulp below the bare fundamental, and the at-or-below,
+    at-or-above read then skips the qubit-like root for the next line mode
+    at 30 GHz; the ground-state qubit's pole, which the doublet straddles,
+    refuses that pair."""
+    dev, spec = load_config(SAMPLE_CFG)
+    refused = 0
+    for i in range(200):
+        g = 10.0 ** (-9.0 + 4.0 * i / 199)
+        one = replace(spec, frequency=omega_q_ghz * GHZ, coupling=g * GHZ)
+        try:
+            sweep = qubit_frequency_sweep(dev, one, [one.frequency])
+        except (SolverError, ValueError) as exc:
+            assert str(exc).endswith(f" at omega_q={omega_q_ghz:g} GHz"), g
+            refused += 1
+            continue
+        assert 5.0 * GHZ < sweep.lower[0] < sweep.upper[0] < 20.0 * GHZ, g
+    assert 0 < refused < 100
+
+
+def test_far_detuned_sweep_point_reads_the_next_mode():
+    """Above the first Dirichlet pole (25 GHz on sample_device.cfg) the
+    qubit adds no pole between the pair, which is the mode-like root and
+    the qubit-like root above it, as before the straddle check."""
+    dev, spec = load_config(SAMPLE_CFG)
+    sweep = qubit_frequency_sweep(dev, spec, [25.0 * GHZ])
+    assert (sweep.lower[0].hex(), sweep.upper[0].hex()) == (
+        "0x1.d405b602ab74ep+35", "0x1.2490b38b27c83p+37",
+    )
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -641,14 +680,80 @@ def test_refine_refuses_a_sign_change_without_a_zero():
     """A step H = -1 below x = 0.5 and +1 from it on changes sign on [0, 1]
     but has no zero (c = 1, L = 1, F' = 0, bounded by lam = 0 and lam_max):
     the refiner closes on the step and the residual test refuses it instead
-    of returning a record."""
+    of returning a record. The line's zero lies outside the bracket, so
+    the Newton start of a pole-free boundary is not taken."""
 
     def ch(x, slope=False):
         h = -1.0 if x < 0.5 else 1.0
         return (h, 0.0, 1.0, 0.0) if slope else (h, 0.0, 1.0)
 
     with pytest.raises(SolverError, match="cleared residual 1.000e[+]00 exceeds"):
-        spectrum._refine(ch, None, None, 0, 0.0, 1.0, -1.0, 1.0, 1.0)
+        spectrum._refine(ch, None, None, 0, 0.0, 1.0, -1.0, 1.0, 1.0, RationalBoundary())
+
+
+def _line_zero(lobe):
+    """mu = ((lobe + 1/2) pi / L)^2, the line's zero in a lobe, as _refine
+    takes it."""
+    return ((lobe + 0.5) * math.pi / LENGTH) ** 2
+
+
+# Each case's roots from the refiner that first evaluated the line's zero
+# itself (the parent of the Newton start), as float.hex and refiner
+# evaluations: where the start falls back, its path is that refiner's.
+START_FALLBACKS = {
+    "pole on the line's zero": (
+        RationalBoundary(poles=(BoundaryPole(_line_zero(1), 1e3),)), _line_zero(1),
+        [("0x1.2d18c48f57a0cp+21", 4), ("0x1.2d4bcc81093eep+21", 4)],
+    ),
+    "beta = L/2": (
+        RationalBoundary(beta=0.5 * LENGTH), None,
+        [("0x1.47fa2887dc741p+19", 5), ("0x1.e1b1b8cea5f03p+21", 4),
+         ("0x1.1faf73c409b2cp+23", 4), ("0x1.04f687889bb39p+24", 4),
+         ("0x1.9b8e51a549998p+24", 4), ("0x1.29cf0c79d3991p+25", 4)],
+    ),
+    "beta = 0.6 L": (
+        RationalBoundary(beta=0.6 * LENGTH, gamma=-0.6 * LENGTH * _line_zero(1)), None,
+        [("0x1.964eee6ee87f9p+20", 6), ("0x1.2d3248cd5b957p+21", 2),
+         ("0x1.7cf9096e19b0ep+21", 6), ("0x1.1df484e68dcf6p+23", 3),
+         ("0x1.05239826a4916p+24", 4), ("0x1.9c1d2cbe0361bp+24", 4),
+         ("0x1.2a2e85784c587p+25", 4)],
+    ),
+    "step leaves its bracket": (
+        RationalBoundary(poles=(
+            BoundaryPole(_line_zero(0) * (1.0 - 1e-4), 1.0),
+            BoundaryPole(_line_zero(0) * (1.0 + 1e-3), 1e3),
+        )), _line_zero(0),
+        [("0x1.0bb4244db5e30p+18", 4), ("0x1.0cac26b1ecab0p+18", 5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(START_FALLBACKS))
+def test_newton_start_falls_back_to_the_line_zero(case):
+    """Where the Newton step from the line's zero cannot be taken, the
+    refiner starts where it did before the step, and each root keeps that
+    refiner's bits and evaluation count: a boundary pole exactly on the
+    zero, which is then a bracket end and not inside it; beta >= L/2 with
+    no poles, where L/2 + F' = L/2 - beta <= 0 (exactly 0 at L/2, no
+    ZeroDivisionError); and a step that lands below the bracket the zero
+    lies in."""
+    bnd, near, expected = START_FALLBACKS[case]
+    sp = solve_spectrum(LENGTH, bnd, near=near)
+
+    def step(mu):
+        return spectrum._line_zero_step(bnd, mu, 0.5 * LENGTH)
+
+    assert [(r.lam.hex(), r.iterations) for r in sp.records] == expected
+    if case == "pole on the line's zero":
+        assert sp.records[0].bracket[1] == near == sp.records[1].bracket[0]
+    elif case == "step leaves its bracket":
+        a, z = sp.records[0].bracket
+        assert a < near < z and step(near) < a
+    else:
+        assert all(step(_line_zero(lobe)) is None for lobe in range(6))
+        lobes_inside = [lobe for lobe in range(6) for r in sp.records
+                        if r.bracket[0] < _line_zero(lobe) < r.bracket[1]]
+        assert lobes_inside == ([1] if case == "beta = 0.6 L" else [])
 
 
 def _emission_above_absorption():
