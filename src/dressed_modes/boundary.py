@@ -3,16 +3,21 @@
 Linear response of the junction around an occupied transmon state |n> turns
 the boundary condition into phi'(L)/phi(L) = F(lam) with a rational
 
-    F(lam) = -beta*lam - gamma + sum_k delta_k / (lam_k - lam)
+    F(lam) = s*lam - gamma + sum_k delta_k / (lam_k - lam),   s = -beta
 
-beta = C_J/c is the capacitive loading, gamma is a constant offset of
-either sign (zero for the transmon boundary; the full-susceptance form,
-read as a rational form, has gamma = -ell sum_k A_k), and each pole sits
-at a transition lam_k = (omega_nm / v)^2 with strength delta_k > 0 for
-absorption (omega_nm > 0) and delta_k < 0 for emission. With every strength
-positive each pole term rises monotonically to +inf as lam -> lam_k from
-below, which is what pins exactly one dressed eigenvalue to every
-inter-pole interval.
+beta = C_J/c is the capacitive loading and s = RationalBoundary.affine_slope
+is F's affine slope. beta's sign is written there alone: _rational, the one
+expression of F and F', and the solver in spectrum.py read s, never beta.
+The sign is disputed: Foster's reactance theorem (Bell Syst. Tech. J. 3,
+259, 1924) has the F of a lossless port rise with lam, s = +beta, and a
+fix is that one line. gamma is a constant offset of either sign (zero for
+the transmon boundary; the full-susceptance form, read as a rational form,
+has gamma = -ell sum_k A_k), and each pole sits at a transition
+lam_k = (omega_nm / v)^2 with strength delta_k > 0 for absorption
+(omega_nm > 0) and delta_k < 0 for emission. With every strength positive
+each pole term rises monotonically to +inf as lam -> lam_k from below,
+which is what pins exactly one dressed eigenvalue to every inter-pole
+interval.
 """
 from __future__ import annotations
 
@@ -90,7 +95,8 @@ class BoundaryPole(NamedTuple):
 
 @dataclass(frozen=True)
 class RationalBoundary:
-    """F(lam) = -beta*lam - gamma + sum_k delta_k / (lam_k - lam)."""
+    """F(lam) = s*lam - gamma + sum_k delta_k / (lam_k - lam), with the
+    affine slope s = affine_slope = -beta."""
 
     beta: float = 0.0
     gamma: float = 0.0
@@ -139,33 +145,47 @@ class RationalBoundary:
                     location=p.location,
                 )
 
+    @property
+    def affine_slope(self) -> float:
+        """s in F = s*lam - gamma + ...: the one place beta's sign is set."""
+        return -self.beta
+
     def value(self, lam: float) -> float:
         self._guard(lam)
-        acc = -self.beta * lam - self.gamma
-        for p in self.poles:
-            acc += p.strength / (p.location - lam)
-        return acc
+        return _rational(self.poles, self.affine_slope, self.gamma, lam)[0]
 
     def derivative(self, lam: float) -> float:
         self._guard(lam)
-        acc = -self.beta
-        for p in self.poles:
-            acc += p.strength / (p.location - lam) ** 2
-        return acc
+        return _rational(self.poles, self.affine_slope, self.gamma, lam)[1]
+
+
+def _rational(poles, slope: float, gamma: float, lam: float) -> tuple[float, float]:
+    """(F(lam), F'(lam)) of F = slope*lam - gamma + sum_k delta_k/(lam_k - lam)
+    over `poles`, unguarded: the one expression of F and F' outside the
+    solver's cleared function (spectrum._cleared_secular), which keeps its
+    own copy of this loop and is tested against it bit for bit."""
+    f, fp = slope * lam - gamma, slope
+    for p in poles:
+        loc, s = p.location, p.strength
+        f += s / (loc - lam)
+        fp += s / ((loc - lam) * (loc - lam))
+    return f, fp
 
 
 @dataclass(frozen=True)
 class FullSusceptanceBoundary:
     """Exact linear-response form, given in the susceptance shape
 
-    F(lam) = -ell v^2 lam C_J - sum_k ell v^2 A_k lam / (omega_k^2 - v^2 lam)
+    F(lam) = s lam - sum_k ell v^2 A_k lam / (omega_k^2 - v^2 lam),
+    s = -ell v^2 C_J
 
     and read only through `rational`, built once at construction. Since
     lam / (lam_k - lam) = lam_k / (lam_k - lam) - 1, F is exactly the
-    RationalBoundary with beta = ell v^2 C_J, gamma = -ell sum_k A_k (of
-    either sign) and residues -ell A_k lam_k; a zero-amplitude term is no
-    pole; solve_spectrum takes `rational`. Amplitudes are usually calibrated
-    against a RationalBoundary at a reference eigenvalue (see from_rational).
+    RationalBoundary with beta = ell v^2 C_J (its affine_slope is s),
+    gamma = -ell sum_k A_k (of either sign) and residues -ell A_k lam_k; a
+    zero-amplitude term is no pole; solve_spectrum takes `rational`.
+    Amplitudes are usually calibrated against a RationalBoundary at a
+    reference eigenvalue (see from_rational).
     """
 
     junction_capacitance: float

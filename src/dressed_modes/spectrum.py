@@ -11,25 +11,26 @@ closed interval, poles included, and a root next to a pole is an ordinary
 root. Nothing is clamped off the poles.
 
 Root count. Every interval goes through one routine, _isolate, which splits
-cells until a bound on H' = G' + beta - sum_k delta_k/(lam_k - lam)^2
-settles each: H monotone on a cell gives one root iff c*H changes sign
-across it, |H| kept off zero gives none, and a cell that reaches float
-resolution unsettled raises SolverError, so no root is lost silently. The
-cheap bound comes first: G' <= -L/3 and absorption terms (delta_k > 0) only
-lower H', so beta - L/3 + sum over emission poles (delta_k < 0) of
-|delta_k|/d_min^2 < 0 proves a cell decreasing. A cell end at a bounding
-pole is signed, not evaluated: near the pole H ~ w/(lam - p), with the
-weight w = 2 lam_n/L > 0 of a Dirichlet pole or delta_k of a boundary
-pole, so by the level-repulsion theorem c*H is + just above a Dirichlet or
-absorption pole and - just below it, flipped for an emission pole
-(_pole_end). Only lam = 0, lam_max and the cuts are evaluated. With every
-residue positive and beta < L/3 (a ground-state transmon) the cheap bound
-settles each interval whole: one root between two poles, read off the
-signs without an evaluation, and one in an edge interval iff
-H(0) = 1/L - F(0) > 0, resp. H(lam_max) <= 0. The sharper bound of
+cells until a bound on H' = G' - s - sum_k delta_k/(lam_k - lam)^2 settles
+each, s = b.affine_slope being F's affine slope (-beta; boundary.py sets its
+sign, and nothing here writes it again): H monotone on a cell gives one
+root iff c*H changes sign across it, |H| kept off zero gives none, and a
+cell that reaches float resolution unsettled raises SolverError, so no root
+is lost silently. The cheap bound comes first: G' <= -L/3 and absorption
+terms (delta_k > 0) only lower H', so -L/3 - s + sum over emission poles
+(delta_k < 0) of |delta_k|/d_min^2 < 0 proves a cell decreasing. A cell
+end at a bounding pole is signed, not evaluated: near the pole
+H ~ w/(lam - p), with the weight w = 2 lam_n/L > 0 of a Dirichlet pole or
+delta_k of a boundary pole, so by the level-repulsion theorem c*H is + just
+above a Dirichlet or absorption pole and - just below it, flipped for an
+emission pole (_pole_end). Only lam = 0, lam_max and the cuts are
+evaluated. With every residue positive and -s < L/3 (a ground-state
+transmon) the cheap bound settles each interval whole: one root between
+two poles, read off the signs without an evaluation, and one in an edge
+interval iff H(0) = 1/L - F(0) > 0, resp. H(lam_max) <= 0. The sharper bound of
 _slope_bounds serves the rest. A cell is halved, except where an emission
-pole bounding the interval is one of its ends and beta < L/3: there it is
-cut 1.05 sqrt(|delta_k|/(L/3 - beta)) from the pole (_pole_cut), past which
+pole bounding the interval is one of its ends and -s < L/3: there it is
+cut 1.05 sqrt(|delta_k|/(L/3 + s)) from the pole (_pole_cut), past which
 the pole's term in the cheap bound is under the line's least fall, so the
 far part settles in one call rather than after a halving per factor of two
 toward the pole.
@@ -93,7 +94,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
-from .boundary import _tuned_transmon, pole_strength_from_coupling, resolved_coupling
+from .boundary import _rational, _tuned_transmon, pole_strength_from_coupling, resolved_coupling
 from .errors import PoleCollisionError, SolverError
 from .params import GHZ, DeviceParams, TransmonSpec, lambda_to_omega, omega_to_lambda
 from .resonator import XI_POLE_GUARD, default_lam_max, dirichlet_poles, line_log_deriv
@@ -165,8 +166,8 @@ class DressedSpectrum(NamedTuple):
 def _cleared_secular(length: float, b):
     """on(lo, hi, lobe) -> c*H on one interval, with c > 0 inside it and
     zero at its poles. What does not depend on the interval (the line, b's
-    poles split into (location, strength) pairs, beta, gamma) is set up once
-    per solve.
+    poles split into (location, strength) pairs, its affine slope and gamma)
+    is set up once per solve.
 
     lo and hi are the interval's ends (_End), None at 0 and lam_max, and
     xi = sqrt(lam) L stays in the lobe (lobe pi, (lobe+1) pi). c carries
@@ -176,10 +177,12 @@ def _cleared_secular(length: float, b):
     boundary pole c = 0 and c*G = 0 exactly, so the line is not evaluated
     there; c*F keeps the pole's own term, and sin(xi)/xi with it. on()
     returns cleared(lam), the parts (c*G, c*F, c), or with slope=True
-    (c*G, c*F, c, F') with F' less the bounding poles' terms.
+    (c*G, c*F, c, F') with F' less the bounding poles' terms. F and F' are
+    boundary._rational's expressions, inlined under the cost rule;
+    tests/test_boundary_kernel.py holds the two equal bit for bit.
     """
     pairs = [(p.location, p.strength) for p in b.poles]
-    beta, gamma = b.beta, b.gamma
+    affine, gamma = b.affine_slope, b.gamma
     # the line's own pole guard (resonator._xi_checked) around xi = k pi, k >= 1
     guard, pi, inf = XI_POLE_GUARD, math.pi, math.inf
     log_deriv, sqrt, sin, cos, fabs = line_log_deriv, math.sqrt, math.sin, math.cos, abs
@@ -215,12 +218,12 @@ def _cleared_secular(length: float, b):
                     g_side = d * log_deriv(lam, length) * e
             else:
                 g_side = log_deriv(lam, length) * e if e else 0.0
-            f = -beta * lam - gamma
+            f = affine * lam - gamma
             for loc, s in rest:
                 f += s / (loc - lam)
             f_side = d * (e * f - e_hi * r_lo + e_lo * r_hi)
             if slope:
-                fp = -beta
+                fp = affine
                 for loc, s in rest:
                     fp += s / ((loc - lam) * (loc - lam))
                 return g_side, f_side, d * e, fp
@@ -236,15 +239,9 @@ def _line_zero_step(b, mu: float, half_length: float):
     a lobe, where G = 0 and G' = -L/2: one Newton step of H = G - F from
     there, mu - F(mu)/(L/2 + F'(mu)), exact in G, so the boundary alone
     places a line-like root and the line is not called. F and F' are b's
-    whole rational form, in the expressions and the order of
-    _cleared_secular's f and F'. None where L/2 + F' <= 0, as
+    whole rational form (boundary._rational). None where L/2 + F' <= 0, as
     H' = -L/2 - F' is then not negative and the step points nowhere."""
-    beta = b.beta
-    f, fp = -beta * mu - b.gamma, -beta
-    for p in b.poles:
-        loc, s = p.location, p.strength
-        f += s / (loc - mu)
-        fp += s / ((loc - mu) * (loc - mu))
+    f, fp = _rational(b.poles, b.affine_slope, b.gamma, mu)
     den = half_length + fp
     return mu - f / den if den > 0.0 else None
 
@@ -253,11 +250,13 @@ def _slope_bounds(length: float, b):
     """(bounds, slack): bounds(x0, x1, lobe) -> (lower, upper) of H' over
     the cell [x0, x1], which holds no pole inside and stays in the lobe
     [lobe pi, (lobe+1) pi] of xi = sqrt(lam) L, and slack the cheap bound's
-    own term beta - L/3, for _pole_cut. What does not depend on the cell is
-    set up once.
+    own term -L/3 - s, for _pole_cut, with s = b.affine_slope, F's affine
+    slope, so that H' = G' - s - sum_k delta_k/(lam_k - lam)^2. What does not
+    depend on the cell is set up once.
     `c if c > a else a` is max(a, c) and `c if c < a else a` is min(a, c),
     operand for operand, without the call."""
-    beta, inf = b.beta, math.inf
+    # H's affine slope, -s (a negation, so exact)
+    h_slope, inf = -b.affine_slope, math.inf
     # emission poles: -delta_k; every pole: -delta_k, and -delta_k / d^2 at d = 0
     emission, terms = [], []
     for p in b.poles:
@@ -265,7 +264,7 @@ def _slope_bounds(length: float, b):
             emission.append((p.location, -p.strength))
         terms.append((p.location, -p.strength, -math.copysign(inf, p.strength)))
     # G' <= -L/3, and absorption terms (delta_k > 0) only lower H'
-    slack = beta - length / 3.0
+    slack = h_slope - length / 3.0
     sqrt, sin, pi = math.sqrt, math.sin, math.pi
 
     def bounds(x0, x1, lobe):
@@ -293,7 +292,7 @@ def _slope_bounds(length: float, b):
             g_0 = -xi1 * xi1 / (3.0 * s1)
             if g_0 > g_lo:
                 g_lo = g_0
-        lower, upper = beta + length * g_lo, beta + length * g_hi
+        lower, upper = h_slope + length * g_lo, h_slope + length * g_hi
         for loc, ns, t_pole in terms:
             # -delta_k / d^2 at the pole's nearest and farthest distance
             near, d0 = loc - x1, x0 - loc
@@ -314,15 +313,15 @@ def _slope_bounds(length: float, b):
 def _pole_cut(x0, x1, lo, hi, slack, mid):
     """Where _isolate splits the cell [x0, x1] of the interval between the
     ends lo and hi: mid, unless an emission pole, an end whose F-weight
-    delta_k is negative, is a cell end and beta < L/3. Then the cut lies
+    delta_k is negative, is a cell end and slack < 0. Then the cut lies
     r = EMISSION_REACH sqrt(delta_k/slack) from that pole, with
-    slack = beta - L/3 < 0 the cheap slope bound's own term (_slope_bounds):
-    beyond r the pole's term |delta_k|/d^2 stays under the line's least fall
-    L/3 - beta, so unless another emission pole adds to it the cheap bound
-    settles the far part in one call, and only a cell about r wide is left
-    to split. The cut is taken when r is under POLE_CUT_SHARE of the cell,
-    so the far part keeps a tenth of it or more, and the midpoint
-    otherwise."""
+    slack = -L/3 - s the cheap slope bound's own term (_slope_bounds, s
+    the boundary's affine slope): beyond r the pole's term |delta_k|/d^2
+    stays under the line's least fall -slack, so unless another emission
+    pole adds to it the cheap bound settles the far part in one call, and
+    only a cell about r wide is left to split. The cut is taken when r is
+    under POLE_CUT_SHARE of the cell, so the far part keeps a tenth of it
+    or more, and the midpoint otherwise."""
     below = lo is not None and x0 == lo.location and lo.f_weight < 0.0
     above = hi is not None and x1 == hi.location and hi.f_weight < 0.0
     if not (below or above) or not slack < 0.0:
@@ -632,7 +631,7 @@ def solve_spectrum(
     poles and holds the first six quarter-wave modes, dressed.
 
     The line is its `length` alone, and `b` is a RationalBoundary, read
-    through its poles, beta and gamma only. Every interval is solved on its
+    through its poles, affine_slope and gamma only. Every interval is solved on its
     cleared function c*H, its root count certified by a slope bound (module
     docstring), whatever `near` is; `near` and nearest_only only select the
     roots _refine refines, and each refined root is bit-identical to the

@@ -578,8 +578,9 @@ def test_excited_state_root_pair_next_to_the_emission_pole():
 
 
 def test_solver_reads_only_the_rational_form(monkeypatch):
-    """poles, beta and gamma, for residues of either sign and a gamma term
-    (the full form's rational form); no value or derivative of either side."""
+    """poles, affine_slope and gamma, for residues of either sign and a
+    gamma term (the full form's rational form); no value or derivative of
+    either side."""
 
     def forbidden(*args):
         raise AssertionError("solver evaluated a boundary or line method")
