@@ -91,17 +91,42 @@ def _uniform_draws(seed: int):
     return lambda lo, hi: lo + (hi - lo) * next(units)
 
 
+def _lobe_root(lobe: int, target: float) -> float:
+    """xi in (lobe pi, (lobe + 1) pi) where xi cot xi = target, by plain
+    bisection: xi cot xi falls from 1 (lobe 0) or +inf to -inf across it."""
+    lo, hi = lobe * math.pi, (lobe + 1) * math.pi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if mid / math.tan(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+
+
 def check_open_circuit() -> CriterionResult:
-    """First five eigenvalues with no termination = bare quarter-wave values."""
-    sp = solve_spectrum(STANDARD_DEVICE.length, RationalBoundary(beta=0.0, gamma=0.0, poles=()))
-    expected = quarterwave_zeros(STANDARD_DEVICE.length, 5)
+    """First five eigenvalues with no termination = bare quarter-wave values,
+    and with a constant gamma = 1/L, where refinement starts off each root,
+    = a bisection of xi cot xi = -gamma L in each lobe."""
+    length = STANDARD_DEVICE.length
+    sp = solve_spectrum(length, RationalBoundary(beta=0.0, gamma=0.0, poles=()))
+    expected = quarterwave_zeros(length, 5)
     worst = 0.0
     for lam, ref in zip(sp.eigenvalues[:5], expected):
         worst = max(worst, abs(lam - ref) / ref)
+    gamma = 1.0 / length
+    shifted = solve_spectrum(length, RationalBoundary(beta=0.0, gamma=gamma, poles=()))
+    worst_gamma = 0.0
+    for lobe, lam in enumerate(shifted.eigenvalues[:5]):
+        ref = (_lobe_root(lobe, -gamma * length) / length) ** 2
+        worst_gamma = max(worst_gamma, abs(lam - ref) / ref)
     return _result(
         "open-circuit reduction",
-        len(sp.eigenvalues) >= 5 and worst <= 1e-10,
-        f"worst relative error {worst:.3e} over first 5 modes (tol 1e-10)",
+        len(sp.eigenvalues) >= 5 and len(shifted.eigenvalues) >= 5
+        and max(worst, worst_gamma) <= 1e-10,
+        f"worst relative error {worst:.3e} over first 5 modes; gamma = 1/L: "
+        f"{worst_gamma:.3e} against bisection of xi cot xi = -gamma L (tol 1e-10)",
     )
 
 

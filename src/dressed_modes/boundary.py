@@ -18,10 +18,15 @@ lam_k = (omega_nm / v)^2 with strength delta_k > 0 for absorption
 each pole term rises monotonically to +inf as lam -> lam_k from below,
 which is what pins exactly one dressed eigenvalue to every inter-pole
 interval.
+
+A pole location must be at least sqrt(sys.float_info.min)/POLE_GUARD_REL,
+about 1.49e-145 1/m^2: below it (lam_k - lam)^2 in F' underflows to zero
+just outside the pole guard, so RationalBoundary refuses such a location.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
@@ -31,6 +36,8 @@ from .params import HBAR, DeviceParams, TransmonSpec, _check_qubit_frequency, om
 
 # Relative guard around boundary poles, and the pole-distinctness floor.
 POLE_GUARD_REL = 1e-9
+# the least pole location whose squared guard distance is a normal float
+_LOCATION_FLOOR = math.sqrt(sys.float_info.min) / POLE_GUARD_REL
 _location = attrgetter("location")
 
 
@@ -122,6 +129,11 @@ class RationalBoundary:
         for p in kept:
             if p.location <= 0.0:
                 raise ValueError("pole locations must be positive")
+            if p.location < _LOCATION_FLOOR:
+                raise ValueError(
+                    f"pole location {p.location} below the floor {_LOCATION_FLOOR:.3e} "
+                    "(sqrt(sys.float_info.min)/POLE_GUARD_REL)"
+                )
         kept.sort(key=_location)
         for a, b in zip(kept, kept[1:]):
             if b.location - a.location < POLE_GUARD_REL * b.location:

@@ -49,8 +49,9 @@ Newton step of H past the line's zero in the lobe, mu, where G = 0 and
 G' = -L/2, so the step mu - F(mu)/(L/2 + F'(mu)) is exact in G, needs F
 alone and calls no line (_line_zero_step). Residual test included, it
 spends 3.9 evaluations a root on the sweep benchmark's brackets and 3.3 on
-the gate's (4.3 and 4.1 when it started at mu itself), where Brent's
-method spent 13.4 on the sweep's. The records are the answer: a
+the gate's. The residual test weighs |c*H| against RESIDUAL_REL of the raw
+sides' scale max(|G|, |F|, 1/L) times max(c, 1), as c outgrows 1 far above
+a small bounding pole. The records are the answer: a
 root's record does not depend on which others are refined, and a near
 solve's records are consecutive roots of the full solve, so a read of the
 pair around some lam either finds the full solve's pair or misses one side
@@ -99,7 +100,7 @@ from .errors import PoleCollisionError, SolverError
 from .params import GHZ, DeviceParams, TransmonSpec, lambda_to_omega, omega_to_lambda
 from .resonator import XI_POLE_GUARD, default_lam_max, dirichlet_poles, line_log_deriv
 
-RESIDUAL_REL = 1e-8          # threshold on |c*H| over max(|G|, |F|, 1/L)
+RESIDUAL_REL = 1e-8          # threshold on |c*H| over max(|G|, |F|, 1/L) max(c, 1)
 REFINE_MAX_STEPS = 200       # safety cap; 3000 random ground-state devices need <= 6
 DIRICHLET_COLLISION_REL = 1e-6
 EMISSION_REACH = 1.05        # _pole_cut's cut, in units of an emission pole's reach
@@ -551,17 +552,21 @@ def _refine(ch, lo, hi, lobe: int, a: float, z: float, fa: float, fz: float,
             raise SolverError(f"root refinement did not converge in [{a}, {z}]")
     if parts is None:
         parts = ch(x)
-    # |c*H| against the scale of the raw sides, max(|G|, |F|, 1/L): next
-    # to a pole the raw |H| at the float nearest the root can exceed it.
+    # |c*H| against the scale of the raw sides, max(|G|, |F|, 1/L), times
+    # max(c, 1), tested as two comparisons, the second only where the first
+    # fails: next to a pole the raw |H| at the float nearest the root can
+    # exceed the scale, and far above a small bounding pole c, which carries
+    # (lam - lam_k)/lam_k, exceeds 1 and would tighten the test by itself.
     # A root closer to its pole than one ulp rounds onto it (c = 0); the
     # bracket already pins it to rounding.
     g_side, f_side, c = parts[:3]
     residual = abs(g_side - f_side)
     scale = max(abs(g_side), abs(f_side), c / length) / c if c else math.inf
-    if residual > RESIDUAL_REL * scale:
+    tol = RESIDUAL_REL * scale
+    if residual > tol and residual > tol * c:
         raise SolverError(
             f"root at lam={x} cleared residual {residual:.3e} exceeds "
-            f"{RESIDUAL_REL} of scale {scale:.3e}"
+            f"{RESIDUAL_REL} of scale {scale * max(c, 1.0):.3e}"
         )
     return EigenvalueRecord(x, bracket, residual, steps)
 

@@ -3,7 +3,8 @@
 The sine modes sin(n*pi*phi/Phi) diagonalize the Laplacian on (0, Phi) with
 walls held at zero. Acting with the bare first-derivative operator maps them
 onto cosines, which are nonzero at both walls, so -i d/dphi does not preserve
-the Dirichlet domain; only its square does.
+the Dirichlet domain; only its square does. The modes' orthogonality is
+checked by the textbook composite Simpson rule on a uniform grid.
 """
 from __future__ import annotations
 
@@ -49,62 +50,56 @@ def derivative_wall_values(n: int, geom: WedgeGeometry) -> tuple[float, float]:
     return math.cos(0.0), math.cos(n * math.pi)
 
 
-def _simpson_panels(geom: WedgeGeometry):
-    """The grid of sine_mode_overlap's rule and, per panel, its factors
-    (h0 + h1)/6, 2 - h1/h0, (h0 + h1)^2/(h0 h1) and 2 - h0/h1, each in the
-    rule's own operand order: everything in a quadrature that is not a mode."""
+def _simpson_rule(geom: WedgeGeometry):
+    """The grid of the overlaps' composite Simpson rule on OVERLAP_PANELS
+    panels and its weights h/3 (1, 4, 2, ..., 2, 4, 1), h = Phi/(2 panels)."""
     import numpy as np
 
     phi = np.linspace(0.0, geom.angle, 2 * OVERLAP_PANELS + 1)
-    h = np.diff(phi)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    return phi, (hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio)
+    weights = np.full(phi.size, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    h = geom.angle / (2 * OVERLAP_PANELS)
+    weights *= h / 3.0
+    return phi, weights
 
 
-def _overlap(sin_n, sin_m, panels) -> float:
-    """Simpson quadrature of sin_n * sin_m, the modes sampled on the grid of
-    `panels`, which _simpson_panels gives."""
-    width, w0, w1, w2 = panels
-    y = sin_n * sin_m
-    return float((width * (y[:-2:2] * w0 + y[1::2] * w1 + y[2::2] * w2)).sum())
+def _overlap(sin_n, sin_m, weights) -> float:
+    """The rule's sum of sin_n * sin_m, the modes sampled on its grid; the
+    product comes first, so the sum is the same float with n and m swapped."""
+    return float((sin_n * sin_m * weights).sum())
 
 
 def sine_mode_overlap(n: int, m: int, geom: WedgeGeometry) -> float:
-    """Quadrature of sin(mu_n phi) sin(mu_m phi) over (0, Phi).
-
-    Composite Simpson on OVERLAP_PANELS panels; equals (Phi/2) delta_nm exactly.
-    Each panel is weighted by its own two grid steps h0, h1 (equal up to the
-    rounding of the grid), (h0 + h1)/6 * (y0 (2 - h1/h0) + y1 (h0 + h1)^2/(h0 h1)
-    + y2 (2 - h0/h1)), which is 1, 4, 1 times h/3 when they are equal.
-    """
+    """Composite Simpson quadrature, on OVERLAP_PANELS panels, of
+    sin(mu_n phi) sin(mu_m phi) over (0, Phi), whose integral is
+    (Phi/2) delta_nm."""
     import numpy as np
 
     _check_index(n)
     _check_index(m)
-    phi, panels = _simpson_panels(geom)
+    phi, weights = _simpson_rule(geom)
     return _overlap(
         np.sin(azimuthal_wavenumber(n, geom) * phi),
         np.sin(azimuthal_wavenumber(m, geom) * phi),
-        panels,
+        weights,
     )
 
 
 def orthogonality_error(geom: WedgeGeometry, modes: int) -> float:
     """Largest |overlap(n, m) - (Phi/2) delta_nm| over 1 <= n, m <= modes.
 
-    The grid, its panel factors and each mode's sine are set up once, and
-    each unordered pair is summed once: overlap(n, m) and overlap(m, n) are
-    the same floats, and each equals sine_mode_overlap's bit for bit."""
+    The rule and each mode's sine are set up once and each unordered pair is
+    summed once, one pair at a time; every overlap equals
+    sine_mode_overlap's bit for bit."""
     import numpy as np
 
-    phi, panels = _simpson_panels(geom)
+    phi, weights = _simpson_rule(geom)
     sines = [np.sin(azimuthal_wavenumber(n, geom) * phi) for n in range(1, modes + 1)]
     del phi
     worst = 0.0
     for i, sin_n in enumerate(sines):
-        worst = max(worst, abs(_overlap(sin_n, sin_n, panels) - geom.angle / 2.0))
+        worst = max(worst, abs(_overlap(sin_n, sin_n, weights) - geom.angle / 2.0))
         for sin_m in sines[i + 1:]:
-            worst = max(worst, abs(_overlap(sin_n, sin_m, panels)))
+            worst = max(worst, abs(_overlap(sin_n, sin_m, weights)))
     return worst

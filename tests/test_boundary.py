@@ -21,6 +21,7 @@ from dressed_modes import (
     sum_boundaries,
     transmon_boundary,
 )
+from dressed_modes.boundary import _LOCATION_FLOOR
 
 DEV = DeviceParams(length=3e-3, phase_velocity=1.2e8, impedance=50.0)
 QUBIT = TransmonSpec(state="g", frequency=9 * GHZ, anharmonicity=-0.25 * GHZ, coupling=0.1 * GHZ)
@@ -124,6 +125,21 @@ def test_rational_form_rejects_non_finite_inputs(kwargs, field):
 def test_boundary_builders_reject_out_of_range_inputs(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+def test_pole_location_below_the_floor_is_refused():
+    """Below sqrt(float min)/POLE_GUARD_REL, (lam_k - lam)^2 underflows to 0
+    just outside the pole guard, and F' divided by it. Just above the floor
+    F and F' are finite outside the guard on either side."""
+    with pytest.raises(ValueError, match="^pole location 1e-160 below the floor 1.492e-145 "):
+        RationalBoundary(poles=(BoundaryPole(1e-160, 1.0),))
+    with pytest.raises(ValueError, match="below the floor"):
+        RationalBoundary(poles=(BoundaryPole(math.nextafter(_LOCATION_FLOOR, 0.0), 1.0),))
+    loc = math.nextafter(_LOCATION_FLOOR, math.inf)
+    b = RationalBoundary(poles=(BoundaryPole(loc, 1.0),))
+    for lam in (loc * (1.0 + 2e-9), loc * (1.0 - 2e-9)):
+        assert math.isfinite(b.value(lam))
+        assert math.isfinite(b.derivative(lam))
 
 
 def test_non_finite_inputs_rejected_through_full_form_and_sum():

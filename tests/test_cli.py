@@ -1023,7 +1023,7 @@ def test_wedge_defaults(capsys):
 
 # stdout of `validate --seed 0`: the criteria's measured values and margins
 VALIDATE_SEED_0 = (
-    "[PASS] open-circuit reduction: worst relative error 0.000e+00 over first 5 modes (tol 1e-10)\n"
+    "[PASS] open-circuit reduction: worst relative error 0.000e+00 over first 5 modes; gamma = 1/L: 1.736e-16 against bisection of xi cot xi = -gamma L (tol 1e-10)\n"
     "[PASS] derivative identity: zeros: worst 0.000e+00 (tol 1e-12); finite differences: worst 7.836e-08 over 1000 points (tol 1e-6)\n"
     "[PASS] interlacing: 1000/1000 configurations solved, 0 interlacing failures\n"
     "[PASS] level repulsion: min eigenvalue-pole relative margin 6.223e-07; min crossing gap 0.200015 GHz over 41 points\n"
@@ -1033,7 +1033,7 @@ VALIDATE_SEED_0 = (
     "[PASS] two-qubit structure: matched: odd gap 0.0, even gap = 4|chi|: True; QND commutator 0.0e+00 vs 1e-14*|H| = 6.3e-03; additivity deviation 1.345e-04 GHz (tol 7.666e-04)\n"
     "[PASS] commutator algebra: [H_int, sz] = 0.0, sx identity residual = 0.0, [H_int, sx] = 1.885e+08\n"
     "[PASS] approximation audit: 1 dressed mode(s) within 5% of the fundamental; worst relative disagreement 1.414e-06 (tol 1e-2)\n"
-    "[PASS] wedge: mu_n exact: True; worst overlap error 2.776e-16 (tol 1e-9); angular-derivative value at the wall = 1.0\n"
+    "[PASS] wedge: mu_n exact: True; worst overlap error 2.498e-16 (tol 1e-9); angular-derivative value at the wall = 1.0\n"
     "11/11 criteria passed\n"
 )
 

@@ -1,9 +1,14 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and the
+package imports nothing beyond the standard library, itself and the
+dependencies pyproject.toml declares.
 
 The package's `__init__.py` re-exports names it never reads, and
-`from __future__ import annotations` binds nothing, so both are exempt.
+`from __future__ import annotations` binds nothing, so both are exempt
+from the first check.
 """
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +54,37 @@ def test_checker_sees_unread_and_read_names():
         "    return math.pi, loads\n"
     )
     assert unread_imports(source) == ["line 2: os", "line 3: to_text", "line 5: argv"]
+
+
+def undeclared_imports(source: str, allowed: set[str]) -> list[str]:
+    """Top-level modules an absolute import in `source` names outside `allowed`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found - allowed)
+
+
+def test_package_imports_only_declared_dependencies():
+    """Installed but undeclared packages (scipy, mpmath, sympy) must not
+    creep into src/: each top-level import is stdlib, the package, or a
+    [project] dependency."""
+    tomllib = pytest.importorskip("tomllib")    # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0].replace("-", "_") for dep in project["dependencies"]}
+    allowed = set(sys.stdlib_module_names) | {"dressed_modes"} | declared
+    for path in sorted((ROOT / "src" / "dressed_modes").glob("*.py")):
+        assert undeclared_imports(path.read_text(), allowed) == [], path.name
+
+
+def test_dependency_checker_sees_absolute_imports_only():
+    source = (
+        "import math, numpy.linalg\n"
+        "from scipy.integrate import simpson\n"
+        "from .params import GHZ\n"
+        "def f():\n"
+        "    import mpmath\n"
+    )
+    assert undeclared_imports(source, {"math", "numpy"}) == ["mpmath", "scipy"]

@@ -346,6 +346,71 @@ def test_far_detuned_sweep_point_reads_the_next_mode():
     )
 
 
+def _mp_roots(length, bnd, lam_max):
+    """Independent oracle: every root of the raw H = G - F on (0, lam_max),
+    each to 45 digits by plain bisection of H in 60-digit mpmath. Brackets
+    come from a float scan of each interval between singular points, on a
+    uniform grid and a geometric one toward both ends; points within 1e-12
+    relative of a Dirichlet pole, where float sin(xi) has no sign, are left
+    out. Shares only the defining equation with the solver."""
+    mpmath = pytest.importorskip("mpmath")
+    poles = [(p.location, p.strength) for p in bnd.poles]
+    dirichlet = [(k * math.pi / length) ** 2 for k in range(1, 12)
+                 if (k * math.pi / length) ** 2 < lam_max]
+    t = np.concatenate([np.logspace(-300.0, 0.0, 601), np.linspace(0.0, 1.0, 1001)])
+    roots = []
+    with mpmath.workdps(60):
+        mpf = mpmath.mpf
+        beta, gamma, mp_poles = mpf(bnd.beta), mpf(bnd.gamma), [(mpf(a), mpf(s)) for a, s in poles]
+
+        def h(lam):
+            k = mpmath.sqrt(lam)
+            val = k * mpmath.cot(k * length) + beta * lam + gamma
+            for loc, s in mp_poles:
+                val -= s / (loc - lam)
+            return val
+
+        edges = [0.0, *sorted(dirichlet + [loc for loc, _ in poles if loc < lam_max]), lam_max]
+        for a, b in zip(edges, edges[1:]):
+            pts = np.unique(np.concatenate([a + (b - a) * t, b - (b - a) * t]))
+            pts = pts[(pts > a) & (pts < b)]
+            for d in dirichlet:
+                pts = pts[np.abs(pts - d) > 1e-12 * d]
+            xi = np.sqrt(pts) * length
+            vals = np.sqrt(pts) * np.cos(xi) / np.sin(xi) + bnd.beta * pts + bnd.gamma
+            for loc, s in poles:
+                vals = vals - s / (loc - pts)
+            for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
+                lo, hi = mpf(float(pts[i])), mpf(float(pts[i + 1]))
+                h_lo = h(lo)
+                assert (h_lo > 0) != (h(hi) > 0), "float scan and mpmath disagree on a sign"
+                while hi - lo > mpf("1e-45") * hi:
+                    mid = (lo + hi) / 2
+                    h_mid = h(mid)
+                    if (h_mid > 0) == (h_lo > 0):
+                        lo, h_lo = mid, h_mid
+                    else:
+                        hi = mid
+                roots.append((lo + hi) / 2)
+    return roots
+
+
+@pytest.mark.parametrize("state", ["g", "e"])
+@pytest.mark.parametrize("omega_q_ghz", [1e-3, 1e-4, 1e-6, 1e-10, 1e-20, 1e-40])
+def test_roots_far_above_a_tiny_qubit_pole_match_mpmath(omega_q_ghz, state):
+    """sample_device.cfg with the qubit far below the line: c carries
+    (lam - lam_q)/lam_q >> 1 at every root above the qubit's pole, which the
+    residual test's tolerance follows (max(c, 1)) instead of refusing the
+    fundamental. Every root lies within 3 ulps of the mpmath oracle."""
+    dev, spec = load_config(SAMPLE_CFG)
+    bnd = transmon_boundary(replace(spec, frequency=omega_q_ghz * GHZ, state=state), dev)
+    sp = solve_spectrum(dev.length, bnd)
+    oracle = _mp_roots(dev.length, bnd, sp.lam_max)
+    assert len(sp.eigenvalues) == len(oracle) == 7
+    for lam, ref in zip(sp.eigenvalues, oracle):
+        assert abs(lam - ref) <= 3 * math.ulp(lam), (lam, ref)
+
+
 @pytest.mark.parametrize("bad, message", [
     (0.0, "qubit frequency must be positive"),
     (-1.0, "qubit frequency must be positive"),

@@ -88,25 +88,17 @@ def test_overlap_property(angle, n, m):
 
 
 def _per_pair_overlap(n, m, geom):
-    """Reference: one quadrature per pair, its grid, panel weights and both
-    sines built afresh, as sine_mode_overlap computed it before the set-up
-    was shared."""
+    """Reference: the textbook composite Simpson rule, h/3 (1, 4, 2, ..., 2,
+    4, 1), its grid, weights and both sines built afresh for one pair."""
     import numpy as np
 
     phi = np.linspace(0.0, geom.angle, 2 * OVERLAP_PANELS + 1)
     y = np.sin(azimuthal_wavenumber(n, geom) * phi) * np.sin(
         azimuthal_wavenumber(m, geom) * phi
     )
-    h = np.diff(phi)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    weighted = hsum / 6.0 * (
-        y[:-2:2] * (2.0 - 1.0 / ratio)
-        + y[1::2] * (hsum * (hsum / (h0 * h1)))
-        + y[2::2] * (2.0 - ratio)
-    )
-    return float(np.sum(weighted))
+    h = geom.angle / (2 * OVERLAP_PANELS)
+    weights = np.array([1.0] + [4.0, 2.0] * (OVERLAP_PANELS - 1) + [4.0, 1.0]) * (h / 3.0)
+    return float(np.sum(y * weights))
 
 
 @pytest.mark.parametrize("angle", [1e-3, 0.37, 1.3, 2.0, math.pi, 4.4, 5.9, 2.0 * math.pi])
