@@ -10,6 +10,13 @@ and count and q2 as its resolved values (its coupling in the form q2
 holds it, g or an inherited charge element); rerunning with the same arguments
 reproduces every output byte for byte. Exit codes: 0 success, 1 validation
 or solver failure, 2 usage error, 3 unreadable or invalid config.
+
+Importing this module loads only what its module body runs: each handler
+imports the solver layers it calls (boundary, spectrum, dispersive, jc,
+multiqubit, and acceptance for validate), so a call loads those of its own
+subcommand alone. The exception is multimode and wedge, imported at module
+level because the COMMANDS table reads DEFAULT_SCHEDULE and WedgeGeometry
+when it is built.
 """
 from __future__ import annotations
 
@@ -20,17 +27,8 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .boundary import resolved_coupling, transmon_boundary
-from .dispersive import critical_photon_number, dispersive_shift_exact, regime_flags
 from .errors import ConfigError
-from .jc import jc_branch_sweep
 from .multimode import DEFAULT_SCHEDULE, MultimodeModel, divergence_report
-from .multiqubit import (
-    parity_report,
-    qnd_residual,
-    single_qubit_commutators,
-    two_qubit_model,
-)
 from .params import (
     GHZ,
     _check_anharmonicity,
@@ -39,7 +37,6 @@ from .params import (
     config_snapshot,
     load_config,
 )
-from .spectrum import pole_margins, qubit_frequency_sweep, solve_spectrum
 from .wedge import (
     WedgeGeometry,
     azimuthal_wavenumber,
@@ -202,6 +199,9 @@ def _load(args):
 
 
 def cmd_spectrum(args) -> int:
+    from .boundary import transmon_boundary
+    from .spectrum import pole_margins, solve_spectrum
+
     dev, spec = _load(args)
     bnd = transmon_boundary(spec, dev, levels=args.levels)
     sp = solve_spectrum(dev.length, bnd)
@@ -224,6 +224,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .spectrum import qubit_frequency_sweep
+
     dev, spec = _load(args)
     omegas = [w * GHZ for w in args.omega_q_ghz]
     sweep = qubit_frequency_sweep(dev, spec, omegas, levels=args.levels)
@@ -237,6 +239,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_chi(args) -> int:
+    from .boundary import resolved_coupling
+    from .dispersive import critical_photon_number, dispersive_shift_exact, regime_flags
+
     dev, spec = _load(args)
     g = resolved_coupling(spec, dev)
     delta = spec.frequency - dev.fundamental_frequency
@@ -262,6 +267,10 @@ def cmd_chi(args) -> int:
 
 
 def cmd_rabi(args) -> int:
+    from .boundary import resolved_coupling
+    from .jc import jc_branch_sweep
+    from .spectrum import qubit_frequency_sweep
+
     dev, spec = _load(args)
     omegas = [w * GHZ for w in args.omega_q_ghz]
     jc = sl = None
@@ -286,6 +295,8 @@ def cmd_rabi(args) -> int:
 
 
 def cmd_multimode(args) -> int:
+    from .boundary import resolved_coupling
+
     dev, spec = _load(args)
     model = MultimodeModel(
         omega_1=dev.fundamental_frequency,
@@ -313,6 +324,8 @@ def cmd_multimode(args) -> int:
 
 
 def cmd_parity(args) -> int:
+    from .multiqubit import parity_report, qnd_residual, single_qubit_commutators, two_qubit_model
+
     dev, spec1 = _load(args)
     spec2 = spec1
     if args.q2_frequency_ghz is not None:

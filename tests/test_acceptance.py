@@ -27,7 +27,7 @@ from dressed_modes import (
     transmon_boundary,
     vacuum_rabi_gap,
 )
-from dressed_modes import acceptance, spectrum
+from dressed_modes import acceptance, dispersive, spectrum
 from dressed_modes.acceptance import (
     ALL_CHECKS,
     UNIFORM_BLOCK,
@@ -72,7 +72,7 @@ def test_interlacing_criterion_fails_on_a_raised_or_non_interlacing_solve(monkey
     """Of three draws, the first solve raises and the second reports two
     roots on a pole-bounded interval: both count as failures."""
     monkeypatch.setattr(acceptance, "INTERLACING_CONFIGS", 3)
-    solve, calls = acceptance.solve_spectrum, []
+    solve, calls = spectrum.solve_spectrum, []
 
     def faulty(length, b):
         calls.append(b)
@@ -83,7 +83,7 @@ def test_interlacing_criterion_fails_on_a_raised_or_non_interlacing_solve(monkey
             return sp._replace(counts=(sp.counts[0], 2, *sp.counts[2:]))
         return sp
 
-    monkeypatch.setattr(acceptance, "solve_spectrum", faulty)
+    monkeypatch.setattr(spectrum, "solve_spectrum", faulty)
     result = check_interlacing(0)
     assert not result.passed
     assert result.detail == "2/3 configurations solved, 2 interlacing failures"
@@ -91,13 +91,13 @@ def test_interlacing_criterion_fails_on_a_raised_or_non_interlacing_solve(monkey
 
 def test_chi_triangle_fails_on_a_doubled_exact_chi(monkeypatch):
     monkeypatch.setattr(acceptance, "TRIANGLE_DRAWS", 2)
-    exact = acceptance.dispersive_shift_exact
+    exact = dispersive.dispersive_shift_exact
 
     def doubled(*args, **kwargs):
         chi, pull_g, pull_e = exact(*args, **kwargs)
         return 2.0 * chi, pull_g, pull_e
 
-    monkeypatch.setattr(acceptance, "dispersive_shift_exact", doubled)
+    monkeypatch.setattr(dispersive, "dispersive_shift_exact", doubled)
     result = check_dispersive_triangle(2)
     assert not result.passed
     draws, worst = result.detail.split(" draws, worst pairwise error at ")
@@ -107,14 +107,14 @@ def test_chi_triangle_fails_on_a_doubled_exact_chi(monkeypatch):
 
 def test_boundary_forms_fail_on_a_mode_count_mismatch(monkeypatch):
     """The full-susceptance solve, the second, loses its roots."""
-    solve, calls = acceptance.solve_spectrum, []
+    solve, calls = spectrum.solve_spectrum, []
 
     def second_empty(length, b):
         calls.append(b)
         sp = solve(length, b)
         return sp._replace(records=()) if len(calls) == 2 else sp
 
-    monkeypatch.setattr(acceptance, "solve_spectrum", second_empty)
+    monkeypatch.setattr(spectrum, "solve_spectrum", second_empty)
     result = check_approximation_audit()
     assert not result.passed
     assert result.detail == "mode count mismatch near the fundamental: 1 vs 0"
@@ -166,7 +166,7 @@ def test_block_draws_are_rng_uniform_bit_for_bit(seed):
 def test_ground_configs_from_block_draws_are_the_scalar_draws_devices(seed):
     blocks, scalar = _uniform_draws(seed), _scalar_uniform(seed)
     for _ in range(1200):
-        dev, spec = _random_ground_config(blocks)
+        dev, spec = _random_ground_config(blocks, spectrum._line_partition)
         assert (dev, spec) == _reference_ground_config(scalar)
 
 
@@ -187,7 +187,7 @@ def test_ground_config_redraws_what_the_solver_rejects_with_one_number(offset, r
         taken.append((lo, hi))
         return lo + (hi - lo) * next(units)
 
-    dev, spec = _random_ground_config(uniform)
+    dev, spec = _random_ground_config(uniform, spectrum._line_partition)
     qubit_draws = [(0.1, 5.8)] * (2 if redrawn else 1)
     assert taken == [(2e-3, 8e-3), (0.8e8, 1.6e8), *qubit_draws, (0.01, 0.2)]
     first = replace(spec, frequency=(0.1 + 5.7 * u_q) * dev.fundamental_frequency)
@@ -216,7 +216,7 @@ def test_interlacing_draws_refine_from_the_newton_start(monkeypatch):
     monkeypatch.setattr(spectrum, "line_log_deriv", counted)
     uniform = _uniform_draws(3)
     for _ in range(200):
-        dev, spec = _random_ground_config(uniform)
+        dev, spec = _random_ground_config(uniform, spectrum._line_partition)
         solve_spectrum(dev.length, transmon_boundary(spec, dev))
     assert calls[0] == 4936
 

@@ -1273,6 +1273,7 @@ def test_readme_command_lines_parse():
 
 
 # One fresh interpreter: the solver subcommands, then wedge, through cli.main.
+# Each entry records numpy's presence and the package modules loaded so far.
 STARTUP_PROBE = """\
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -1286,28 +1287,43 @@ runs = [
     ["rabi", "--config", cfg, *grid, "--method", "sl"],
     ["wedge"],
 ]
-seen = [("import", 0, "numpy" in sys.modules)]
+def package():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "dressed_modes")
+seen = [("import", 0, "numpy" in sys.modules, package())]
 for argv in runs:
     code = dressed_modes.cli.main([*argv, "--out", f"{out}/{argv[0]}"])
-    seen.append((argv[0], code, "numpy" in sys.modules))
+    seen.append((argv[0], code, "numpy" in sys.modules, package()))
 print(seen)
 """
 
+# What importing the package, its CLI and its gate loads: each module their
+# module bodies run, and no solver layer.
+SETUP_MODULES = [
+    "dressed_modes", "dressed_modes.acceptance", "dressed_modes.cli",
+    "dressed_modes.errors", "dressed_modes.multimode", "dressed_modes.params",
+    "dressed_modes.resonator", "dressed_modes.wedge",
+]
+
 
 def test_solver_subcommands_start_without_numpy(tmp_path):
-    """Importing the package, its CLI and its gate loads no numpy, and
-    neither do spectrum, sweep, chi and rabi --method sl; the first wedge
-    run then loads it, so the deferred imports do run."""
+    """Importing the package, its CLI and its gate loads no numpy and no
+    solver layer, and neither spectrum, sweep, chi nor rabi --method sl
+    loads numpy; the first wedge run then loads it, so the deferred imports
+    do run. Each subcommand loads the solver layers it calls on its first
+    run: spectrum loads boundary and spectrum, chi dispersive, rabi jc."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_PROBE, src, SAMPLE_CFG, str(tmp_path)],
         capture_output=True, text=True, timeout=120, check=True,
     )
+    solved = sorted(SETUP_MODULES + ["dressed_modes.boundary", "dressed_modes.spectrum"])
+    pulled = sorted(solved + ["dressed_modes.dispersive"])
+    laddered = sorted(pulled + ["dressed_modes.jc"])
     assert proc.stdout.splitlines()[-1] == str([
-        ("import", 0, False),
-        ("spectrum", 0, False),
-        ("sweep", 0, False),
-        ("chi", 0, False),
-        ("rabi", 0, False),
-        ("wedge", 0, True),
+        ("import", 0, False, SETUP_MODULES),
+        ("spectrum", 0, False, solved),
+        ("sweep", 0, False, solved),
+        ("chi", 0, False, pulled),
+        ("rabi", 0, False, laddered),
+        ("wedge", 0, True, laddered),
     ])

@@ -1,22 +1,24 @@
-"""Every name a module imports is read somewhere in that module, and the
+"""Every name a module imports is read somewhere in that module, the
 package imports nothing beyond the standard library, itself and the
-dependencies pyproject.toml declares.
+dependencies pyproject.toml declares, and the package namespace serves
+each name it re-exports from the submodule that defines it.
 
-The package's `__init__.py` re-exports names it never reads, and
-`from __future__ import annotations` binds nothing, so both are exempt
-from the first check.
+`from __future__ import annotations` binds nothing, so it is exempt from
+the first check.
 """
 import ast
 import re
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
+import dressed_modes
+
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "dressed_modes").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")),
+    list((ROOT / "src" / "dressed_modes").glob("*.py")) + list((ROOT / "tests").glob("*.py")),
 )
 
 
@@ -88,3 +90,76 @@ def test_dependency_checker_sees_absolute_imports_only():
         "    import mpmath\n"
     )
     assert undeclared_imports(source, {"math", "numpy"}) == ["mpmath", "scipy"]
+
+
+# Every name the package re-exports, by the submodule that defines it.
+REEXPORTS = {
+    "errors": [
+        "ConfigError", "LabelingError", "PoleCollisionError", "PoleProximityError",
+        "SolverError",
+    ],
+    "params": [
+        "GHZ", "HBAR", "DeviceParams", "TransmonSpec", "config_snapshot",
+        "lambda_to_omega", "load_config", "omega_to_lambda",
+    ],
+    "resonator": [
+        "ShortedLine", "default_lam_max", "dirichlet_poles", "line_log_deriv",
+        "line_log_deriv_dlam", "quarterwave_zeros",
+    ],
+    "boundary": [
+        "BoundaryPole", "FullSusceptanceBoundary", "RationalBoundary",
+        "charge_from_coupling", "coupling_from_charge", "pole_amplitudes",
+        "pole_strength_from_charge", "pole_strength_from_coupling", "resolved_coupling",
+        "sum_boundaries", "transmon_boundary",
+    ],
+    "spectrum": [
+        "CrossingSweep", "DressedSpectrum", "EigenvalueRecord", "PolePoint", "pole_margin",
+        "pole_margins", "qubit_frequency_sweep", "solve_spectrum", "vacuum_rabi_gap",
+    ],
+    "dispersive": [
+        "DispersiveResult", "counter_rotating_shift", "critical_photon_number",
+        "dispersive_report", "dispersive_shift", "dispersive_shift_exact",
+        "perturbative_mode_shift", "pulled_frequencies", "regime_flags",
+    ],
+    "jc": [
+        "JCModel", "build_hamiltonian", "diagonalize", "dispersive_shift_numeric",
+        "dressed_energies", "dressed_pair", "jc_branch_sweep",
+    ],
+    "multimode": [
+        "DivergenceReport", "MultimodeModel", "dispersive_partial_sum",
+        "divergence_report", "lamb_shift_partial_sum",
+    ],
+    "multiqubit": [
+        "AdditivityReport", "ParityReport", "TwoQubitDispersiveModel", "additivity_report",
+        "dispersive_hamiltonian", "joint_parity", "parity_hamiltonian", "parity_operator",
+        "parity_report", "qnd_residual", "single_qubit_commutators", "state_frequencies",
+        "two_qubit_model",
+    ],
+    "wedge": [
+        "WedgeGeometry", "azimuthal_wavenumber", "derivative_wall_values",
+        "laplacian_eigenvalue", "orthogonality_error", "sine_mode_overlap",
+    ],
+}
+REEXPORTED = [(module, name) for module, names in REEXPORTS.items() for name in names]
+
+
+@pytest.mark.parametrize("module, name", REEXPORTED, ids=lambda x: x)
+def test_package_serves_each_name_from_its_defining_module(module, name):
+    assert getattr(dressed_modes, name) is getattr(import_module(f"dressed_modes.{module}"), name)
+    assert name in dir(dressed_modes)
+    assert name in dressed_modes.__all__
+
+
+def test_package_namespace_lists_exactly_the_reexports():
+    names = [name for _, name in REEXPORTED]
+    assert sorted(dressed_modes.__all__) == sorted(names)
+    star = {}
+    exec("from dressed_modes import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
+    for module, name in REEXPORTED:
+        assert star[name] is getattr(import_module(f"dressed_modes.{module}"), name)
+
+
+def test_package_refuses_an_unknown_name():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dressed_modes.no_such_name
