@@ -156,8 +156,6 @@ def test_package_namespace_lists_exactly_the_reexports():
     star = {}
     exec("from dressed_modes import *", star)
     assert set(star) - {"__builtins__"} == set(names)
-    for module, name in REEXPORTED:
-        assert star[name] is getattr(import_module(f"dressed_modes.{module}"), name)
 
 
 def test_package_refuses_an_unknown_name():
