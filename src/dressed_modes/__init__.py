@@ -8,8 +8,9 @@ shifts, multimode divergences, two-qubit parity readout) against closed
 forms and a directly diagonalized ladder model.
 
 A module loads only what its module body runs. Importing the package
-loads none of its submodules: each name in _EXPORTS is served from the
-submodule that defines it, which loads on the first lookup. `cli` and
+loads none of its submodules: each name in _EXPORTS, and each submodule
+that defines one, is served from that submodule, which loads on the first
+lookup. `cli` and
 `acceptance` import the solver layers (boundary, spectrum, dispersive, jc,
 multiqubit) inside the handler or criterion that calls them. Two
 exceptions: `cli` imports multimode and wedge at module level, because its
@@ -81,12 +82,13 @@ __all__ = list(_EXPORTS)
 def __getattr__(name):
     # Looked up afresh on every access, never stored in this namespace, so
     # a wrapper set on the defining module is seen here and leaves with it.
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(import_module(f".{module}", __name__), name)
+    if name in _EXPORTS:
+        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _EXPORTS.values():
+        # a submodule: importing it binds it here, as any import of it does
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+    return sorted(set(globals()) | set(_EXPORTS) | set(_EXPORTS.values()))

@@ -1293,6 +1293,8 @@ seen = [("import", 0, "numpy" in sys.modules, package())]
 for argv in runs:
     code = dressed_modes.cli.main([*argv, "--out", f"{out}/{argv[0]}"])
     seen.append((argv[0], code, "numpy" in sys.modules, package()))
+# a submodule no run has loaded is still an attribute of the package
+seen.append(("attribute", dressed_modes.multiqubit.__name__, package()))
 print(seen)
 """
 
@@ -1310,7 +1312,8 @@ def test_solver_subcommands_start_without_numpy(tmp_path):
     solver layer, and neither spectrum, sweep, chi nor rabi --method sl
     loads numpy; the first wedge run then loads it, so the deferred imports
     do run. Each subcommand loads the solver layers it calls on its first
-    run: spectrum loads boundary and spectrum, chi dispersive, rabi jc."""
+    run: spectrum loads boundary and spectrum, chi dispersive, rabi jc.
+    A submodule that no run loaded is served as a package attribute."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-c", STARTUP_PROBE, src, SAMPLE_CFG, str(tmp_path)],
@@ -1326,4 +1329,6 @@ def test_solver_subcommands_start_without_numpy(tmp_path):
         ("chi", 0, False, pulled),
         ("rabi", 0, False, laddered),
         ("wedge", 0, True, laddered),
+        ("attribute", "dressed_modes.multiqubit",
+         sorted(laddered + ["dressed_modes.multiqubit"])),
     ])

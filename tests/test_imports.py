@@ -158,6 +158,15 @@ def test_package_namespace_lists_exactly_the_reexports():
     assert set(star) - {"__builtins__"} == set(names)
 
 
+@pytest.mark.parametrize("module", sorted(REEXPORTS))
+def test_package_serves_each_defining_submodule(module, monkeypatch):
+    # importing a submodule binds it on the package; unbinding it sends the
+    # lookup to the package's __getattr__, as before anything imports it
+    monkeypatch.delattr(dressed_modes, module)
+    assert getattr(dressed_modes, module) is import_module(f"dressed_modes.{module}")
+    assert module in dir(dressed_modes)
+
+
 def test_package_refuses_an_unknown_name():
     with pytest.raises(AttributeError, match="no_such_name"):
         dressed_modes.no_such_name
