@@ -134,13 +134,14 @@ class RationalBoundary:
                     f"pole location {p.location} below the floor {_LOCATION_FLOOR:.3e} "
                     "(sqrt(sys.float_info.min)/POLE_GUARD_REL)"
                 )
-        kept.sort(key=_location)
-        for a, b in zip(kept, kept[1:]):
-            if b.location - a.location < POLE_GUARD_REL * b.location:
-                raise ValueError(
-                    f"pole locations {a.location} and {b.location} closer than "
-                    f"{POLE_GUARD_REL} relative"
-                )
+        if len(kept) > 1:    # a single pole needs no sort and has no neighbour
+            kept.sort(key=_location)
+            for a, b in zip(kept, kept[1:]):
+                if b.location - a.location < POLE_GUARD_REL * b.location:
+                    raise ValueError(
+                        f"pole locations {a.location} and {b.location} closer than "
+                        f"{POLE_GUARD_REL} relative"
+                    )
         object.__setattr__(self, "poles", tuple(kept))
 
     @property

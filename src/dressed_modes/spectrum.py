@@ -10,7 +10,7 @@ pole, |lam_k - lam|/lam_k for a boundary pole), so c*H is finite on the
 closed interval, poles included, and a root next to a pole is an ordinary
 root. Nothing is clamped off the poles.
 
-Root count. Every interval goes through one routine, _isolate, which splits
+Root count. One routine, _isolate, certifies an interval's count: it splits
 cells until a bound on H' = G' - s - sum_k delta_k/(lam_k - lam)^2 settles
 each, s = b.affine_slope being F's affine slope (-beta; boundary.py sets its
 sign, and nothing here writes it again): H monotone on a cell gives one
@@ -27,17 +27,24 @@ emission pole (_pole_end). Only lam = 0, lam_max and the cuts are
 evaluated. With every residue positive and -s < L/3 (a ground-state
 transmon) the cheap bound settles each interval whole: one root between
 two poles, read off the signs without an evaluation, and one in an edge
-interval iff H(0) = 1/L - F(0) > 0, resp. H(lam_max) <= 0. The sharper bound of
-_slope_bounds serves the rest. A cell is halved, except where an emission
-pole bounding the interval is one of its ends and -s < L/3: there it is
-cut 1.05 sqrt(|delta_k|/(L/3 + s)) from the pole (_pole_cut), past which
-the pole's term in the cheap bound is under the line's least fall, so the
-far part settles in one call rather than after a halving per factor of two
-toward the pole.
+interval iff H(0) = 1/L - F(0) > 0, resp. H(lam_max) <= 0. That test
+depends on no interval, so solve_spectrum makes it once a solve, and where
+it holds an interval between two poles skips _isolate: it takes the
+bracket (lower pole, upper pole, +1, -1) and count 1, which is what
+_isolate returns there, since its first slope bound is -L/3 - s < 0 with
+no emission term and the theorem signs its ends + and -. Only the two edge
+intervals, and every interval of a solve with an emission pole (anywhere:
+its term enters every cell's bound) or with -s >= L/3, go through _isolate.
+The sharper bound of _slope_bounds serves the rest. A cell is halved,
+except where an emission pole bounding the interval is one of its ends and
+-s < L/3: there it is cut 1.05 sqrt(|delta_k|/(L/3 + s)) from the pole
+(_pole_cut), past which the pole's term in the cheap bound is under the
+line's least fall, so the far part settles in one call rather than after a
+halving per factor of two toward the pole.
 
-Refinement. Isolation runs on every interval, so the counts, the
-interlacing flags and every SolverError of isolation describe the whole
-spectrum. _refine then refines the brackets a caller reads, each root
+Refinement. Every interval is counted, so the counts, the interlacing
+flags and every SolverError of isolation describe the whole spectrum.
+_refine then refines the brackets a caller reads, each root
 checked by the residual test: all of them by default, or, given `near`,
 the largest root <= near and the smallest >= near, at most two runs, or
 with nearest_only the root nearest `near` alone, one run unless the other
@@ -82,9 +89,15 @@ the interval (the poles as (location, strength) pairs, the slope bound's
 terms) is set up once per solve; an interval's cleared function is set up
 only when isolation first evaluates on it or refinement takes one of its
 brackets, so a near solve of a ground-state transmon sets up three of its
-seven; an interval settled whole stacks no cells; and a sweep works out the
-boundary's parts that do not move with omega_q once, building per grid
-point only the poles, through the same builder as transmon_boundary.
+seven; an interval settled whole stacks no cells, and a solve settled
+whole (no emission pole, -s < L/3) makes that test once, so its intervals
+between two poles call neither _isolate nor a slope bound; a boundary pole
+is checked for a collision against the Dirichlet poles up to the first one
+above it, as every later one lies farther off than its tolerance; an
+interval bounded by no boundary pole reads every pole term without
+filtering; and a sweep works out the boundary's parts that do not move
+with omega_q once, building per grid point only the poles, through the
+same builder as transmon_boundary.
 """
 from __future__ import annotations
 
@@ -199,7 +212,9 @@ def _cleared_secular(length: float, b):
         # cleared bounding pole terms: c * delta_k/(lam_k - lam) = -/+ (c/e_k) delta_k/lam_k
         r_lo = lo.f_weight / a if a else 0.0
         r_hi = hi.f_weight / z if z else 0.0
-        rest = [pair for pair in pairs if pair[0] != a and pair[0] != z]
+        rest = pairs if a is None and z is None else [
+            pair for pair in pairs if pair[0] != a and pair[0] != z
+        ]
 
         def cleared(lam, slope=False):
             e_lo = (lam - a) / a if a else 1.0
@@ -376,7 +391,7 @@ def _isolate(on, lo, hi, lam_max: float, bounds, slack: float, lobe: int, length
     needs it. Each cell carries its ends' parts (c*G, c*F, c), so no end is
     evaluated twice. The cell in hand is held in locals and only the right
     parts still to settle are stacked, so an interval settled whole, as
-    every interval of a ground-state solve is, stacks nothing.
+    each edge interval of a ground-state solve is, stacks nothing.
     """
     a = lo.location if lo is not None else 0.0
     z = hi.location if hi is not None else lam_max
@@ -638,7 +653,13 @@ def solve_spectrum(
     The line is its `length` alone, and `b` is a RationalBoundary, read
     through its poles, affine_slope and gamma only. Every interval is solved on its
     cleared function c*H, its root count certified by a slope bound (module
-    docstring), whatever `near` is; `near` and nearest_only only select the
+    docstring), whatever `near` is. Where b has no emission pole and
+    -s < L/3 (s = b.affine_slope) that bound settles every interval whole,
+    so the test is made once: each interval between two poles takes the
+    bracket spanning it, signed + to - by the level-repulsion theorem, and
+    count 1, what _isolate would return there, and only the two edge
+    intervals go through _isolate; any other b sends every interval
+    through it. `near` and nearest_only only select the
     roots _refine refines, and each refined root is bit-identical to the
     full solve's. A nearest_only solve refines the other root next to
     near only when its bracket reaches as close to near as the first root.
@@ -655,8 +676,11 @@ def solve_spectrum(
         raise ValueError("nearest_only needs near")
     lam_max, guards, line_ends = _line_partition(length)
     ends = list(line_ends)
+    absorbing = True
     for p in b.poles:
-        loc = p.location
+        loc, strength = p.location, p.strength
+        if strength < 0.0:
+            absorbing = False
         if loc == lam_max:
             # not a marker, so c*H would divide by lam_k - lam = 0 at the end
             raise SolverError(
@@ -670,20 +694,32 @@ def solve_spectrum(
                     f"boundary pole {p.label or loc} within "
                     f"{DIRICHLET_COLLISION_REL} relative of Dirichlet pole at {d}"
                 )
-        ends.append(_End(loc, p.strength, p.strength, PolePoint(loc, "boundary")))
+            if d > loc:
+                # every later Dirichlet pole lies above loc by more than its
+                # tolerance: d_(n+1) - d_n >= 0.36 d_(n+1) for n < 5
+                break
+        ends.append(_End(loc, strength, strength, PolePoint(loc, "boundary")))
     ends.sort(key=_location)
 
     bounds, slack = _slope_bounds(length, b)
     cleared_on = _cleared_secular(length, b)
+    # no emission pole and -s < L/3: the cheap bound proves H falling on
+    # every cell, so each interval between two poles holds one root, its
+    # bracket signed + to - by the poles' weights, as _isolate would find it
+    settled = absorbing and slack < 0.0
     brackets, counts = [], []
     lobe, lo = 0, None
     for hi in (*ends, None):
         if lo is not None and lo.point.kind == "dirichlet":
             lobe += 1
-        ch, found = _isolate(cleared_on, lo, hi, lam_max, bounds, slack, lobe, length)
-        for br in found:
-            brackets.append(((ch, lo, hi, lobe), *br))
-        counts.append(len(found))
+        if settled and lo is not None and hi is not None:
+            brackets.append(((None, lo, hi, lobe), lo.location, hi.location, 1.0, -1.0))
+            counts.append(1)
+        else:
+            ch, found = _isolate(cleared_on, lo, hi, lam_max, bounds, slack, lobe, length)
+            for br in found:
+                brackets.append(((ch, lo, hi, lobe), *br))
+            counts.append(len(found))
         lo = hi
 
     def refine(interval, x0, x1, f0, f1):
@@ -733,19 +769,22 @@ def _fundamental_pair(sp: DressedSpectrum, lam_ref: float, v: float,
     so two distinct roots that do not are the wrong pair (at tiny g the
     mode-like root can round to the other side of lam_ref) and raise
     SolverError too; a degenerate pair is left to CrossingSweep's gap
-    check."""
+    check. The frequencies are v sqrt(lam), lambda_to_omega's expression,
+    without its checks: a root is positive and v is a device's phase
+    velocity, which DeviceParams holds positive."""
     lower = upper = None
     for r in sp.records:    # strictly increasing: the last at or below, the first at or above
-        if r.lam <= lam_ref:
-            lower = r.lam
-        if r.lam >= lam_ref:
-            upper = r.lam
+        lam = r.lam
+        if lam <= lam_ref:
+            lower = lam
+        if lam >= lam_ref:
+            upper = lam
             break
     if lower is None or upper is None:
         raise SolverError("no dressed pair brackets the fundamental")
     if straddle is not None and lower != upper and not lower <= straddle <= upper:
         raise SolverError("the dressed pair around the fundamental misses the qubit's pole")
-    return lambda_to_omega(lower, v), lambda_to_omega(upper, v)
+    return v * math.sqrt(lower), v * math.sqrt(upper)
 
 
 @dataclass(frozen=True)

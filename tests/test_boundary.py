@@ -127,6 +127,36 @@ def test_boundary_builders_reject_out_of_range_inputs(build, message):
         build()
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"beta": NAN, "gamma": INF, "poles": (BoundaryPole(-1.0, NAN),)}, "beta must be finite, got nan"),
+    ({"beta": -1.0, "gamma": NAN}, "gamma must be finite, got nan"),
+    ({"beta": -1.0, "poles": (BoundaryPole(-1.0, 1.0), BoundaryPole(INF, 1.0))},
+     "pole location must be finite, got inf"),
+    ({"poles": (BoundaryPole(-1.0, INF), BoundaryPole(NAN, 1.0))}, "pole strength must be finite, got inf"),
+    ({"beta": -1.0, "poles": (BoundaryPole(1e-160, 1.0), BoundaryPole(-1.0, 1.0))},
+     "beta must be nonnegative"),
+    ({"poles": (BoundaryPole(1e-160, 1.0), BoundaryPole(-1.0, 1.0))}, "pole location 1e-160 below the floor"),
+    ({"poles": (BoundaryPole(2e6, 1.0), BoundaryPole(-1.0, 1.0), BoundaryPole(2e6, 1.0))},
+     "pole locations must be positive"),
+    # the pair is named in sorted order; the zero-strength pole is dropped first
+    ({"poles": (BoundaryPole(2e6 * (1 + 1e-12), 1.0), BoundaryPole(-1.0, 0.0), BoundaryPole(2e6, 1.0))},
+     r"pole locations 2000000\.0 and 2000000\.0000020002 closer than 1e-09 relative$"),
+], ids=["beta", "gamma", "location", "strength", "negative-beta", "floor", "positive", "distinct"])
+def test_rational_form_raises_the_first_of_several_faults(kwargs, message):
+    """Inputs with several faults at once raise the first in check order:
+    beta and gamma finite, each pole's location then strength finite, beta
+    nonnegative, each kept pole's location positive then above the floor,
+    and last the sorted poles' distinctness, which a single pole skips."""
+    with pytest.raises(ValueError, match=f"^{message}"):
+        RationalBoundary(**kwargs)
+
+
+def test_single_pole_boundary_keeps_it_as_given():
+    pole = BoundaryPole(1e6, 1.0, "ge")
+    b = RationalBoundary(poles=[pole])
+    assert b.poles == (pole,) and type(b.poles) is tuple
+
+
 def test_pole_location_below_the_floor_is_refused():
     """Below sqrt(float min)/POLE_GUARD_REL, (lam_k - lam)^2 underflows to 0
     just outside the pole guard, and F' divided by it. Just above the floor

@@ -7,11 +7,14 @@ the number of `spectrum.line_log_deriv` calls the draw made, the number
 of slope-bound calls (`spectrum._slope_bounds`) its isolation made, and the
 number of cleared functions it set up (calls of the `on` that
 `spectrum._cleared_secular` returns). The evaluation count misses the cost
-of isolation's cells, so the second count shows it; the third shows that
-an interval's cleared function is set up only when it is first used. A
-change meant to keep results must leave every entry of
-`solver_pin.json` as it is. A change meant to alter them rewrites the file,
-from the root of a checkout:
+of isolation's cells, so the second count shows it: a solve with no
+emission pole and -s < L/3 settles its intervals between two poles without
+a slope bound (`solve_spectrum`), so there it counts the two edge
+intervals' cells alone. The third count shows that an interval's cleared
+function is set up only when it is first used. A change meant to keep
+results must leave every entry of `solver_pin.json` as it is, and a failure
+names the columns that moved. A change meant to alter them rewrites the
+file, from the root of a checkout:
 
     PYTHONPATH=src python tests/test_solver_pin.py > tests/solver_pin.json
 """
@@ -46,6 +49,8 @@ SWEEP_DEVICES = 4
 SWEEP_POINTS = 21
 # sweeps of the spec branches the draws above leave out, drawn after them
 BRANCH_SWEEP_DEVICES = 3
+# an entry's columns, in order
+COLUMNS = ("digest", "log_deriv calls", "slope-bound calls", "set-ups")
 
 
 def _digest(value) -> str:
@@ -194,9 +199,8 @@ def test_solver_bits_and_evaluation_counts_are_pinned():
     seen = observe()
     assert list(seen) == list(expected), "the set of pinned draws changed"
     for name, pinned in expected.items():
-        assert seen[name] == pinned, (
-            f"{name}: [digest, log_deriv calls, slope-bound calls, set-ups] moved"
-        )
+        moved = [col for col, got, want in zip(COLUMNS, seen[name], pinned) if got != want]
+        assert not moved, f"{name}: {', '.join(moved)} moved, {pinned} -> {seen[name]}"
 
 
 if __name__ == "__main__":

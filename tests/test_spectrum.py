@@ -186,6 +186,23 @@ def test_collision_precondition():
         solve_spectrum(LENGTH, bnd)
 
 
+@pytest.mark.parametrize("rel", [-9.9e-7, 9.9e-7, -1.01e-6, 1.01e-6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_collision_guard_of_each_dirichlet_pole(k, rel):
+    """A boundary pole within 1e-6 relative of any of the five Dirichlet
+    poles, below or above it, collides with that pole and names it; just
+    outside the guard it solves. The guard is checked up to the first
+    Dirichlet pole above the boundary pole, which a pole just below d_k
+    reaches at d_k."""
+    d = dirichlet_poles(LENGTH, 5)[k - 1]
+    bnd = RationalBoundary(poles=(BoundaryPole(d * (1.0 + rel), d / LENGTH),))
+    if abs(rel) < DIRICHLET_COLLISION_REL:
+        with pytest.raises(PoleCollisionError, match=f"of Dirichlet pole at {d}$"):
+            solve_spectrum(LENGTH, bnd)
+    else:
+        assert len(solve_spectrum(LENGTH, bnd).counts) == 7
+
+
 def test_boundary_pole_exactly_at_lam_max_is_a_solver_error():
     lam_max = default_lam_max(LENGTH)
     bnd = RationalBoundary(poles=(BoundaryPole(lam_max, 1e3),))
