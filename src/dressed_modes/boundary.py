@@ -7,7 +7,9 @@ the boundary condition into phi'(L)/phi(L) = F(lam) with a rational
 
 beta = C_J/c is the capacitive loading and s = RationalBoundary.affine_slope
 is F's affine slope. beta's sign is written there alone: _rational, the one
-expression of F and F', and the solver in spectrum.py read s, never beta.
+expression of F and F', through which RationalBoundary and the solver in
+spectrum.py both evaluate F, and the solver's slope bounds read s, never
+beta.
 The sign is disputed: Foster's reactance theorem (Bell Syst. Tech. J. 3,
 259, 1924) has the F of a lossless port rise with lam, s = +beta, and a
 fix is that one line. gamma is a constant offset of either sign (zero for
@@ -174,9 +176,9 @@ class RationalBoundary:
 
 def _rational(poles, slope: float, gamma: float, lam: float) -> tuple[float, float]:
     """(F(lam), F'(lam)) of F = slope*lam - gamma + sum_k delta_k/(lam_k - lam)
-    over `poles`, unguarded: the one expression of F and F' outside the
-    solver's cleared function (spectrum._cleared_secular), which keeps its
-    own copy of this loop and is tested against it bit for bit."""
+    over `poles`, unguarded: the one expression of F and F'. value,
+    derivative and the solver (spectrum._cleared_secular, over the poles
+    that do not bound its interval, and spectrum._line_zero_step) call it."""
     f, fp = slope * lam - gamma, slope
     for p in poles:
         loc, s = p.location, p.strength

@@ -80,16 +80,17 @@ reads. Isolation evaluates each interior cell end once and keeps its parts
 for the residual tests, and refinement tests the parts of the iterate it
 returns. No memo outlives one line: only the line's part of the partition
 (lam_max and the Dirichlet poles' ends) is kept, for one length at a time.
-Within those rules the fixed cost around the evaluations is kept small too:
-the records are NamedTuples, built without a per-field setattr; what a
-solve knows about a pole, its weight w in H ~ w/(lam - p) and the part of
-w in F, is worked out once, in the partition's ends (_End), and an interval
-reads its bounding poles from its two ends alone; what does not depend on
-the interval (the poles as (location, strength) pairs, the slope bound's
-terms) is set up once per solve; an interval's cleared function is set up
-only when isolation first evaluates on it or refinement takes one of its
-brackets, so a near solve of a ground-state transmon sets up three of its
-seven; an interval settled whole stacks no cells, and a solve settled
+F and F' come from boundary._rational in every evaluation, so F's pole sum
+is written once. Within those rules the fixed cost around the evaluations
+is kept small too: the records are NamedTuples, built without a per-field
+setattr; what a solve knows about a pole, its weight w in H ~ w/(lam - p)
+and the part of w in F, is worked out once, in the partition's ends (_End),
+and an interval reads its bounding poles from its two ends alone; what
+does not depend on the interval (the slope bound's terms) is set up once
+per solve; an interval's cleared function is set up only when isolation
+first evaluates on it or refinement takes one of its brackets, so a near
+solve of a ground-state transmon sets up three of its seven; an interval
+settled whole stacks no cells, and a solve settled
 whole (no emission pole, -s < L/3) makes that test once, so its intervals
 between two poles call neither _isolate nor a slope bound; a boundary pole
 is checked for a collision against the Dirichlet poles up to the first one
@@ -180,8 +181,7 @@ class DressedSpectrum(NamedTuple):
 def _cleared_secular(length: float, b):
     """on(lo, hi, lobe) -> c*H on one interval, with c > 0 inside it and
     zero at its poles. What does not depend on the interval (the line, b's
-    poles split into (location, strength) pairs, its affine slope and gamma)
-    is set up once per solve.
+    poles, its affine slope and gamma) is set up once per solve.
 
     lo and hi are the interval's ends (_End), None at 0 and lam_max, and
     xi = sqrt(lam) L stays in the lobe (lobe pi, (lobe+1) pi). c carries
@@ -190,16 +190,15 @@ def _cleared_secular(length: float, b):
     so c*H is finite and continuous on the closed interval. At a bounding
     boundary pole c = 0 and c*G = 0 exactly, so the line is not evaluated
     there; c*F keeps the pole's own term, and sin(xi)/xi with it. on()
-    returns cleared(lam), the parts (c*G, c*F, c), or with slope=True
-    (c*G, c*F, c, F') with F' less the bounding poles' terms. F and F' are
-    boundary._rational's expressions, inlined under the cost rule;
-    tests/test_boundary_kernel.py holds the two equal bit for bit.
+    returns cleared(lam), the parts (c*G, c*F, c, F'), every evaluation in
+    that one shape. F and F' come from boundary._rational over b's poles
+    less the bounding ones, whose terms c*F adds cleared and F' leaves out.
     """
-    pairs = [(p.location, p.strength) for p in b.poles]
-    affine, gamma = b.affine_slope, b.gamma
+    poles, affine, gamma = b.poles, b.affine_slope, b.gamma
     # the line's own pole guard (resonator._xi_checked) around xi = k pi, k >= 1
     guard, pi, inf = XI_POLE_GUARD, math.pi, math.inf
-    log_deriv, sqrt, sin, cos, fabs = line_log_deriv, math.sqrt, math.sin, math.cos, abs
+    log_deriv, rational = line_log_deriv, _rational
+    sqrt, sin, cos, fabs = math.sqrt, math.sin, math.cos, abs
 
     def on(lo, hi, lobe):
         sign = -1.0 if lobe % 2 else 1.0
@@ -212,11 +211,11 @@ def _cleared_secular(length: float, b):
         # cleared bounding pole terms: c * delta_k/(lam_k - lam) = -/+ (c/e_k) delta_k/lam_k
         r_lo = lo.f_weight / a if a else 0.0
         r_hi = hi.f_weight / z if z else 0.0
-        rest = pairs if a is None and z is None else [
-            pair for pair in pairs if pair[0] != a and pair[0] != z
+        rest = poles if a is None and z is None else [
+            p for p in poles if p.location != a and p.location != z
         ]
 
-        def cleared(lam, slope=False):
+        def cleared(lam):
             e_lo = (lam - a) / a if a else 1.0
             e_hi = (z - lam) / z if z else 1.0
             e = e_lo * e_hi
@@ -234,16 +233,8 @@ def _cleared_secular(length: float, b):
                     g_side = d * log_deriv(lam, length) * e
             else:
                 g_side = log_deriv(lam, length) * e if e else 0.0
-            f = affine * lam - gamma
-            for loc, s in rest:
-                f += s / (loc - lam)
-            f_side = d * (e * f - e_hi * r_lo + e_lo * r_hi)
-            if slope:
-                fp = affine
-                for loc, s in rest:
-                    fp += s / ((loc - lam) * (loc - lam))
-                return g_side, f_side, d * e, fp
-            return g_side, f_side, d * e
+            f, fp = rational(rest, affine, gamma, lam)
+            return g_side, d * (e * f - e_hi * r_lo + e_lo * r_hi), d * e, fp
 
         return cleared
 
@@ -348,17 +339,17 @@ def _pole_cut(x0, x1, lo, hi, slack, mid):
 
 
 def _raw(parts, length):
-    """H at an interior cell end, from its parts (c*G, c*F, c), and the
+    """H at an interior cell end, from its parts (c*G, c*F, c, F'), and the
     residual test's tolerance there."""
-    g_side, f_side, c = parts
+    g_side, f_side, c, _ = parts
     return (g_side - f_side) / c, RESIDUAL_REL * max(abs(g_side), abs(f_side), c / length) / c
 
 
-_SIGN_PLUS, _SIGN_MINUS = (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)
+_SIGN_PLUS, _SIGN_MINUS = (1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)
 
 
 def _pole_end(w: float, upper: bool):
-    """The parts (c*G, c*F, c) _isolate carries for an end of its interval
+    """The parts (c*G, c*F, c, F') _isolate carries for an end of its interval
     at a bounding pole, in place of an evaluation: the limit sign of c*H
     there, as c*G, with c = 0. Near the pole H ~ w/(lam - p), with w the
     end's weight, 2 lam_n/L > 0 for a Dirichlet pole or delta_k for a
@@ -388,10 +379,10 @@ def _isolate(on, lo, hi, lam_max: float, bounds, slack: float, lobe: int, length
     calls the line. A cell left unsettled is split at its midpoint, or where
     an emission pole bounding the interval is one of its ends, at that
     pole's reach (_pole_cut). ch is built when the first evaluation
-    needs it. Each cell carries its ends' parts (c*G, c*F, c), so no end is
-    evaluated twice. The cell in hand is held in locals and only the right
-    parts still to settle are stacked, so an interval settled whole, as
-    each edge interval of a ground-state solve is, stacks nothing.
+    needs it. Each cell carries its ends' parts (c*G, c*F, c, F'), so no
+    end is evaluated twice. The cell in hand is held in locals and only the
+    right parts still to settle are stacked, so an interval settled whole,
+    as each edge interval of a ground-state solve is, stacks nothing.
     """
     a = lo.location if lo is not None else 0.0
     z = hi.location if hi is not None else lam_max
@@ -507,7 +498,7 @@ def _refine(ch, lo, hi, lobe: int, a: float, z: float, fa: float, fz: float,
                 if x0 is not None and a + tol < x0 < z - tol:
                     x = x0
         for steps in range(1, REFINE_MAX_STEPS + 1):
-            parts = ch(x, True)
+            parts = ch(x)
             fx = parts[0] - parts[1]
             if fx == 0.0:
                 break
@@ -519,10 +510,10 @@ def _refine(ch, lo, hi, lobe: int, a: float, z: float, fa: float, fz: float,
             if z - a <= 2.0 * tol:
                 # an end left from isolation at a pole holds its sign alone
                 if pa is None and a == p_lo:
-                    pa = ch(a, True)
+                    pa = ch(a)
                     fa = pa[0] - pa[1]
                 if pz is None and z == p_hi:
-                    pz = ch(z, True)
+                    pz = ch(z)
                     fz = pz[0] - pz[1]
                 x, parts = (a, pa) if fabs(fa) < fabs(fz) else (z, pz)
                 break
@@ -574,7 +565,7 @@ def _refine(ch, lo, hi, lobe: int, a: float, z: float, fa: float, fz: float,
     # (lam - lam_k)/lam_k, exceeds 1 and would tighten the test by itself.
     # A root closer to its pole than one ulp rounds onto it (c = 0); the
     # bracket already pins it to rounding.
-    g_side, f_side, c = parts[:3]
+    g_side, f_side, c, _ = parts
     residual = abs(g_side - f_side)
     scale = max(abs(g_side), abs(f_side), c / length) / c if c else math.inf
     tol = RESIDUAL_REL * scale
@@ -664,8 +655,8 @@ def solve_spectrum(
     full solve's. A nearest_only solve refines the other root next to
     near only when its bracket reaches as close to near as the first root.
     The records are the whole answer. Raises ValueError for nearest_only
-    without near and for a length that is not positive or gives no
-    positive finite lam_max, PoleCollisionError when a boundary
+    without near, for a NaN near and for a length that is not positive or
+    gives no positive finite lam_max, PoleCollisionError when a boundary
     pole sits within 1e-6 relative of a Dirichlet pole, and SolverError
     when a boundary pole sits exactly at lam_max, when no count can be
     certified (two roots too close to tell apart, or H turning within the
@@ -674,6 +665,9 @@ def solve_spectrum(
     """
     if nearest_only and near is None:
         raise ValueError("nearest_only needs near")
+    if near is not None and math.isnan(near):
+        # every comparison with NaN is false, so the top root would be read
+        raise ValueError("near must not be NaN")
     lam_max, guards, line_ends = _line_partition(length)
     ends = list(line_ends)
     absorbing = True

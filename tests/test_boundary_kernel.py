@@ -2,28 +2,80 @@
 
 boundary._rational is the one expression of F(lam) = s*lam - gamma +
 sum_k delta_k/(lam_k - lam) and F', and RationalBoundary.affine_slope, s,
-the one place beta's sign is set. The solver's cleared function keeps an
-inline copy of the loop on its hot path; the first test holds that copy to
-the kernel bit for bit at every point the solver evaluates over the solver
-pin's draws. The second flips the one site to Foster's sign, s = +beta, and
-checks that the whole solver follows it.
+the one place beta's sign is set. The first test shifts the kernel by a
+constant k and checks that the whole solver follows it, solving as the
+boundary with gamma - k does: a copy of F's loop anywhere in the solver
+would not move with the kernel. The second checks that the solver's
+cleared function hands the kernel exactly the poles that do not bound its
+interval. The third flips the one sign site to Foster's sign, s = +beta,
+and checks that the whole solver follows it.
 """
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
-from dressed_modes import RationalBoundary, solve_spectrum, spectrum
-from dressed_modes.boundary import _rational
-from test_solver_pin import _bits_or_error, _cases
+from dressed_modes import RationalBoundary, boundary, solve_spectrum, spectrum, transmon_boundary
+from test_solver_pin import _bits_or_error, _boundary_draw, _cases
+from test_spectrum import DEV, LENGTH, QUBIT
 
 FOSTER_LENGTH = 3e-3
+# the kernel's shift, in 1/m, and the draws it is checked over
+SHIFTS = (-150.0, 90.0)
+SHIFT_DRAWS = 60
 
 
-def _evaluated_points(monkeypatch):
-    """(length, b, lo, hi, lobe, lam) of every evaluation of a cleared
-    function over the solver pin's draws, in order."""
-    points = []
-    cleared_secular = spectrum._cleared_secular
+def _shift_boundaries():
+    """The standard qubit in g and in e (levels 3, an emission pole), and
+    the solver pin's first random boundaries, drawn as it draws them."""
+    yield transmon_boundary(QUBIT, DEV)
+    yield transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3)
+    rng = random.Random(20261018)
+    for _ in range(SHIFT_DRAWS):
+        bnd = _boundary_draw(rng)
+        rng.uniform(0.0, 1.0)       # the pin's near, drawn after each boundary
+        if bnd is not None:
+            yield bnd
+
+
+def _roots(b):
+    """(counts, eigenvalues) of a full solve of b."""
+    sp = solve_spectrum(LENGTH, b)
+    return sp.counts, sp.eigenvalues
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+def test_solver_evaluates_f_through_the_kernel(monkeypatch, shift):
+    kernel = boundary._rational
+
+    def shifted(poles, slope, gamma, lam):
+        f, fp = kernel(poles, slope, gamma, lam)
+        return f + shift, fp
+
+    for b in _shift_boundaries():
+        counts, want = _roots(replace(b, gamma=b.gamma - shift))
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum, "_rational", shifted)
+            patch.setattr(boundary, "_rational", shifted)
+            got = _roots(b)
+        assert got[0] == counts, b
+        assert got[1] == pytest.approx(want, rel=1e-12), b
+        assert got[1] != _roots(b)[1], b    # the shift moves the roots
+
+
+def test_cleared_function_leaves_out_exactly_the_bounding_poles(monkeypatch):
+    """Over the solver pin's draws, every evaluation of a cleared function
+    calls the kernel once, over b's poles less those bounding its interval,
+    in b's order."""
+    kernel, cleared_secular = spectrum._rational, spectrum._cleared_secular
+    interval, seen = [], []    # interval: (b, lo, hi) of the evaluation in hand
+    evaluations = [0]
+
+    def recording_kernel(poles, slope, gamma, lam):
+        if interval:
+            seen.append((*interval[-1], tuple(poles)))
+        return kernel(poles, slope, gamma, lam)
 
     def recording_secular(length, b):
         on = cleared_secular(length, b)
@@ -31,49 +83,31 @@ def _evaluated_points(monkeypatch):
         def recording_on(lo, hi, lobe):
             cleared = on(lo, hi, lobe)
 
-            def recording(lam, slope=False):
-                points.append((length, b, lo, hi, lobe, lam))
-                return cleared(lam, slope)
+            def recording(lam):
+                evaluations[0] += 1
+                interval.append((b, lo, hi))
+                try:
+                    return cleared(lam)
+                finally:
+                    interval.pop()
 
             return recording
 
         return recording_on
 
     with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "_rational", recording_kernel)
         patch.setattr(spectrum, "_cleared_secular", recording_secular)
         for _, thunk in _cases():
             _bits_or_error(thunk)    # a draw that raises still counts its evaluations
-    return points
-
-
-def test_cleared_function_computes_f_as_the_kernel_does(monkeypatch):
-    points = _evaluated_points(monkeypatch)
-    assert len(points) > 20000
-    # the F part is read off a cleared function with no bounding pole, whose
-    # c*F is 1.0 * (1.0 * F - 1.0 * 0.0 + 1.0 * 0.0), i.e. F + 0.0; its c*G
-    # is not read, so the line is stubbed out of it (a Dirichlet pole end
-    # would trip the line's guard)
-    monkeypatch.setattr(spectrum, "line_log_deriv", lambda lam, length: 0.0)
-    open_on, closures = {}, {}
-    for length, b, lo, hi, lobe, lam in points:
+    assert len(seen) == evaluations[0] > 20000
+    left_out = 0
+    for b, lo, hi, poles in seen:
         bounding = {end.location for end in (lo, hi)
                     if end is not None and end.point.kind == "boundary"}
-        rest = tuple(p for p in b.poles if p.location not in bounding)
-        f, fp = _rational(rest, b.affine_slope, b.gamma, lam)
-
-        key = (id(b), lo, hi, lobe)
-        if key not in closures:
-            closures[key] = spectrum._cleared_secular(length, b)(lo, hi, lobe)
-        assert closures[key](lam, True)[3].hex() == fp.hex(), (lam, b)
-
-        key = (id(b), rest)
-        if key not in open_on:
-            bare = RationalBoundary(beta=b.beta, gamma=b.gamma, poles=rest)
-            open_on[key] = spectrum._cleared_secular(length, bare)(None, None, 0)
-        _, f_part, c, fp_open = open_on[key](lam, True)
-        assert c == 1.0
-        assert f_part.hex() == (f + 0.0).hex(), (lam, b)
-        assert fp_open.hex() == fp.hex(), (lam, b)
+        assert poles == tuple(p for p in b.poles if p.location not in bounding), (b, lo, hi)
+        left_out += len(poles) < len(b.poles)
+    assert left_out > 1000
 
 
 def _cot_roots(length: float, beta: float, count: int) -> list[float]:

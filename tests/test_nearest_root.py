@@ -5,13 +5,16 @@ Drawn from the boundary space of the solver pin, with a seeded `near` in
 record bit for bit and never evaluate c*H more often, and a read of either
 partial spectrum must give the full solve's answer or raise.
 """
+import math
 import random
 
 import pytest
 
-from dressed_modes import SolverError, default_lam_max, pole_margins, solve_spectrum, spectrum
+from dressed_modes import (
+    SolverError, default_lam_max, pole_margins, solve_spectrum, spectrum, transmon_boundary,
+)
 from test_solver_pin import _boundary_draw
-from test_spectrum import DEV, LENGTH, _bits, _outcome
+from test_spectrum import DEV, LENGTH, QUBIT, _bits, _outcome
 
 DRAWS = 300
 
@@ -100,3 +103,24 @@ def test_nearest_only_needs_near():
     bnd = next(_draws())[0]
     with pytest.raises(ValueError, match="nearest_only needs near"):
         solve_spectrum(LENGTH, bnd, nearest_only=True)
+
+
+@pytest.mark.parametrize("nearest_only", [False, True])
+def test_nan_near_is_refused(nearest_only):
+    """Every comparison with NaN is false, so a NaN near would pick the top
+    root as if it were near; the solve refuses it in either mode."""
+    bnd = transmon_boundary(QUBIT, DEV)
+    with pytest.raises(ValueError, match="near must not be NaN"):
+        solve_spectrum(LENGTH, bnd, near=math.nan, nearest_only=nearest_only)
+
+
+@pytest.mark.parametrize("nearest_only", [False, True])
+@pytest.mark.parametrize("near, top", [(math.inf, True), (-math.inf, False), (-1.0, False)])
+def test_near_beyond_the_domain_reads_its_end_root(near, top, nearest_only):
+    """A near above every root reads the top root alone, one below every
+    root (-inf or negative) the bottom root alone, bit for bit the full
+    solve's."""
+    bnd = transmon_boundary(QUBIT, DEV)
+    full = solve_spectrum(LENGTH, bnd)
+    part = solve_spectrum(LENGTH, bnd, near=near, nearest_only=nearest_only)
+    assert [_bits(r) for r in part.records] == [_bits(full.records[-1 if top else 0])]

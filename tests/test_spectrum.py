@@ -735,7 +735,7 @@ def _v_shaped(shift):
     [1, 2] rising but settles no cell across x = 1."""
 
     def ch(x):
-        return abs(x - 1.0) + shift, 0.0, 1.0
+        return abs(x - 1.0) + shift, 0.0, 1.0, 0.0
 
     def bounds(x0, x1, lobe):
         return (-1.0, -1.0) if x1 <= 1.0 else (1.0, 1.0) if x0 >= 1.0 else (-1.0, 1.0)
@@ -767,9 +767,8 @@ def test_refine_refuses_a_sign_change_without_a_zero():
     of returning a record. The line's zero lies outside the bracket, so
     the Newton start of a pole-free boundary is not taken."""
 
-    def ch(x, slope=False):
-        h = -1.0 if x < 0.5 else 1.0
-        return (h, 0.0, 1.0, 0.0) if slope else (h, 0.0, 1.0)
+    def ch(x):
+        return -1.0 if x < 0.5 else 1.0, 0.0, 1.0, 0.0
 
     with pytest.raises(SolverError, match="cleared residual 1.000e[+]00 exceeds"):
         spectrum._refine(ch, None, None, 0, 0.0, 1.0, -1.0, 1.0, 1.0, RationalBoundary())
@@ -898,7 +897,7 @@ def test_cleared_at_a_boundary_pole_skips_the_line(monkeypatch):
                 d = (-1.0 if lobe % 2 else 1.0) * math.sin(xi) / xi
             elif other is not None:
                 e_other = abs(other.location - lam) / other.location
-            g_side, f_side, c = ch(lam)
+            g_side, f_side, c, _ = ch(lam)
             assert (g_side, c) == (0.0, 0.0)
             assert g_side - f_side == sign * (d * (e_other * (strengths[lam] / lam)))
             checked += 1
@@ -992,7 +991,7 @@ def _check_pole_end_signs(length, bnd):
         for end, upper in ((lo, False), (hi, True)):
             if end is None:
                 continue
-            g_side, f_side, _ = ch(end.location)
+            g_side, f_side, _, _ = ch(end.location)
             signed = spectrum._pole_end(end.weight, upper)
             assert g_side - f_side != 0.0
             assert (g_side - f_side > 0.0) == (signed[0] - signed[1] > 0.0), (lo, hi, upper)
@@ -1047,7 +1046,7 @@ def test_pole_too_weak_for_a_float_keeps_every_root(strength):
     bnd = RationalBoundary(poles=(BoundaryPole(loc, strength),))
     lo, hi = _partition_ends(LENGTH, bnd)[:2]
     assert (lo.location, hi.point.kind) == (loc, "dirichlet")
-    g_side, f_side, _ = spectrum._cleared_secular(LENGTH, bnd)(lo, hi, 0)(loc)
+    g_side, f_side, _, _ = spectrum._cleared_secular(LENGTH, bnd)(lo, hi, 0)(loc)
     assert g_side - f_side == 0.0
     sp = solve_spectrum(LENGTH, bnd)
     assert sp.counts == (1,) * 7
@@ -1079,9 +1078,9 @@ def test_every_cleared_evaluation_calls_the_line(monkeypatch, case):
             n["setups"] += 1
             ch = on(lo, hi, lobe)
 
-            def counted(lam, *args):
+            def counted(lam):
                 n["evals"] += 1
-                return ch(lam, *args)
+                return ch(lam)
 
             return counted
 
