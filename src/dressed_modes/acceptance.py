@@ -7,6 +7,14 @@ this file so there is exactly one implementation of the gate.
 Measured discrepancies (Rabi gap, boundary-form disagreement) are reported
 in the detail strings so they can be frozen as regression values.
 
+The random criteria draw from one table of the valid input space, SPACE
+(CHOICES for its discrete axes), through one function, _draw: interlacing
+and repulsion its "settled ground state" sub-space (_random_ground_config),
+the chi triangle its "dispersive" one (SUBSPACES). A qubit that
+solve_spectrum or RationalBoundary would refuse is drawn again, by one
+rule, _refused, read from their own guards. The tests draw from the same
+table (tests/input_space.py).
+
 Importing this module loads only what its module body runs: each
 criterion imports the solver layers it calls (boundary, spectrum,
 dispersive, jc, multiqubit) once per call, never once per draw, so
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import chain, combinations
 
 from .multimode import MultimodeModel, divergence_report
@@ -76,6 +85,89 @@ def _uniform_draws(seed: int):
     rng = np.random.default_rng(seed)
     units = chain.from_iterable(iter(lambda: rng.random(UNIFORM_BLOCK).tolist(), None))
     return lambda lo, hi: lo + (hi - lo) * next(units)
+
+
+# The valid input space of a transmon on the line: the (lo, hi) span of
+# each continuous axis, in the unit noted, and the values of each discrete
+# one. A named sub-space gives each axis a generator draws its span,
+# SPACE's or a narrower one, or one value; _draw draws either. Where the
+# solver refuses an input inside a span, the edge is its guard's own
+# constant, read by _refused.
+SPACE = {
+    "length": (2e-3, 8e-3),       # L, m
+    "velocity": (0.8e8, 1.6e8),   # v, m/s
+    "ratio": (0.1, 12.5),         # omega_q / omega_1; lam_max lies at 12 omega_1
+    "alpha": (-0.3, -0.1),        # GHz
+    "coupling": (1e-4, 0.2),      # g, GHz
+    "beta": (0.0, 2.0),           # C_J / c, in units of L/3, where the cheap slope bound turns
+}
+# "coupling" names the TransmonSpec field that gives g
+CHOICES = {"state": ("g", "e"), "levels": (2, 3), "qubits": (1, 2),
+           "coupling": ("coupling", "charge_element")}
+SUBSPACES = {
+    # _random_ground_config's: the devices of check_interlacing and check_level_repulsion
+    "settled ground state": {"length": SPACE["length"], "velocity": SPACE["velocity"],
+                             "ratio": (0.1, 5.8), "alpha": -0.25, "coupling": (0.01, 0.2)},
+    # check_dispersive_triangle's: the detuning omega_q - omega_1 in GHz, and g / |detuning|
+    "dispersive": {"length": STANDARD_DEVICE.length, "velocity": STANDARD_DEVICE.phase_velocity,
+                   "detuning": (-2.0, -0.4), "alpha": SPACE["alpha"], "coupling_ratio": (0.02, 0.1)},
+}
+
+
+@cache
+def _pole_guards():
+    """(POLE_GUARD_REL, _LOCATION_FLOOR), read from boundary on the first
+    call, so that importing the gate loads no solver layer and a draw runs
+    no import statement."""
+    from .boundary import POLE_GUARD_REL, _LOCATION_FLOOR
+
+    return POLE_GUARD_REL, _LOCATION_FLOOR
+
+
+def _refused(length, locations, line_partition) -> bool:
+    """Whether RationalBoundary or solve_spectrum refuses boundary poles of
+    nonzero strength at `locations` on a line of `length`, by their own
+    guards: a location below boundary._LOCATION_FLOOR, two closer than
+    POLE_GUARD_REL relative, one exactly at lam_max, or one below lam_max
+    within a Dirichlet pole's collision tolerance, as `line_partition`
+    (spectrum._line_partition) gives them. Above lam_max solve_spectrum
+    checks no Dirichlet pole."""
+    guard_rel, floor = _pole_guards()
+    lam_max, guards, _ = line_partition(length)
+    ordered = sorted(locations)
+    return any(
+        not p >= floor or p == lam_max or p < lam_max and any(abs(p - d) < tol for d, tol in guards)
+        for p in ordered
+    ) or any(q - p < guard_rel * q for p, q in zip(ordered, ordered[1:]))
+
+
+def _draw(uniform, space, line_partition):
+    """(dev, spec, delta): a device and a transmon in g drawn from `space`,
+    SPACE or a SUBSPACES entry, by uniform(lo, hi), one call for each axis
+    it gives a span, in this order: length, velocity, the qubit, alpha, g,
+    beta; an axis it gives one value takes it, and one it leaves out is not
+    drawn. The qubit sits at ratio omega_1 or, on the detuning axis, at
+    omega_1 + delta (delta is None otherwise), drawn again while _refused;
+    g is in GHz, or with a detuning the coupling_ratio share of |delta|."""
+
+    def axis(name):
+        span = space[name]
+        return uniform(*span) if type(span) is tuple else span
+
+    dev = DeviceParams(length=axis("length"), phase_velocity=axis("velocity"), impedance=50.0)
+    omega_1 = dev.fundamental_frequency
+    while True:
+        delta = axis("detuning") * GHZ if "detuning" in space else None
+        omega_q = axis("ratio") * omega_1 if delta is None else omega_1 + delta
+        if not _refused(dev.length, (omega_to_lambda(omega_q, dev.phase_velocity),), line_partition):
+            break
+    alpha = axis("alpha") * GHZ
+    g = axis("coupling") * GHZ if delta is None else axis("coupling_ratio") * abs(delta)
+    c_j = axis("beta") * dev.total_capacitance / 3.0 if "beta" in space else None
+    spec = TransmonSpec(
+        state="g", frequency=omega_q, anharmonicity=alpha, coupling=g, junction_capacitance=c_j
+    )
+    return dev, spec, delta
 
 
 def _lobe_root(lobe: int, target: float) -> float:
@@ -156,25 +248,10 @@ def check_derivative_identity(seed: int) -> CriterionResult:
 
 
 def _random_ground_config(uniform, line_partition):
-    """A solvable ground-state draw from a _uniform_draws stream: geometry,
-    qubit, boundary. `line_partition` is spectrum._line_partition, passed in
-    by the criterion so that a draw runs no import statement."""
-    length = uniform(2e-3, 8e-3)
-    v = uniform(0.8e8, 1.6e8)
-    dev = DeviceParams(length=length, phase_velocity=v, impedance=50.0)
-    _, guards, _ = line_partition(length)
-    while True:
-        omega_q = uniform(0.1, 5.8) * dev.fundamental_frequency
-        # redraw exactly what solve_spectrum rejects with PoleCollisionError,
-        # by its own (Dirichlet pole, tolerance) guards
-        lam_q = omega_to_lambda(omega_q, v)
-        if not any(abs(lam_q - d) < tol for d, tol in guards):
-            break
-    g = uniform(0.01, 0.2) * GHZ
-    spec = TransmonSpec(
-        state="g", frequency=omega_q, anharmonicity=-0.25 * GHZ, coupling=g
-    )
-    return dev, spec
+    """A solvable draw of the settled ground-state sub-space: (dev, spec).
+    `line_partition` is spectrum._line_partition, passed in by the criterion
+    so that a draw runs no import statement."""
+    return _draw(uniform, SUBSPACES["settled ground state"], line_partition)[:2]
 
 
 def check_interlacing(seed: int) -> CriterionResult:
@@ -252,6 +329,7 @@ def check_dispersive_triangle(seed: int) -> CriterionResult:
     the exact solve has and the JC ladder, in the rotating wave, has not."""
     from .dispersive import counter_rotating_shift, dispersive_shift, dispersive_shift_exact
     from .jc import JCModel, dispersive_shift_numeric
+    from .spectrum import _line_partition
 
     uniform = _uniform_draws(seed)
     dev = STANDARD_DEVICE
@@ -259,12 +337,8 @@ def check_dispersive_triangle(seed: int) -> CriterionResult:
     worst = 0.0
     failures = 0
     for _ in range(TRIANGLE_DRAWS):
-        delta = uniform(-2.0, -0.4) * GHZ
-        alpha = uniform(-0.3, -0.1) * GHZ
-        g = uniform(0.02, 0.1) * abs(delta)
-        spec = TransmonSpec(
-            state="g", frequency=omega_r + delta, anharmonicity=alpha, coupling=g
-        )
+        _, spec, delta = _draw(uniform, SUBSPACES["dispersive"], _line_partition)
+        alpha, g = spec.anharmonicity, spec.coupling
         chi_cf = dispersive_shift(g, delta, alpha) + counter_rotating_shift(
             g, spec.frequency + omega_r, alpha
         )

@@ -30,7 +30,10 @@ from dressed_modes import (
 from dressed_modes import acceptance, dispersive, spectrum
 from dressed_modes.acceptance import (
     ALL_CHECKS,
+    SUBSPACES,
+    TRIANGLE_DRAWS,
     UNIFORM_BLOCK,
+    _draw,
     _random_ground_config,
     _uniform_draws,
     STANDARD_DEVICE,
@@ -200,6 +203,28 @@ def test_ground_config_redraws_what_the_solver_rejects_with_one_number(offset, r
         assert spec == first
         assert spec.coupling == (0.01 + 0.19 * 0.3) * GHZ
         solve_spectrum(dev.length, transmon_boundary(first, dev))
+
+
+def _reference_triangle_draw(uniform):
+    """Reference: check_dispersive_triangle's draw as it was written inline
+    before it drew the dispersive sub-space: (spec, delta)."""
+    omega_r = STANDARD_DEVICE.fundamental_frequency
+    delta = uniform(-2.0, -0.4) * GHZ
+    alpha = uniform(-0.3, -0.1) * GHZ
+    g = uniform(0.02, 0.1) * abs(delta)
+    spec = TransmonSpec(state="g", frequency=omega_r + delta, anharmonicity=alpha, coupling=g)
+    return spec, delta
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_triangle_draws_are_the_inline_draws(seed):
+    """The chi triangle's draws of the dispersive sub-space are, bit for
+    bit, the draws its inline expressions made from one scalar
+    rng.uniform call per number."""
+    blocks, scalar = _uniform_draws(seed), _scalar_uniform(seed)
+    for _ in range(TRIANGLE_DRAWS):
+        dev, spec, delta = _draw(blocks, SUBSPACES["dispersive"], spectrum._line_partition)
+        assert (dev, spec, delta) == (STANDARD_DEVICE, *_reference_triangle_draw(scalar))
 
 
 def test_interlacing_draws_refine_from_the_newton_start(monkeypatch):

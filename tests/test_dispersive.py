@@ -21,6 +21,10 @@ from dressed_modes import (
     resolved_coupling,
     charge_from_coupling,
 )
+from dressed_modes.acceptance import SUBSPACES
+from input_space import DETUNING_MAGNITUDE
+
+DISPERSIVE = SUBSPACES["dispersive"]
 
 DEV = DeviceParams(length=3e-3, phase_velocity=1.2e8, impedance=50.0)
 QUBIT = TransmonSpec(state="g", frequency=9 * GHZ, anharmonicity=-0.25 * GHZ, coupling=0.1 * GHZ)
@@ -58,9 +62,9 @@ def test_closed_form_plus_counter_rotating_term_is_the_perturbative_chi():
     rng = random.Random(4)
     omega_r = DEV.fundamental_frequency
     for _ in range(20):
-        delta = rng.choice((-1.0, 1.0)) * rng.uniform(0.4, 3.0) * GHZ
-        alpha = rng.uniform(-0.3, -0.1) * GHZ
-        g = rng.uniform(0.02, 0.1) * abs(delta)
+        delta = rng.choice((-1.0, 1.0)) * rng.uniform(*DETUNING_MAGNITUDE) * GHZ
+        alpha = rng.uniform(*DISPERSIVE["alpha"]) * GHZ
+        g = rng.uniform(*DISPERSIVE["coupling_ratio"]) * abs(delta)
         spec = replace(QUBIT, frequency=omega_r + delta, anharmonicity=alpha, coupling=g)
         closed = dispersive_shift(g, delta, alpha) + counter_rotating_shift(
             g, spec.frequency + omega_r, alpha

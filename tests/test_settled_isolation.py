@@ -10,47 +10,12 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings
 
 from dressed_modes import BoundaryPole, RationalBoundary, SolverError, solve_spectrum, transmon_boundary
 from dressed_modes import spectrum
-from dressed_modes.boundary import POLE_GUARD_REL
-from dressed_modes.resonator import dirichlet_poles
-from dressed_modes.spectrum import DIRICHLET_COLLISION_REL
+from input_space import ABSORPTION, BETA_EDGE, LAM_1, THIRD, UNIT, boundary
 from test_spectrum import DEV, LENGTH, QUBIT, _partition_ends
-
-LAM_1 = (math.pi / (2.0 * LENGTH)) ** 2     # the bare fundamental; lam_max is just under 144 LAM_1
-UNIT = LAM_1 / LENGTH                       # a strength of order one
-THIRD = LENGTH / 3.0                        # the beta at which -s - L/3 turns 0
-
-# All-absorption boundaries: 1-3 poles, some above lam_max, strengths of
-# order one or tiny down to the least subnormal, beta either side of L/3.
-ABSORPTION = dict(
-    locations=st.lists(st.floats(0.05, 200.0), min_size=1, max_size=3, unique=True),
-    strengths=st.lists(
-        st.one_of(st.floats(1e-3, 2.0).map(lambda s: s * UNIT), st.sampled_from([5e-324, 1e-300, 1e-30])),
-        min_size=3, max_size=3,
-    ),
-    beta=st.one_of(
-        st.floats(0.0, 2.0).map(lambda f: f * THIRD),
-        st.sampled_from([(1.0 - 1e-9) * THIRD, THIRD, math.nextafter(THIRD, math.inf)]),
-    ),
-    gamma=st.floats(-500.0, 500.0),
-)
-
-
-def _absorbing(locations, strengths, beta, gamma):
-    """The ABSORPTION draw as a RationalBoundary, or None where
-    RationalBoundary or solve_spectrum rejects it."""
-    locs = [x * LAM_1 for x in locations]
-    if any(abs(p - d) < DIRICHLET_COLLISION_REL * d for p in locs for d in dirichlet_poles(LENGTH, 6)):
-        return None
-    ordered = sorted(locs)
-    if any(q - p < POLE_GUARD_REL * q for p, q in zip(ordered, ordered[1:])):
-        return None
-    poles = tuple(BoundaryPole(loc, s) for loc, s in zip(locs, strengths))
-    return RationalBoundary(beta=beta, gamma=gamma, poles=poles)
-
 
 def _observed(bnd, mp, isolated, refined, near=None, refining=True):
     """A solve of bnd, recording each _isolate call's arguments and result
@@ -91,11 +56,14 @@ def _bits(brackets):
 
 @settings(max_examples=150, deadline=None)
 @given(**ABSORPTION)
-@example(locations=[0.7], strengths=[5e-324] * 3, beta=(1.0 - 1e-9) * THIRD, gamma=0.0)
+@example(locations=[0.7], strengths=[5e-324] * 3, beta=BETA_EDGE * THIRD, gamma=0.0)
 @example(locations=[0.7, 150.0], strengths=[UNIT] * 3, beta=0.0, gamma=0.0)
 @example(locations=[0.7, 3.0], strengths=[UNIT, 1e-300, UNIT], beta=math.nextafter(THIRD, math.inf), gamma=0.0)
 @example(locations=[1.0], strengths=[5e-324, UNIT, UNIT], beta=0.0, gamma=0.0)
 @example(locations=[1.0], strengths=[5e-324, UNIT, UNIT], beta=2.0 * THIRD, gamma=0.0)
+# inside the sixth Dirichlet pole's collision band but above lam_max, where
+# solve_spectrum checks no collision, so the rule must not refuse it
+@example(locations=[144.0 * (1.0 + 5e-7)], strengths=[UNIT] * 3, beta=0.0, gamma=0.0)
 def test_settled_intervals_are_what_isolate_finds(locations, strengths, beta, gamma):
     """Interval by interval, the count and the brackets (x0, x1, c*H(x0),
     c*H(x1)) of a full solve equal those _isolate finds there, bit for bit,
@@ -103,7 +71,7 @@ def test_settled_intervals_are_what_isolate_finds(locations, strengths, beta, ga
     _isolate runs on the two edge intervals alone where -s < L/3, every
     interval between them then holding the one bracket spanning it, and on
     every interval where beta >= L/3."""
-    bnd = _absorbing(locations, strengths, beta, gamma)
+    bnd = boundary(locations, strengths, beta, gamma)
     assume(bnd is not None)
     on, (bounds, slack) = spectrum._cleared_secular(LENGTH, bnd), spectrum._slope_bounds(LENGTH, bnd)
     lam_max = spectrum._line_partition(LENGTH)[0]

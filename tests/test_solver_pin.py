@@ -39,7 +39,9 @@ from dressed_modes import (
     solve_spectrum,
 )
 from dressed_modes import spectrum
-from test_spectrum import LENGTH, _bits, _excited, _random_boundary
+from dressed_modes.acceptance import SPACE
+from input_space import BETA_EDGE, MIXED_LOCATIONS, PIN_GAMMA, PIN_JUNCTION, POLES, STRENGTHS, random_boundary
+from test_spectrum import LENGTH, _bits, _excited
 
 PIN = Path(__file__).with_name("solver_pin.json")
 BOUNDARY_DRAWS = 300
@@ -74,24 +76,25 @@ def _sweep_bits(sweep):
 
 
 def _boundary_draw(rng):
-    """One draw from the space of test_spectrum.RANDOM_BOUNDARY: 1-3 poles,
-    residues of either sign, beta up to 2L/3 or exactly (1 - 1e-9) L/3."""
-    locations = [rng.uniform(0.05, 5.5) for _ in range(rng.randint(1, 3))]
-    strengths = [rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, 2.0) for _ in range(3)]
-    beta_frac = 1.0 - 1e-9 if rng.random() < 0.2 else rng.uniform(0.0, 2.0)
-    return _random_boundary(locations, strengths, beta_frac, rng.uniform(0.0, 500.0))
+    """One draw from the space of input_space.RANDOM_BOUNDARY, gamma in
+    PIN_GAMMA: 1-3 poles, residues of either sign, beta up to 2L/3 or
+    exactly BETA_EDGE L/3."""
+    locations = [rng.uniform(*MIXED_LOCATIONS) for _ in range(rng.randint(*POLES))]
+    strengths = [rng.choice((-1.0, 1.0)) * rng.uniform(*STRENGTHS) for _ in range(POLES[1])]
+    beta_frac = BETA_EDGE if rng.random() < 0.2 else rng.uniform(*SPACE["beta"])
+    return random_boundary(locations, strengths, beta_frac, rng.uniform(*PIN_GAMMA))
 
 
 def _sweep_device(rng):
     """(device, alpha, g, grid) of one pinned sweep: 21 points over
-    +-5% of the fundamental."""
+    +-5% of the fundamental, g log-uniform over SPACE's coupling axis."""
     dev = DeviceParams(
-        length=rng.uniform(2e-3, 8e-3), phase_velocity=rng.uniform(0.8e8, 1.6e8),
+        length=rng.uniform(*SPACE["length"]), phase_velocity=rng.uniform(*SPACE["velocity"]),
         impedance=50.0,
     )
     w1 = dev.fundamental_frequency
-    alpha = rng.uniform(-0.3, -0.1) * GHZ
-    g = math.exp(rng.uniform(math.log(1e-4), math.log(0.2))) * GHZ
+    alpha = rng.uniform(*SPACE["alpha"]) * GHZ
+    g = math.exp(rng.uniform(*map(math.log, SPACE["coupling"]))) * GHZ
     grid = [w1 * (0.95 + 0.1 * k / (SWEEP_POINTS - 1)) for k in range(SWEEP_POINTS)]
     return dev, alpha, g, grid
 
@@ -136,7 +139,7 @@ def _cases():
     for i in range(SWEEP_DEVICES, SWEEP_DEVICES + BRANCH_SWEEP_DEVICES):
         dev, alpha, g, grid = _sweep_device(rng)
         charge = charge_from_coupling(g, dev.fundamental_frequency, dev)
-        c_j = rng.uniform(1e-15, 2e-14)
+        c_j = rng.uniform(*PIN_JUNCTION)
         for label, state, levels, kw in (
             ("charge", "g", 2, {"charge_element": charge}),
             ("cj", "g", 2, {"coupling": g, "junction_capacitance": c_j}),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dressed_modes import (
     GHZ,
@@ -39,9 +39,9 @@ from dressed_modes import (
 )
 import dressed_modes
 from dressed_modes import acceptance, cli, dispersive, spectrum
-from dressed_modes.boundary import POLE_GUARD_REL
 from dressed_modes.resonator import line_log_deriv_dlam
 from dressed_modes.spectrum import DIRICHLET_COLLISION_REL
+from input_space import RANDOM_BOUNDARY, random_boundary
 
 DEV = DeviceParams(length=3e-3, phase_velocity=1.2e8, impedance=50.0)
 QUBIT = TransmonSpec(state="g", frequency=9 * GHZ, anharmonicity=-0.25 * GHZ, coupling=0.1 * GHZ)
@@ -545,23 +545,14 @@ def test_vacuum_rabi_gap_tunes_the_qubit_itself():
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    length=st.floats(2e-3, 8e-3),
-    v=st.floats(0.8e8, 1.6e8),
-    ratio=st.floats(0.1, 5.8),
-    g_ghz=st.floats(0.01, 0.2),
-)
-def test_random_ground_configs_interlace(length, v, ratio, g_ghz):
-    dev = DeviceParams(length=length, phase_velocity=v, impedance=50.0)
-    omega_q = ratio * dev.fundamental_frequency
-    lam_q = omega_to_lambda(omega_q, v)
-    # skip exactly the draws solve_spectrum rejects with PoleCollisionError
-    if any(abs(lam_q - d) < DIRICHLET_COLLISION_REL * d for d in dirichlet_poles(length, 3)):
-        return
-    spec = TransmonSpec(
-        state="g", frequency=omega_q, anharmonicity=-0.25 * GHZ, coupling=g_ghz * GHZ
-    )
-    sp = solve_spectrum(length, transmon_boundary(spec, dev))
+@given(st.data())
+def test_random_ground_configs_interlace(data):
+    """Settled ground-state devices, drawn by the gate's own generator from
+    hypothesis' floats: a qubit solve_spectrum refuses is drawn again, by
+    the one rule acceptance._refused, so every example is solved."""
+    uniform = lambda lo, hi: data.draw(st.floats(lo, hi))
+    dev, spec = acceptance._random_ground_config(uniform, spectrum._line_partition)
+    sp = solve_spectrum(dev.length, transmon_boundary(spec, dev))
     assert all(flag is None or flag for flag in sp.interlacing)
     assert pole_margin(sp) > 0.0
 
@@ -945,36 +936,6 @@ def test_empty_spectrum_has_no_nearest_eigenvalue(monkeypatch):
         dispersive.pulled_frequencies(DEV, (QUBIT,))
 
 
-# Random boundaries, residues of either sign, beta up to 2L/3, gamma of
-# either sign. Locations are in units of the fundamental eigenvalue,
-# strengths in units of lam_1 / L.
-RANDOM_BOUNDARY = dict(
-    locations=st.lists(st.floats(0.05, 5.5), min_size=1, max_size=3, unique=True),
-    strengths=st.lists(
-        st.one_of(st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3)), min_size=3, max_size=3
-    ),
-    beta_frac=st.one_of(st.floats(0.0, 2.0), st.just(1.0 - 1e-9)),
-    gamma=st.floats(-500.0, 500.0),
-)
-
-
-def _random_boundary(locations, strengths, beta_frac, gamma):
-    """The RANDOM_BOUNDARY draw as a RationalBoundary, or None for exactly
-    the draws RationalBoundary or solve_spectrum rejects."""
-    length = DEV.length
-    lam_1 = (math.pi / (2.0 * length)) ** 2
-    locs = [x * lam_1 for x in locations]
-    if any(abs(p - d) < DIRICHLET_COLLISION_REL * d for p in locs for d in dirichlet_poles(LENGTH, 6)):
-        return None
-    ordered = sorted(locs)
-    if any(q - p < POLE_GUARD_REL * q for p, q in zip(ordered, ordered[1:])):
-        return None
-    poles = tuple(
-        BoundaryPole(loc, s * lam_1 / length) for loc, s in zip(locs, strengths)
-    )
-    return RationalBoundary(beta=beta_frac * length / 3.0, gamma=gamma, poles=poles)
-
-
 def _check_pole_end_signs(length, bnd):
     """Evaluate c*H at each end of each interval that is a bounding pole and
     assert it is nonzero with the sign _isolate assigns there in place of
@@ -1008,9 +969,8 @@ def test_pole_ends_have_the_sign_isolation_assigns(locations, strengths, beta_fr
     above it, flipped for an emission pole. Over RANDOM_BOUNDARY every pole
     end, both ends of all five Dirichlet poles included, evaluates to that
     sign."""
-    bnd = _random_boundary(locations, strengths, beta_frac, gamma)
-    if bnd is None:
-        return
+    bnd = random_boundary(locations, strengths, beta_frac, gamma)
+    assume(bnd is not None)
     assert _check_pole_end_signs(LENGTH, bnd) >= 10
 
 
@@ -1117,9 +1077,8 @@ def test_certified_roots_match_oracle(locations, strengths, beta_frac, gamma):
     """RANDOM_BOUNDARY draws. With every residue positive and beta < L/3
     each interval is settled whole, and every pole-bounded one holds one root.
     """
-    bnd = _random_boundary(locations, strengths, beta_frac, gamma)
-    if bnd is None:
-        return
+    bnd = random_boundary(locations, strengths, beta_frac, gamma)
+    assume(bnd is not None)
     sp = solve_spectrum(LENGTH, bnd)
     if bnd.all_positive_residues and beta_frac < 1.0:
         assert all(sp.interlacing[1:-1])
@@ -1159,9 +1118,8 @@ def test_refinement_steps_per_root_are_bounded(locations, strengths, beta_frac, 
     """RANDOM_BOUNDARY draws: g-like and e-like boundaries, emission poles,
     beta up to twice its cheap-bound guard L/3. No root's refinement takes
     more than REFINE_STEP_BOUND evaluations."""
-    bnd = _random_boundary(locations, strengths, beta_frac, gamma)
-    if bnd is None:
-        return
+    bnd = random_boundary(locations, strengths, beta_frac, gamma)
+    assume(bnd is not None)
     sp = solve_spectrum(LENGTH, bnd)
     assert sp.records
     assert max(r.iterations for r in sp.records) <= REFINE_STEP_BOUND
@@ -1203,9 +1161,8 @@ def test_near_solve_is_a_subset_of_the_full_solve(
     """near anywhere in (0, lam_max], or exactly at a bracket end or a root
     of the full solve: the same certified counts, and bit for bit the full
     solve's records of the largest root <= near and the smallest >= near."""
-    bnd = _random_boundary(locations, strengths, beta_frac, gamma)
-    if bnd is None:
-        return
+    bnd = random_boundary(locations, strengths, beta_frac, gamma)
+    assume(bnd is not None)
     full = solve_spectrum(LENGTH, bnd)
     near = frac * full.lam_max
     if pick is not None and full.records:
