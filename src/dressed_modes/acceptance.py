@@ -135,10 +135,23 @@ def _refused(length, locations, line_partition) -> bool:
     guard_rel, floor = _pole_guards()
     lam_max, guards, _ = line_partition(length)
     ordered = sorted(locations)
-    return any(
-        not p >= floor or p == lam_max or p < lam_max and any(abs(p - d) < tol for d, tol in guards)
-        for p in ordered
-    ) or any(q - p < guard_rel * q for p, q in zip(ordered, ordered[1:]))
+    for p in ordered:
+        if not p >= floor or p == lam_max:
+            return True
+        if p < lam_max:
+            for d, tol in guards:
+                if abs(p - d) < tol:
+                    return True
+    for p, q in zip(ordered, ordered[1:]):
+        if q - p < guard_rel * q:
+            return True
+    return False
+
+
+def _axis(uniform, span):
+    """A draw of one axis: uniform(lo, hi) over a (lo, hi) span, else the
+    one value a sub-space gives it."""
+    return uniform(*span) if type(span) is tuple else span
 
 
 def _draw(uniform, space, line_partition):
@@ -149,21 +162,18 @@ def _draw(uniform, space, line_partition):
     drawn. The qubit sits at ratio omega_1 or, on the detuning axis, at
     omega_1 + delta (delta is None otherwise), drawn again while _refused;
     g is in GHz, or with a detuning the coupling_ratio share of |delta|."""
-
-    def axis(name):
-        span = space[name]
-        return uniform(*span) if type(span) is tuple else span
-
-    dev = DeviceParams(length=axis("length"), phase_velocity=axis("velocity"), impedance=50.0)
+    dev = DeviceParams(length=_axis(uniform, space["length"]),
+                       phase_velocity=_axis(uniform, space["velocity"]), impedance=50.0)
     omega_1 = dev.fundamental_frequency
     while True:
-        delta = axis("detuning") * GHZ if "detuning" in space else None
-        omega_q = axis("ratio") * omega_1 if delta is None else omega_1 + delta
+        delta = _axis(uniform, space["detuning"]) * GHZ if "detuning" in space else None
+        omega_q = _axis(uniform, space["ratio"]) * omega_1 if delta is None else omega_1 + delta
         if not _refused(dev.length, (omega_to_lambda(omega_q, dev.phase_velocity),), line_partition):
             break
-    alpha = axis("alpha") * GHZ
-    g = axis("coupling") * GHZ if delta is None else axis("coupling_ratio") * abs(delta)
-    c_j = axis("beta") * dev.total_capacitance / 3.0 if "beta" in space else None
+    alpha = _axis(uniform, space["alpha"]) * GHZ
+    g = (_axis(uniform, space["coupling"]) * GHZ if delta is None
+         else _axis(uniform, space["coupling_ratio"]) * abs(delta))
+    c_j = _axis(uniform, space["beta"]) * dev.total_capacitance / 3.0 if "beta" in space else None
     spec = TransmonSpec(
         state="g", frequency=omega_q, anharmonicity=alpha, coupling=g, junction_capacitance=c_j
     )

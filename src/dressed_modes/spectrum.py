@@ -25,22 +25,21 @@ delta_k of a boundary pole, so by the level-repulsion theorem c*H is + just
 above a Dirichlet or absorption pole and - just below it, flipped for an
 emission pole (_pole_end). Only lam = 0, lam_max and the cuts are
 evaluated. With every residue positive and -s < L/3 (a ground-state
-transmon) the cheap bound settles each interval whole: one root between
-two poles, read off the signs without an evaluation, and one in an edge
-interval iff H(0) = 1/L - F(0) > 0, resp. H(lam_max) <= 0. That test
-depends on no interval, so solve_spectrum makes it once a solve, and where
-it holds an interval between two poles skips _isolate: it takes the
-bracket (lower pole, upper pole, +1, -1) and count 1, which is what
-_isolate returns there, since its first slope bound is -L/3 - s < 0 with
-no emission term and the theorem signs its ends + and -. Only the two edge
-intervals, and every interval of a solve with an emission pole (anywhere:
-its term enters every cell's bound) or with -s >= L/3, go through _isolate.
-The sharper bound of _slope_bounds serves the rest. A cell is halved,
-except where an emission pole bounding the interval is one of its ends and
--s < L/3: there it is cut 1.05 sqrt(|delta_k|/(L/3 + s)) from the pole
-(_pole_cut), past which the pole's term in the cheap bound is under the
-line's least fall, so the far part settles in one call rather than after a
-halving per factor of two toward the pole.
+transmon) the cheap bound proves H falling on the whole domain, so
+solve_spectrum makes that test once (_slack) and reads every count off
+the partition without _isolate or a slope bound: one root between two
+poles, bracket (lower pole, upper pole, +1, -1), and one in an edge
+interval iff c*H(0) > 0, resp. c*H(lam_max) <= 0, from the one evaluation
+_isolate makes there. These are _isolate's results, as its first bound is
+-L/3 - s < 0 and its pole ends are signed + and -. Every interval of a
+solve with an emission pole (anywhere: its term enters every cell's bound)
+or with -s >= L/3 goes through _isolate. The sharper bound of
+_slope_bounds serves the rest. A cell is halved, except where an emission
+pole bounding the interval is one of its ends and -s < L/3: there it is
+cut 1.05 sqrt(|delta_k|/(L/3 + s)) from the pole (_pole_cut), past which
+the pole's term in the cheap bound is under the line's least fall, so the
+far part settles in one call rather than after a halving per factor of
+two toward the pole.
 
 Refinement. Every interval is counted, so the counts, the interlacing
 flags and every SolverError of isolation describe the whole spectrum.
@@ -87,18 +86,17 @@ setattr; what a solve knows about a pole, its weight w in H ~ w/(lam - p)
 and the part of w in F, is worked out once, in the partition's ends (_End),
 and an interval reads its bounding poles from its two ends alone; what
 does not depend on the interval (the slope bound's terms) is set up once
-per solve; an interval's cleared function is set up only when isolation
-first evaluates on it or refinement takes one of its brackets, so a near
-solve of a ground-state transmon sets up three of its seven; an interval
-settled whole stacks no cells, and a solve settled
-whole (no emission pole, -s < L/3) makes that test once, so its intervals
-between two poles call neither _isolate nor a slope bound; a boundary pole
-is checked for a collision against the Dirichlet poles up to the first one
-above it, as every later one lies farther off than its tolerance; an
-interval bounded by no boundary pole reads every pole term without
-filtering; and a sweep works out the boundary's parts that do not move
-with omega_q once, building per grid point only the poles, through the
-same builder as transmon_boundary.
+per solve not settled whole; an interval's cleared function is set up
+only when it is first evaluated or refinement takes one of its brackets,
+so a near solve of a ground-state transmon sets up three of its seven; a
+solve settled whole (no emission pole, -s < L/3) evaluates c*H on its two
+edge intervals alone before refinement; a boundary pole is checked for a
+collision against the Dirichlet poles up to the first one above it, as
+every later one lies farther off than its tolerance; an interval bounded
+by no boundary pole reads every pole term without filtering; and a sweep
+works out the boundary's parts that do not move with omega_q once,
+building per grid point only the poles, through the same builder as
+transmon_boundary.
 """
 from __future__ import annotations
 
@@ -253,25 +251,28 @@ def _line_zero_step(b, mu: float, half_length: float):
     return mu - f / den if den > 0.0 else None
 
 
+def _slack(length: float, b) -> float:
+    """-L/3 - s (s = b.affine_slope), H's slope bound with no emission pole."""
+    return -b.affine_slope - length / 3.0
+
+
 def _slope_bounds(length: float, b):
     """(bounds, slack): bounds(x0, x1, lobe) -> (lower, upper) of H' over
     the cell [x0, x1], which holds no pole inside and stays in the lobe
-    [lobe pi, (lobe+1) pi] of xi = sqrt(lam) L, and slack the cheap bound's
-    own term -L/3 - s, for _pole_cut, with s = b.affine_slope, F's affine
-    slope, so that H' = G' - s - sum_k delta_k/(lam_k - lam)^2. What does not
-    depend on the cell is set up once.
+    [lobe pi, (lobe+1) pi] of xi = sqrt(lam) L, and slack = _slack(), the
+    cheap bound's own term, for _pole_cut. H' = G' - s - sum_k
+    delta_k/(lam_k - lam)^2, s = b.affine_slope. What does not depend on
+    the cell is set up once.
     `c if c > a else a` is max(a, c) and `c if c < a else a` is min(a, c),
     operand for operand, without the call."""
     # H's affine slope, -s (a negation, so exact)
-    h_slope, inf = -b.affine_slope, math.inf
+    h_slope, inf, slack = -b.affine_slope, math.inf, _slack(length, b)
     # emission poles: -delta_k; every pole: -delta_k, and -delta_k / d^2 at d = 0
     emission, terms = [], []
     for p in b.poles:
         if p.strength < 0.0:
             emission.append((p.location, -p.strength))
         terms.append((p.location, -p.strength, -math.copysign(inf, p.strength)))
-    # G' <= -L/3, and absorption terms (delta_k > 0) only lower H'
-    slack = h_slope - length / 3.0
     sqrt, sin, pi = math.sqrt, math.sin, math.pi
 
     def bounds(x0, x1, lobe):
@@ -322,8 +323,8 @@ def _pole_cut(x0, x1, lo, hi, slack, mid):
     ends lo and hi: mid, unless an emission pole, an end whose F-weight
     delta_k is negative, is a cell end and slack < 0. Then the cut lies
     r = EMISSION_REACH sqrt(delta_k/slack) from that pole, with
-    slack = -L/3 - s the cheap slope bound's own term (_slope_bounds, s
-    the boundary's affine slope): beyond r the pole's term |delta_k|/d^2
+    slack = -L/3 - s the cheap slope bound's own term (_slack, s the
+    boundary's affine slope): beyond r the pole's term |delta_k|/d^2
     stays under the line's least fall -slack, so unless another emission
     pole adds to it the cheap bound settles the far part in one call, and
     only a cell about r wide is left to split. The cut is taken when r is
@@ -378,11 +379,10 @@ def _isolate(on, lo, hi, lam_max: float, bounds, slack: float, lobe: int, length
     as its c*H. Only lam = 0, lam_max and the cuts are evaluated, and each
     calls the line. A cell left unsettled is split at its midpoint, or where
     an emission pole bounding the interval is one of its ends, at that
-    pole's reach (_pole_cut). ch is built when the first evaluation
-    needs it. Each cell carries its ends' parts (c*G, c*F, c, F'), so no
-    end is evaluated twice. The cell in hand is held in locals and only the
-    right parts still to settle are stacked, so an interval settled whole,
-    as each edge interval of a ground-state solve is, stacks nothing.
+    pole's reach (_pole_cut). ch is built when the first evaluation needs
+    it. Each cell carries its ends' parts (c*G, c*F, c, F'), so no end is
+    evaluated twice. The cell in hand is held in locals and only the right
+    parts still to settle are stacked, so one settled whole stacks nothing.
     """
     a = lo.location if lo is not None else 0.0
     z = hi.location if hi is not None else lam_max
@@ -645,12 +645,11 @@ def solve_spectrum(
     through its poles, affine_slope and gamma only. Every interval is solved on its
     cleared function c*H, its root count certified by a slope bound (module
     docstring), whatever `near` is. Where b has no emission pole and
-    -s < L/3 (s = b.affine_slope) that bound settles every interval whole,
-    so the test is made once: each interval between two poles takes the
-    bracket spanning it, signed + to - by the level-repulsion theorem, and
-    count 1, what _isolate would return there, and only the two edge
-    intervals go through _isolate; any other b sends every interval
-    through it. `near` and nearest_only only select the
+    -s < L/3 (s = b.affine_slope) that bound proves H falling on the whole
+    domain, so no interval goes through _isolate: each holds one root iff
+    c*H falls through zero across it, its pole ends signed + below and -
+    above (level repulsion), what _isolate would return there; any other b
+    sends every interval through _isolate. `near` and nearest_only only select the
     roots _refine refines, and each refined root is bit-identical to the
     full solve's. A nearest_only solve refines the other root next to
     near only when its bracket reaches as close to near as the first root.
@@ -695,25 +694,26 @@ def solve_spectrum(
         ends.append(_End(loc, strength, strength, PolePoint(loc, "boundary")))
     ends.sort(key=_location)
 
-    bounds, slack = _slope_bounds(length, b)
-    cleared_on = _cleared_secular(length, b)
-    # no emission pole and -s < L/3: the cheap bound proves H falling on
-    # every cell, so each interval between two poles holds one root, its
-    # bracket signed + to - by the poles' weights, as _isolate would find it
+    cleared_on, slack = _cleared_secular(length, b), _slack(length, b)
+    # no emission pole and -s < L/3: H falls on the whole domain (Root count)
     settled = absorbing and slack < 0.0
+    bounds = None if settled else _slope_bounds(length, b)[0]
     brackets, counts = [], []
     lobe, lo = 0, None
     for hi in (*ends, None):
         if lo is not None and lo.point.kind == "dirichlet":
             lobe += 1
-        if settled and lo is not None and hi is not None:
-            brackets.append(((None, lo, hi, lobe), lo.location, hi.location, 1.0, -1.0))
-            counts.append(1)
-        else:
+        if not settled:
             ch, found = _isolate(cleared_on, lo, hi, lam_max, bounds, slack, lobe, length)
-            for br in found:
-                brackets.append(((ch, lo, hi, lobe), *br))
-            counts.append(len(found))
+        else:
+            ch = None if lo is not None and hi is not None else cleared_on(lo, hi, lobe)
+            x0, p0 = (0.0, ch(0.0)) if lo is None else (lo.location, _SIGN_PLUS)
+            x1, p1 = (lam_max, ch(lam_max)) if hi is None else (hi.location, _SIGN_MINUS)
+            c0, c1 = p0[0] - p0[1], p1[0] - p1[1]
+            found = [(x0, x1, c0, c1)] if c0 > 0.0 >= c1 else []
+        for br in found:
+            brackets.append(((ch, lo, hi, lobe), *br))
+        counts.append(len(found))
         lo = hi
 
     def refine(interval, x0, x1, f0, f1):

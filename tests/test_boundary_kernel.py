@@ -11,13 +11,13 @@ interval. The third flips the one sign site to Foster's sign, s = +beta,
 and checks that the whole solver follows it.
 """
 import math
-import random
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
 from dressed_modes import RationalBoundary, boundary, solve_spectrum, spectrum, transmon_boundary
-from test_solver_pin import _bits_or_error, _boundary_draw, _cases
+from test_solver_pin import _bits_or_error, _cases, _pin_boundaries
 from test_spectrum import DEV, LENGTH, QUBIT
 
 FOSTER_LENGTH = 3e-3
@@ -28,13 +28,10 @@ SHIFT_DRAWS = 60
 
 def _shift_boundaries():
     """The standard qubit in g and in e (levels 3, an emission pole), and
-    the solver pin's first random boundaries, drawn as it draws them."""
+    the solver pin's first random boundaries."""
     yield transmon_boundary(QUBIT, DEV)
     yield transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3)
-    rng = random.Random(20261018)
-    for _ in range(SHIFT_DRAWS):
-        bnd = _boundary_draw(rng)
-        rng.uniform(0.0, 1.0)       # the pin's near, drawn after each boundary
+    for bnd, _ in islice(_pin_boundaries(), SHIFT_DRAWS):
         if bnd is not None:
             yield bnd
 

@@ -8,13 +8,12 @@ of slope-bound calls (`spectrum._slope_bounds`) its isolation made, and the
 number of cleared functions it set up (calls of the `on` that
 `spectrum._cleared_secular` returns). The evaluation count misses the cost
 of isolation's cells, so the second count shows it: a solve with no
-emission pole and -s < L/3 settles its intervals between two poles without
-a slope bound (`solve_spectrum`), so there it counts the two edge
-intervals' cells alone. The third count shows that an interval's cleared
-function is set up only when it is first used. A change meant to keep
-results must leave every entry of `solver_pin.json` as it is, and a failure
-names the columns that moved. A change meant to alter them rewrites the
-file, from the root of a checkout:
+emission pole and -s < L/3 settles every interval without a slope bound
+(`solve_spectrum`), so there it counts none. The third count shows that
+an interval's cleared function is set up only when it is first used. A
+change meant to keep results must leave every entry of `solver_pin.json`
+as it is, and a failure names the columns that moved. A change meant to
+alter them rewrites the file, from the root of a checkout:
 
     PYTHONPATH=src python tests/test_solver_pin.py > tests/solver_pin.json
 """
@@ -44,6 +43,7 @@ from input_space import BETA_EDGE, MIXED_LOCATIONS, PIN_GAMMA, PIN_JUNCTION, POL
 from test_spectrum import LENGTH, _bits, _excited
 
 PIN = Path(__file__).with_name("solver_pin.json")
+PIN_SEED = 20261018
 BOUNDARY_DRAWS = 300
 # test_spectrum._merge_coupling(): the root pair of _excited merges here
 MERGE_COUPLING_GHZ = 0.2456374403733215
@@ -85,6 +85,17 @@ def _boundary_draw(rng):
     return random_boundary(locations, strengths, beta_frac, rng.uniform(*PIN_GAMMA))
 
 
+def _pin_boundaries(rng=None):
+    """(boundary, near) of each of the pin's BOUNDARY_DRAWS random draws, in
+    order: a _boundary_draw, None where it is refused, then near in
+    [0, lam_max). rng is the pin's, random.Random(PIN_SEED) when not given."""
+    rng = random.Random(PIN_SEED) if rng is None else rng
+    lam_max = default_lam_max(LENGTH)
+    for _ in range(BOUNDARY_DRAWS):
+        bnd = _boundary_draw(rng)
+        yield bnd, rng.uniform(0.0, 1.0) * lam_max
+
+
 def _sweep_device(rng):
     """(device, alpha, g, grid) of one pinned sweep: 21 points over
     +-5% of the fundamental, g log-uniform over SPACE's coupling axis."""
@@ -111,16 +122,13 @@ def _error_boundaries():
 
 def _cases():
     """(name, thunk) of every pinned draw, in a fixed order."""
-    rng = random.Random(20261018)
-    lam_max = default_lam_max(LENGTH)
+    rng = random.Random(PIN_SEED)
     for label, bnd in _error_boundaries():
-        for near in (None, 0.5 * lam_max):
+        for near in (None, 0.5 * default_lam_max(LENGTH)):
             yield f"{label} near={near}", lambda b=bnd, x=near: _spectrum_bits(
                 solve_spectrum(LENGTH, b, near=x)
             )
-    for i in range(BOUNDARY_DRAWS):
-        bnd = _boundary_draw(rng)
-        near = rng.uniform(0.0, 1.0) * lam_max
+    for i, (bnd, near) in enumerate(_pin_boundaries(rng)):
         if bnd is None:
             continue
         yield f"boundary[{i}] full", lambda b=bnd: _spectrum_bits(solve_spectrum(LENGTH, b))

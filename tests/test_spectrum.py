@@ -1,7 +1,6 @@
 import inspect
 import json
 import math
-import random
 import sys
 from dataclasses import replace
 from itertools import product
@@ -975,16 +974,12 @@ def test_pole_ends_have_the_sign_isolation_assigns(locations, strengths, beta_fr
 
 
 def test_pole_ends_of_the_pin_draws_have_the_sign_isolation_assigns():
-    """The same over the solver pin's random boundaries, drawn as
-    test_solver_pin._cases draws them, and the standard qubit in g and in e
-    at levels 2 and 3."""
-    from test_solver_pin import BOUNDARY_DRAWS, _boundary_draw
+    """The same over the solver pin's random boundaries and the standard
+    qubit in g and in e at levels 2 and 3."""
+    from test_solver_pin import BOUNDARY_DRAWS, _pin_boundaries
 
-    rng = random.Random(20261018)
     ends = 0
-    for _ in range(BOUNDARY_DRAWS):
-        bnd = _boundary_draw(rng)
-        rng.uniform(0.0, 1.0)       # the pin's near, drawn after each boundary
+    for bnd, _ in _pin_boundaries():
         if bnd is not None:
             ends += _check_pole_end_signs(LENGTH, bnd)
     for state, levels in product("ge", (2, 3)):
@@ -1020,7 +1015,7 @@ def test_every_cleared_evaluation_calls_the_line(monkeypatch, case):
     ground-state sweep point (the pair around the fundamental), an e-state
     levels-3 nearest_only pull and a full solve make exactly as many c*H
     evaluations as line calls. An interval's cleared function is set up
-    only when isolation evaluates on it or a bracket of it is refined: the
+    only when the solve evaluates on it or a bracket of it is refined: the
     two edge intervals, where lam = 0 and lam_max are evaluated, the two
     next to each emission pole, which no slope bound settles whole, and one
     per refined root, at most."""
