@@ -1,6 +1,7 @@
 """Release gate: every advertised property checked at desk scale.
 
-Each check returns a CriterionResult; run_all executes the lot in order.
+Each check returns a CriterionResult; run_all executes the lot in order,
+and a check that raises fails under its key, naming the exception.
 The CLI validate subcommand and the acceptance test module both call into
 this file so there is exactly one implementation of the gate.
 
@@ -9,11 +10,11 @@ in the detail strings so they can be frozen as regression values.
 
 The random criteria draw from one table of the valid input space, SPACE
 (CHOICES for its discrete axes), through one function, _draw: interlacing
-and repulsion its "settled ground state" sub-space (_random_ground_config),
-the chi triangle its "dispersive" one (SUBSPACES). A qubit that
-solve_spectrum or RationalBoundary would refuse is drawn again, by one
-rule, _refused, read from their own guards. The tests draw from the same
-table (tests/input_space.py).
+and repulsion its "settled ground state" sub-space, the chi triangle its
+"dispersive" one (SUBSPACES). A qubit that solve_spectrum or
+RationalBoundary would refuse is drawn again, by one rule, _refused, which
+reads their own guards through one accessor, _solver_guards. The tests
+draw from the same table (tests/input_space.py).
 
 Importing this module loads only what its module body runs: each
 criterion imports the solver layers it calls (boundary, spectrum,
@@ -74,6 +75,10 @@ def _result(name, passed, detail=""):
     return CriterionResult(name=name, passed=bool(passed), detail=detail)
 
 
+def _raised(exc: Exception) -> str:
+    return f"raised {type(exc).__name__}: {exc}"
+
+
 def _uniform_draws(seed: int):
     """uniform(lo, hi): call for call, the numbers rng.uniform(lo, hi) gives
     for rng = np.random.default_rng(seed), bit for bit. Each u is read from
@@ -105,7 +110,7 @@ SPACE = {
 CHOICES = {"state": ("g", "e"), "levels": (2, 3), "qubits": (1, 2),
            "coupling": ("coupling", "charge_element")}
 SUBSPACES = {
-    # _random_ground_config's: the devices of check_interlacing and check_level_repulsion
+    # check_interlacing's and check_level_repulsion's devices
     "settled ground state": {"length": SPACE["length"], "velocity": SPACE["velocity"],
                              "ratio": (0.1, 5.8), "alpha": -0.25, "coupling": (0.01, 0.2)},
     # check_dispersive_triangle's: the detuning omega_q - omega_1 in GHz, and g / |detuning|
@@ -115,24 +120,31 @@ SUBSPACES = {
 
 
 @cache
-def _pole_guards():
-    """(POLE_GUARD_REL, _LOCATION_FLOOR), read from boundary on the first
-    call, so that importing the gate loads no solver layer and a draw runs
-    no import statement."""
+def _solver_guards():
+    """(POLE_GUARD_REL, _LOCATION_FLOOR, spectrum._line_partition), read on
+    the first draw, so that importing the gate loads no solver layer and a
+    draw runs no import statement."""
     from .boundary import POLE_GUARD_REL, _LOCATION_FLOOR
+    from .spectrum import _line_partition
 
-    return POLE_GUARD_REL, _LOCATION_FLOOR
+    return POLE_GUARD_REL, _LOCATION_FLOOR, _line_partition
 
 
-def _refused(length, locations, line_partition) -> bool:
+def _refused(length, locations) -> bool:
     """Whether RationalBoundary or solve_spectrum refuses boundary poles of
     nonzero strength at `locations` on a line of `length`, by their own
     guards: a location below boundary._LOCATION_FLOOR, two closer than
     POLE_GUARD_REL relative, one exactly at lam_max, or one below lam_max
-    within a Dirichlet pole's collision tolerance, as `line_partition`
-    (spectrum._line_partition) gives them. Above lam_max solve_spectrum
-    checks no Dirichlet pole."""
-    guard_rel, floor = _pole_guards()
+    within a Dirichlet pole's collision tolerance, as
+    spectrum._line_partition gives them. Above lam_max solve_spectrum
+    checks no Dirichlet pole.
+
+    One edge of SPACE it does not read: transmon_boundary refuses a state-e
+    transmon at levels 3 whose e-f frequency omega_q + alpha is not
+    positive, which SPACE reaches on long, slow lines (L = 8 mm,
+    v = 0.8e8 m/s, ratio 0.1, alpha = -0.3 GHz). _draw draws state g, so
+    a generator of state e at levels 3 must add that edge first."""
+    guard_rel, floor, line_partition = _solver_guards()
     lam_max, guards, _ = line_partition(length)
     ordered = sorted(locations)
     for p in ordered:
@@ -154,7 +166,7 @@ def _axis(uniform, span):
     return uniform(*span) if type(span) is tuple else span
 
 
-def _draw(uniform, space, line_partition):
+def _draw(uniform, space):
     """(dev, spec, delta): a device and a transmon in g drawn from `space`,
     SPACE or a SUBSPACES entry, by uniform(lo, hi), one call for each axis
     it gives a span, in this order: length, velocity, the qubit, alpha, g,
@@ -168,7 +180,7 @@ def _draw(uniform, space, line_partition):
     while True:
         delta = _axis(uniform, space["detuning"]) * GHZ if "detuning" in space else None
         omega_q = _axis(uniform, space["ratio"]) * omega_1 if delta is None else omega_1 + delta
-        if not _refused(dev.length, (omega_to_lambda(omega_q, dev.phase_velocity),), line_partition):
+        if not _refused(dev.length, (omega_to_lambda(omega_q, dev.phase_velocity),)):
             break
     alpha = _axis(uniform, space["alpha"]) * GHZ
     g = (_axis(uniform, space["coupling"]) * GHZ if delta is None
@@ -257,36 +269,35 @@ def check_derivative_identity(seed: int) -> CriterionResult:
     )
 
 
-def _random_ground_config(uniform, line_partition):
-    """A solvable draw of the settled ground-state sub-space: (dev, spec).
-    `line_partition` is spectrum._line_partition, passed in by the criterion
-    so that a draw runs no import statement."""
-    return _draw(uniform, SUBSPACES["settled ground state"], line_partition)[:2]
-
-
 def check_interlacing(seed: int) -> CriterionResult:
-    """Random ground-state draws: one eigenvalue per pole-bounded interval."""
+    """Random ground-state draws: one eigenvalue per pole-bounded interval.
+    A failure's detail names the first failing draw by its index, with the
+    exception its solve raised or the interval whose count is not 1."""
     from .boundary import transmon_boundary
-    from .spectrum import _line_partition, solve_spectrum
+    from .spectrum import solve_spectrum
 
     uniform = _uniform_draws(seed)
     failures = 0
     solved = 0
-    for _ in range(INTERLACING_CONFIGS):
-        dev, spec = _random_ground_config(uniform, _line_partition)
+    first = ""
+    for i in range(INTERLACING_CONFIGS):
+        dev, spec, _ = _draw(uniform, SUBSPACES["settled ground state"])
         bnd = transmon_boundary(spec, dev)
         try:
             sp = solve_spectrum(dev.length, bnd)
-        except Exception:
+        except Exception as exc:
             failures += 1
+            first = first or f"; first at draw {i}: {_raised(exc)}"
             continue
         solved += 1
-        if not all(flag is None or flag for flag in sp.interlacing):
+        bad = next((k for k, flag in enumerate(sp.interlacing) if flag is False), None)
+        if bad is not None:
             failures += 1
+            first = first or f"; first at draw {i}: interval {bad} holds {sp.counts[bad]} roots"
     return _result(
         "interlacing",
         failures == 0,
-        f"{solved}/{INTERLACING_CONFIGS} configurations solved, {failures} interlacing failures",
+        f"{solved}/{INTERLACING_CONFIGS} configurations solved, {failures} interlacing failures{first}",
     )
 
 
@@ -295,12 +306,12 @@ def check_level_repulsion(seed: int) -> CriterionResult:
     import numpy as np
 
     from .boundary import transmon_boundary
-    from .spectrum import _line_partition, pole_margin, qubit_frequency_sweep, solve_spectrum
+    from .spectrum import pole_margin, qubit_frequency_sweep, solve_spectrum
 
     uniform = _uniform_draws(seed)
     min_margin = math.inf
     for _ in range(200):
-        dev, spec = _random_ground_config(uniform, _line_partition)
+        dev, spec, _ = _draw(uniform, SUBSPACES["settled ground state"])
         sp = solve_spectrum(dev.length, transmon_boundary(spec, dev))
         min_margin = min(min_margin, pole_margin(sp))
 
@@ -339,7 +350,6 @@ def check_dispersive_triangle(seed: int) -> CriterionResult:
     the exact solve has and the JC ladder, in the rotating wave, has not."""
     from .dispersive import counter_rotating_shift, dispersive_shift, dispersive_shift_exact
     from .jc import JCModel, dispersive_shift_numeric
-    from .spectrum import _line_partition
 
     uniform = _uniform_draws(seed)
     dev = STANDARD_DEVICE
@@ -347,7 +357,7 @@ def check_dispersive_triangle(seed: int) -> CriterionResult:
     worst = 0.0
     failures = 0
     for _ in range(TRIANGLE_DRAWS):
-        _, spec, delta = _draw(uniform, SUBSPACES["dispersive"], _line_partition)
+        _, spec, delta = _draw(uniform, SUBSPACES["dispersive"])
         alpha, g = spec.anharmonicity, spec.coupling
         chi_cf = dispersive_shift(g, delta, alpha) + counter_rotating_shift(
             g, spec.frequency + omega_r, alpha
@@ -530,11 +540,17 @@ ALL_CHECKS = (
 
 
 def run_all(only: str | None = None, seed: int = 0) -> list[CriterionResult]:
+    """The criteria's results in order, or the one named `only`. A criterion
+    that raises fails under its key, with the exception as its detail, and
+    the rest still run."""
     results = []
     for key, fn in ALL_CHECKS:
         if only is not None and only != key:
             continue
-        results.append(fn(seed))
+        try:
+            results.append(fn(seed))
+        except Exception as exc:
+            results.append(_result(key, False, _raised(exc)))
     if only is not None and not results:
         raise ValueError(f"no criterion named {only!r}")
     return results

@@ -257,12 +257,12 @@ def _slack(length: float, b) -> float:
 
 
 def _slope_bounds(length: float, b):
-    """(bounds, slack): bounds(x0, x1, lobe) -> (lower, upper) of H' over
-    the cell [x0, x1], which holds no pole inside and stays in the lobe
-    [lobe pi, (lobe+1) pi] of xi = sqrt(lam) L, and slack = _slack(), the
-    cheap bound's own term, for _pole_cut. H' = G' - s - sum_k
-    delta_k/(lam_k - lam)^2, s = b.affine_slope. What does not depend on
-    the cell is set up once.
+    """bounds(x0, x1, lobe) -> (lower, upper) of H' over the cell [x0, x1],
+    which holds no pole inside and stays in the lobe [lobe pi, (lobe+1) pi]
+    of xi = sqrt(lam) L: the cheap bound, _slack() plus each emission
+    pole's |delta_k|/d_min^2, as (-inf, it) where that is negative, else
+    the sharp one. H' = G' - s - sum_k delta_k/(lam_k - lam)^2,
+    s = b.affine_slope. What does not depend on the cell is set up once.
     `c if c > a else a` is max(a, c) and `c if c < a else a` is min(a, c),
     operand for operand, without the call."""
     # H's affine slope, -s (a negation, so exact)
@@ -315,7 +315,7 @@ def _slope_bounds(length: float, b):
             upper += t_far if t_far > t_near else t_near
         return lower, upper
 
-    return bounds, slack
+    return bounds
 
 
 def _pole_cut(x0, x1, lo, hi, slack, mid):
@@ -364,8 +364,8 @@ def _isolate(on, lo, hi, lam_max: float, bounds, slack: float, lobe: int, length
     """(ch, brackets): brackets (x0, x1, c*H(x0), c*H(x1)) of every root in
     (a, z], the interval between the ends lo and hi (_End; None at 0 and at
     lam_max), and ch = on(lo, hi, lobe), its cleared function, or None if
-    isolation evaluated nothing on the interval. bounds and slack come from
-    _slope_bounds.
+    isolation evaluated nothing on the interval. bounds comes from
+    _slope_bounds and slack from _slack.
 
     Cells are settled left to right. One proven monotone owns a root at its
     right end, where c*H may vanish exactly, not at its left: that belongs
@@ -697,7 +697,7 @@ def solve_spectrum(
     cleared_on, slack = _cleared_secular(length, b), _slack(length, b)
     # no emission pole and -s < L/3: H falls on the whole domain (Root count)
     settled = absorbing and slack < 0.0
-    bounds = None if settled else _slope_bounds(length, b)[0]
+    bounds = None if settled else _slope_bounds(length, b)
     brackets, counts = [], []
     lobe, lo = 0, None
     for hi in (*ends, None):

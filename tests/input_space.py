@@ -4,8 +4,8 @@ A device and its transmon come from the gate's own table,
 dressed_modes.acceptance.SPACE, and its named sub-spaces; this module adds
 the axes of a raw boundary on the standard line and its named sub-spaces,
 and builds the hypothesis strategies from both. Whether a draw is refused
-is decided by one rule, acceptance._refused, read from the solver's own
-guards.
+is decided by one rule, acceptance._refused, which reads the solver's own
+guards; the L/3 edge of beta is spectrum._slack's.
 """
 import math
 
@@ -17,8 +17,8 @@ from dressed_modes.acceptance import SPACE, STANDARD_DEVICE, SUBSPACES, _refused
 LENGTH = STANDARD_DEVICE.length
 LAM_1 = (math.pi / (2.0 * LENGTH)) ** 2     # the bare fundamental; lam_max is just under 144 LAM_1
 UNIT = LAM_1 / LENGTH                       # a strength of order one
-# the beta at which the cheap slope bound's slack -L/3 - s turns 0, read from it
-THIRD = -spectrum._slope_bounds(LENGTH, RationalBoundary())[1]
+# the beta at which the slack -L/3 - s turns 0
+THIRD = -spectrum._slack(LENGTH, RationalBoundary())
 
 # A raw boundary's axes: its number of poles, their locations in units of
 # LAM_1 (some above lam_max), their strengths' magnitudes in units of
@@ -43,7 +43,7 @@ def boundary(locations, strengths, beta, gamma):
     RationalBoundary, or None where RationalBoundary or solve_spectrum
     refuses them."""
     locs = [x * LAM_1 for x in locations]
-    if _refused(LENGTH, locs, spectrum._line_partition):
+    if _refused(LENGTH, locs):
         return None
     poles = tuple(BoundaryPole(loc, s) for loc, s in zip(locs, strengths))
     return RationalBoundary(beta=beta, gamma=gamma, poles=poles)

@@ -6,8 +6,14 @@ tests at the bottom freeze measured values from a known-good build so quiet
 numerical drift shows up as a hard failure instead of eroding the margins.
 """
 
+import builtins
 import math
+import os
+import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,11 +36,11 @@ from dressed_modes import (
 from dressed_modes import acceptance, dispersive, spectrum
 from dressed_modes.acceptance import (
     ALL_CHECKS,
+    SPACE,
     SUBSPACES,
     TRIANGLE_DRAWS,
     UNIFORM_BLOCK,
     _draw,
-    _random_ground_config,
     _uniform_draws,
     STANDARD_DEVICE,
     STANDARD_QUBIT,
@@ -73,7 +79,8 @@ def test_chi_triangle_passes_where_the_rwa_closed_form_failed(seed):
 
 def test_interlacing_criterion_fails_on_a_raised_or_non_interlacing_solve(monkeypatch):
     """Of three draws, the first solve raises and the second reports two
-    roots on a pole-bounded interval: both count as failures."""
+    roots on a pole-bounded interval: both count as failures, and the
+    detail names the first."""
     monkeypatch.setattr(acceptance, "INTERLACING_CONFIGS", 3)
     solve, calls = spectrum.solve_spectrum, []
 
@@ -89,7 +96,29 @@ def test_interlacing_criterion_fails_on_a_raised_or_non_interlacing_solve(monkey
     monkeypatch.setattr(spectrum, "solve_spectrum", faulty)
     result = check_interlacing(0)
     assert not result.passed
-    assert result.detail == "2/3 configurations solved, 2 interlacing failures"
+    assert result.detail == (
+        "2/3 configurations solved, 2 interlacing failures; "
+        "first at draw 0: raised SolverError: no certified root count"
+    )
+
+
+def test_interlacing_detail_names_the_interval_whose_count_is_not_1(monkeypatch):
+    """The third draw's solve reports no root on its second pole-bounded
+    interval, the first failure of the run."""
+    monkeypatch.setattr(acceptance, "INTERLACING_CONFIGS", 4)
+    solve, calls = spectrum.solve_spectrum, []
+
+    def emptied(length, b):
+        calls.append(b)
+        sp = solve(length, b)
+        return sp._replace(counts=(*sp.counts[:2], 0, *sp.counts[3:])) if len(calls) == 3 else sp
+
+    monkeypatch.setattr(spectrum, "solve_spectrum", emptied)
+    result = check_interlacing(0)
+    assert not result.passed
+    assert result.detail == (
+        "4/4 configurations solved, 1 interlacing failures; first at draw 2: interval 2 holds 0 roots"
+    )
 
 
 def test_chi_triangle_fails_on_a_doubled_exact_chi(monkeypatch):
@@ -131,7 +160,7 @@ def _scalar_uniform(seed):
 
 
 def _reference_ground_config(uniform):
-    """Reference: _random_ground_config as it was before it read the
+    """Reference: the settled ground-state draw as it was before it read the
     solver's guards, with its own first three Dirichlet poles and bands."""
     length = uniform(2e-3, 8e-3)
     v = uniform(0.8e8, 1.6e8)
@@ -169,7 +198,7 @@ def test_block_draws_are_rng_uniform_bit_for_bit(seed):
 def test_ground_configs_from_block_draws_are_the_scalar_draws_devices(seed):
     blocks, scalar = _uniform_draws(seed), _scalar_uniform(seed)
     for _ in range(1200):
-        dev, spec = _random_ground_config(blocks, spectrum._line_partition)
+        dev, spec = _draw(blocks, SUBSPACES["settled ground state"])[:2]
         assert (dev, spec) == _reference_ground_config(scalar)
 
 
@@ -190,7 +219,7 @@ def test_ground_config_redraws_what_the_solver_rejects_with_one_number(offset, r
         taken.append((lo, hi))
         return lo + (hi - lo) * next(units)
 
-    dev, spec = _random_ground_config(uniform, spectrum._line_partition)
+    dev, spec = _draw(uniform, SUBSPACES["settled ground state"])[:2]
     qubit_draws = [(0.1, 5.8)] * (2 if redrawn else 1)
     assert taken == [(2e-3, 8e-3), (0.8e8, 1.6e8), *qubit_draws, (0.01, 0.2)]
     first = replace(spec, frequency=(0.1 + 5.7 * u_q) * dev.fundamental_frequency)
@@ -223,8 +252,47 @@ def test_triangle_draws_are_the_inline_draws(seed):
     rng.uniform call per number."""
     blocks, scalar = _uniform_draws(seed), _scalar_uniform(seed)
     for _ in range(TRIANGLE_DRAWS):
-        dev, spec, delta = _draw(blocks, SUBSPACES["dispersive"], spectrum._line_partition)
+        dev, spec, delta = _draw(blocks, SUBSPACES["dispersive"])
         assert (dev, spec, delta) == (STANDARD_DEVICE, *_reference_triangle_draw(scalar))
+
+
+def test_draws_after_the_first_run_no_import_statement(monkeypatch):
+    """The first draw reads the solver's guards (_solver_guards); the 200
+    after it, over the full space and each sub-space, call __import__ not
+    once. The counter does see the guards' own imports."""
+    uniform = random.Random(1).uniform
+    _draw(uniform, SPACE)
+    imported, real_import = [], builtins.__import__
+
+    def counted(name, *args, **kwargs):
+        imported.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counted)
+    spaces = [SPACE, *SUBSPACES.values()]
+    for i in range(200):
+        _draw(uniform, spaces[i % len(spaces)])
+    assert imported == []
+    acceptance._solver_guards.__wrapped__()
+    assert imported == ["boundary", "spectrum"]
+
+
+def test_the_gate_and_one_draw_load_only_the_guards_layers():
+    """In a fresh interpreter, importing the gate and drawing once loads
+    boundary and spectrum, whose guards the draw reads, and no other
+    solver layer (dispersive, jc, multiqubit) and no numpy."""
+    probe = (
+        "import random, sys\n"
+        "import dressed_modes.acceptance as gate\n"
+        "gate._draw(random.Random(1).uniform, gate.SPACE)\n"
+        "print((sorted(m for m in sys.modules if m.partition('.')[0] == 'dressed_modes'),"
+        " 'numpy' in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, check=True, env={**os.environ, "PYTHONPATH": src})
+    layers = ["acceptance", "boundary", "errors", "multimode", "params", "resonator", "spectrum", "wedge"]
+    assert proc.stdout.strip() == str((["dressed_modes", *(f"dressed_modes.{m}" for m in layers)], False))
 
 
 def test_interlacing_draws_refine_from_the_newton_start(monkeypatch):
@@ -241,7 +309,7 @@ def test_interlacing_draws_refine_from_the_newton_start(monkeypatch):
     monkeypatch.setattr(spectrum, "line_log_deriv", counted)
     uniform = _uniform_draws(3)
     for _ in range(200):
-        dev, spec = _random_ground_config(uniform, spectrum._line_partition)
+        dev, spec = _draw(uniform, SUBSPACES["settled ground state"])[:2]
         solve_spectrum(dev.length, transmon_boundary(spec, dev))
     assert calls[0] == 4936
 
@@ -266,6 +334,52 @@ def test_regression_rabi_deviation_weak_coupling():
 def test_regression_rabi_deviation_strong_coupling():
     # was 1.7618e-02 when frozen
     assert 1.5e-2 < _rabi_rel_diff(0.15) < 2.0e-2
+
+
+# gap/2g = 1 + C2 r^2 + C4 r^4 + C6 r^6 + C8 r^8 + ..., r = g/omega_1
+# (test_rabi_splitting_follows_the_residue_series)
+RABI_C2 = 37 / 32 - math.pi ** 2 / 24
+RABI_C4 = 10087 / 2048 - 275 * math.pi ** 2 / 768 + 11 * math.pi ** 4 / 5760
+RABI_C6 = (1871133 / 65536 - 49161 * math.pi ** 2 / 16384 + 3577 * math.pi ** 4 / 61440
+           - 17 * math.pi ** 6 / 322560)
+RABI_C8 = (1600905163 / 8388608 - 13675805 * math.pi ** 2 / 524288
+           + 1178837 * math.pi ** 4 / 1310720 - 1781 * math.pi ** 6 / 294912
+           - 281 * math.pi ** 8 / 154828800)
+
+
+@pytest.mark.parametrize("r", [1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.15])
+def test_rabi_splitting_follows_the_residue_series(r):
+    """The exact splitting of a levels-2 ground-state qubit at the
+    fundamental, on STANDARD_DEVICE, against the series of the paper's
+    residue delta = 2 L g^2 omega_q^2 / v^4: |gap/2g - 1 - C2 r^2 - C4 r^4|
+    <= C6 r^6 + 2 C8 r^8 + 4 eps/r.
+
+    The series. The c_k depend on neither L nor v; take L = 1, so
+    omega_1 = v pi/2, the pole sits at mu_1 = (pi/2)^2 and
+    delta = 2 g^2 omega_1^2 / v^4 = r^2 pi^4 / 8. With sqrt(lam) = pi/2 + e,
+    G = sqrt(lam) cot sqrt(lam) = -sqrt(lam) tan e and
+    lam - mu_1 = e (pi + e), so H = G - delta/(mu_1 - lam) = 0 reads
+    e^2 phi(e) = r^2 pi^4 / 8, phi(e) = (pi + e)(pi/2 + e) tan(e)/e,
+    phi(0) = pi^2/2: e sqrt(phi(e)/phi(0)) = +-t, t = pi r/2. Lagrange
+    inversion gives the root e(t) = sum_n t^n/n [e^(n-1)] (phi(0)/phi(e))^(n/2),
+    the branches lie at +-t, the gap is v (e(t) - e(-t)) and 2g = pi r v,
+    so gap/2g = 2 odd(e)(t) / (pi r): c_(n-1) = 2^(1-n) pi^(n-1) [t^n] e
+    for odd n. In exact rational arithmetic in pi this gives C2 ... C8
+    above and c_10 = 54.909; the leading term e = t is the 2g matching.
+
+    The bound. Through c_10 the c_k grow by under 3.7 an order
+    (C6/C4 = 2.89, C8/C6 = 3.33, c_10/C8 = 3.62); at that ratio onward the
+    terms past r^6 sum to under 2 C8 r^8 wherever 3.7 r^2 <= 1/2,
+    r <= 0.37. Each branch is a
+    root lam rounded to a few ulp, so omega = v sqrt(lam) carries an error
+    of about 2 eps omega_1 and the gap, 2 r omega_1, about 2 eps/r
+    relative: the floor is twice that. A residue off by 1e-9 relative
+    moves gap/2g by 5e-10, past the bound at r <= 1e-2."""
+    g = r * STANDARD_DEVICE.fundamental_frequency
+    gap = vacuum_rabi_gap(STANDARD_DEVICE, replace(STANDARD_QUBIT, coupling=g))
+    residual = gap / (2.0 * g) - 1.0 - RABI_C2 * r ** 2 - RABI_C4 * r ** 4
+    eps = math.ulp(1.0)
+    assert abs(residual) <= RABI_C6 * r ** 6 + 2.0 * RABI_C8 * r ** 8 + 4.0 * eps / r, residual
 
 
 def test_regression_boundary_form_disagreement():

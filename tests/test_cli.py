@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dressed_modes import __version__, acceptance
+from dressed_modes import SolverError, __version__, acceptance
 from dressed_modes.cli import COMMANDS, _NOT_RECORDED, _grid, _json_text, build_parser, main
 from dressed_modes.params import CONFIG_KEYS, GHZ
 
@@ -1069,6 +1069,25 @@ def test_validate_reports_a_failing_criterion(monkeypatch, capsys):
     assert capsys.readouterr().out == (
         "[FAIL] always fails: measured 1 (tol 0)\n0/1 criteria passed\n"
     )
+
+
+def test_validate_reports_a_raising_criterion_and_runs_the_rest(monkeypatch, capsys):
+    """A criterion that raises prints [FAIL] under its key with the
+    exception's type and message; the criteria after it still run, and
+    validate exits 1."""
+    def raising(seed):
+        raise SolverError("no certified root count")
+
+    passing = acceptance.CriterionResult("always passes", True, "measured 0 (tol 1)")
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", (("broken", raising), ("fine", lambda seed: passing)))
+    assert main(["validate"]) == 1
+    out, err = capsys.readouterr()
+    assert out == (
+        "[FAIL] broken: raised SolverError: no certified root count\n"
+        "[PASS] always passes: measured 0 (tol 1)\n"
+        "1/2 criteria passed\n"
+    )
+    assert err == ""
 
 
 def test_validate_unknown_criterion(capsys):

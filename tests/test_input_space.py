@@ -73,7 +73,7 @@ def test_qubits_at_the_dirichlet_guards():
     rng = random.Random(17)
     reached = set()
     for _ in range(DRAWS):
-        dev, spec, _ = _draw(rng.uniform, SPACE, spectrum._line_partition)
+        dev, spec, _ = _draw(rng.uniform, SPACE)
         n, f = rng.randint(1, 6), _factor(rng)
         d = dirichlet_poles(dev.length, 6)[n - 1]
         lam = d * (1.0 + rng.choice((-1.0, 1.0)) * DIRICHLET_COLLISION_REL * f)
@@ -85,11 +85,11 @@ def test_qubits_at_the_dirichlet_guards():
         bnd = transmon_boundary(spec, dev, rng.choice(CHOICES["levels"]))
         if rng.choice(CHOICES["qubits"]) == 2:
             line = {**SPACE, "length": dev.length, "velocity": dev.phase_velocity}
-            bnd = sum_boundaries(bnd, transmon_boundary(_draw(rng.uniform, line, spectrum._line_partition)[1], dev))
+            bnd = sum_boundaries(bnd, transmon_boundary(_draw(rng.uniform, line)[1], dev))
         lam_q = omega_to_lambda(spec.frequency, dev.phase_velocity)
-        qubit_refused = _refused(dev.length, [lam_q], spectrum._line_partition)
+        qubit_refused = _refused(dev.length, [lam_q])
         assert qubit_refused == (f < 1.0 and n < 6)
-        refused = _refused(dev.length, [p.location for p in bnd.poles], spectrum._line_partition)
+        refused = _refused(dev.length, [p.location for p in bnd.poles])
         raised = _raised(lambda: solve_spectrum(dev.length, bnd))
         assert type(raised) is (PoleCollisionError if refused else type(None)), raised
         reached.add((n < 6, qubit_refused))
@@ -118,7 +118,7 @@ def test_raw_poles_at_the_guards(guard, error, message):
             locations = [p, p / (1.0 - POLE_GUARD_REL * f)]     # q - p = POLE_GUARD_REL f q
         else:
             locations = [lam_max * (f if rng.random() < 0.5 else 1.0)]
-        refused = _refused(LENGTH, locations, spectrum._line_partition)
+        refused = _refused(LENGTH, locations)
         raised = _raised(lambda: solve_spectrum(
             LENGTH, RationalBoundary(poles=tuple(BoundaryPole(x, UNIT) for x in locations))
         ))
@@ -141,7 +141,7 @@ def test_detunings_at_the_resonance_guard():
         f, alpha, on_ef = _factor(rng), rng.uniform(*SPACE["alpha"]), rng.random() < 0.5
         detuning = rng.choice((-1.0, 1.0)) * edge * f - (alpha if on_ef else 0.0)
         sub = {**SUBSPACES["dispersive"], "detuning": detuning, "alpha": alpha}
-        dev, spec, _ = _draw(rng.uniform, sub, spectrum._line_partition)
+        dev, spec, _ = _draw(rng.uniform, sub)
         raised = _raised(lambda: dispersive_report(dev, spec))
         if f < 1.0:
             assert type(raised) is ValueError and "degenerate with the mode" in str(raised), raised
@@ -160,9 +160,9 @@ def test_junction_capacitance_at_the_slope_bound_edge():
     reached = set()
     for _ in range(DRAWS):
         f = _factor(rng)
-        dev, spec, _ = _draw(rng.uniform, {**SPACE, "beta": f}, spectrum._line_partition)
+        dev, spec, _ = _draw(rng.uniform, {**SPACE, "beta": f})
         bnd = transmon_boundary(spec, dev)
-        settled = spectrum._slope_bounds(dev.length, bnd)[1] < 0.0
+        settled = spectrum._slack(dev.length, bnd) < 0.0
         assert settled == (f < 1.0)
         assert solve_spectrum(dev.length, bnd).records
         reached.add(settled)

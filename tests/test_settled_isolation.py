@@ -99,7 +99,8 @@ def test_settled_intervals_are_what_isolate_finds(locations, strengths, beta, ga
     intervals."""
     bnd = boundary(locations, strengths, beta, gamma)
     assume(bnd is not None)
-    on, (bounds, slack) = spectrum._cleared_secular(LENGTH, bnd), spectrum._slope_bounds(LENGTH, bnd)
+    on, bounds, slack = (spectrum._cleared_secular(LENGTH, bnd), spectrum._slope_bounds(LENGTH, bnd),
+                         spectrum._slack(LENGTH, bnd))
     lam_max = spectrum._line_partition(LENGTH)[0]
     settled = slack < 0.0
     assert settled == (beta < THIRD)

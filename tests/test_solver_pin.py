@@ -175,13 +175,13 @@ def observe():
         return log_deriv(lam, length)
 
     def counted_bounds(length, b):
-        bounds, slack = slope_bounds(length, b)
+        bounds = slope_bounds(length, b)
 
         def counted_cell(x0, x1, lobe):
             calls[1] += 1
             return bounds(x0, x1, lobe)
 
-        return counted_cell, slack
+        return counted_cell
 
     def counted_secular(length, b):
         on = cleared_secular(length, b)

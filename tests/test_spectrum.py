@@ -550,7 +550,7 @@ def test_random_ground_configs_interlace(data):
     hypothesis' floats: a qubit solve_spectrum refuses is drawn again, by
     the one rule acceptance._refused, so every example is solved."""
     uniform = lambda lo, hi: data.draw(st.floats(lo, hi))
-    dev, spec = acceptance._random_ground_config(uniform, spectrum._line_partition)
+    dev, spec = acceptance._draw(uniform, acceptance.SUBSPACES["settled ground state"])[:2]
     sp = solve_spectrum(dev.length, transmon_boundary(spec, dev))
     assert all(flag is None or flag for flag in sp.interlacing)
     assert pole_margin(sp) > 0.0
