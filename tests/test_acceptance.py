@@ -370,11 +370,11 @@ def test_rabi_splitting_follows_the_residue_series(r):
     The bound. Through c_10 the c_k grow by under 3.7 an order
     (C6/C4 = 2.89, C8/C6 = 3.33, c_10/C8 = 3.62); at that ratio onward the
     terms past r^6 sum to under 2 C8 r^8 wherever 3.7 r^2 <= 1/2,
-    r <= 0.37. Each branch is a
-    root lam rounded to a few ulp, so omega = v sqrt(lam) carries an error
-    of about 2 eps omega_1 and the gap, 2 r omega_1, about 2 eps/r
-    relative: the floor is twice that. A residue off by 1e-9 relative
-    moves gap/2g by 5e-10, past the bound at r <= 1e-2."""
+    r <= 0.37. Each branch's lam is refined to a few ulp, so its
+    omega = v sqrt(lam) is good to about 2 eps omega_1, and the gap,
+    2 r omega_1, to about 2 eps/r relative: the floor is twice that. A
+    residue off by 1e-9 relative moves gap/2g by 5e-10, past the bound at
+    r <= 1e-2."""
     g = r * STANDARD_DEVICE.fundamental_frequency
     gap = vacuum_rabi_gap(STANDARD_DEVICE, replace(STANDARD_QUBIT, coupling=g))
     residual = gap / (2.0 * g) - 1.0 - RABI_C2 * r ** 2 - RABI_C4 * r ** 4
