@@ -272,34 +272,31 @@ def transmon_boundary(spec: TransmonSpec, dev: DeviceParams, levels: int = 2) ->
     transition-frequency residue formula, so the e-f strength is close to,
     but not exactly, twice the g-e one.
     """
-    return _tuned_transmon(spec, dev, levels)(spec.frequency)
+    return _tuned_transmon(spec, dev, levels)(spec.frequency, spec.state)
 
 
-def _tuned_transmon(spec: TransmonSpec, dev: DeviceParams, levels: int, state: str | None = None):
-    """boundary(omega_q): transmon_boundary of spec with its qubit tuned to
-    omega_q, all else fixed, and in `state` ("g" or "e") in place of
-    spec.state when given, which spares a caller that needs both states a
-    dataclasses.replace that re-runs every check of a spec already checked.
-    What does not depend on omega_q (the coupling, the line, beta) is worked
-    out once, so a sweep builds per grid point only the poles that move.
-    Each omega_q first gets TransmonSpec's checks on a frequency and then
-    levels is checked, so a call raises what a spec with that frequency
-    would raise in transmon_boundary.
+def _tuned_transmon(spec: TransmonSpec, dev: DeviceParams, levels: int):
+    """boundary(omega_q, state): transmon_boundary of spec with its qubit
+    tuned to omega_q and in `state` ("g" or "e"), all else fixed. What
+    depends on neither (the coupling, the line, beta) is worked out once:
+    a sweep builds per grid point only the poles that move, and a readout
+    builds a qubit's g and e boundaries from one set-up. A call checks
+    omega_q as TransmonSpec checks a frequency, then levels, so it raises
+    what transmon_boundary would for that frequency and state.
     """
-    L, v = dev.length, dev.phase_velocity
+    L, v, alpha = dev.length, dev.phase_velocity, spec.anharmonicity
     g = resolved_coupling(spec, dev)
-    excited, alpha = (state or spec.state) == "e", spec.anharmonicity
     beta = 0.0
     if spec.junction_capacitance is not None:
         beta = spec.junction_capacitance / dev.capacitance_per_length
 
-    def boundary(omega_q) -> RationalBoundary:
+    def boundary(omega_q, state: str) -> RationalBoundary:
         _check_qubit_frequency(omega_q)
         if levels not in (2, 3):
             raise ValueError("levels must be 2 or 3")
         lam_q = omega_to_lambda(omega_q, v)
         delta_ge = pole_strength_from_coupling(g, omega_q, L, v)
-        if not excited:
+        if state != "e":
             poles = (BoundaryPole(lam_q, delta_ge, "ge"),)
         else:
             poles = (BoundaryPole(lam_q, -delta_ge, "eg"),)

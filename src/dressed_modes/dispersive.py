@@ -76,12 +76,6 @@ def perturbative_mode_shift(b, dev: DeviceParams) -> float:
     return -(v * v / (omega_ref * dev.length)) * b.value(lam_ref)
 
 
-def _boundary_in(state: str, spec: TransmonSpec, dev: DeviceParams, levels: int):
-    """transmon_boundary of spec with its qubit in `state`, read from the
-    spec as checked once, not from a copy that re-runs its checks."""
-    return _tuned_transmon(spec, dev, levels, state)(spec.frequency)
-
-
 def _guard_detuning(delta: float, alpha: float, omega_ref: float):
     if abs(delta) < RESONANCE_GUARD_REL * omega_ref:
         raise ValueError("qubit degenerate with the mode; dispersive quantities undefined")
@@ -99,25 +93,21 @@ def pulled_frequencies(dev: DeviceParams, specs, levels: int = 3) -> dict[str, f
     the fundamental (solve_spectrum's nearest_only): one refiner run, unless
     the other root's bracket reaches as close. That root is the solve's
     one record, and a solve that finds no root is a SolverError. Each
-    qubit's boundary in g and in e is built once, when a joint state first
-    needs it. A solve error keeps its type and names its joint state.
+    qubit's boundary in g and in e is built before the first solve, from
+    one _tuned_transmon set-up per qubit, and each joint state sums those
+    same objects. A solve error keeps its type and names its joint state.
     """
     if not specs:
         raise ValueError("pulled_frequencies needs at least one qubit")
     v = dev.phase_velocity
     lam_ref = omega_to_lambda(dev.fundamental_frequency, v)
-    single = {}     # (qubit, state) -> that qubit's boundary
-
-    def boundary(i, spec, state):
-        if (i, state) not in single:
-            single[i, state] = _boundary_in(state, spec, dev, levels)
-        return single[i, state]
-
+    qubits = []     # per qubit: state -> that qubit's boundary
+    for spec in specs:
+        boundary = _tuned_transmon(spec, dev, levels)
+        qubits.append({state: boundary(spec.frequency, state) for state in "ge"})
     pulled = {}
     for joint in map("".join, product("ge", repeat=len(specs))):
-        bnd = reduce(sum_boundaries, (
-            boundary(i, spec, state) for i, (spec, state) in enumerate(zip(specs, joint))
-        ))
+        bnd = reduce(sum_boundaries, (q[state] for q, state in zip(qubits, joint)))
         try:
             sp = solve_spectrum(dev.length, bnd, near=lam_ref, nearest_only=True)
             if not sp.records:
@@ -157,6 +147,10 @@ class DispersiveResult:
 
 
 def dispersive_report(dev: DeviceParams, spec: TransmonSpec, levels: int = 3) -> DispersiveResult:
+    """chi three ways, with the regime flags: the closed form, the
+    half-difference of paired exact solves, and half the difference of the
+    first-order shifts of the qubit's e and g boundaries, built from one
+    _tuned_transmon set-up."""
     omega_ref = dev.fundamental_frequency
     g = resolved_coupling(spec, dev)
     delta = spec.frequency - omega_ref
@@ -164,9 +158,10 @@ def dispersive_report(dev: DeviceParams, spec: TransmonSpec, levels: int = 3) ->
     _guard_detuning(delta, alpha, omega_ref)
     chi = dispersive_shift(g, delta, alpha)
     chi_exact, _, _ = dispersive_shift_exact(dev, spec, levels=levels)
+    boundary = _tuned_transmon(spec, dev, levels)
     chi_pert = 0.5 * (
-        perturbative_mode_shift(_boundary_in("e", spec, dev, levels), dev)
-        - perturbative_mode_shift(_boundary_in("g", spec, dev, levels), dev)
+        perturbative_mode_shift(boundary(spec.frequency, "e"), dev)
+        - perturbative_mode_shift(boundary(spec.frequency, "g"), dev)
     )
     return DispersiveResult(
         chi=chi,

@@ -830,7 +830,7 @@ def qubit_frequency_sweep(
     ground, lobe_top = spec.state == "g", 2.0 * dev.fundamental_frequency
 
     def solve_one(omega_q):
-        bnd = boundary_at(omega_q)
+        bnd = boundary_at(omega_q, spec.state)
         # a ground-state qubit in the fundamental's lobe has its one pole there
         straddle = None
         if ground and omega_q < lobe_top and bnd.poles:

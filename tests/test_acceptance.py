@@ -314,28 +314,6 @@ def test_interlacing_draws_refine_from_the_newton_start(monkeypatch):
     assert calls[0] == 4936
 
 
-# Frozen measurements. Bands are generous (15-25%) because the quantities
-# are physical margins, not tolerances; a band violation means the solver
-# or the boundary construction changed behavior, not that physics drifted.
-
-
-def _rabi_rel_diff(ratio):
-    wr = STANDARD_DEVICE.fundamental_frequency
-    g = ratio * wr
-    gap = vacuum_rabi_gap(STANDARD_DEVICE, replace(STANDARD_QUBIT, coupling=g))
-    return abs(gap - 2.0 * g) / (2.0 * g)
-
-
-def test_regression_rabi_deviation_weak_coupling():
-    # was 7.4517e-05 when frozen
-    assert 6.3e-5 < _rabi_rel_diff(0.01) < 8.6e-5
-
-
-def test_regression_rabi_deviation_strong_coupling():
-    # was 1.7618e-02 when frozen
-    assert 1.5e-2 < _rabi_rel_diff(0.15) < 2.0e-2
-
-
 # gap/2g = 1 + C2 r^2 + C4 r^4 + C6 r^6 + C8 r^8 + ..., r = g/omega_1
 # (test_rabi_splitting_follows_the_residue_series)
 RABI_C2 = 37 / 32 - math.pi ** 2 / 24
@@ -380,6 +358,11 @@ def test_rabi_splitting_follows_the_residue_series(r):
     residual = gap / (2.0 * g) - 1.0 - RABI_C2 * r ** 2 - RABI_C4 * r ** 4
     eps = math.ulp(1.0)
     assert abs(residual) <= RABI_C6 * r ** 6 + 2.0 * RABI_C8 * r ** 8 + 4.0 * eps / r, residual
+
+
+# Frozen measurements. Bands are generous (15-25%) because the quantities
+# are physical margins, not tolerances; a band violation means the solver
+# or the boundary construction changed behavior, not that physics drifted.
 
 
 def test_regression_boundary_form_disagreement():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -15,13 +16,16 @@ from dressed_modes import (
     dispersive_report,
     dispersive_shift,
     dispersive_shift_exact,
+    lambda_to_omega,
     omega_to_lambda,
     perturbative_mode_shift,
     pole_strength_from_coupling,
     resolved_coupling,
     charge_from_coupling,
+    pulled_frequencies,
 )
-from dressed_modes.acceptance import SUBSPACES
+from dressed_modes import dispersive
+from dressed_modes.acceptance import STANDARD_DEVICE, STANDARD_QUBIT, SUBSPACES
 from input_space import DETUNING_MAGNITUDE
 
 DISPERSIVE = SUBSPACES["dispersive"]
@@ -187,3 +191,63 @@ def test_resolved_coupling_roundtrip():
     )
     assert resolved_coupling(spec, DEV) == pytest.approx(QUBIT.coupling, rel=1e-12)
     assert resolved_coupling(QUBIT, DEV) == QUBIT.coupling
+
+
+# the gate's two-qubit pair (acceptance.check_two_qubit_structure)
+GATE_Q2 = TransmonSpec(state="g", frequency=8.6 * GHZ, anharmonicity=-0.22 * GHZ, coupling=0.12 * GHZ)
+# an isolation bracket's ends are moved this far inside, relative, off a pole
+POLE_END_SHRINK = "1e-12"
+
+
+def _mp_root(length, b, bracket, mpmath):
+    """The root of H = G - F in `bracket` to 50 digits, by mpmath's
+    bracketing Anderson-Bjorck solver started at the bracket's ends, each
+    moved POLE_END_SHRINK inside, off the pole it may sit on. F is built
+    from b.affine_slope, b.gamma and b.poles, the way the solver reads b,
+    and G = sqrt(lam) cot(sqrt(lam) L) is the shorted line's."""
+    mpf = mpmath.mpf
+    s, gamma = mpf(b.affine_slope), mpf(b.gamma)
+    poles = [(mpf(p.location), mpf(p.strength)) for p in b.poles]
+
+    def h(lam):
+        k = mpmath.sqrt(lam)
+        f = s * lam - gamma + mpmath.fsum(d / (loc - lam) for loc, d in poles)
+        return k * mpmath.cot(k * length) - f
+
+    shrink = mpf(POLE_END_SHRINK)
+    lo, hi = mpf(bracket[0]) * (1 + shrink), mpf(bracket[1]) * (1 - shrink)
+    assert (h(lo) > 0) != (h(hi) > 0), bracket
+    root = mpmath.findroot(h, (lo, hi), solver="anderson", verify=False, maxsteps=50)
+    assert lo < root < hi
+    assert (h(root * (1 - mpf("1e-45"))) > 0) != (h(root * (1 + mpf("1e-45"))) > 0)
+    return root
+
+
+def test_gate_pulls_lie_within_their_refiners_stopping_width_of_the_true_root(monkeypatch):
+    """The 8 pulls of the gate's two-qubit pair, STANDARD_QUBIT and the
+    criterion's q2 (2 + 2 single-qubit solves, 4 joint), against their
+    roots at 50 digits: |lam - lam*| <= 4 eps lam*. The refiner stops on a
+    sign bracket at most 2 tol = 4 eps |x| wide, and the float root lies in
+    it. Each 50-digit root is found from its record's isolation bracket,
+    not from the solver's root."""
+    mpmath = pytest.importorskip("mpmath")
+    solved, solve = [], dispersive.solve_spectrum
+
+    def recording(length, b, **kwargs):
+        sp = solve(length, b, **kwargs)
+        solved.append((length, b, sp.records[0]))
+        return sp
+
+    monkeypatch.setattr(dispersive, "solve_spectrum", recording)
+    dev, v = STANDARD_DEVICE, STANDARD_DEVICE.phase_velocity
+    pulls = [pulled_frequencies(dev, specs, 3)
+             for specs in ((STANDARD_QUBIT,), (GATE_Q2,), (STANDARD_QUBIT, GATE_Q2))]
+    assert [lambda_to_omega(r.lam, v) for _, _, r in solved] == [
+        omega for pulled in pulls for omega in pulled.values()
+    ]
+    assert len(solved) == 8
+    eps = sys.float_info.epsilon
+    with mpmath.workdps(50):
+        for length, b, record in solved:
+            exact = _mp_root(length, b, record.bracket, mpmath)
+            assert abs(record.lam - exact) <= 4 * eps * exact, (record, exact)

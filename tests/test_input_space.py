@@ -29,7 +29,7 @@ from dressed_modes import (
 )
 from dressed_modes import spectrum
 from dressed_modes.acceptance import CHOICES, SPACE, STANDARD_DEVICE, SUBSPACES, _draw, _refused
-from dressed_modes.boundary import POLE_GUARD_REL, _LOCATION_FLOOR
+from dressed_modes.boundary import POLE_GUARD_REL, _LOCATION_FLOOR, _tuned_transmon
 from dressed_modes.dispersive import RESONANCE_GUARD_REL
 from dressed_modes.spectrum import DIRICHLET_COLLISION_REL
 from input_space import GAMMA, LAM_1, LENGTH, LOCATIONS, MIXED_LOCATIONS, PIN_GAMMA, UNIT
@@ -50,6 +50,15 @@ def _raised(fn):
     except (SolverError, ValueError) as exc:
         return exc
     return None
+
+
+def _outcome(fn):
+    """repr(fn()), exact in every float, or the type and message of the
+    error it raises."""
+    try:
+        return repr(fn())
+    except (SolverError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def _inside(span, outer):
@@ -166,4 +175,41 @@ def test_junction_capacitance_at_the_slope_bound_edge():
         assert settled == (f < 1.0)
         assert solve_spectrum(dev.length, bnd).records
         reached.add(settled)
+    assert reached == {True, False}
+
+
+# The long, slow line where a ratio-0.1 qubit at alpha = -0.3 GHz has its
+# e-f transition below zero: omega_1 = 2.5 GHz, omega_q + alpha = -0.05 GHz.
+EF_EDGE = {**SPACE, "length": 8e-3, "velocity": 0.8e8, "ratio": 0.1, "alpha": -0.3}
+
+
+def test_an_explicit_state_builds_the_spec_routes_boundary():
+    """_tuned_transmon's builder, given a state, returns the boundary
+    transmon_boundary builds for the spec in that state, bit for bit:
+    full-space transmons in either state, at either level count, g given
+    as g or as a charge element, with and without C_J, and each built in
+    g and in e. At levels 3 a qubit in e whose omega_q + alpha is not
+    positive is refused by both routes with the same ValueError; _refused
+    does not read that edge, and the EF_EDGE draws reach it."""
+    rng = random.Random(29)
+    no_cj = {axis: span for axis, span in SPACE.items() if axis != "beta"}
+    edge_no_cj = {axis: span for axis, span in EF_EDGE.items() if axis != "beta"}
+    reached = set()
+    for space in [SPACE, no_cj] * (DRAWS // 2) + [EF_EDGE, edge_no_cj] * 4:
+        dev, spec, _ = _draw(rng.uniform, space)
+        spec = replace(spec, state=rng.choice(CHOICES["state"]))
+        if rng.choice(CHOICES["coupling"]) == "charge_element":
+            charge = charge_from_coupling(spec.coupling, dev.fundamental_frequency, dev)
+            spec = replace(spec, coupling=None, charge_element=charge)
+        levels = rng.choice(CHOICES["levels"])
+        boundary = _tuned_transmon(spec, dev, levels)
+        for state in CHOICES["state"]:
+            explicit = _outcome(lambda: boundary(spec.frequency, state))
+            assert explicit == _outcome(
+                lambda: transmon_boundary(replace(spec, state=state), dev, levels))
+            edge = state == "e" and levels == 3
+            raised = explicit == (ValueError, "e-f transition frequency must stay positive")
+            assert raised == (edge and spec.frequency + spec.anharmonicity <= 0.0), explicit
+            if edge:
+                reached.add(raised)
     assert reached == {True, False}

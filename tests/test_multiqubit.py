@@ -258,25 +258,34 @@ def test_pulled_frequencies_solves_every_joint_state():
 
 def test_pulled_frequencies_builds_each_qubit_boundary_once(monkeypatch):
     """Two qubits have four joint states but four single-qubit boundaries:
-    each is built once, when a joint state first needs it, and the joint
-    states sum the same objects."""
+    one builder set-up per qubit builds its g and e boundaries once each,
+    and the joint states sum the same objects."""
     expected = pulled_frequencies(DEV, (Q1, Q2))
-    built, summed = {}, []
-    make, add = dispersive._boundary_in, dispersive.sum_boundaries
+    set_up, builds, summed = [], [], []
+    tuned, add = dispersive._tuned_transmon, dispersive.sum_boundaries
 
-    def making(state, spec, dev, levels):
-        b = built[spec.frequency, state] = make(state, spec, dev, levels)
-        return b
+    def tuning(spec, dev, levels):
+        set_up.append(spec.frequency)
+        boundary = tuned(spec, dev, levels)
+
+        def building(omega_q, state):
+            b = boundary(omega_q, state)
+            builds.append(((spec.frequency, state), b))
+            return b
+
+        return building
 
     def adding(b1, b2):
         summed.append((b1, b2))
         return add(b1, b2)
 
-    monkeypatch.setattr(dispersive, "_boundary_in", making)
+    monkeypatch.setattr(dispersive, "_tuned_transmon", tuning)
     monkeypatch.setattr(dispersive, "sum_boundaries", adding)
     assert pulled_frequencies(DEV, (Q1, Q2)) == expected
     q1, q2 = Q1.frequency, Q2.frequency
-    assert list(built) == [(q1, "g"), (q2, "g"), (q2, "e"), (q1, "e")]
+    assert set_up == [q1, q2]
+    assert [key for key, _ in builds] == [(q1, "g"), (q1, "e"), (q2, "g"), (q2, "e")]
+    built = dict(builds)
     assert len(summed) == len(STATES)
     for (b1, b2), (s1, s2) in zip(summed, STATES):
         assert b1 is built[q1, s1] and b2 is built[q2, s2]
