@@ -16,16 +16,14 @@ from dressed_modes import (
     dispersive_report,
     dispersive_shift,
     dispersive_shift_exact,
-    lambda_to_omega,
     omega_to_lambda,
     perturbative_mode_shift,
     pole_strength_from_coupling,
     resolved_coupling,
     charge_from_coupling,
-    pulled_frequencies,
 )
 from dressed_modes import dispersive
-from dressed_modes.acceptance import STANDARD_DEVICE, STANDARD_QUBIT, SUBSPACES
+from dressed_modes.acceptance import SUBSPACES, check_two_qubit_structure
 from input_space import DETUNING_MAGNITUDE
 
 DISPERSIVE = SUBSPACES["dispersive"]
@@ -193,8 +191,6 @@ def test_resolved_coupling_roundtrip():
     assert resolved_coupling(QUBIT, DEV) == QUBIT.coupling
 
 
-# the gate's two-qubit pair (acceptance.check_two_qubit_structure)
-GATE_Q2 = TransmonSpec(state="g", frequency=8.6 * GHZ, anharmonicity=-0.22 * GHZ, coupling=0.12 * GHZ)
 # an isolation bracket's ends are moved this far inside, relative, off a pole
 POLE_END_SHRINK = "1e-12"
 
@@ -224,12 +220,12 @@ def _mp_root(length, b, bracket, mpmath):
 
 
 def test_gate_pulls_lie_within_their_refiners_stopping_width_of_the_true_root(monkeypatch):
-    """The 8 pulls of the gate's two-qubit pair, STANDARD_QUBIT and the
-    criterion's q2 (2 + 2 single-qubit solves, 4 joint), against their
-    roots at 50 digits: |lam - lam*| <= 4 eps lam*. The refiner stops on a
-    sign bracket at most 2 tol = 4 eps |x| wide, and the float root lies in
-    it. Each 50-digit root is found from its record's isolation bracket,
-    not from the solver's root."""
+    """The 8 pulls of the gate's two-qubit criterion, STANDARD_QUBIT and
+    its q2 (2 + 2 single-qubit solves, 4 joint), against their roots at 50
+    digits: |lam - lam*| <= 4 eps lam*. The refiner stops on a sign bracket
+    at most 2 tol = 4 eps |x| wide, and the float root lies in it. Each
+    50-digit root is found from its record's isolation bracket, not from
+    the solver's root."""
     mpmath = pytest.importorskip("mpmath")
     solved, solve = [], dispersive.solve_spectrum
 
@@ -239,12 +235,7 @@ def test_gate_pulls_lie_within_their_refiners_stopping_width_of_the_true_root(mo
         return sp
 
     monkeypatch.setattr(dispersive, "solve_spectrum", recording)
-    dev, v = STANDARD_DEVICE, STANDARD_DEVICE.phase_velocity
-    pulls = [pulled_frequencies(dev, specs, 3)
-             for specs in ((STANDARD_QUBIT,), (GATE_Q2,), (STANDARD_QUBIT, GATE_Q2))]
-    assert [lambda_to_omega(r.lam, v) for _, _, r in solved] == [
-        omega for pulled in pulls for omega in pulled.values()
-    ]
+    assert check_two_qubit_structure().passed
     assert len(solved) == 8
     eps = sys.float_info.epsilon
     with mpmath.workdps(50):
