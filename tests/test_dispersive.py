@@ -25,6 +25,7 @@ from dressed_modes import (
 from dressed_modes import dispersive
 from dressed_modes.acceptance import SUBSPACES, check_two_qubit_structure
 from input_space import DETUNING_MAGNITUDE
+from oracle import mp_root
 
 DISPERSIVE = SUBSPACES["dispersive"]
 
@@ -191,34 +192,6 @@ def test_resolved_coupling_roundtrip():
     assert resolved_coupling(QUBIT, DEV) == QUBIT.coupling
 
 
-# an isolation bracket's ends are moved this far inside, relative, off a pole
-POLE_END_SHRINK = "1e-12"
-
-
-def _mp_root(length, b, bracket, mpmath):
-    """The root of H = G - F in `bracket` to 50 digits, by mpmath's
-    bracketing Anderson-Bjorck solver started at the bracket's ends, each
-    moved POLE_END_SHRINK inside, off the pole it may sit on. F is built
-    from b.affine_slope, b.gamma and b.poles, the way the solver reads b,
-    and G = sqrt(lam) cot(sqrt(lam) L) is the shorted line's."""
-    mpf = mpmath.mpf
-    s, gamma = mpf(b.affine_slope), mpf(b.gamma)
-    poles = [(mpf(p.location), mpf(p.strength)) for p in b.poles]
-
-    def h(lam):
-        k = mpmath.sqrt(lam)
-        f = s * lam - gamma + mpmath.fsum(d / (loc - lam) for loc, d in poles)
-        return k * mpmath.cot(k * length) - f
-
-    shrink = mpf(POLE_END_SHRINK)
-    lo, hi = mpf(bracket[0]) * (1 + shrink), mpf(bracket[1]) * (1 - shrink)
-    assert (h(lo) > 0) != (h(hi) > 0), bracket
-    root = mpmath.findroot(h, (lo, hi), solver="anderson", verify=False, maxsteps=50)
-    assert lo < root < hi
-    assert (h(root * (1 - mpf("1e-45"))) > 0) != (h(root * (1 + mpf("1e-45"))) > 0)
-    return root
-
-
 def test_gate_pulls_lie_within_their_refiners_stopping_width_of_the_true_root(monkeypatch):
     """The 8 pulls of the gate's two-qubit criterion, STANDARD_QUBIT and
     its q2 (2 + 2 single-qubit solves, 4 joint), against their roots at 50
@@ -240,5 +213,5 @@ def test_gate_pulls_lie_within_their_refiners_stopping_width_of_the_true_root(mo
     eps = sys.float_info.epsilon
     with mpmath.workdps(50):
         for length, b, record in solved:
-            exact = _mp_root(length, b, record.bracket, mpmath)
+            exact = mp_root(length, b, record.bracket)
             assert abs(record.lam - exact) <= 4 * eps * exact, (record, exact)

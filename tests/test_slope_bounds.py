@@ -11,18 +11,19 @@ import random
 import pytest
 
 from dressed_modes import BoundaryPole, RationalBoundary, solve_spectrum, spectrum
+from oracle import oracle_roots
 from test_solver_pin import _boundary_draw
-from test_spectrum import LENGTH, _emission_above_absorption, _oracle_roots
+from test_spectrum import LENGTH, _emission_above_absorption
 
 MIXED_DRAWS = 40
 
 
 def _oracle_slope_bounds(length, b):
     """The slope bound as first written, with builtins max/min and the
-    poles' attributes read on every cell."""
-    beta, poles = b.beta, b.poles
+    poles' attributes read on every cell; H's affine slope is -s."""
+    slope, poles = -b.affine_slope, b.poles
     emission = [(p.location, -p.strength) for p in poles if p.strength < 0.0]
-    slack = beta - length / 3.0
+    slack = slope - length / 3.0
     sqrt, sin, inf, pi = math.sqrt, math.sin, math.inf, math.pi
 
     def bounds(x0, x1, lobe):
@@ -39,7 +40,7 @@ def _oracle_slope_bounds(length, b):
         g_lo = (0.5 * sin(2.0 * xi1) - xi1) / (2.0 * xi0 * min(s0, s1)) if xi0 else -inf
         if lobe == 0:
             g_lo = max(g_lo, -xi1 * xi1 / (3.0 * s1))
-        lower, upper = beta + length * g_lo, beta + length * g_hi
+        lower, upper = slope + length * g_lo, slope + length * g_hi
         for p in poles:
             loc, s = p.location, p.strength
             near, far = max(loc - x1, x0 - loc), max(loc - x0, x1 - loc)
@@ -133,7 +134,5 @@ def test_interval_above_an_emission_pole_settles_in_few_cells(monkeypatch):
     emission = next(p.location for p in bnd.poles if p.strength < 0.0)
     a, z = next(iv for iv in sp.intervals if iv[0] == emission)
     assert sum(a <= x0 and x1 <= z for x0, x1, _ in cells) <= 6
-    roots = _oracle_roots(
-        LENGTH, bnd.beta, bnd.gamma, [(p.location, p.strength) for p in bnd.poles], sp.lam_max
-    )
+    roots = oracle_roots(LENGTH, bnd, sp.lam_max)
     assert sp.counts == tuple(sum(x0 < r <= x1 for r in roots) for x0, x1 in sp.intervals)

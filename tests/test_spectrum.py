@@ -1,7 +1,6 @@
 import inspect
 import json
 import math
-import sys
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -41,72 +40,11 @@ from dressed_modes import acceptance, cli, dispersive, spectrum
 from dressed_modes.resonator import line_log_deriv_dlam
 from dressed_modes.spectrum import DIRICHLET_COLLISION_REL
 from input_space import RANDOM_BOUNDARY, random_boundary
+from oracle import oracle_roots, rounding_floor, secular
 
 DEV = DeviceParams(length=3e-3, phase_velocity=1.2e8, impedance=50.0)
 QUBIT = TransmonSpec(state="g", frequency=9 * GHZ, anharmonicity=-0.25 * GHZ, coupling=0.1 * GHZ)
 LENGTH = DEV.length
-
-
-def _oracle_h(length, beta, gamma, poles):
-    """The raw secular function G - F, written out independently of the solver."""
-
-    def h(lam):
-        xi = math.sqrt(lam) * length
-        val = math.sqrt(lam) * math.cos(xi) / math.sin(xi)
-        val += beta * lam + gamma
-        for loc, s in poles:
-            val -= s / (loc - lam)
-        return val
-
-    return h
-
-
-def _oracle_roots(length, beta, gamma, poles, lam_max, points_per_interval=100_000):
-    """Independent root finder: dense uniform scan plus plain bisection.
-
-    Shares only the defining equation with the solver; no clamps, no
-    adaptivity, no Newton. poles is a list of (location, strength). Each
-    scan stops (b - a) 1e-9 short of a pole, but not of lam = 0.
-    """
-    h = _oracle_h(length, beta, gamma, poles)
-
-    def h_vec(lam):
-        xi = np.sqrt(lam) * length
-        val = np.sqrt(lam) * np.cos(xi) / np.sin(xi)
-        val = val + beta * lam + gamma
-        for loc, s in poles:
-            val = val - s / (loc - lam)
-        return val
-
-    singular = sorted(
-        [(k * math.pi / length) ** 2 for k in range(1, 12)
-         if (k * math.pi / length) ** 2 < lam_max]
-        + [loc for loc, _ in poles if loc < lam_max]
-    )
-    edges = [0.0] + singular + [lam_max]
-    roots = []
-    for a, b in zip(edges, edges[1:]):
-        eps = (b - a) * 1e-9
-        # lam = 0 is not a pole: start there, at the smallest positive float
-        grid = np.linspace(a + eps if a else math.ulp(0.0), b - eps, points_per_interval)
-        vals = h_vec(grid)
-        # an exact zero on the grid is no sign change by itself: H(0) can vanish
-        grid, vals = grid[vals != 0.0], vals[vals != 0.0]
-        sign_flip = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
-        for idx in sign_flip:
-            lo, hi = float(grid[idx]), float(grid[idx + 1])
-            flo = h(lo)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if not (lo < mid < hi):
-                    break
-                fmid = h(mid)
-                if (fmid < 0.0) == (flo < 0.0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    return roots
 
 
 def test_open_circuit_recovers_quarter_wave_modes():
@@ -120,11 +58,7 @@ def test_open_circuit_recovers_quarter_wave_modes():
 def test_ground_state_spectrum_matches_dense_scan_oracle():
     bnd = transmon_boundary(QUBIT, DEV)
     sp = solve_spectrum(LENGTH, bnd)
-    oracle = _oracle_roots(
-        DEV.length, bnd.beta, bnd.gamma,
-        [(p.location, p.strength) for p in bnd.poles],
-        sp.lam_max,
-    )
+    oracle = oracle_roots(DEV.length, bnd, sp.lam_max)
     assert len(sp.eigenvalues) == len(oracle)
     for lam, ref in zip(sp.eigenvalues, oracle):
         assert lam == pytest.approx(ref, rel=1e-10)
@@ -133,7 +67,7 @@ def test_ground_state_spectrum_matches_dense_scan_oracle():
 def test_affine_boundary_matches_dense_scan_oracle():
     bnd = RationalBoundary(beta=3e-4, gamma=120.0, poles=())
     sp = solve_spectrum(LENGTH, bnd)
-    oracle = _oracle_roots(DEV.length, bnd.beta, bnd.gamma, [], sp.lam_max)
+    oracle = oracle_roots(DEV.length, bnd, sp.lam_max)
     assert len(sp.eigenvalues) == len(oracle)
     for lam, ref in zip(sp.eigenvalues, oracle):
         assert lam == pytest.approx(ref, rel=1e-10)
@@ -144,11 +78,7 @@ def test_excited_state_spectrum_matches_dense_scan_oracle():
     bnd = transmon_boundary(replace(QUBIT, state="e"), DEV, levels=3)
     assert not bnd.all_positive_residues
     sp = solve_spectrum(LENGTH, bnd)
-    oracle = _oracle_roots(
-        DEV.length, bnd.beta, bnd.gamma,
-        [(p.location, p.strength) for p in bnd.poles],
-        sp.lam_max,
-    )
+    oracle = oracle_roots(DEV.length, bnd, sp.lam_max)
     assert len(sp.eigenvalues) == len(oracle)
     for lam, ref in zip(sp.eigenvalues, oracle):
         assert lam == pytest.approx(ref, rel=1e-10)
@@ -371,32 +301,21 @@ def _mp_roots(length, bnd, lam_max):
     relative of a Dirichlet pole, where float sin(xi) has no sign, are left
     out. Shares only the defining equation with the solver."""
     mpmath = pytest.importorskip("mpmath")
-    poles = [(p.location, p.strength) for p in bnd.poles]
+    h = secular(length, bnd)
     dirichlet = [(k * math.pi / length) ** 2 for k in range(1, 12)
                  if (k * math.pi / length) ** 2 < lam_max]
     t = np.concatenate([np.logspace(-300.0, 0.0, 601), np.linspace(0.0, 1.0, 1001)])
     roots = []
     with mpmath.workdps(60):
         mpf = mpmath.mpf
-        beta, gamma, mp_poles = mpf(bnd.beta), mpf(bnd.gamma), [(mpf(a), mpf(s)) for a, s in poles]
-
-        def h(lam):
-            k = mpmath.sqrt(lam)
-            val = k * mpmath.cot(k * length) + beta * lam + gamma
-            for loc, s in mp_poles:
-                val -= s / (loc - lam)
-            return val
-
-        edges = [0.0, *sorted(dirichlet + [loc for loc, _ in poles if loc < lam_max]), lam_max]
+        edges = [0.0, *sorted(dirichlet + [p.location for p in bnd.poles if p.location < lam_max]),
+                 lam_max]
         for a, b in zip(edges, edges[1:]):
             pts = np.unique(np.concatenate([a + (b - a) * t, b - (b - a) * t]))
             pts = pts[(pts > a) & (pts < b)]
             for d in dirichlet:
                 pts = pts[np.abs(pts - d) > 1e-12 * d]
-            xi = np.sqrt(pts) * length
-            vals = np.sqrt(pts) * np.cos(xi) / np.sin(xi) + bnd.beta * pts + bnd.gamma
-            for loc, s in poles:
-                vals = vals - s / (loc - pts)
+            vals = h(pts)
             for i in np.nonzero(np.diff(np.sign(vals)) != 0)[0]:
                 lo, hi = mpf(float(pts[i])), mpf(float(pts[i + 1]))
                 h_lo = h(lo)
@@ -558,26 +477,15 @@ def test_random_ground_configs_interlace(data):
 
 def _root_tolerance(length, bnd, lam):
     """How closely floats pin a root: 1e-10 relative, or, where H is flat,
-    the rounding of H (8 ulps of the sum of its terms' sizes) over its slope."""
-    xi = math.sqrt(lam) * length
-    terms = [math.sqrt(lam) * math.cos(xi) / math.sin(xi), bnd.beta * lam, bnd.gamma]
-    terms += [p.strength / (p.location - lam) for p in bnd.poles]
-    slope = line_log_deriv_dlam(lam, length) + bnd.beta - sum(
-        p.strength / (p.location - lam) ** 2 for p in bnd.poles
-    )
-    noise = 8.0 * sys.float_info.epsilon * sum(abs(t) for t in terms)
-    return max(1e-10 * lam, noise / abs(slope))
+    the rounding of H over its slope (oracle.rounding_floor)."""
+    return max(1e-10 * lam, rounding_floor(length, bnd, lam))
 
 
 def _assert_matches_oracle(sp, bnd, length):
-    """Same roots as _oracle_roots, each to within _root_tolerance. A root
+    """Same roots as oracle_roots, each to within _root_tolerance. A root
     whose tolerance reaches down to lam = 0 cannot be told from lam = 0,
     which lies outside the domain, so it is left out on both sides."""
-    oracle = _oracle_roots(
-        length, bnd.beta, bnd.gamma,
-        [(p.location, p.strength) for p in bnd.poles],
-        sp.lam_max,
-    )
+    oracle = oracle_roots(length, bnd, sp.lam_max)
     tol = {lam: _root_tolerance(length, bnd, lam) for lam in (*sp.eigenvalues, *oracle)}
     found = [lam for lam in sp.eigenvalues if lam > tol[lam]]
     oracle = [lam for lam in oracle if lam > tol[lam]]
@@ -604,8 +512,8 @@ def test_weak_coupling_keeps_the_root_next_to_the_qubit_pole(g_ghz):
 def _assert_raw_sign_changes(sp, bnd):
     """Each root is a sign change of the raw secular function across
     lam (1 +- 1e-12): the check for roots too close to a pole for
-    _oracle_roots, which stops (b - a) 1e-9 short of each pole."""
-    h = _oracle_h(DEV.length, bnd.beta, bnd.gamma, [(p.location, p.strength) for p in bnd.poles])
+    oracle_roots, which stops (b - a) 1e-9 short of each pole."""
+    h = secular(DEV.length, bnd)
     for lam in sp.eigenvalues:
         assert (h(lam * (1.0 - 1e-12)) > 0.0) != (h(lam * (1.0 + 1e-12)) > 0.0)
 
@@ -1236,16 +1144,8 @@ def test_excited_state_root_pair_far_below_the_emission_pole():
 def _extended_h(bnd):
     """The raw secular function in numpy's extended precision, which takes
     the rounding noise of float64 (~1e-13 here) off the oracle's signs."""
-
-    def h(lam):
-        lam = np.asarray(lam, dtype=np.longdouble)
-        xi = np.sqrt(lam) * DEV.length
-        val = np.sqrt(lam) * np.cos(xi) / np.sin(xi) + bnd.beta * lam + bnd.gamma
-        for p in bnd.poles:
-            val = val - p.strength / (p.location - lam)
-        return val
-
-    return h
+    h = secular(DEV.length, bnd)
+    return lambda lam: h(np.asarray(lam, dtype=np.longdouble))
 
 
 def _pair_minimum(bnd):
