@@ -83,6 +83,13 @@ def _guard_detuning(delta: float, alpha: float, omega_ref: float):
         raise ValueError("e-f transition degenerate with the mode; dispersive quantities undefined")
 
 
+def _qubit_boundaries(spec: TransmonSpec, dev: DeviceParams, levels: int) -> dict:
+    """state -> the qubit's boundary in g and in e, from one _tuned_transmon
+    set-up, built g first."""
+    boundary = _tuned_transmon(spec, dev, levels)
+    return {state: boundary(spec.frequency, state) for state in "ge"}
+
+
 def pulled_frequencies(dev: DeviceParams, specs, levels: int = 3) -> dict[str, float]:
     """Dressed frequency nearest the bare fundamental, per joint state.
 
@@ -99,14 +106,16 @@ def pulled_frequencies(dev: DeviceParams, specs, levels: int = 3) -> dict[str, f
     """
     if not specs:
         raise ValueError("pulled_frequencies needs at least one qubit")
+    return _pulls(dev, [_qubit_boundaries(spec, dev, levels) for spec in specs])
+
+
+def _pulls(dev: DeviceParams, qubits) -> dict[str, float]:
+    """pulled_frequencies of the qubits' built boundaries, one
+    state -> boundary dict per qubit."""
     v = dev.phase_velocity
     lam_ref = omega_to_lambda(dev.fundamental_frequency, v)
-    qubits = []     # per qubit: state -> that qubit's boundary
-    for spec in specs:
-        boundary = _tuned_transmon(spec, dev, levels)
-        qubits.append({state: boundary(spec.frequency, state) for state in "ge"})
     pulled = {}
-    for joint in map("".join, product("ge", repeat=len(specs))):
+    for joint in map("".join, product("ge", repeat=len(qubits))):
         bnd = reduce(sum_boundaries, (q[state] for q, state in zip(qubits, joint)))
         try:
             sp = solve_spectrum(dev.length, bnd, near=lam_ref, nearest_only=True)
@@ -148,20 +157,21 @@ class DispersiveResult:
 
 def dispersive_report(dev: DeviceParams, spec: TransmonSpec, levels: int = 3) -> DispersiveResult:
     """chi three ways, with the regime flags: the closed form, the
-    half-difference of paired exact solves, and half the difference of the
-    first-order shifts of the qubit's e and g boundaries, built from one
-    _tuned_transmon set-up."""
+    half-difference of paired exact solves (dispersive_shift_exact's chi),
+    and half the difference of the first-order shifts of the qubit's e and
+    g boundaries. Both solves and both shifts read the same two
+    boundaries, built once from one _tuned_transmon set-up."""
     omega_ref = dev.fundamental_frequency
     g = resolved_coupling(spec, dev)
     delta = spec.frequency - omega_ref
     alpha = spec.anharmonicity
     _guard_detuning(delta, alpha, omega_ref)
     chi = dispersive_shift(g, delta, alpha)
-    chi_exact, _, _ = dispersive_shift_exact(dev, spec, levels=levels)
-    boundary = _tuned_transmon(spec, dev, levels)
+    built = _qubit_boundaries(spec, dev, levels)
+    pulled = _pulls(dev, [built])
+    chi_exact = 0.5 * (pulled["e"] - pulled["g"])
     chi_pert = 0.5 * (
-        perturbative_mode_shift(boundary(spec.frequency, "e"), dev)
-        - perturbative_mode_shift(boundary(spec.frequency, "g"), dev)
+        perturbative_mode_shift(built["e"], dev) - perturbative_mode_shift(built["g"], dev)
     )
     return DispersiveResult(
         chi=chi,

@@ -23,7 +23,9 @@ from dressed_modes import (
     charge_from_coupling,
 )
 from dressed_modes import dispersive
-from dressed_modes.acceptance import SUBSPACES, check_two_qubit_structure
+from dressed_modes.acceptance import (
+    STANDARD_DEVICE, STANDARD_QUBIT, SUBSPACES, check_two_qubit_structure,
+)
 from input_space import DETUNING_MAGNITUDE
 from oracle import mp_root
 
@@ -163,6 +165,45 @@ def test_report_fields_consistent():
     assert rep.chi == pytest.approx(-0.002 * GHZ, rel=1e-12)
     assert rep.chi_exact == pytest.approx(rep.chi, rel=0.05)
     assert rep.chi_perturbative == pytest.approx(rep.chi, rel=0.02)
+
+
+def test_report_builds_the_qubit_boundaries_once(monkeypatch):
+    """One dispersive_report sets up one builder and builds g, then e; the
+    paired solves and the first-order shifts read those same two objects."""
+    expected = dispersive_report(STANDARD_DEVICE, STANDARD_QUBIT)
+    set_up, builds, solved, shifted = [], [], [], []
+    tuned, solve, shift = (
+        dispersive._tuned_transmon, dispersive.solve_spectrum, dispersive.perturbative_mode_shift
+    )
+
+    def tuning(spec, dev, levels):
+        set_up.append(spec)
+        boundary = tuned(spec, dev, levels)
+
+        def building(omega_q, state):
+            b = boundary(omega_q, state)
+            builds.append((state, b))
+            return b
+
+        return building
+
+    def solving(length, b, **kwargs):
+        solved.append(b)
+        return solve(length, b, **kwargs)
+
+    def shifting(b, dev):
+        shifted.append(b)
+        return shift(b, dev)
+
+    monkeypatch.setattr(dispersive, "_tuned_transmon", tuning)
+    monkeypatch.setattr(dispersive, "solve_spectrum", solving)
+    monkeypatch.setattr(dispersive, "perturbative_mode_shift", shifting)
+    assert dispersive_report(STANDARD_DEVICE, STANDARD_QUBIT) == expected
+    assert set_up == [STANDARD_QUBIT]
+    assert [state for state, _ in builds] == ["g", "e"]
+    built = dict(builds)
+    assert solved[0] is built["g"] and solved[1] is built["e"] and len(solved) == 2
+    assert shifted[0] is built["e"] and shifted[1] is built["g"] and len(shifted) == 2
 
 
 def test_report_straddling_flag():
