@@ -8,7 +8,8 @@ boundary with gamma - k does: a copy of F's loop anywhere in the solver
 would not move with the kernel. The second checks that the solver's
 cleared function hands the kernel exactly the poles that do not bound its
 interval. The third flips the one sign site to Foster's sign, s = +beta,
-and checks that the whole solver follows it.
+and checks that the whole solver follows it, and the tests' outside
+oracle with it.
 """
 import math
 from dataclasses import replace
@@ -18,7 +19,7 @@ import pytest
 
 from dressed_modes import RationalBoundary, boundary, solve_spectrum, spectrum, transmon_boundary
 from test_solver_pin import _bits_or_error, _cases, _pin_boundaries
-from test_spectrum import DEV, LENGTH, QUBIT
+from test_spectrum import DEV, LENGTH, QUBIT, _assert_matches_oracle
 
 FOSTER_LENGTH = 3e-3
 # the kernel's shift, in 1/m, and the draws it is checked over
@@ -132,6 +133,9 @@ def _cot_roots(length: float, beta: float, count: int) -> list[float]:
 
 @pytest.mark.parametrize("beta", [3e-5, 0.5 * FOSTER_LENGTH])
 def test_flipping_the_one_sign_site_flips_the_whole_solver(monkeypatch, beta):
+    """Under Foster's sign the solver's roots are those of cot(kL) = +beta k,
+    and, with poles, the outside oracle's: it reads F's slope from the same
+    site, so no test oracle restates the sign."""
     # Foster's sign, s = +beta; the capacitive-loading fix makes this the code
     monkeypatch.setattr(RationalBoundary, "affine_slope", property(lambda self: self.beta))
     b = RationalBoundary(beta=beta)
@@ -141,3 +145,5 @@ def test_flipping_the_one_sign_site_flips_the_whole_solver(monkeypatch, beta):
     for lam, want in zip(sp.eigenvalues, expected):
         assert lam == pytest.approx(want, rel=1e-14)
     assert b.value(expected[0]) == beta * expected[0]
+    loaded = replace(transmon_boundary(QUBIT, DEV), beta=beta)
+    _assert_matches_oracle(solve_spectrum(DEV.length, loaded), loaded, DEV.length)

@@ -10,14 +10,21 @@ The file was written by running this module as a script in a checkout of
 cac4968, from its root, and is not to be rewritten by a later refiner:
 
     PYTHONPATH=src python tests/test_solver_roots.py > tests/solver_roots.json
+
+The frozen roots are the old refiner's, not the true ones, so a second test
+holds some of the draws' roots to their 50-digit roots, found by
+oracle.mp_root, which stay true whatever the refiner.
 """
 import json
 import struct
 import sys
 from pathlib import Path
 
+import pytest
+
 import test_solver_pin
 from dressed_modes import SolverError, spectrum
+from oracle import mp_root, rounding_floor
 
 ROOTS = Path(__file__).with_name("solver_roots.json")
 # Both refiners stop on a sign bracket at most 2 tol = 4 eps |x| wide, 4 to 8
@@ -26,6 +33,11 @@ ROOTS = Path(__file__).with_name("solver_roots.json")
 # rounding error over several floats the two can pick ends further apart,
 # and 3 roots lie 5 and 6 ulps away (boundary[137], [206], [295]).
 MAX_ULPS = 6
+# The pin's draws held to their 50-digit roots: the first TRUTH_DRAWS
+# boundary draws that solve, and the three whose roots lie furthest from
+# Brent's.
+TRUTH_DRAWS = 30
+FAR_FROM_BRENT = (137, 206, 295)
 
 
 def _ulps(x: float, y: float) -> int:
@@ -78,6 +90,37 @@ def test_roots_stay_within_a_few_ulps_of_the_brent_refiner():
             assert len(roots) == len(roots0), name
             for x, x0 in zip(roots, roots0):
                 assert _ulps(float(x), float(x0)) <= MAX_ULPS, (name, x, x0)
+
+
+def test_roots_lie_within_their_stopping_width_and_rounding_floor_of_the_true_root():
+    """Every record of the full solves of the TRUTH_DRAWS and FAR_FROM_BRENT
+    boundary draws against its root at 50 digits, found from the record's
+    isolation bracket, never from the solver's root:
+    |lam - lam*| <= 4 eps lam* + 8 eps sum|terms| / |H'(lam*)|. The first
+    term is the refiner's stop on a sign bracket at most 2 tol = 4 eps |x|
+    wide, the second the rounding floor of H (oracle.rounding_floor). Over
+    all 300 draws (2117 roots) the furthest root lies 4.02 eps lam* (7 ulps)
+    from its true root, at boundary[137], whose rounding floor there is
+    137 eps lam*; the largest error over its bound is 0.47."""
+    mpmath = pytest.importorskip("mpmath")
+    eps, length = sys.float_info.epsilon, test_solver_pin.LENGTH
+    taken, checked = [], 0
+    with mpmath.workdps(50):
+        for i, (b, _) in enumerate(test_solver_pin._pin_boundaries()):
+            if b is None or (len(taken) >= TRUTH_DRAWS and i not in FAR_FROM_BRENT):
+                continue
+            try:
+                sp = spectrum.solve_spectrum(length, b)
+            except SolverError:
+                continue
+            taken.append(i)
+            for record in sp.records:
+                exact = mp_root(length, b, record.bracket)
+                bound = 4 * eps * exact + rounding_floor(length, b, float(exact))
+                assert abs(record.lam - exact) <= bound, (i, record, exact)
+                checked += 1
+    assert taken[-len(FAR_FROM_BRENT):] == list(FAR_FROM_BRENT)
+    assert len(taken) == TRUTH_DRAWS + len(FAR_FROM_BRENT) and checked > 200
 
 
 def test_ulps_counts_floats_between():
