@@ -3,6 +3,7 @@ import random
 import sys
 from dataclasses import replace
 
+import mpmath
 import pytest
 
 from dressed_modes import (
@@ -240,7 +241,6 @@ def test_gate_pulls_lie_within_their_refiners_stopping_width_of_the_true_root(mo
     at most 2 tol = 4 eps |x| wide, and the float root lies in it. Each
     50-digit root is found from its record's isolation bracket, not from
     the solver's root."""
-    mpmath = pytest.importorskip("mpmath")
     solved, solve = [], dispersive.solve_spectrum
 
     def recording(length, b, **kwargs):

@@ -1,4 +1,5 @@
 """tests/oracle.py's secular function, in each arithmetic it evaluates in."""
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,6 @@ def test_every_arithmetic_evaluates_the_same_h_with_its_limit_at_zero():
     """Python floats, float64 and longdouble arrays and 50-digit mpmath
     agree to rounding, lam = 0 included, where G takes its limit 1/L and
     H(0) = 1/L + gamma - sum_k delta_k / lam_k."""
-    mpmath = pytest.importorskip("mpmath")
     h = secular(LENGTH, BND)
     lams = [0.0, 1e-300, 0.3 * LAM_1, 2.0 * LAM_1, 7.5 * LAM_1]
     at_zero = 1.0 / LENGTH + BND.gamma - sum(p.strength / p.location for p in BND.poles)

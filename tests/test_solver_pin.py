@@ -16,6 +16,12 @@ as it is, and a failure names the columns that moved. A change meant to
 alter them rewrites the file, from the root of a checkout:
 
     PYTHONPATH=src python tests/test_solver_pin.py > tests/solver_pin.json
+
+A rewritten pin holds whatever the solver then returns. What bounds it is
+the truth check of test_solver_roots.py: the roots of 33 of its boundary
+draws and of the first, middle and last solve of each of its sweeps lie
+within their stopping width and rounding floor of their 50-digit roots,
+which no rewrite moves.
 """
 import hashlib
 import json

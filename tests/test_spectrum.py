@@ -5,6 +5,7 @@ from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -300,7 +301,6 @@ def _mp_roots(length, bnd, lam_max):
     uniform grid and a geometric one toward both ends; points within 1e-12
     relative of a Dirichlet pole, where float sin(xi) has no sign, are left
     out. Shares only the defining equation with the solver."""
-    mpmath = pytest.importorskip("mpmath")
     h = secular(length, bnd)
     dirichlet = [(k * math.pi / length) ** 2 for k in range(1, 12)
                  if (k * math.pi / length) ** 2 < lam_max]
